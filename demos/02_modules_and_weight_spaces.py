@@ -21,7 +21,7 @@ print("  F:", [[str(v2.matrix(GEN_F)[i, j]) for j in range(3)]
 print("\nwords of generators act right-to-left; divided powers divide by [k]!:")
 x = linalg.unit_vector(3, 0)
 y = apply_generator(v2, [(GEN_F, 2)], x)
-print("  F^(2) . slot0 =", [str(c) for c in y])
+print("  F^(2) . slot0 =", [str(y[i]) for i in range(y.dim)])
 
 dual = contragredient(v2)
 print("\nthe contragredient twists the action through tau (e <-> f):")

@@ -15,8 +15,8 @@ fs = (make_simple(1), make_simple(1))
 op = theta_matrix(fs, 1)
 print("Theta on (V_1 x V_1) at level 1 (columns = source indices):")
 for j, col_idx in enumerate(op.source.indices):
-    terms = {row_idx: str(op.matrix[i, j])
-             for i, row_idx in enumerate(op.target.indices) if op.matrix[i, j]}
+    column = op.matrix.col(j)  # sparse: only the stored nonzeros
+    terms = {op.target.indices[i]: str(column[i]) for i in column.support()}
     print(f"  {col_idx} -> {terms}")
 
 print("\nCartan factor on the top slice multiplies by v^(mu1 mu2):")

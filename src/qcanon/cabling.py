@@ -21,12 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from . import linalg
 from .canonical import dual_canonical_basis
 from .diagrams import cable_diagram, diagram_of_index, index_of_diagram
-from .qring import ONE, QScalar, exact_div, quantum_factorial
+from .qring import ONE, QScalar, quantum_factorial
 from .tensor import coproduct_matrix, enumerate_P, weight_space
 from .weightmod import GEN_F, make_verma_truncated
 
@@ -58,7 +56,7 @@ class UnitEmbedding:
     """
     factor_weight: int
     level: int
-    columns: tuple[np.ndarray, ...]
+    columns: tuple[linalg.Vector, ...]
 
     def target_space(self, m: int):
         unit = make_verma_truncated(1, self.level)
@@ -75,9 +73,7 @@ def verma_unit_embedding(factor_weight: int, level: int) -> UnitEmbedding:
     vec = weight_space(factors, 0).unit_vector((0,) * factor_weight)
     columns = []
     for m in range(level + 1):
-        col = np.array([exact_div(x, quantum_factorial(m)) for x in vec],
-                       dtype=object)
-        columns.append(col)
+        columns.append(linalg.mat_div(vec, quantum_factorial(m)))
         if m < level:
             vec = linalg.matmul(coproduct_matrix(factors, m, GEN_F), vec)
     return UnitEmbedding(factor_weight, level, tuple(columns))
@@ -95,7 +91,7 @@ class DualCablingMatrix:
     level: int
     rows: tuple[tuple[int, ...], ...]
     cols: tuple[tuple[int, ...], ...]
-    matrix: np.ndarray
+    matrix: linalg.Matrix
 
 
 def dual_cabling_matrix(lam: Sequence[int], level: int) -> DualCablingMatrix:
@@ -109,7 +105,7 @@ def dual_cabling_matrix(lam: Sequence[int], level: int) -> DualCablingMatrix:
     embeddings = [verma_unit_embedding(x, level) for x in lam]
     spaces = [[emb.target_space(m) for m in range(level + 1)]
               for emb in embeddings]
-    out = linalg.zeros(len(rows), len(cols))
+    out = [{} for _ in cols]
     starts = [0]
     for x in lam:
         starts.append(starts[-1] + x)
@@ -126,8 +122,9 @@ def dual_cabling_matrix(lam: Sequence[int], level: int) -> DualCablingMatrix:
                     val = None
                     break
             if val is not None:
-                out[r, c] = val
-    return DualCablingMatrix(lam, level, rows, cols, out)
+                out[c][r] = val
+    return DualCablingMatrix(lam, level, rows, cols,
+                             linalg.Matrix((len(rows), len(cols)), out))
 
 
 def is_monomial_unit(s: QScalar) -> bool:
@@ -181,11 +178,8 @@ def cabling_report(lam: Sequence[int], level: int) -> CablingReport:
     row_pos = {a: r for r, a in enumerate(dcm.rows)}
     target_padded = {}
     for b in target:
-        vec = linalg.zeros(len(dcm.rows))
-        for k, c in zip(b.space.indices, b.coords):
-            if c:
-                vec[row_pos[k]] = c
-        target_padded[b.index] = vec
+        target_padded[b.index] = linalg.Vector(len(dcm.rows), {
+            row_pos[b.space.indices[i]]: c for i, c in b.coords.items()})
     outcomes = []
     for b in source:
         x = linalg.matmul(dcm.matrix, b.coords)

@@ -33,8 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from . import linalg
 from .qring import ONE, QScalar, in_qinv_ideal, solve_bar_equation
 from .rmatrix import tau_theta_n, theta_matrix
@@ -54,9 +52,9 @@ class CountMismatchError(AssertionError):
 class AntilinearMap:
     """x -> matrix . bar(x) on a fixed weight slice."""
     space: WeightSpace
-    matrix: np.ndarray
+    matrix: linalg.Matrix
 
-    def apply(self, vec: np.ndarray) -> np.ndarray:
+    def apply(self, vec: linalg.Vector) -> linalg.Vector:
         return linalg.matmul(self.matrix, linalg.mat_bar(vec))
 
     def is_involution(self) -> bool:
@@ -69,22 +67,22 @@ class BasisVector:
     """One basis element, as exact coordinates over (dual) monomials."""
     index: tuple[int, ...]
     space: WeightSpace
-    coords: np.ndarray
+    coords: linalg.Vector
 
     def coeff(self, k: tuple[int, ...]) -> QScalar:
         return self.coords[self.space.pos[k]]
 
     def support(self) -> list[tuple[int, ...]]:
-        return [m for m, c in zip(self.space.indices, self.coords) if c]
+        """Indices with a nonzero coefficient, ascending."""
+        return [self.space.indices[i] for i in self.coords.support()]
 
     def __repr__(self):
         parts = []
-        for m, c in zip(self.space.indices, self.coords):
-            if c:
-                text = str(c)
-                if " " in text:
-                    text = f"({text})"
-                parts.append(f"{text}*{m}")
+        for i in self.coords.support():
+            text = str(self.coords[i])
+            if " " in text:
+                text = f"({text})"
+            parts.append(f"{text}*{self.space.indices[i]}")
         return f"b{self.index} = " + " + ".join(parts)
 
 
@@ -118,30 +116,32 @@ def _solve_triangular(anti: AntilinearMap, descending: bool) -> list[BasisVector
     space = anti.space
     dim = space.dim
     order = range(dim - 1, -1, -1) if descending else range(dim)
-    built: dict[int, np.ndarray] = {}
+    built: dict[int, linalg.Vector] = {}
     for p in order:
-        delta = anti.matrix[:, p].copy()
-        delta[p] = delta[p] - ONE
-        later = (lambda k: k > p) if descending else (lambda k: k < p)
-        for k in range(dim):
-            if delta[k] and not later(k):
+        lead = space.unit_vector(space.indices[p])
+        delta = linalg.Accumulator(anti.matrix.col(p))
+        delta.add(-ONE, lead)
+        for k in delta.support():
+            if (k <= p) if descending else (k >= p):
                 raise TriangularityViolationError(
                     f"defect of {space.indices[p]} touches "
                     f"{space.indices[k]} on {space!r}")
         peel = range(p + 1, dim) if descending else range(p - 1, -1, -1)
-        vec = space.unit_vector(space.indices[p])
+        vec = linalg.Accumulator(lead)
         for k in peel:
+            # a fresh scalar: the update below zeroes row k of delta itself
             rho = delta[k]
             if not rho:
                 continue
             c = solve_bar_equation(rho)
-            delta = delta - linalg.mat_scale(built[k], rho)
-            vec = vec + linalg.mat_scale(built[k], c)
-        assert linalg.is_zero(delta)
+            delta.add(-rho, built[k])
+            vec.add(c, built[k])
+        assert not delta.support()
+        vec = vec.freeze()
         if not linalg.mat_eq(anti.apply(vec), vec):
             raise TriangularityViolationError(
                 f"fixed-point defect at {space.indices[p]} on {space!r}")
-        assert all(in_qinv_ideal(c) for k, c in enumerate(vec) if k != p)
+        assert all(in_qinv_ideal(c) for k, c in vec.items() if k != p)
         built[p] = vec
     return [BasisVector(space.indices[p], space, built[p])
             for p in range(dim)]
@@ -186,7 +186,7 @@ def is_singular(basis_vector_or_coords, lams=None, level=None) -> bool:
         factors, lvl = space.factors, space.level
     else:
         factors, lvl = dual_factors(lams), level
-        coords = np.asarray(basis_vector_or_coords, dtype=object)
+        coords = basis_vector_or_coords
     e = coproduct_matrix(factors, lvl, GEN_E)
     return linalg.is_zero(linalg.matmul(e, coords))
 

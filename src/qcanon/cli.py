@@ -110,11 +110,10 @@ def _basis_json(lams, level, basis, kind) -> dict:
 def _operator_json(op, lams, level, name, position=None) -> dict:
     entries = []
     for j, col in enumerate(op.source.indices):
-        for i, row in enumerate(op.target.indices):
-            val = op.matrix[i, j]
-            if val:
-                entries.append({"row": list(row), "col": list(col),
-                                "value": val.to_pairs()})
+        column = op.matrix.col(j)
+        for i in column.support():
+            entries.append({"row": list(op.target.indices[i]),
+                            "col": list(col), "value": column[i].to_pairs()})
     out = {
         "schema": SCHEMA,
         "op": name,
@@ -182,6 +181,9 @@ def cmd_rmatrix(args, parser) -> int:
     elif args.op == "rcheck":
         if args.pos is None:
             op = rcheck_longest(simple_factors(lams), level)
+        elif not 0 <= args.pos < len(lams) - 1:
+            parser.error(f"--pos {args.pos} is out of range: need "
+                         f"0 <= pos < {len(lams) - 1} for {len(lams)} factors")
         else:
             op = rcheck_matrix(simple_factors(lams), level, args.pos)
     else:  # unreachable through argparse choices

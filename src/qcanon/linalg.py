@@ -1,115 +1,303 @@
-"""Dense exact linear algebra over QScalar.
+"""Sparse exact linear algebra over QScalar.
 
-Matrices are numpy object arrays holding :class:`~qcanon.qring.QScalar`
-entries; weight spaces stay small enough (a few dozen dimensions) that dense
-storage is the simplest correct choice.  Multiplication skips structural
-zeros, which matters because ladder operators are very sparse.  Rank is
-computed by fraction-free (Bareiss) elimination, whose interior divisions are
-exact over an integral domain -- no rational arithmetic ever appears.
+A :class:`Matrix` is a shape plus one ``row -> QScalar`` dict per column; a
+:class:`Vector` is a matrix with one column.  Both are immutable: zero
+entries are never stored, nothing can be assigned after construction, and
+builders fill plain dicts that the constructor copies.  The operators on a
+weight slice are sparse (basis vectors are under a tenth full, ``psi_c``
+about a third), so every loop here visits stored nonzeros only.
+
+Sums of products go through one fused multiply-accumulate, :func:`addmul`,
+on private ``v-exponent -> int`` dicts: each output scalar is built once, not
+once per partial sum.  An accumulator dict is never the ``_terms`` of a live
+QScalar, so reading an entry of a sum and then adding a multiple of a vector
+that touches the same entry is safe.
+
+Rank is computed by fraction-free (Bareiss) elimination, whose interior
+divisions are exact over an integral domain -- no rational arithmetic ever
+appears.
+
+Dict iteration order is insertion order, not row order; callers that emit
+indices sort them (`Vector.support`).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from .qring import ONE, ZERO, QScalar, bar_scalar, exact_div
+from .qring import ONE, ZERO, QScalar, exact_div
 
 
-def zeros(rows: int, cols: int | None = None) -> np.ndarray:
+class Matrix:
+    """Immutable sparse matrix: ``shape`` and a tuple of column dicts.
+
+    ``cols`` holds one ``row -> QScalar`` mapping per column; the constructor
+    copies it and drops zero entries, so the caller's dicts stay its own.
+    """
+
+    __slots__ = ("shape", "_cols")
+
+    def __init__(self, shape: tuple[int, int], cols):
+        rows, ncols = shape
+        if len(cols) != ncols:
+            raise ValueError(f"{len(cols)} columns for shape {shape}")
+        frozen = []
+        for col in cols:
+            out = {}
+            for i, x in col.items():
+                if not 0 <= i < rows:
+                    raise IndexError(f"row {i} outside shape {shape}")
+                if x:
+                    out[i] = x
+            frozen.append(out)
+        object.__setattr__(self, "shape", (rows, ncols))
+        object.__setattr__(self, "_cols", tuple(frozen))
+
+    @classmethod
+    def _wrap(cls, shape, cols):
+        # internal: cols is a fresh tuple of zero-free dicts, now owned here
+        self = object.__new__(cls)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "_cols", cols)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __getitem__(self, key) -> QScalar:
+        i, j = key
+        rows, ncols = self.shape
+        if not (0 <= i < rows and 0 <= j < ncols):
+            raise IndexError(f"entry {key} outside shape {self.shape}")
+        return self._cols[j].get(i, ZERO)
+
+    def col(self, j: int) -> "Vector":
+        if not 0 <= j < self.shape[1]:
+            raise IndexError(f"column {j} outside shape {self.shape}")
+        return Vector._wrap((self.shape[0], 1), (self._cols[j],))
+
+    def __repr__(self):
+        nnz = sum(len(c) for c in self._cols)
+        return f"{type(self).__name__}(shape={self.shape}, nnz={nnz})"
+
+
+class Vector(Matrix):
+    """A matrix with one column, indexed by row."""
+
+    __slots__ = ()
+
+    def __init__(self, dim: int, entries=None):
+        super().__init__((dim, 1), (entries or {},))
+
+    @property
+    def dim(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, i: int) -> QScalar:
+        if not 0 <= i < self.shape[0]:
+            raise IndexError(f"entry {i} outside dimension {self.shape[0]}")
+        return self._cols[0].get(i, ZERO)
+
+    def items(self):
+        """Stored (row, value) pairs, in storage order (not ascending)."""
+        return self._cols[0].items()
+
+    def support(self) -> list[int]:
+        """Rows with a nonzero entry, ascending."""
+        return sorted(self._cols[0])
+
+
+def zeros(rows: int, cols: int | None = None) -> Matrix:
     if cols is None:
-        return np.full(rows, ZERO, dtype=object)
-    return np.full((rows, cols), ZERO, dtype=object)
+        return Vector._wrap((rows, 1), ({},))
+    return Matrix._wrap((rows, cols), tuple({} for _ in range(cols)))
 
 
-def identity(n: int) -> np.ndarray:
-    m = zeros(n, n)
-    for i in range(n):
-        m[i, i] = ONE
-    return m
+def identity(n: int) -> Matrix:
+    return Matrix._wrap((n, n), tuple({i: ONE} for i in range(n)))
 
 
-def unit_vector(n: int, i: int) -> np.ndarray:
-    v = zeros(n)
-    v[i] = ONE
-    return v
+def diagonal(entries) -> Matrix:
+    n = len(entries)
+    return Matrix((n, n), [{i: x} for i, x in enumerate(entries)])
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b with zero skipping; b may be a matrix or a vector."""
-    if b.ndim == 1:
-        out = zeros(a.shape[0])
-        for j, x in enumerate(b):
-            if not x:
-                continue
-            col = a[:, j]
-            for i in range(a.shape[0]):
-                if col[i]:
-                    out[i] = out[i] + col[i] * x
-        return out
-    out = zeros(a.shape[0], b.shape[1])
-    for k in range(a.shape[1]):
-        brow = b[k]
-        for i in range(a.shape[0]):
-            aik = a[i, k]
-            if not aik:
-                continue
-            orow = out[i]
-            for j in range(b.shape[1]):
-                if brow[j]:
-                    orow[j] = orow[j] + aik * brow[j]
-    return out
+def unit_vector(n: int, i: int) -> Vector:
+    return Vector(n, {i: ONE})
 
 
-def mat_bar(a: np.ndarray) -> np.ndarray:
-    out = np.empty_like(a)
-    flat_in, flat_out = a.reshape(-1), out.reshape(-1)
-    for i, x in enumerate(flat_in):
-        flat_out[i] = bar_scalar(x)
-    return out
+# ---------------------------------------------------------------------------
+# the fused multiply-accumulate
+# ---------------------------------------------------------------------------
+
+def addmul(acc: dict, a: QScalar, b: QScalar) -> None:
+    """acc += a*b in place, on a zero-free v-exponent -> int dict.
+
+    `acc` must be a private dict, never the ``_terms`` of a live QScalar.
+    """
+    bt = b._terms
+    for ea, ca in a._terms.items():
+        for eb, cb in bt.items():
+            e = ea + eb
+            c = acc.get(e, 0) + ca * cb
+            if c:
+                acc[e] = c
+            else:
+                del acc[e]
 
 
-def mat_scale(a: np.ndarray, s: QScalar) -> np.ndarray:
-    out = np.empty_like(a)
-    flat_in, flat_out = a.reshape(-1), out.reshape(-1)
-    for i, x in enumerate(flat_in):
-        flat_out[i] = x * s
-    return out
+def _axpy(rows: dict, s: QScalar, x: dict) -> None:
+    """rows += s*x, on row -> private v-exponent -> int dicts."""
+    for i, xi in x.items():
+        t = rows.get(i)
+        if t is None:
+            rows[i] = t = {}
+        addmul(t, s, xi)
 
 
-def mat_div(a: np.ndarray, s: QScalar) -> np.ndarray:
+def _private(col: dict) -> dict:
+    return {i: dict(x._terms) for i, x in col.items()}
+
+
+def _frozen(rows: dict) -> dict:
+    # hands the accumulator dicts over to the scalars: use `rows` no more
+    return {i: QScalar._raw(t) for i, t in rows.items() if t}
+
+
+def _apply(acols, x: dict) -> dict:
+    """The column sum_k acols[k] * x[k], each output scalar built once."""
+    acc: dict[int, dict] = {}
+    for k, xk in x.items():
+        _axpy(acc, xk, acols[k])
+    return _frozen(acc)
+
+
+class Accumulator:
+    """A vector under construction: row -> private v-exponent -> int dict.
+
+    The one mutable object of the kernel.  Reading an entry returns a fresh
+    QScalar, so ``acc.add(-acc[k], x)`` is safe even when ``x`` touches
+    row ``k``.
+    """
+
+    __slots__ = ("dim", "_rows")
+
+    def __init__(self, start: Vector):
+        self.dim = start.shape[0]
+        self._rows = _private(start._cols[0])
+
+    def __getitem__(self, i: int) -> QScalar:
+        t = self._rows.get(i)
+        return QScalar._raw(dict(t)) if t else ZERO
+
+    def add(self, s: QScalar, x: Vector) -> None:
+        """self += s*x."""
+        _axpy(self._rows, s, x._cols[0])
+
+    def support(self) -> list[int]:
+        """Rows with a nonzero entry, ascending."""
+        return sorted(i for i, t in self._rows.items() if t)
+
+    def freeze(self) -> Vector:
+        return Vector._wrap((self.dim, 1), (
+            {i: QScalar._raw(dict(t)) for i, t in self._rows.items() if t},))
+
+
+# ---------------------------------------------------------------------------
+# matrix operations (each works on vectors too and keeps the type)
+# ---------------------------------------------------------------------------
+
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    """a @ b over stored nonzeros; b may be a matrix or a vector."""
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(f"shapes {a.shape} and {b.shape} do not compose")
+    acols = a._cols
+    return type(b)._wrap((a.shape[0], b.shape[1]),
+                         tuple(_apply(acols, col) for col in b._cols))
+
+
+def transpose(a: Matrix) -> Matrix:
+    rows, ncols = a.shape
+    out = tuple({} for _ in range(rows))
+    for j, col in enumerate(a._cols):
+        for i, x in col.items():
+            out[i][j] = x
+    return Matrix._wrap((ncols, rows), out)
+
+
+def _map(a: Matrix, fn) -> Matrix:
+    cols = []
+    for col in a._cols:
+        out = {}
+        for i, x in col.items():
+            y = fn(x)
+            if y:
+                out[i] = y
+        cols.append(out)
+    return type(a)._wrap(a.shape, tuple(cols))
+
+
+def mat_bar(a: Matrix) -> Matrix:
+    return _map(a, QScalar.bar)
+
+
+def mat_scale(a: Matrix, s: QScalar) -> Matrix:
+    return _map(a, lambda x: x * s)
+
+
+def mat_div(a: Matrix, s: QScalar) -> Matrix:
     """Entrywise exact division; raises InexactDivisionError on remainder."""
-    out = np.empty_like(a)
-    flat_in, flat_out = a.reshape(-1), out.reshape(-1)
-    for i, x in enumerate(flat_in):
-        flat_out[i] = exact_div(x, s) if x else ZERO
-    return out
+    return _map(a, lambda x: exact_div(x, s))
 
 
-def mat_eq(a: np.ndarray, b: np.ndarray) -> bool:
+def mat_add(a: Matrix, b: Matrix, s: QScalar = ONE) -> Matrix:
+    """a + s*b, each output scalar built once."""
     if a.shape != b.shape:
-        return False
-    return all(x == y for x, y in zip(a.reshape(-1), b.reshape(-1)))
+        raise ValueError(f"shapes {a.shape} and {b.shape} differ")
+    cols = []
+    for acol, bcol in zip(a._cols, b._cols):
+        acc = _private(acol)
+        _axpy(acc, s, bcol)
+        cols.append(_frozen(acc))
+    return type(a)._wrap(a.shape, tuple(cols))
 
 
-def is_zero(a: np.ndarray) -> bool:
-    return not any(bool(x) for x in a.reshape(-1))
+def dot(x: Vector, y: Vector) -> QScalar:
+    """sum_i x[i] * y[i]."""
+    acc: dict = {}  # handed to the result
+    ys = y._cols[0]
+    for i, xi in x._cols[0].items():
+        yi = ys.get(i)
+        if yi is not None:
+            addmul(acc, xi, yi)
+    return QScalar._raw(acc)
 
 
-def diagonal_inverse(a: np.ndarray) -> np.ndarray:
+def mat_eq(a: Matrix, b: Matrix) -> bool:
+    return a.shape == b.shape and a._cols == b._cols
+
+
+def is_zero(a: Matrix) -> bool:
+    return not any(a._cols)
+
+
+def diagonal_inverse(a: Matrix) -> Matrix:
     """Inverse of a diagonal matrix of unit monomials (e.g. Cartan factors)."""
     n = a.shape[0]
-    out = zeros(n, n)
-    for i in range(n):
-        out[i, i] = a[i, i].monomial_inverse()
-    return out
+    return Matrix._wrap((n, n), tuple(
+        {i: a._cols[i].get(i, ZERO).monomial_inverse()} for i in range(n)))
 
 
-def exact_rank(a: np.ndarray) -> int:
+def exact_rank(a: Matrix) -> int:
     """Rank over the fraction field of Z[v, v^-1], by Bareiss elimination."""
     nr, nc = a.shape
     if nr == 0 or nc == 0:
         return 0
-    m = [[a[i, j] for j in range(nc)] for i in range(nr)]
+    m = [[ZERO] * nc for _ in range(nr)]
+    for j, col in enumerate(a._cols):
+        for i, x in col.items():
+            m[i][j] = x
     rank = 0
     prev = ONE
     for c in range(nc):
@@ -131,5 +319,5 @@ def exact_rank(a: np.ndarray) -> int:
     return rank
 
 
-def kernel_dimension(a: np.ndarray) -> int:
+def kernel_dimension(a: Matrix) -> int:
     return a.shape[1] - exact_rank(a)

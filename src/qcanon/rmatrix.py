@@ -35,8 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from . import linalg
 from .qring import ONE, Q_MINUS_QINV, QScalar, exact_div, quantum_factorial
 from .tensor import WeightSpace, coproduct_matrix, weight_space
@@ -56,7 +54,7 @@ class BraidOperator:
     """An exact operator between two weight slices, with a provenance tag."""
     source: WeightSpace
     target: WeightSpace
-    matrix: np.ndarray
+    matrix: linalg.Matrix
     tag: str
 
 
@@ -69,7 +67,7 @@ def _lift_single(factors, level, pos, single_mat, slot_shift):
     elsewhere: W(factors, level) -> W(factors, level + slot_shift)."""
     src = weight_space(factors, level)
     tgt = weight_space(factors, level + slot_shift)
-    out = linalg.zeros(tgt.dim, src.dim)
+    cols = [{} for _ in range(src.dim)]
     size = factors[pos].size
     for j, m in enumerate(src.indices):
         t = m[pos] + slot_shift
@@ -77,8 +75,8 @@ def _lift_single(factors, level, pos, single_mat, slot_shift):
             continue
         c = single_mat[t, m[pos]]
         if c:
-            out[tgt.pos[m[:pos] + (t,) + m[pos + 1:]], j] = c
-    return out
+            cols[j][tgt.pos[m[:pos] + (t,) + m[pos + 1:]]] = c
+    return linalg.Matrix((tgt.dim, src.dim), cols)
 
 
 def _lift_rest(factors, level, sub_fn, sub_shift):
@@ -86,53 +84,49 @@ def _lift_rest(factors, level, sub_fn, sub_shift):
     sub-product slice at level b to level b + sub_shift."""
     src = weight_space(factors, level)
     tgt = weight_space(factors, level + sub_shift)
-    out = linalg.zeros(tgt.dim, src.dim)
+    cols = [{} for _ in range(src.dim)]
     rest = factors[1:]
     for j, m in enumerate(src.indices):
         b = level - m[0]
         sub_src = weight_space(rest, b)
         sub_tgt = weight_space(rest, b + sub_shift)
-        col = sub_fn(b)[:, sub_src.pos[m[1:]]]
-        for i in range(sub_tgt.dim):
-            if col[i]:
-                p = tgt.pos[(m[0],) + sub_tgt.indices[i]]
-                out[p, j] = out[p, j] + col[i]
-    return out
+        out = cols[j]
+        for i, x in sub_fn(b).col(sub_src.pos[m[1:]]).items():
+            out[tgt.pos[(m[0],) + sub_tgt.indices[i]]] = x
+    return linalg.Matrix((tgt.dim, src.dim), cols)
 
 
 def _lift_init(factors, level, sub_fn, sub_shift):
     """X x 1 on factors[:-1], mirror of `_lift_rest`."""
     src = weight_space(factors, level)
     tgt = weight_space(factors, level + sub_shift)
-    out = linalg.zeros(tgt.dim, src.dim)
+    cols = [{} for _ in range(src.dim)]
     init = factors[:-1]
     for j, m in enumerate(src.indices):
         b = level - m[-1]
         sub_src = weight_space(init, b)
         sub_tgt = weight_space(init, b + sub_shift)
-        col = sub_fn(b)[:, sub_src.pos[m[:-1]]]
-        for i in range(sub_tgt.dim):
-            if col[i]:
-                p = tgt.pos[sub_tgt.indices[i] + (m[-1],)]
-                out[p, j] = out[p, j] + col[i]
-    return out
+        out = cols[j]
+        for i, x in sub_fn(b).col(sub_src.pos[m[:-1]]).items():
+            out[tgt.pos[sub_tgt.indices[i] + (m[-1],)]] = x
+    return linalg.Matrix((tgt.dim, src.dim), cols)
 
 
 @lru_cache(maxsize=None)
-def _single_power(module: WeightModule, gen: str, k: int) -> np.ndarray:
+def _single_power(module: WeightModule, gen: str, k: int) -> linalg.Matrix:
     if k == 0:
         return linalg.identity(module.size)
     return linalg.matmul(module.matrix(gen), _single_power(module, gen, k - 1))
 
 
 @lru_cache(maxsize=None)
-def _tau_e_matrix(module: WeightModule) -> np.ndarray:
+def _tau_e_matrix(module: WeightModule) -> linalg.Matrix:
     # tau(E) = F q^h on a single factor
     return linalg.matmul(module.matrix(GEN_F), module.matrix(GEN_QH))
 
 
 @lru_cache(maxsize=None)
-def _tau_e_power(module: WeightModule, k: int) -> np.ndarray:
+def _tau_e_power(module: WeightModule, k: int) -> linalg.Matrix:
     if k == 0:
         return linalg.identity(module.size)
     return linalg.matmul(_tau_e_matrix(module), _tau_e_power(module, k - 1))
@@ -190,7 +184,7 @@ def _theta_piece_first(factors, level):
                            lambda b, k=k: _coproduct_power(rest, b, GEN_F, k), k)
         term = linalg.mat_scale(linalg.matmul(f_big, e_big),
                                 _theta_coefficient(k))
-        out = out + linalg.mat_div(term, quantum_factorial(k))
+        out = linalg.mat_add(out, linalg.mat_div(term, quantum_factorial(k)))
     return out
 
 
@@ -211,7 +205,7 @@ def _theta_piece_last(factors, level):
                            lambda b, k=k: _coproduct_power(init, b, GEN_E, k), -k)
         term = linalg.mat_scale(linalg.matmul(e_big, f_big),
                                 _theta_coefficient(k))
-        out = out + linalg.mat_div(term, quantum_factorial(k))
+        out = linalg.mat_add(out, linalg.mat_div(term, quantum_factorial(k)))
     return out
 
 
@@ -256,7 +250,8 @@ def _tau_theta_direct(factors, level):
                               -k)
         term = linalg.mat_scale(linalg.matmul(tauf_big, taue_big),
                                 _theta_coefficient(k))
-        piece = piece + linalg.mat_div(term, quantum_factorial(k))
+        piece = linalg.mat_add(piece,
+                               linalg.mat_div(term, quantum_factorial(k)))
     sub = _lift_rest(factors, level,
                      lambda b: _tau_theta_direct(rest, b), 0)
     return linalg.matmul(piece, sub)
@@ -265,24 +260,24 @@ def _tau_theta_direct(factors, level):
 @lru_cache(maxsize=None)
 def _cartan(factors, level):
     src = weight_space(factors, level)
-    out = linalg.zeros(src.dim, src.dim)
     n = len(factors)
-    for j, m in enumerate(src.indices):
+    entries = []
+    for m in src.indices:
         w = src.factor_weights(m)
         expo = sum(w[i] * w[k] for i in range(n) for k in range(i + 1, n))
-        out[j, j] = QScalar.v_power(expo)
-    return out
+        entries.append(QScalar.v_power(expo))
+    return linalg.diagonal(entries)
 
 
 @lru_cache(maxsize=None)
 def _cartan_piece_first(factors, level):
     # (1 x Delta^{n-2})(C) = q^{h_0 (h_1 + ... + h_{n-1}) / 2}
     src = weight_space(factors, level)
-    out = linalg.zeros(src.dim, src.dim)
-    for j, m in enumerate(src.indices):
+    entries = []
+    for m in src.indices:
         w = src.factor_weights(m)
-        out[j, j] = QScalar.v_power(w[0] * sum(w[1:]))
-    return out
+        entries.append(QScalar.v_power(w[0] * sum(w[1:])))
+    return linalg.diagonal(entries)
 
 
 @lru_cache(maxsize=None)
@@ -305,10 +300,8 @@ def _r_n(factors, level):
 def _sigma0(factors, level):
     src = weight_space(factors, level)
     tgt = weight_space(factors[::-1], level)
-    out = linalg.zeros(tgt.dim, src.dim)
-    for j, m in enumerate(src.indices):
-        out[tgt.pos[m[::-1]], j] = ONE
-    return out
+    return linalg.Matrix((tgt.dim, src.dim),
+                         [{tgt.pos[m[::-1]]: ONE} for m in src.indices])
 
 
 @lru_cache(maxsize=None)
@@ -317,10 +310,11 @@ def _rcheck(factors, level, i):
     src = weight_space(factors, level)
     swapped = factors[:i] + (factors[i + 1], factors[i]) + factors[i + 2:]
     tgt = weight_space(swapped, level)
-    out = linalg.zeros(tgt.dim, src.dim)
+    cols = [{} for _ in range(src.dim)]
     a, b = factors[i], factors[i + 1]
     kmax = min(level, a.size - 1, b.size - 1)
     for j, m in enumerate(src.indices):
+        out = cols[j]
         for k in range(kmax + 1):
             ta = m[i] - k
             tb = m[i + 1] + k
@@ -333,10 +327,9 @@ def _rcheck(factors, level, i):
             coeff = exact_div(_theta_coefficient(k) * c, quantum_factorial(k))
             # Cartan factor at the Theta output, then swap the pair
             coeff = coeff * QScalar.v_power(a.weight(ta) * b.weight(tb))
-            tgt_idx = m[:i] + (tb, ta) + m[i + 2:]
-            p = tgt.pos[tgt_idx]
-            out[p, j] = out[p, j] + coeff
-    return out
+            p = tgt.pos[m[:i] + (tb, ta) + m[i + 2:]]
+            out[p] = out[p] + coeff if p in out else coeff
+    return linalg.Matrix((tgt.dim, src.dim), cols)
 
 
 def default_longest_word(n: int) -> tuple[int, ...]:
@@ -389,7 +382,7 @@ def _tau_theta_n_dual(dual_factors, level):
         if f.kind != "contragredient":
             raise ValueError(f"expected contragredient factors, got {f!r}")
     underlying = tuple(f.base for f in dual_factors)
-    transpose_route = _theta_n(underlying, level).T.copy()
+    transpose_route = linalg.transpose(_theta_n(underlying, level))
     rev = dual_factors[::-1]
     braid_route = linalg.matmul(
         _rcheck_longest(rev, level),

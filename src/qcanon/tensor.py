@@ -20,8 +20,6 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from . import linalg
 from .qring import ONE
 from .weightmod import (GEN_E, GEN_F, GEN_QH, GEN_QH_INV, GEN_QHALF,
@@ -72,7 +70,7 @@ class WeightSpace:
     def factor_weights(self, m: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(f.weight(mi) for f, mi in zip(self.factors, m))
 
-    def unit_vector(self, m: tuple[int, ...]) -> np.ndarray:
+    def unit_vector(self, m: tuple[int, ...]) -> linalg.Vector:
         return linalg.unit_vector(self.dim, self.pos[m])
 
     def __repr__(self):
@@ -94,7 +92,7 @@ def coproduct_target_level(level: int, gen: str) -> int:
 
 @lru_cache(maxsize=None)
 def coproduct_matrix(factors: tuple[WeightModule, ...], level: int,
-                     gen: str) -> np.ndarray:
+                     gen: str) -> linalg.Matrix:
     """Matrix of the iterated coproduct of a generator on one weight slice.
 
     Rows are indexed by the target slice (level-1 for E, level+1 for F, the
@@ -103,31 +101,28 @@ def coproduct_matrix(factors: tuple[WeightModule, ...], level: int,
     src = weight_space(factors, level)
     tgt = weight_space(factors, coproduct_target_level(level, gen))
     n = len(factors)
-    out = linalg.zeros(tgt.dim, src.dim)
     if gen in _DIAGONAL_GENS:
-        for j, m in enumerate(src.indices):
+        entries = []
+        for m in src.indices:
             val = ONE
             for f, mi in zip(factors, m):
                 val = val * f.matrix(gen)[mi, mi]
-            out[j, j] = val
-        return out
+            entries.append(val)
+        return linalg.diagonal(entries)
+    cols = [{} for _ in range(src.dim)]
     flank_gen = GEN_QH if gen == GEN_E else GEN_QH_INV
     for j, m in enumerate(src.indices):
+        out = cols[j]
         for i in range(n):
-            col = factors[i].matrix(gen)[:, m[i]]
-            for t in range(factors[i].size):
-                c = col[t]
-                if not c:
-                    continue
+            for t, c in factors[i].matrix(gen).col(m[i]).items():
                 # E carries q^h on the factors after slot i, F carries q^-h
                 # on the factors before it.
                 flank_range = range(i + 1, n) if gen == GEN_E else range(i)
                 for k in flank_range:
                     c = c * factors[k].matrix(flank_gen)[m[k], m[k]]
-                target = m[:i] + (t,) + m[i + 1:]
-                p = tgt.pos[target]
-                out[p, j] = out[p, j] + c
-    return out
+                p = tgt.pos[m[:i] + (t,) + m[i + 1:]]
+                out[p] = out[p] + c if p in out else c
+    return linalg.Matrix((tgt.dim, src.dim), cols)
 
 
 class TensorModule:
@@ -153,7 +148,7 @@ class TensorModule:
     def weight_space(self, level: int) -> WeightSpace:
         return weight_space(self.factors, level)
 
-    def coproduct_matrix(self, level: int, gen: str) -> np.ndarray:
+    def coproduct_matrix(self, level: int, gen: str) -> linalg.Matrix:
         return coproduct_matrix(self.factors, level, gen)
 
     def levels(self) -> Iterator[int]:

@@ -200,7 +200,7 @@ def check_solver_contract(max_sum: int = 6) -> CheckResult:
         psi = psi_c((2, 2), 2)
         for i, b in enumerate(basis):
             for other in basis[i + 1:]:
-                perturbed = b.coords + linalg.mat_scale(other.coords, q(-1))
+                perturbed = linalg.mat_add(b.coords, other.coords, q(-1))
                 assert not linalg.mat_eq(psi.apply(perturbed), perturbed)
         return f"{vectors} basis vectors pass the full contract"
     return _check("solver_contract", body)
@@ -288,9 +288,7 @@ def check_duality(max_sum: int = 5) -> CheckResult:
                     dual = dual_canonical_basis(lams, l)
                     for db in dual:
                         for cb in can:
-                            pair = sum(
-                                (a * b for a, b in zip(db.coords, cb.coords)),
-                                start=QScalar())
+                            pair = linalg.dot(db.coords, cb.coords)
                             want = ONE if db.index == cb.index else QScalar()
                             assert pair == want, \
                                 f"pairing off at {db.index}/{cb.index} " \

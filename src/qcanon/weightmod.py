@@ -33,10 +33,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence
 
-import numpy as np
-
 from . import linalg
-from .qring import QScalar, exact_div, quantum_factorial, quantum_int
+from .qring import QScalar, quantum_factorial, quantum_int
 
 GEN_E = "E"
 GEN_F = "F"
@@ -73,7 +71,7 @@ class WeightModule:
         self.base = base
         self._mats = mats
 
-    def matrix(self, gen: str) -> np.ndarray:
+    def matrix(self, gen: str) -> linalg.Matrix:
         return self._mats[gen]
 
     def weight(self, slot: int) -> int:
@@ -97,25 +95,23 @@ class WeightModule:
 
 
 def _ladder_matrices(lam: int, size: int) -> dict:
-    e = linalg.zeros(size, size)
-    f = linalg.zeros(size, size)
-    qh = linalg.zeros(size, size)
-    qh_inv = linalg.zeros(size, size)
-    qh2 = linalg.zeros(size, size)
-    qh2_inv = linalg.zeros(size, size)
+    e = [{} for _ in range(size)]
+    f = [{} for _ in range(size)]
     for m in range(size):
-        w = lam - 2 * m
-        qh[m, m] = QScalar.q_power(w)
-        qh_inv[m, m] = QScalar.q_power(-w)
-        qh2[m, m] = QScalar.v_power(w)
-        qh2_inv[m, m] = QScalar.v_power(-w)
         if m >= 1:
-            e[m - 1, m] = quantum_int(lam - m + 1) if lam - m + 1 >= 0 \
+            e[m][m - 1] = quantum_int(lam - m + 1) if lam - m + 1 >= 0 \
                 else -quantum_int(m - 1 - lam)
         if m + 1 < size:
-            f[m + 1, m] = quantum_int(m + 1)
-    return {GEN_E: e, GEN_F: f, GEN_QH: qh, GEN_QH_INV: qh_inv,
-            GEN_QHALF: qh2, GEN_QHALF_INV: qh2_inv}
+            f[m][m + 1] = quantum_int(m + 1)
+    weights = [lam - 2 * m for m in range(size)]
+    return {
+        GEN_E: linalg.Matrix((size, size), e),
+        GEN_F: linalg.Matrix((size, size), f),
+        GEN_QH: linalg.diagonal([QScalar.q_power(w) for w in weights]),
+        GEN_QH_INV: linalg.diagonal([QScalar.q_power(-w) for w in weights]),
+        GEN_QHALF: linalg.diagonal([QScalar.v_power(w) for w in weights]),
+        GEN_QHALF_INV: linalg.diagonal([QScalar.v_power(-w) for w in weights]),
+    }
 
 
 @lru_cache(maxsize=None)
@@ -142,27 +138,27 @@ def contragredient(module: WeightModule) -> WeightModule:
     tau_e = linalg.matmul(mats[GEN_F], mats[GEN_QH])
     tau_f = linalg.matmul(mats[GEN_QH_INV], mats[GEN_E])
     dual = {
-        GEN_E: tau_e.T.copy(),
-        GEN_F: tau_f.T.copy(),
-        GEN_QH: mats[GEN_QH].T.copy(),
-        GEN_QH_INV: mats[GEN_QH_INV].T.copy(),
-        GEN_QHALF: mats[GEN_QHALF].T.copy(),
-        GEN_QHALF_INV: mats[GEN_QHALF_INV].T.copy(),
+        GEN_E: linalg.transpose(tau_e),
+        GEN_F: linalg.transpose(tau_f),
+        GEN_QH: linalg.transpose(mats[GEN_QH]),
+        GEN_QH_INV: linalg.transpose(mats[GEN_QH_INV]),
+        GEN_QHALF: linalg.transpose(mats[GEN_QHALF]),
+        GEN_QHALF_INV: linalg.transpose(mats[GEN_QHALF_INV]),
     }
     return WeightModule("contragredient", module.highest_weight, module.size,
                         dual, base=module)
 
 
-def apply_generator(module: WeightModule, word: Sequence, vec) -> np.ndarray:
+def apply_generator(module: WeightModule, word: Sequence,
+                    vec: linalg.Vector) -> linalg.Vector:
     """Apply a word of generators right-to-left to an exact coordinate vector.
 
     Word items are either a generator name or a pair ``(name, k)`` meaning the
     divided power E^(k) = E^k/[k]! (likewise for F).
     """
-    vec = np.asarray(vec, dtype=object)
-    if vec.shape != (module.size,):
+    if vec.shape != (module.size, 1):
         raise DimensionMismatchError(
-            f"vector of length {vec.shape} on module of size {module.size}")
+            f"vector of length {vec.shape[0]} on module of size {module.size}")
     for item in reversed(word):
         if isinstance(item, tuple):
             gen, k = item
@@ -171,14 +167,13 @@ def apply_generator(module: WeightModule, word: Sequence, vec) -> np.ndarray:
             mat = module.matrix(gen)
             for _ in range(k):
                 vec = linalg.matmul(mat, vec)
-            vec = np.array([exact_div(x, quantum_factorial(k)) for x in vec],
-                           dtype=object)
+            vec = linalg.mat_div(vec, quantum_factorial(k))
         else:
             vec = linalg.matmul(module.matrix(item), vec)
     return vec
 
 
-def shapovalov_embed(lam: int, level: int) -> np.ndarray:
+def shapovalov_embed(lam: int, level: int) -> linalg.Matrix:
     """The map V_lam -> (M_lam)^c fixed by sending the top vector to its dual.
 
     Column m is F^(m) applied to the top dual functional in the contragredient
@@ -190,13 +185,11 @@ def shapovalov_embed(lam: int, level: int) -> np.ndarray:
         raise TruncationTooSmallError(
             f"need truncation level >= {lam}, got {level}")
     dual = contragredient(make_verma_truncated(lam, level))
-    out = linalg.zeros(level + 1, lam + 1)
+    cols = []
     vec = linalg.unit_vector(level + 1, 0)
     fmat = dual.matrix(GEN_F)
     for m in range(lam + 1):
-        col = np.array([exact_div(x, quantum_factorial(m)) for x in vec],
-                       dtype=object)
-        out[:, m] = col
+        cols.append(dict(linalg.mat_div(vec, quantum_factorial(m)).items()))
         if m < lam:
             vec = linalg.matmul(fmat, vec)
-    return out
+    return linalg.Matrix((level + 1, lam + 1), cols)

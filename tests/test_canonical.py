@@ -101,7 +101,7 @@ class TestDualCanonicalBasis:
         eps = q(-1)
         for i, b in enumerate(basis):
             for k in basis[i + 1:]:
-                perturbed = b.coords + linalg.mat_scale(k.coords, eps)
+                perturbed = linalg.mat_add(b.coords, k.coords, eps)
                 assert not linalg.mat_eq(psi.apply(perturbed), perturbed)
 
 

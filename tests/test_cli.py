@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -98,6 +102,15 @@ class TestRmatrixCommand:
         doc = json.loads(out)
         assert code == 0 and doc["position"] == 1
 
+    @pytest.mark.parametrize("pos", ["5", "2", "-1"])
+    def test_rcheck_position_out_of_range_exit_2(self, capsys, pos):
+        with pytest.raises(SystemExit) as err:
+            run(capsys, "rmatrix", "--lambda", "1,1,1", "--level", "1",
+                "--op", "rcheck", "--pos", pos)
+        assert err.value.code == 2
+        err_text = capsys.readouterr().err
+        assert "0 <= pos < 2" in err_text and "Traceback" not in err_text
+
     def test_tau_theta(self, capsys):
         code, out, _ = run(capsys, "rmatrix", "--lambda", "1,1", "--level",
                            "1", "--op", "tau_theta_n")
@@ -188,3 +201,12 @@ class TestGuards:
         record = json.loads(out)
         assert record["failure"] and record["error_type"] == \
             "StructuralMismatchError"
+
+
+def test_import_leaves_numpy_out():
+    code = ("import sys, qcanon.cli, qcanon.verify; "
+            "sys.exit('numpy' in sys.modules)")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env)
+    assert done.returncode == 0

@@ -1,0 +1,198 @@
+"""The sparse kernel against a naive dense triple loop over QScalar."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qcanon import linalg
+from qcanon.canonical import dual_canonical_basis
+from qcanon.qring import ONE, ZERO, InexactDivisionError, QScalar, exact_div
+
+scalars = st.dictionaries(st.integers(-3, 3), st.integers(-3, 3),
+                          max_size=3).map(QScalar)
+nonzero_scalars = scalars.filter(bool)
+sizes = st.integers(0, 3)
+
+
+def dense_matrices(rows, cols):
+    return st.lists(st.lists(scalars, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+def from_dense(rows, ncols):
+    return linalg.Matrix((len(rows), ncols), [
+        {i: row[j] for i, row in enumerate(rows)} for j in range(ncols)])
+
+
+def to_dense(a):
+    return [[a[i, j] for j in range(a.shape[1])] for i in range(a.shape[0])]
+
+
+def vector(entries):
+    return linalg.Vector(len(entries), dict(enumerate(entries)))
+
+
+@st.composite
+def matrix_pairs(draw, same_shape=False):
+    """(dense a, dense b, shapes) with a @ b defined, or a and b alike."""
+    r, k, c = draw(sizes), draw(sizes), draw(sizes)
+    if same_shape:
+        k = c
+    a = draw(dense_matrices(r, k))
+    b = draw(dense_matrices(r if same_shape else k, c))
+    return a, (r, k), b, ((r if same_shape else k), c)
+
+
+@given(matrix_pairs())
+def test_matmul_matches_triple_loop(case):
+    a, (r, k), b, (_, c) = case
+    got = linalg.matmul(from_dense(a, k), from_dense(b, c))
+    want = [[sum((a[i][t] * b[t][j] for t in range(k)), start=ZERO)
+             for j in range(c)] for i in range(r)]
+    assert got.shape == (r, c)
+    assert to_dense(got) == want
+
+
+@given(matrix_pairs())
+def test_matmul_on_vectors(case):
+    a, (r, k), b, _ = case
+    x = [row[0] if row else ZERO for row in b]
+    got = linalg.matmul(from_dense(a, k), vector(x))
+    assert isinstance(got, linalg.Vector) and got.dim == r
+    assert [got[i] for i in range(r)] == [
+        sum((a[i][t] * x[t] for t in range(k)), start=ZERO) for i in range(r)]
+
+
+def test_matmul_shape_mismatch():
+    with pytest.raises(ValueError):
+        linalg.matmul(linalg.zeros(2, 3), linalg.zeros(2, 2))
+
+
+@given(sizes, sizes, st.data())
+def test_entrywise_maps(r, c, data):
+    a = data.draw(dense_matrices(r, c))
+    s = data.draw(scalars)
+    m = from_dense(a, c)
+    assert to_dense(linalg.mat_bar(m)) == [[x.bar() for x in row] for row in a]
+    assert to_dense(linalg.mat_scale(m, s)) == [[x * s for x in row]
+                                                for row in a]
+    t = linalg.transpose(m)
+    assert t.shape == (c, r)
+    assert to_dense(t) == [[a[i][j] for i in range(r)] for j in range(c)]
+    assert linalg.mat_eq(linalg.transpose(t), m)
+
+
+@given(sizes, sizes, st.data())
+def test_mat_div_inverts_scale(r, c, data):
+    a = data.draw(dense_matrices(r, c))
+    s = data.draw(nonzero_scalars)
+    scaled = linalg.mat_scale(from_dense(a, c), s)
+    quotient = linalg.mat_div(scaled, s)
+    assert to_dense(quotient) == [[exact_div(x * s, s) for x in row]
+                                  for row in a]
+    assert to_dense(quotient) == a
+
+
+def test_mat_div_raises_on_remainder():
+    m = linalg.Vector(1, {0: QScalar.q_power(1) + ONE})
+    with pytest.raises(InexactDivisionError):
+        linalg.mat_div(m, QScalar({2: 1, 0: 1, -2: 1}))
+
+
+@given(matrix_pairs(same_shape=True), scalars)
+def test_mat_eq_and_mat_add(case, s):
+    a, (r, c), b, _ = case
+    ma, mb = from_dense(a, c), from_dense(b, c)
+    assert linalg.mat_eq(ma, mb) == (a == b)
+    got = linalg.mat_add(ma, mb, s)
+    assert to_dense(got) == [[x + s * y for x, y in zip(ra, rb)]
+                             for ra, rb in zip(a, b)]
+    assert linalg.is_zero(linalg.mat_add(ma, ma, -ONE))
+
+
+@given(scalars, scalars, scalars)
+def test_addmul_matches_ring(start, a, b):
+    acc = dict(start._terms)
+    linalg.addmul(acc, a, b)
+    assert all(acc.values())  # stays zero-free
+    assert QScalar(acc) == start + a * b
+
+
+@given(st.lists(scalars, max_size=4), st.lists(scalars, max_size=4))
+def test_dot(xs, ys):
+    n = min(len(xs), len(ys))
+    xs, ys = xs[:n], ys[:n]
+    assert linalg.dot(vector(xs), vector(ys)) == sum(
+        (x * y for x, y in zip(xs, ys)), start=ZERO)
+
+
+@given(st.lists(scalars, max_size=4), st.lists(scalars, max_size=4), scalars)
+def test_accumulator_matches_mat_add(xs, ys, s):
+    n = min(len(xs), len(ys))
+    x, y = vector(xs[:n]), vector(ys[:n])
+    acc = linalg.Accumulator(x)
+    acc.add(s, y)
+    assert linalg.mat_eq(acc.freeze(), linalg.mat_add(x, y, s))
+    assert acc.support() == acc.freeze().support()
+
+
+@settings(max_examples=50)
+@given(st.lists(nonzero_scalars, min_size=1, max_size=4), st.data())
+def test_accumulator_aliasing_own_entry(xs, data):
+    """The solver's peel step: scale a vector by an entry read from the sum
+    it is being subtracted from, where that entry lies in its support."""
+    k = data.draw(st.integers(0, len(xs) - 1))
+    x = vector(xs)
+    lead = x[k]
+    acc = linalg.Accumulator(x)
+    rho = acc[k]
+    acc.add(-rho, x)  # row k: x[k] - x[k] * x[k]
+    assert acc[k] == xs[k] - xs[k] * xs[k]
+    assert rho == lead and x[k] is lead and x[k] == xs[k]
+    if xs[k] == ONE:
+        assert k not in acc.support()
+    acc = linalg.Accumulator(x)
+    acc.add(acc[k], x)  # the scale is read from the row being updated
+    assert acc[k] == xs[k] + xs[k] * xs[k]
+
+
+def test_accumulator_peels_lead_entry_to_zero():
+    x = linalg.Vector(3, {2: QScalar.q_power(-1), 0: ONE})
+    acc = linalg.Accumulator(x)
+    acc.add(-acc[0], x)
+    assert acc.support() == [] and linalg.is_zero(acc.freeze())
+    assert x[0] == ONE and x[2] == QScalar.q_power(-1)
+
+
+def test_empty_slices():
+    for shape in ((0, 0), (0, 3), (3, 0)):
+        z = linalg.zeros(*shape)
+        assert z.shape == shape and linalg.is_zero(z)
+        assert linalg.transpose(z).shape == shape[::-1]
+    assert linalg.mat_eq(linalg.matmul(linalg.zeros(2, 0), linalg.zeros(0, 2)),
+                         linalg.zeros(2, 2))
+    assert linalg.exact_rank(linalg.zeros(0, 3)) == 0
+    assert linalg.zeros(0).dim == 0
+
+
+def test_matrices_are_immutable():
+    m = linalg.identity(2)
+    with pytest.raises(TypeError):
+        m[0, 0] = ZERO
+    with pytest.raises(AttributeError):
+        m.shape = (1, 1)
+    cols = [{0: ONE}]
+    frozen = linalg.Matrix((1, 1), cols)
+    cols[0][0] = ZERO  # the builder's dict is not the matrix's storage
+    assert frozen[0, 0] == ONE
+    with pytest.raises(IndexError):
+        m[2, 0]
+
+
+def test_support_is_ascending():
+    x = linalg.Vector(5, {4: ONE, 0: ONE, 2: ZERO, 3: ONE})
+    assert list(x.items())[0][0] == 4  # storage order is not row order
+    assert x.support() == [0, 3, 4]
+    for b in dual_canonical_basis((1, 1, 1, 1), 2):
+        assert b.support() == sorted(b.support())
+        assert b.support()[0] == b.index

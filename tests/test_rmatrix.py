@@ -25,10 +25,10 @@ class TestTheta:
     def test_on_v1v1_level1(self):
         op = theta_matrix(factors(1, 1), 1)
         ws = op.source
-        col = op.matrix[:, ws.pos[(1, 0)]]
+        col = op.matrix.col(ws.pos[(1, 0)])
         assert col[ws.pos[(1, 0)]] == ONE
         assert col[ws.pos[(0, 1)]] == Q_MINUS_QINV
-        col2 = op.matrix[:, ws.pos[(0, 1)]]
+        col2 = op.matrix.col(ws.pos[(0, 1)])
         assert col2[ws.pos[(0, 1)]] == ONE
         assert col2[ws.pos[(1, 0)]] == 0
 
@@ -188,10 +188,10 @@ class TestTauThetaOnDuals:
     def test_v1v1_level1(self):
         op = tau_theta_n(dual_factors(1, 1), 1)
         ws = op.source
-        col = op.matrix[:, ws.pos[(0, 1)]]
+        col = op.matrix.col(ws.pos[(0, 1)])
         assert col[ws.pos[(0, 1)]] == ONE
         assert col[ws.pos[(1, 0)]] == Q_MINUS_QINV
-        col2 = op.matrix[:, ws.pos[(1, 0)]]
+        col2 = op.matrix.col(ws.pos[(1, 0)])
         assert col2[ws.pos[(1, 0)]] == ONE
         assert col2[ws.pos[(0, 1)]] == 0
 
@@ -204,3 +204,15 @@ class TestTauThetaOnDuals:
     def test_requires_dual_factors(self):
         with pytest.raises(ValueError):
             tau_theta_n(factors(1, 1), 1)
+
+
+def test_cached_operator_is_immutable():
+    fs = factors(1, 1)
+    op = theta_n_matrix(fs, 1)
+    original = op.matrix[0, 0]
+    with pytest.raises(TypeError):
+        op.matrix[0, 0] = QScalar()
+    with pytest.raises(AttributeError):
+        op.matrix.shape = (0, 0)
+    again = theta_n_matrix(fs, 1).matrix
+    assert again[0, 0] == original == ONE

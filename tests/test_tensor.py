@@ -127,8 +127,9 @@ class TestCoproduct:
             fe = linalg.matmul(f_down, e_here)
             qh = t.coproduct_matrix(l, GEN_QH)
             qh_inv = t.coproduct_matrix(l, GEN_QH_INV)
-            rhs = linalg.mat_div(qh - qh_inv, Q_MINUS_QINV)
-            assert linalg.mat_eq(ef - fe, rhs)
+            rhs = linalg.mat_div(linalg.mat_add(qh, qh_inv, -ONE),
+                                 Q_MINUS_QINV)
+            assert linalg.mat_eq(linalg.mat_add(ef, fe, -ONE), rhs)
 
     def test_mixed_factor_kinds(self):
         # truncated Verma and contragredient factors share the machinery
