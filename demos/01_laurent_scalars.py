@@ -5,7 +5,7 @@ coefficients, exponents tracked in units of v so half-integer q-powers are
 just odd v-powers, and divisions that must be exact or raise.
 """
 
-from qcanon import QScalar, bar_scalar, exact_div, in_qinv_ideal, \
+from qcanon import QScalar, exact_div, in_qinv_ideal, \
     quantum_binomial, quantum_factorial, quantum_int, solve_bar_equation
 
 q = QScalar.q_power
@@ -18,12 +18,12 @@ for n in range(5):
 print("\nfactorials and binomials stay bar-invariant with integer entries:")
 print(f"  [3]! = {quantum_factorial(3)}")
 print(f"  [4 choose 2] = {quantum_binomial(4, 2)}")
-print(f"  bar([4 choose 2]) = {bar_scalar(quantum_binomial(4, 2))}")
+print(f"  bar([4 choose 2]) = {quantum_binomial(4, 2).bar()}")
 
 print("\nthe bar involution negates exponents (q -> q^-1):")
 p = q(2) + 3 * q(1) - 2
 print(f"  p        = {p}")
-print(f"  bar(p)   = {bar_scalar(p)}")
+print(f"  bar(p)   = {p.bar()}")
 
 print("\nhalf powers of q print with braces:")
 print(f"  v^3 = {v(3)}   v^-1 = {v(-1)}")
@@ -41,4 +41,4 @@ rho = q(2) + q(1) - q(-1) - q(-2)
 p = solve_bar_equation(rho)
 print(f"  rho = {rho}")
 print(f"  p   = {p}    (in the ideal: {in_qinv_ideal(p)})")
-print(f"  p - bar(p) = {p - bar_scalar(p)}")
+print(f"  p - bar(p) = {p - p.bar()}")

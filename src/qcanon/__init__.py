@@ -12,18 +12,18 @@ The package computes, entirely in Z[v, v^-1] with q = v^2:
 * a property/acceptance suite (`verify`) and a JSON/SVG command line (`cli`).
 """
 
-from .qring import (ONE, ZERO, QScalar, bar_scalar, exact_div, in_qinv_ideal,
+from .qring import (ONE, ZERO, QScalar, exact_div, in_qinv_ideal,
                     quantum_binomial, quantum_factorial, quantum_int,
                     solve_bar_equation)
 from .weightmod import (apply_generator, contragredient, make_simple,
                         make_verma_truncated, shapovalov_embed)
 from .tensor import (TensorModule, dual_tensor, enumerate_P, simple_tensor,
-                     tensor_product, weight_space)
+                     weight_space)
 from .canonical import (canonical_basis_pair, dual_canonical_basis,
                         is_singular, singular_subset)
-from .diagrams import (ArcDiagram, cable_diagram, diagram_of_index,
+from .diagrams import (ArcDiagram, block_map, cable_diagram, diagram_of_index,
                        enumerate_B, filter_invariant, filter_singular,
                        index_of_diagram, render, validate_diagram)
-from .cabling import block_map, dual_cabling_matrix, cabling_report
+from .cabling import dual_cabling_matrix, cabling_report
 
 __version__ = "0.1.0"

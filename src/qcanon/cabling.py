@@ -23,28 +23,15 @@ from typing import Sequence
 
 from . import linalg
 from .canonical import dual_canonical_basis
-from .diagrams import cable_diagram, diagram_of_index, index_of_diagram
+from .diagrams import (ZeroBlockError, block_map, cable_diagram,
+                       diagram_of_index, index_of_diagram)
 from .qring import ONE, QScalar, quantum_factorial
 from .tensor import coproduct_matrix, enumerate_P, weight_space
 from .weightmod import GEN_F, make_verma_truncated
 
 
-class ZeroBlockError(ValueError):
-    """Cabling blocks must have positive size."""
-
-
 class StructuralMismatchError(AssertionError):
     """The algebraic collapse disagrees with the diagram collapse."""
-
-
-def block_map(lam: Sequence[int]) -> tuple[int, ...]:
-    """Point p in 1..sum(lam) -> 1-based block index, in consecutive blocks."""
-    out = []
-    for b, size in enumerate(lam, start=1):
-        if size <= 0:
-            raise ZeroBlockError(f"block {b} has size {size}")
-        out.extend([b] * size)
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -171,10 +158,10 @@ def cabling_report(lam: Sequence[int], level: int) -> CablingReport:
     """Collapse every unit-weight dual canonical element and compare with the
     diagram collapse; raises StructuralMismatchError on any disagreement."""
     lam = tuple(lam)
+    dcm = dual_cabling_matrix(lam, level)  # first: it rejects empty blocks
     unit = (1,) * sum(lam)
     source = dual_canonical_basis(unit, level)
     target = dual_canonical_basis(lam, level)
-    dcm = dual_cabling_matrix(lam, level)
     row_pos = {a: r for r, a in enumerate(dcm.rows)}
     target_padded = {}
     for b in target:

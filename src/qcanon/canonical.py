@@ -178,17 +178,10 @@ def canonical_basis_pair(lams: Sequence[int], level: int) -> list[BasisVector]:
     return basis
 
 
-def is_singular(basis_vector_or_coords, lams=None, level=None) -> bool:
-    """True iff the coproduct E annihilates the vector."""
-    if isinstance(basis_vector_or_coords, BasisVector):
-        space = basis_vector_or_coords.space
-        coords = basis_vector_or_coords.coords
-        factors, lvl = space.factors, space.level
-    else:
-        factors, lvl = dual_factors(lams), level
-        coords = basis_vector_or_coords
-    e = coproduct_matrix(factors, lvl, GEN_E)
-    return linalg.is_zero(linalg.matmul(e, coords))
+def is_singular(b: BasisVector) -> bool:
+    """True iff the coproduct E annihilates the basis vector."""
+    e = coproduct_matrix(b.space.factors, b.space.level, GEN_E)
+    return linalg.is_zero(linalg.matmul(e, b.coords))
 
 
 def singular_subset(basis: list[BasisVector]) -> list[BasisVector]:

@@ -24,13 +24,13 @@ import json
 import os
 import sys
 
-from .cabling import StructuralMismatchError, ZeroBlockError, cabling_report
+from .cabling import StructuralMismatchError, cabling_report
 from .canonical import (CountMismatchError, TriangularityViolationError,
                         canonical_basis_pair, dual_canonical_basis,
                         dual_factors, simple_factors)
 from .diagrams import (InvalidDiagramError, NotInPError, WeightMismatchError,
-                       enumerate_B, filter_invariant, filter_singular,
-                       render_ascii, render_svg_many)
+                       ZeroBlockError, enumerate_B, filter_invariant,
+                       filter_singular, render_ascii, render_svg_many)
 from .qring import BarAsymmetryError, InexactDivisionError, OddExponentError
 from .rmatrix import (CrossCheckFailureError, NotReducedError, rcheck_matrix,
                       rcheck_longest, tau_theta_n, theta_matrix,
@@ -69,8 +69,11 @@ def _nonneg(text: str) -> int:
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:  # exit 2: a bad request, not a failed check
+            raise ValueError(f"cannot write {output}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -172,6 +175,9 @@ def cmd_diagrams(args, parser) -> int:
 def cmd_rmatrix(args, parser) -> int:
     _guard(args, parser)
     lams, level = args.lam, args.level
+    if args.pos is not None and args.op != "rcheck":
+        parser.error(f"--pos is only for --op rcheck, where it needs "
+                     f"0 <= pos < {len(lams) - 1} for {len(lams)} factors")
     if args.op == "theta":
         op = theta_matrix(simple_factors(lams), level)
     elif args.op == "theta_n":
@@ -205,6 +211,9 @@ def cmd_verify(args, parser) -> int:
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         sys.stdout.write(f"{status} {r.name} ({r.elapsed:.2f}s): {r.detail}\n")
+        if r.max_sum < args.max_weight_sum:
+            sys.stderr.write(f"qcanon: {r.name} ran at --max-weight-sum "
+                             f"{r.max_sum}, not {args.max_weight_sum}\n")
     total = sum(r.elapsed for r in results)
     sys.stdout.write(f"{len(results) - len(failed)}/{len(results)} checks "
                      f"passed in {total:.2f}s\n")
@@ -220,15 +229,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "tensor products")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_level=True):
+    def common(p):
         p.add_argument("--lambda", dest="lam", type=_parse_lambda,
                        required=True, metavar="L1,L2,...",
                        help="highest weights of the factors")
-        if needs_level:
-            p.add_argument("--level", type=_nonneg, required=True,
-                           help="number of lowering steps below the top weight")
-        p.add_argument("--format", choices=("json",), default="json",
-                       help="output format (JSON is canonical)")
+        p.add_argument("--level", type=_nonneg, required=True,
+                       help="number of lowering steps below the top weight")
         p.add_argument("--max-sum", type=_nonneg, default=12,
                        help="guard rail on sum(lambda) (default 12)")
         p.add_argument("-o", "--output", default=None,

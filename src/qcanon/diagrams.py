@@ -44,6 +44,10 @@ class WeightMismatchError(ValueError):
     """Invariant filtering needs capacities summing to twice the arc count."""
 
 
+class ZeroBlockError(ValueError):
+    """Cabling blocks must have positive size."""
+
+
 class ValidationReport(NamedTuple):
     ok: bool
     reason: str | None
@@ -227,12 +231,14 @@ def filter_invariant(diagrams: Iterable[ArcDiagram]) -> list[ArcDiagram]:
     return out
 
 
-def _blocks(lam: Sequence[int]) -> list[int]:
-    """Point p in 1..sum(lam) -> 1-based block number; index 0 is the origin."""
-    blocks = [0]
+def block_map(lam: Sequence[int]) -> tuple[int, ...]:
+    """Point p in 1..sum(lam) -> 1-based block index, in consecutive blocks."""
+    out = []
     for b, size in enumerate(lam, start=1):
-        blocks.extend([b] * size)
-    return blocks
+        if size <= 0:
+            raise ZeroBlockError(f"block {b} has size {size}")
+        out.extend([b] * size)
+    return tuple(out)
 
 
 def cable_diagram(d: ArcDiagram, lam: Sequence[int]) -> ArcDiagram | None:
@@ -249,7 +255,7 @@ def cable_diagram(d: ArcDiagram, lam: Sequence[int]) -> ArcDiagram | None:
         raise InvalidDiagramError(
             f"diagram on {d.n} points cannot collapse to blocks of {lam}")
     _require_valid(d)
-    blocks = _blocks(lam)
+    blocks = (0,) + block_map(lam)  # the origin maps to the origin
     mapped = []
     for i, j in d.chords:
         bi, bj = blocks[i], blocks[j]

@@ -238,10 +238,6 @@ ONE = QScalar._raw({0: 1})
 Q_MINUS_QINV = QScalar._raw({2: 1, -2: -1})
 
 
-def bar_scalar(p: QScalar) -> QScalar:
-    return p.bar()
-
-
 @lru_cache(maxsize=None)
 def quantum_int(n: int) -> QScalar:
     """[n] = q^{n-1} + q^{n-3} + ... + q^{1-n}; [0] = 0."""

@@ -37,8 +37,9 @@ from functools import lru_cache
 
 from . import linalg
 from .qring import ONE, Q_MINUS_QINV, QScalar, exact_div, quantum_factorial
-from .tensor import WeightSpace, coproduct_matrix, weight_space
-from .weightmod import (GEN_E, GEN_F, GEN_QH, GEN_QH_INV, WeightModule)
+from .tensor import (WeightSpace, coproduct_matrix, coproduct_target_level,
+                     weight_space)
+from .weightmod import GEN_E, GEN_F, GEN_QH, GEN_QH_INV
 
 
 class NotReducedError(ValueError):
@@ -51,116 +52,97 @@ class CrossCheckFailureError(AssertionError):
 
 @dataclass(frozen=True)
 class BraidOperator:
-    """An exact operator between two weight slices, with a provenance tag."""
+    """An exact operator between two weight slices."""
     source: WeightSpace
     target: WeightSpace
     matrix: linalg.Matrix
-    tag: str
 
 
 # ---------------------------------------------------------------------------
-# lifting single-factor and sub-product operators into the full slice
+# the shared building blocks: lift, coproduct power, Theta sum, Cartan diagonal
 # ---------------------------------------------------------------------------
 
-def _lift_single(factors, level, pos, single_mat, slot_shift):
-    """single_mat on factor `pos` (slot m -> m + slot_shift), identity
-    elsewhere: W(factors, level) -> W(factors, level + slot_shift)."""
-    src = weight_space(factors, level)
-    tgt = weight_space(factors, level + slot_shift)
-    cols = [{} for _ in range(src.dim)]
-    size = factors[pos].size
-    for j, m in enumerate(src.indices):
-        t = m[pos] + slot_shift
-        if not 0 <= t < size:
-            continue
-        c = single_mat[t, m[pos]]
-        if c:
-            cols[j][tgt.pos[m[:pos] + (t,) + m[pos + 1:]]] = c
-    return linalg.Matrix((tgt.dim, src.dim), cols)
+def _lift(factors, level, lo, hi, sub_fn, shift):
+    """X on the block factors[lo:hi], identity on the other factors.
 
-
-def _lift_rest(factors, level, sub_fn, sub_shift):
-    """1 x X on factors[1:], where sub_fn(b) gives the matrix of X from the
-    sub-product slice at level b to level b + sub_shift."""
+    sub_fn(b) is the matrix of X from the block's slice at level b to level
+    b + shift; the lift maps W(factors, level) -> W(factors, level + shift).
+    """
     src = weight_space(factors, level)
-    tgt = weight_space(factors, level + sub_shift)
+    tgt = weight_space(factors, level + shift)
+    block = factors[lo:hi]
     cols = [{} for _ in range(src.dim)]
-    rest = factors[1:]
     for j, m in enumerate(src.indices):
-        b = level - m[0]
-        sub_src = weight_space(rest, b)
-        sub_tgt = weight_space(rest, b + sub_shift)
+        head, part, tail = m[:lo], m[lo:hi], m[hi:]
+        b = sum(part)
+        sub_tgt = weight_space(block, b + shift)
         out = cols[j]
-        for i, x in sub_fn(b).col(sub_src.pos[m[1:]]).items():
-            out[tgt.pos[(m[0],) + sub_tgt.indices[i]]] = x
+        for i, x in sub_fn(b).col(weight_space(block, b).pos[part]).items():
+            out[tgt.pos[head + sub_tgt.indices[i] + tail]] = x
     return linalg.Matrix((tgt.dim, src.dim), cols)
 
 
-def _lift_init(factors, level, sub_fn, sub_shift):
-    """X x 1 on factors[:-1], mirror of `_lift_rest`."""
-    src = weight_space(factors, level)
-    tgt = weight_space(factors, level + sub_shift)
-    cols = [{} for _ in range(src.dim)]
-    init = factors[:-1]
-    for j, m in enumerate(src.indices):
-        b = level - m[-1]
-        sub_src = weight_space(init, b)
-        sub_tgt = weight_space(init, b + sub_shift)
-        out = cols[j]
-        for i, x in sub_fn(b).col(sub_src.pos[m[:-1]]).items():
-            out[tgt.pos[sub_tgt.indices[i] + (m[-1],)]] = x
-    return linalg.Matrix((tgt.dim, src.dim), cols)
+def _word_shift(word) -> int:
+    """The level change of one application of a generator word."""
+    return sum(coproduct_target_level(0, gen) for gen in word)
 
 
 @lru_cache(maxsize=None)
-def _single_power(module: WeightModule, gen: str, k: int) -> linalg.Matrix:
+def _coproduct_power(factors, level, word, k):
+    """(Delta^{n-1} w)^k for the generator word w = (g_1, ..., g_r), read as
+    the product g_1 ... g_r, as a chain of adjacent-slice matrices.
+
+    On one factor this is the plain power on the module; the words (F, qh)
+    and (qh_inv, E) give tau(E) = F q^h and tau(F) = q^-h E.
+    """
     if k == 0:
-        return linalg.identity(module.size)
-    return linalg.matmul(module.matrix(gen), _single_power(module, gen, k - 1))
-
-
-@lru_cache(maxsize=None)
-def _tau_e_matrix(module: WeightModule) -> linalg.Matrix:
-    # tau(E) = F q^h on a single factor
-    return linalg.matmul(module.matrix(GEN_F), module.matrix(GEN_QH))
-
-
-@lru_cache(maxsize=None)
-def _tau_e_power(module: WeightModule, k: int) -> linalg.Matrix:
-    if k == 0:
-        return linalg.identity(module.size)
-    return linalg.matmul(_tau_e_matrix(module), _tau_e_power(module, k - 1))
-
-
-@lru_cache(maxsize=None)
-def _coproduct_power(factors, level, gen, k):
-    """(Delta^{n-1} gen)^k as a chained product of adjacent-slice matrices."""
-    step = -1 if gen == GEN_E else 1
-    src = weight_space(factors, level)
-    mat = linalg.identity(src.dim)
-    cur = level
-    for _ in range(k):
+        return linalg.identity(weight_space(factors, level).dim)
+    mat = _coproduct_power(factors, level, word, k - 1)
+    cur = level + (k - 1) * _word_shift(word)
+    for gen in reversed(word):
         mat = linalg.matmul(coproduct_matrix(factors, cur, gen), mat)
-        cur += step
+        cur = coproduct_target_level(cur, gen)
     return mat
 
 
-@lru_cache(maxsize=None)
-def _coproduct_tau_f_power(factors, level, k):
-    """(Delta^{n-1} (q^-h E))^k; each step applies E then the diagonal q^-h."""
-    src = weight_space(factors, level)
-    mat = linalg.identity(src.dim)
-    cur = level
-    for _ in range(k):
-        step = linalg.matmul(coproduct_matrix(factors, cur - 1, GEN_QH_INV),
-                             coproduct_matrix(factors, cur, GEN_E))
-        mat = linalg.matmul(step, mat)
-        cur -= 1
-    return mat
+def _leg(factors, level, lo, hi, word, k):
+    """The k-th coproduct power of `word` on factors[lo:hi], lifted."""
+    block = factors[lo:hi]
+    return _lift(factors, level, lo, hi,
+                 lambda b: _coproduct_power(block, b, word, k),
+                 k * _word_shift(word))
 
 
 def _theta_coefficient(k: int) -> QScalar:
     return QScalar.q_power(k * (k - 1) // 2) * Q_MINUS_QINV ** k
+
+
+def _theta_sum(factors, level, kmax, term):
+    """sum_{k <= kmax} q^{k(k-1)/2} (q - q^-1)^k / [k]!  Y^k X^k on a slice.
+
+    `term` = (X, Y) gives the two legs as (lo, hi, word): the generator word
+    coproducted over the block factors[lo:hi], identity elsewhere.  X acts
+    first and Y brings the level back.
+    """
+    (lo_x, hi_x, word_x), (lo_y, hi_y, word_y) = term
+    dim = weight_space(factors, level).dim
+    out = linalg.zeros(dim, dim)
+    for k in range(kmax + 1):
+        mid = level + k * _word_shift(word_x)
+        if weight_space(factors, mid).dim == 0:
+            continue
+        x = _leg(factors, level, lo_x, hi_x, word_x, k)
+        y = _leg(factors, mid, lo_y, hi_y, word_y, k)
+        piece = linalg.mat_scale(linalg.matmul(y, x), _theta_coefficient(k))
+        out = linalg.mat_add(out, linalg.mat_div(piece, quantum_factorial(k)))
+    return out
+
+
+def _cartan_diagonal(factors, level, exponent):
+    """The diagonal v^exponent(w) on a slice, w the tuple of factor weights."""
+    src = weight_space(factors, level)
+    return linalg.diagonal([QScalar.v_power(exponent(src.factor_weights(m)))
+                            for m in src.indices])
 
 
 # ---------------------------------------------------------------------------
@@ -170,59 +152,33 @@ def _theta_coefficient(k: int) -> QScalar:
 @lru_cache(maxsize=None)
 def _theta_piece_first(factors, level):
     """(1 x Delta^{n-2})(Theta): E^k on factor 0, coproducted F^k on the rest."""
-    src = weight_space(factors, level)
-    out = linalg.zeros(src.dim, src.dim)
-    rest = factors[1:]
-    kmax = min(level, factors[0].size - 1)
-    for k in range(kmax + 1):
-        mid = weight_space(factors, level - k)
-        if mid.dim == 0:
-            continue
-        e_big = _lift_single(factors, level, 0,
-                             _single_power(factors[0], GEN_E, k), -k)
-        f_big = _lift_rest(factors, level - k,
-                           lambda b, k=k: _coproduct_power(rest, b, GEN_F, k), k)
-        term = linalg.mat_scale(linalg.matmul(f_big, e_big),
-                                _theta_coefficient(k))
-        out = linalg.mat_add(out, linalg.mat_div(term, quantum_factorial(k)))
-    return out
+    return _theta_sum(factors, level, min(level, factors[0].size - 1),
+                      ((0, 1, (GEN_E,)), (1, len(factors), (GEN_F,))))
 
 
 @lru_cache(maxsize=None)
 def _theta_piece_last(factors, level):
     """(Delta^{n-2} x 1)(Theta): coproducted E^k on the front, F^k on the last."""
-    src = weight_space(factors, level)
-    out = linalg.zeros(src.dim, src.dim)
-    init = factors[:-1]
-    kmax = min(level, factors[-1].size - 1)
-    for k in range(kmax + 1):
-        mid = weight_space(factors, level + k)
-        if mid.dim == 0:
-            continue
-        f_big = _lift_single(factors, level, len(factors) - 1,
-                             _single_power(factors[-1], GEN_F, k), k)
-        e_big = _lift_init(factors, level + k,
-                           lambda b, k=k: _coproduct_power(init, b, GEN_E, k), -k)
-        term = linalg.mat_scale(linalg.matmul(e_big, f_big),
-                                _theta_coefficient(k))
-        out = linalg.mat_add(out, linalg.mat_div(term, quantum_factorial(k)))
-    return out
+    n = len(factors)
+    return _theta_sum(factors, level, min(level, factors[-1].size - 1),
+                      ((n - 1, n, (GEN_F,)), (0, n - 1, (GEN_E,))))
 
 
 @lru_cache(maxsize=None)
 def _theta_n(factors, level, form="left"):
-    if len(factors) == 1:
+    n = len(factors)
+    if n == 1:
         return linalg.identity(weight_space(factors, level).dim)
     if form == "left":
         rest = factors[1:]
         return linalg.matmul(
-            _lift_rest(factors, level,
-                       lambda b: _theta_n(rest, b, "left"), 0),
+            _lift(factors, level, 1, n,
+                  lambda b: _theta_n(rest, b, "left"), 0),
             _theta_piece_first(factors, level))
     init = factors[:-1]
     return linalg.matmul(
-        _lift_init(factors, level,
-                   lambda b: _theta_n(init, b, "right"), 0),
+        _lift(factors, level, 0, n - 1,
+              lambda b: _theta_n(init, b, "right"), 0),
         _theta_piece_last(factors, level))
 
 
@@ -233,62 +189,34 @@ def _tau_theta_direct(factors, level):
     tau(Theta^(n)) = (1 x Delta^{n-2})(tau Theta) . (1 x tau(Theta^(n-1)))
     with tau(Theta) = sum_k c_k (F q^h)^k x (q^-h E)^k.
     """
-    src = weight_space(factors, level)
-    if len(factors) == 1:
-        return linalg.identity(src.dim)
+    n = len(factors)
+    if n == 1:
+        return linalg.identity(weight_space(factors, level).dim)
     rest = factors[1:]
-    piece = linalg.zeros(src.dim, src.dim)
-    kmax = min(level, factors[0].size - 1)
-    for k in range(kmax + 1):
-        mid = weight_space(factors, level + k)
-        if mid.dim == 0:
-            continue
-        taue_big = _lift_single(factors, level, 0,
-                                _tau_e_power(factors[0], k), k)
-        tauf_big = _lift_rest(factors, level + k,
-                              lambda b, k=k: _coproduct_tau_f_power(rest, b, k),
-                              -k)
-        term = linalg.mat_scale(linalg.matmul(tauf_big, taue_big),
-                                _theta_coefficient(k))
-        piece = linalg.mat_add(piece,
-                               linalg.mat_div(term, quantum_factorial(k)))
-    sub = _lift_rest(factors, level,
-                     lambda b: _tau_theta_direct(rest, b), 0)
+    piece = _theta_sum(factors, level, min(level, factors[0].size - 1),
+                       ((0, 1, (GEN_F, GEN_QH)), (1, n, (GEN_QH_INV, GEN_E))))
+    sub = _lift(factors, level, 1, n, lambda b: _tau_theta_direct(rest, b), 0)
     return linalg.matmul(piece, sub)
 
 
 @lru_cache(maxsize=None)
 def _cartan(factors, level):
-    src = weight_space(factors, level)
     n = len(factors)
-    entries = []
-    for m in src.indices:
-        w = src.factor_weights(m)
-        expo = sum(w[i] * w[k] for i in range(n) for k in range(i + 1, n))
-        entries.append(QScalar.v_power(expo))
-    return linalg.diagonal(entries)
-
-
-@lru_cache(maxsize=None)
-def _cartan_piece_first(factors, level):
-    # (1 x Delta^{n-2})(C) = q^{h_0 (h_1 + ... + h_{n-1}) / 2}
-    src = weight_space(factors, level)
-    entries = []
-    for m in src.indices:
-        w = src.factor_weights(m)
-        entries.append(QScalar.v_power(w[0] * sum(w[1:])))
-    return linalg.diagonal(entries)
+    return _cartan_diagonal(factors, level, lambda w: sum(
+        w[i] * w[k] for i in range(n) for k in range(i + 1, n)))
 
 
 @lru_cache(maxsize=None)
 def _r_n(factors, level):
     """R^(n) by its own recursion, independent of the C^(n) Theta^(n) product."""
-    if len(factors) == 1:
+    n = len(factors)
+    if n == 1:
         return linalg.identity(weight_space(factors, level).dim)
     rest = factors[1:]
-    piece = linalg.matmul(_cartan_piece_first(factors, level),
-                          _theta_piece_first(factors, level))
-    sub = _lift_rest(factors, level, lambda b: _r_n(rest, b), 0)
+    # (1 x Delta^{n-2})(C) = q^{h_0 (h_1 + ... + h_{n-1}) / 2}
+    cartan = _cartan_diagonal(factors, level, lambda w: w[0] * sum(w[1:]))
+    piece = linalg.matmul(cartan, _theta_piece_first(factors, level))
+    sub = _lift(factors, level, 1, n, lambda b: _r_n(rest, b), 0)
     return linalg.matmul(sub, piece)
 
 
@@ -320,8 +248,8 @@ def _rcheck(factors, level, i):
             tb = m[i + 1] + k
             if ta < 0 or tb >= b.size:
                 continue
-            c = _single_power(a, GEN_E, k)[ta, m[i]] \
-                * _single_power(b, GEN_F, k)[tb, m[i + 1]]
+            c = _coproduct_power((a,), m[i], (GEN_E,), k)[0, 0] \
+                * _coproduct_power((b,), m[i + 1], (GEN_F,), k)[0, 0]
             if not c:
                 continue
             coeff = exact_div(_theta_coefficient(k) * c, quantum_factorial(k))
@@ -399,68 +327,58 @@ def _tau_theta_n_dual(dual_factors, level):
 # public wrappers
 # ---------------------------------------------------------------------------
 
+def _operator(fn, factors, level, *args, target=None) -> BraidOperator:
+    """fn(factors, level, *args) as an operator onto the slice of `target`
+    (by default the same factors)."""
+    factors = tuple(factors)
+    target = factors if target is None else target
+    return BraidOperator(weight_space(factors, level),
+                         weight_space(target, level),
+                         fn(factors, level, *args))
+
+
 def theta_matrix(factors, level) -> BraidOperator:
     """Theta on a two-factor slice."""
-    factors = tuple(factors)
     if len(factors) != 2:
         raise ValueError("theta_matrix needs exactly two factors")
-    ws = weight_space(factors, level)
-    return BraidOperator(ws, ws, _theta_piece_first(factors, level), "theta")
+    return _operator(_theta_piece_first, factors, level)
 
 
 def cartan_factor(factors, level) -> BraidOperator:
     """Diagonal multiplier v^(sum_{i<j} mu_i mu_j) on factor weights."""
-    factors = tuple(factors)
-    ws = weight_space(factors, level)
-    return BraidOperator(ws, ws, _cartan(factors, level), "cartan")
+    return _operator(_cartan, factors, level)
 
 
 def theta_n_matrix(factors, level, form="left") -> BraidOperator:
-    factors = tuple(factors)
-    ws = weight_space(factors, level)
-    return BraidOperator(ws, ws, _theta_n(factors, level, form), "theta")
+    return _operator(_theta_n, factors, level, form)
 
 
 def r_n_matrix(factors, level) -> BraidOperator:
-    factors = tuple(factors)
-    ws = weight_space(factors, level)
-    return BraidOperator(ws, ws, _r_n(factors, level), "r")
+    return _operator(_r_n, factors, level)
 
 
 def sigma0_matrix(factors, level) -> BraidOperator:
-    factors = tuple(factors)
-    return BraidOperator(weight_space(factors, level),
-                         weight_space(factors[::-1], level),
-                         _sigma0(factors, level), "rcheck")
+    return _operator(_sigma0, factors, level, target=tuple(factors)[::-1])
 
 
 def rcheck_matrix(factors, level, i) -> BraidOperator:
     factors = tuple(factors)
     swapped = factors[:i] + (factors[i + 1], factors[i]) + factors[i + 2:]
-    return BraidOperator(weight_space(factors, level),
-                         weight_space(swapped, level),
-                         _rcheck(factors, level, i), "rcheck")
+    return _operator(_rcheck, factors, level, i, target=swapped)
 
 
 def rcheck_longest(factors, level, word=None) -> BraidOperator:
-    factors = tuple(factors)
     if word is not None:
         word = tuple(word)
-    return BraidOperator(weight_space(factors, level),
-                         weight_space(factors[::-1], level),
-                         _rcheck_longest(factors, level, word), "rcheck")
+    return _operator(_rcheck_longest, factors, level, word,
+                     target=tuple(factors)[::-1])
 
 
 def tau_theta_direct(factors, level) -> BraidOperator:
     """tau(Theta^(n)) acting on the given product, evaluated as an element."""
-    factors = tuple(factors)
-    ws = weight_space(factors, level)
-    return BraidOperator(ws, ws, _tau_theta_direct(factors, level), "tau_theta")
+    return _operator(_tau_theta_direct, factors, level)
 
 
 def tau_theta_n(dual_factors, level) -> BraidOperator:
     """tau(Theta^(n)) on a contragredient slice, with the built-in cross-check."""
-    dual_factors = tuple(dual_factors)
-    ws = weight_space(dual_factors, level)
-    return BraidOperator(ws, ws, _tau_theta_n_dual(dual_factors, level),
-                         "tau_theta")
+    return _operator(_tau_theta_n_dual, dual_factors, level)

@@ -161,10 +161,6 @@ class TensorModule:
         return " (x) ".join(repr(f) for f in self.factors)
 
 
-def tensor_product(factors: Sequence[WeightModule]) -> TensorModule:
-    return TensorModule(factors)
-
-
 def simple_tensor(lams: Sequence[int]) -> TensorModule:
     """V_{lam_1} x ... x V_{lam_n}."""
     return TensorModule(tuple(make_simple(x) for x in lams))

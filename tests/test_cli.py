@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qcanon.cli import main
 
@@ -38,6 +43,15 @@ class TestBasisCommand:
                            "-o", str(path))
         assert code == 0 and out == ""
         assert json.loads(path.read_text())["schema"] == "qcanon/1"
+
+    @pytest.mark.parametrize("where", ["directory", "missing_parent"])
+    def test_unwritable_output_exit_2(self, capsys, tmp_path, where):
+        path = tmp_path if where == "directory" else tmp_path / "no" / "b.json"
+        code, out, err = run(capsys, "basis", "--lambda", "1,1", "--level",
+                             "1", "-o", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"qcanon: cannot write {path}: ")
+        assert "Traceback" not in err
 
 
 class TestCanonical2Command:
@@ -102,11 +116,13 @@ class TestRmatrixCommand:
         doc = json.loads(out)
         assert code == 0 and doc["position"] == 1
 
-    @pytest.mark.parametrize("pos", ["5", "2", "-1"])
-    def test_rcheck_position_out_of_range_exit_2(self, capsys, pos):
+    @pytest.mark.parametrize("op,pos", [
+        ("rcheck", "5"), ("rcheck", "2"), ("rcheck", "-1"), ("theta_n", "0")],
+        ids=["5", "2", "-1", "theta_n-0"])
+    def test_rcheck_position_out_of_range_exit_2(self, capsys, op, pos):
         with pytest.raises(SystemExit) as err:
             run(capsys, "rmatrix", "--lambda", "1,1,1", "--level", "1",
-                "--op", "rcheck", "--pos", pos)
+                "--op", op, "--pos", pos)
         assert err.value.code == 2
         err_text = capsys.readouterr().err
         assert "0 <= pos < 2" in err_text and "Traceback" not in err_text
@@ -160,6 +176,36 @@ class TestVerifyCommand:
         assert record["check"] == "catalan"
         assert record["error_type"] == "AssertionError"
 
+    @pytest.mark.parametrize("requested", [6, 5, 3])
+    def test_clamped_bound_reported_on_stderr(self, capsys, monkeypatch,
+                                             requested):
+        import qcanon.verify as v
+        used = {}
+
+        def fake(name):
+            def check(max_sum=6):
+                used[name] = max_sum
+                return v._check(name, lambda: "fine")
+            return check
+
+        for name in ("cabling", "duality", "catalan"):
+            monkeypatch.setitem(v.ALL_CHECKS, name, fake(name))
+        monkeypatch.setitem(v.SUITE_ALIASES, "trio",
+                            ("catalan", "cabling", "duality"))
+        code, out, err = run(capsys, "verify", "--suite", "trio",
+                             "--max-weight-sum", str(requested))
+        assert code == 0
+        assert used == {"catalan": requested, "cabling": min(requested, 5),
+                        "duality": min(requested, 5)}
+        assert [line.split(" (")[0] for line in out.splitlines()[:3]] == \
+            ["PASS catalan", "PASS cabling", "PASS duality"]
+        if requested > 5:
+            assert err.splitlines() == [
+                f"qcanon: {name} ran at --max-weight-sum 5, not {requested}"
+                for name in ("cabling", "duality")]
+        else:
+            assert err == ""
+
 
 class TestGuards:
     def test_bad_lambda_exit_2(self, capsys):
@@ -210,3 +256,54 @@ def test_import_leaves_numpy_out():
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", code], env=env)
     assert done.returncode == 0
+
+
+@st.composite
+def cli_requests(draw):
+    """An argv for any subcommand, and where its -o points, if anywhere."""
+    command = draw(st.sampled_from(("basis", "canonical2", "diagrams",
+                                    "rmatrix", "cable", "verify")))
+    if command == "verify":
+        argv = ["verify", "--suite",
+                draw(st.sampled_from(("ybe", "catalan", "diagrams", "cabling",
+                                      "duality", "nonsense"))),
+                "--max-weight-sum", str(draw(st.integers(-1, 2)))]
+    else:
+        lam = draw(st.lists(st.integers(0, 4), min_size=1, max_size=4)
+                   .filter(lambda xs: sum(xs) <= 4))
+        argv = [command, "--lambda", ",".join(map(str, lam)),
+                "--level", str(draw(st.integers(-1, 6)))]
+    if command == "diagrams":
+        for flag, choices in (("--filter", ("singular", "invariant")),
+                              ("--render", ("ascii", "svg"))):
+            choice = draw(st.sampled_from((None,) + choices))
+            if choice:
+                argv += [flag, choice]
+    if command == "rmatrix":
+        argv += ["--op", draw(st.sampled_from(("theta", "theta_n",
+                                               "tau_theta_n", "rcheck")))]
+        pos = draw(st.one_of(st.none(), st.integers(-2, 4)))
+        if pos is not None:
+            argv += ["--pos", str(pos)]
+    return argv, draw(st.sampled_from((None, "file", "directory", "missing")))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cli_requests())
+def test_fuzzed_argv_ends_in_exit_0_1_or_2(request):
+    argv, output = request
+    with tempfile.TemporaryDirectory() as tmp:
+        target = {"file": os.path.join(tmp, "out.json"), "directory": tmp,
+                  "missing": os.path.join(tmp, "absent", "out.json")}
+        if output:
+            argv = argv + ["-o", target[output]]
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejected the request
+                code = exc.code
+                assert code == 2, argv
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in sink.getvalue()

@@ -3,10 +3,10 @@ import itertools
 import pytest
 
 from qcanon.diagrams import (ArcDiagram, InvalidDiagramError, NotInPError,
-                             WeightMismatchError, cable_diagram,
-                             diagram_of_index, enumerate_B, filter_invariant,
-                             filter_singular, index_of_diagram, render,
-                             validate_diagram)
+                             WeightMismatchError, ZeroBlockError,
+                             cable_diagram, diagram_of_index, enumerate_B,
+                             filter_invariant, filter_singular,
+                             index_of_diagram, render, validate_diagram)
 from qcanon.tensor import enumerate_P
 
 
@@ -146,6 +146,8 @@ class TestCabling:
     def test_non_unit_input_rejected(self):
         with pytest.raises(InvalidDiagramError):
             cable_diagram(diag((2,), [(0, 1)]), (2,))
+        with pytest.raises(ZeroBlockError):
+            cable_diagram(diag((1, 1), [(0, 1)]), (2, 0))
 
     def test_surjective_onto_targets(self):
         for lam in [(2,), (2, 1), (1, 2), (2, 2), (3, 1)]:
