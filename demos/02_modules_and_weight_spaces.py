@@ -7,7 +7,8 @@ generator matrices through the iterated coproduct.
 """
 
 from qcanon import (apply_generator, contragredient, enumerate_P, make_simple,
-                    shapovalov_embed, simple_tensor)
+                    shapovalov_embed, simple_factors, weight_space)
+from qcanon.tensor import coproduct_matrix
 from qcanon.weightmod import GEN_E, GEN_F
 from qcanon import linalg
 
@@ -32,10 +33,11 @@ print("\nthe pairing-compatible embedding V_lam -> (M_lam)^c is diagonal:")
 emb = shapovalov_embed(2, 2)
 print(" ", [str(emb[m, m]) for m in range(3)])
 
-t = simple_tensor([2, 1])
+lams = (2, 1)
+fs = simple_factors(lams)
 print("\nV_2 x V_1, slice by slice (level l has weight sum(lam) - 2l):")
-for l in t.levels():
-    ws = t.weight_space(l)
+for l in range(sum(lams) + 1):
+    ws = weight_space(fs, l)
     print(f"  level {l}: weight {ws.weight:+d}, dim {ws.dim}, "
           f"indices {list(ws.indices)}")
 
@@ -43,7 +45,7 @@ print("\nindex sets agree with the bounded-tuple enumeration:")
 print("  enumerate_P((2,1), 2) =", enumerate_P((2, 1), 2))
 
 print("\nthe coproduct spreads F with q^-h tails (here on the top vector):")
-f = t.coproduct_matrix(0, GEN_F)
-tgt = t.weight_space(1)
+f = coproduct_matrix(fs, 0, GEN_F)
+tgt = weight_space(fs, 1)
 for m in tgt.indices:
     print(f"  coefficient on {m}: {f[tgt.pos[m], 0]}")

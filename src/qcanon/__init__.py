@@ -17,8 +17,7 @@ from .qring import (ONE, ZERO, QScalar, exact_div, in_qinv_ideal,
                     solve_bar_equation)
 from .weightmod import (apply_generator, contragredient, make_simple,
                         make_verma_truncated, shapovalov_embed)
-from .tensor import (TensorModule, dual_tensor, enumerate_P, simple_tensor,
-                     weight_space)
+from .tensor import dual_factors, enumerate_P, simple_factors, weight_space
 from .canonical import (canonical_basis_pair, dual_canonical_basis,
                         is_singular, singular_subset)
 from .diagrams import (ArcDiagram, block_map, cable_diagram, diagram_of_index,

@@ -83,7 +83,7 @@ class DualCablingMatrix:
 
 def dual_cabling_matrix(lam: Sequence[int], level: int) -> DualCablingMatrix:
     lam = tuple(lam)
-    blocks = block_map(lam)  # validates positivity
+    block_map(lam)  # validates positivity
     total = sum(lam)
     if total < level:
         raise ValueError(f"level {level} exceeds the unit point count {total}")
@@ -92,24 +92,20 @@ def dual_cabling_matrix(lam: Sequence[int], level: int) -> DualCablingMatrix:
     embeddings = [verma_unit_embedding(x, level) for x in lam]
     spaces = [[emb.target_space(m) for m in range(level + 1)]
               for emb in embeddings]
+    row_pos = {a: r for r, a in enumerate(rows)}
     out = [{} for _ in cols]
     starts = [0]
     for x in lam:
         starts.append(starts[-1] + x)
-    for r, a in enumerate(rows):
-        for c, mt in enumerate(cols):
-            val = ONE
-            for i, ai in enumerate(a):
-                block = mt[starts[i]:starts[i + 1]]
-                if sum(block) != ai:
-                    val = None
-                    break
-                val = val * embeddings[i].columns[ai][spaces[i][ai].pos[block]]
-                if not val:
-                    val = None
-                    break
-            if val is not None:
-                out[c][r] = val
+    for c, mt in enumerate(cols):
+        # column mt reaches one row only: the tuple of its block sums
+        blocks = [mt[starts[i]:starts[i + 1]] for i in range(len(lam))]
+        a = tuple(sum(block) for block in blocks)
+        val = ONE
+        for i, (ai, block) in enumerate(zip(a, blocks)):
+            val = val * embeddings[i].columns[ai][spaces[i][ai].pos[block]]
+        if val:
+            out[c][row_pos[a]] = val
     return DualCablingMatrix(lam, level, rows, cols,
                              linalg.Matrix((len(rows), len(cols)), out))
 
@@ -140,9 +136,6 @@ class CablingReport:
     outcomes: tuple[CablingOutcome, ...]
     all_unit_scalars: bool
     all_scalars_one: bool
-
-    def scalars(self) -> list[QScalar]:
-        return [o.scalar for o in self.outcomes if not o.killed]
 
     def to_json_dict(self) -> dict:
         return {

@@ -36,8 +36,9 @@ from typing import Sequence
 from . import linalg
 from .qring import ONE, QScalar, in_qinv_ideal, solve_bar_equation
 from .rmatrix import tau_theta_n, theta_matrix
-from .tensor import WeightSpace, coproduct_matrix, weight_space
-from .weightmod import GEN_E, contragredient, make_simple
+from .tensor import (WeightSpace, coproduct_matrix, dual_factors,
+                     simple_factors, weight_space)
+from .weightmod import GEN_E
 
 
 class TriangularityViolationError(AssertionError):
@@ -84,14 +85,6 @@ class BasisVector:
                 text = f"({text})"
             parts.append(f"{text}*{self.space.indices[i]}")
         return f"b{self.index} = " + " + ".join(parts)
-
-
-def dual_factors(lams: Sequence[int]):
-    return tuple(contragredient(make_simple(x)) for x in lams)
-
-
-def simple_factors(lams: Sequence[int]):
-    return tuple(make_simple(x) for x in lams)
 
 
 def psi_c(lams: Sequence[int], level: int) -> AntilinearMap:

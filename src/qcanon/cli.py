@@ -26,8 +26,7 @@ import sys
 
 from .cabling import StructuralMismatchError, cabling_report
 from .canonical import (CountMismatchError, TriangularityViolationError,
-                        canonical_basis_pair, dual_canonical_basis,
-                        dual_factors, simple_factors)
+                        canonical_basis_pair, dual_canonical_basis)
 from .diagrams import (InvalidDiagramError, NotInPError, WeightMismatchError,
                        ZeroBlockError, enumerate_B, filter_invariant,
                        filter_singular, render_ascii, render_svg_many)
@@ -35,7 +34,7 @@ from .qring import BarAsymmetryError, InexactDivisionError, OddExponentError
 from .rmatrix import (CrossCheckFailureError, NotReducedError, rcheck_matrix,
                       rcheck_longest, tau_theta_n, theta_matrix,
                       theta_n_matrix)
-from .tensor import weight_space
+from .tensor import dual_factors, simple_factors, weight_space
 from .verify import SUITE_ALIASES, run_suite
 from .weightmod import NegativeWeightError, TruncationTooSmallError
 

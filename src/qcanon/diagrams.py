@@ -14,9 +14,12 @@ A diagram's index is the tuple a with a_i = number of chords joining z_i to
 any point on its left (the origin counts as a left endpoint; every chord's
 right endpoint is some z_i, which is what makes the indices sum to l).  On
 diagrams satisfying the conditions above this is a bijection onto the tuples
-a with a_i <= lam_i and sum(a) = l, and the inverse has a fast recursive
-form: strip the arc with the rightmost right endpoint, recurse, and re-attach
-it in the unique admissible way.
+a with a_i <= lam_i and sum(a) = l, and the inverse is forced.  Sweep left
+to right: z_j must close its a_j arcs on the nearest points that still have
+free capacity, and only then on the origin; any other choice leaves an
+unsaturated point under an arc, and no later chord can fill it without
+crossing.  So one stack pass builds the diagram of an index, and a slice is
+listed as the image of its index tuples.
 
 Cabling refines every capacity into units: a diagram on sum(lam)
 unit-capacity points collapses blockwise onto the lam-capacity points, dying
@@ -30,6 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
+
+from .tensor import enumerate_P
 
 
 class InvalidDiagramError(ValueError):
@@ -119,48 +124,10 @@ def _require_valid(d: ArcDiagram) -> None:
 
 
 def enumerate_B(lam: Sequence[int], l: int) -> list[ArcDiagram]:
-    """All valid diagrams with l chords, in deterministic (sorted) order.
-
-    Recursive multiset choice over the chord alphabet with early capacity and
-    crossing pruning; the pass-over condition depends on final degrees and is
-    checked on complete candidates.
-    """
-    lam = tuple(lam)
-    n = len(lam)
-    alphabet = [(i, j) for i in range(n + 1) for j in range(i + 1, n + 1)]
-    out = []
-    degrees = [0] * (n + 1)
-
-    def chord_cap(c):
-        i, j = c
-        cap = lam[j - 1] - degrees[j]
-        if i >= 1:
-            cap = min(cap, lam[i - 1] - degrees[i])
-        return cap
-
-    def rec(pos: int, remaining: int, chosen: list):
-        if remaining == 0:
-            d = ArcDiagram(n, lam, tuple(chosen))
-            if validate_diagram(d).ok:
-                out.append(d)
-            return
-        if pos == len(alphabet):
-            return
-        c = alphabet[pos]
-        crosses = any(_crossing(c, other) for other in chosen)
-        top = 0 if crosses else min(remaining, chord_cap(c))
-        rec(pos + 1, remaining, chosen)
-        for mult in range(1, top + 1):
-            chosen.extend([c] * mult)
-            degrees[c[0]] += mult
-            degrees[c[1]] += mult
-            rec(pos + 1, remaining - mult, chosen)
-            degrees[c[0]] -= mult
-            degrees[c[1]] -= mult
-            del chosen[len(chosen) - mult:]
-
-    rec(0, l, [])
-    return sorted(out, key=lambda d: d.chords)
+    """All valid diagrams with l chords, sorted by chords: the image of the
+    index tuples `enumerate_P(lam, l)` under `diagram_of_index`."""
+    return sorted((diagram_of_index(lam, a) for a in enumerate_P(lam, l)),
+                  key=lambda d: d.chords)
 
 
 def index_of_diagram(d: ArcDiagram) -> tuple[int, ...]:
@@ -172,40 +139,26 @@ def index_of_diagram(d: ArcDiagram) -> tuple[int, ...]:
     return tuple(a)
 
 
-def diagram_of_index(lam: Sequence[int], a: Sequence[int],
-                     method: str = "greedy") -> ArcDiagram:
+def diagram_of_index(lam: Sequence[int], a: Sequence[int]) -> ArcDiagram:
     """The unique valid diagram with the given index tuple.
 
-    ``greedy`` rebuilds the diagram arc by arc (strip/re-attach recursion);
-    ``filter`` scans the full enumeration and is kept as the brute-force
-    reference the greedy construction is tested against.
+    One left-to-right pass over a stack of free capacity units: each of the
+    a_j arcs ending at z_j pops the nearest free unit, or starts at the origin
+    once none is left; then z_j pushes its lam_j - a_j free units.
     """
     lam = tuple(lam)
     a = tuple(a)
     if len(a) != len(lam) or any(x < 0 or x > c for x, c in zip(a, lam)):
         raise NotInPError(f"{a} is not an admissible index for {lam}")
-    l = sum(a)
-    if method == "filter":
-        matches = [d for d in enumerate_B(lam, l) if index_of_diagram(d) == a]
-        if len(matches) != 1:
-            raise NotInPError(f"index {a} matched {len(matches)} diagrams")
-        return matches[0]
-    if method != "greedy":
-        raise ValueError(f"unknown method {method!r}")
-    if l == 0:
-        return ArcDiagram(len(lam), lam, ())
-    i = max(p for p in range(1, len(lam) + 1) if a[p - 1] > 0)
-    sub = diagram_of_index(lam, a[:i - 1] + (a[i - 1] - 1,) + a[i:], "greedy")
-    candidates = []
-    for p in range(i):
-        cand = ArcDiagram(len(lam), lam, sub.chords + ((p, i),))
-        if validate_diagram(cand).ok:
-            candidates.append(cand)
-    if len(candidates) != 1:
-        raise InvalidDiagramError(
-            f"re-attaching an arc at z{i} admitted {len(candidates)} "
-            f"extensions; the index correspondence is broken")
-    return candidates[0]
+    free: list[int] = []
+    chords = []
+    for j, (aj, cap) in enumerate(zip(a, lam), start=1):
+        for _ in range(aj):
+            chords.append((free.pop() if free else 0, j))
+        free.extend([j] * (cap - aj))
+    d = ArcDiagram(len(lam), lam, tuple(chords))
+    _require_valid(d)
+    return d
 
 
 def filter_singular(diagrams: Iterable[ArcDiagram]) -> list[ArcDiagram]:

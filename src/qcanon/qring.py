@@ -16,7 +16,7 @@ factorials/binomials are bar-invariant with nonnegative integer coefficients.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Mapping
 
 
 class InexactDivisionError(ArithmeticError):
@@ -180,12 +180,6 @@ class QScalar:
         if c not in (1, -1):
             raise InexactDivisionError(f"not a unit monomial: {self}")
         return QScalar._raw({-e: c})
-
-    def exponents(self) -> Iterable[int]:
-        return self._terms.keys()
-
-    def coefficient(self, v_exponent: int) -> int:
-        return self._terms.get(v_exponent, 0)
 
     # -- serialization -------------------------------------------------------
 

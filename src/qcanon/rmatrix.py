@@ -167,7 +167,7 @@ def _theta_piece_last(factors, level):
 @lru_cache(maxsize=None)
 def _theta_n(factors, level, form="left"):
     n = len(factors)
-    if n == 1:
+    if n <= 1:
         return linalg.identity(weight_space(factors, level).dim)
     if form == "left":
         rest = factors[1:]
@@ -190,7 +190,7 @@ def _tau_theta_direct(factors, level):
     with tau(Theta) = sum_k c_k (F q^h)^k x (q^-h E)^k.
     """
     n = len(factors)
-    if n == 1:
+    if n <= 1:
         return linalg.identity(weight_space(factors, level).dim)
     rest = factors[1:]
     piece = _theta_sum(factors, level, min(level, factors[0].size - 1),
@@ -210,7 +210,7 @@ def _cartan(factors, level):
 def _r_n(factors, level):
     """R^(n) by its own recursion, independent of the C^(n) Theta^(n) product."""
     n = len(factors)
-    if n == 1:
+    if n <= 1:
         return linalg.identity(weight_space(factors, level).dim)
     rest = factors[1:]
     # (1 x Delta^{n-2})(C) = q^{h_0 (h_1 + ... + h_{n-1}) / 2}

@@ -18,7 +18,7 @@ l+1, so the matrices are rectangular between adjacent slices.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from . import linalg
 from .qring import ONE
@@ -77,6 +77,16 @@ class WeightSpace:
         return f"WeightSpace({list(self.factors)!r}, l={self.level}, dim={self.dim})"
 
 
+def simple_factors(lams: Sequence[int]) -> tuple[WeightModule, ...]:
+    """V_{lam_1}, ..., V_{lam_n}."""
+    return tuple(make_simple(x) for x in lams)
+
+
+def dual_factors(lams: Sequence[int]) -> tuple[WeightModule, ...]:
+    """The contragredients, carrying the dual monomial coordinates."""
+    return tuple(contragredient(make_simple(x)) for x in lams)
+
+
 @lru_cache(maxsize=None)
 def weight_space(factors: tuple[WeightModule, ...], level: int) -> WeightSpace:
     return WeightSpace(factors, level)
@@ -123,49 +133,3 @@ def coproduct_matrix(factors: tuple[WeightModule, ...], level: int,
                 p = tgt.pos[m[:i] + (t,) + m[i + 1:]]
                 out[p] = out[p] + c if p in out else c
     return linalg.Matrix((tgt.dim, src.dim), cols)
-
-
-class TensorModule:
-    """Ordered list of factors with cached per-slice operator matrices."""
-
-    def __init__(self, factors: Sequence[WeightModule]):
-        if len(factors) < 1:
-            raise ValueError("need at least one factor")
-        self.factors = tuple(factors)
-
-    @property
-    def n(self) -> int:
-        return len(self.factors)
-
-    @property
-    def weight_sum(self) -> int:
-        return sum(f.highest_weight for f in self.factors)
-
-    @property
-    def max_level(self) -> int:
-        return sum(f.size - 1 for f in self.factors)
-
-    def weight_space(self, level: int) -> WeightSpace:
-        return weight_space(self.factors, level)
-
-    def coproduct_matrix(self, level: int, gen: str) -> linalg.Matrix:
-        return coproduct_matrix(self.factors, level, gen)
-
-    def levels(self) -> Iterator[int]:
-        return iter(range(self.max_level + 1))
-
-    def contragredient(self) -> "TensorModule":
-        return TensorModule(tuple(contragredient(f) for f in self.factors))
-
-    def __repr__(self):
-        return " (x) ".join(repr(f) for f in self.factors)
-
-
-def simple_tensor(lams: Sequence[int]) -> TensorModule:
-    """V_{lam_1} x ... x V_{lam_n}."""
-    return TensorModule(tuple(make_simple(x) for x in lams))
-
-
-def dual_tensor(lams: Sequence[int]) -> TensorModule:
-    """The contragredient product, carrying the dual monomial coordinates."""
-    return TensorModule(tuple(contragredient(make_simple(x)) for x in lams))

@@ -5,7 +5,8 @@ highest weights) and returns a result record; `run_suite` composes them.  The
 checks are deliberately redundant with independent machinery on each side:
 dimension counts come from convolving weight multisets, singular counts from
 fraction-free rank, braid products are compared against coproduct recursions,
-and the diagram model is compared against the fixed-point solver.
+diagram listings against an exhaustive chord search, and the diagram model
+against the fixed-point solver.
 """
 
 from __future__ import annotations
@@ -17,14 +18,15 @@ from typing import Callable, Iterable, Sequence
 
 from . import linalg
 from .canonical import (canonical_basis_pair, dual_canonical_basis, psi_c,
-                        psi_tensor2, simple_factors, singular_subset)
+                        psi_tensor2, singular_subset)
 from .cabling import cabling_report
-from .diagrams import (diagram_of_index, enumerate_B, filter_invariant,
-                       filter_singular, index_of_diagram)
+from .diagrams import (ArcDiagram, _crossing, diagram_of_index, enumerate_B,
+                       filter_invariant, filter_singular, index_of_diagram,
+                       validate_diagram)
 from .qring import ONE, QScalar, in_qinv_ideal
 from .rmatrix import (cartan_factor, r_n_matrix, rcheck_longest,
                       sigma0_matrix, tau_theta_direct, theta_n_matrix)
-from .tensor import enumerate_P
+from .tensor import enumerate_P, simple_factors
 
 
 @dataclass
@@ -59,6 +61,52 @@ def independent_dimension(lams: Sequence[int], level: int) -> int:
                 nxt[ww] = nxt.get(ww, 0) + c
         counts = nxt
     return counts.get(sum(lams) - 2 * level, 0)
+
+
+def search_diagrams(lam: Sequence[int], l: int) -> list[ArcDiagram]:
+    """All valid diagrams with l chords by exhaustive search, sorted by chords:
+    the reference `enumerate_B` is checked against.
+
+    Recursive multiset choice over the chord alphabet with early capacity and
+    crossing pruning; the pass-over condition depends on final degrees and is
+    checked on complete candidates.
+    """
+    lam = tuple(lam)
+    n = len(lam)
+    alphabet = [(i, j) for i in range(n + 1) for j in range(i + 1, n + 1)]
+    out = []
+    degrees = [0] * (n + 1)
+
+    def chord_cap(c):
+        i, j = c
+        cap = lam[j - 1] - degrees[j]
+        if i >= 1:
+            cap = min(cap, lam[i - 1] - degrees[i])
+        return cap
+
+    def rec(pos: int, remaining: int, chosen: list):
+        if remaining == 0:
+            d = ArcDiagram(n, lam, tuple(chosen))
+            if validate_diagram(d).ok:
+                out.append(d)
+            return
+        if pos == len(alphabet):
+            return
+        c = alphabet[pos]
+        crosses = any(_crossing(c, other) for other in chosen)
+        top = 0 if crosses else min(remaining, chord_cap(c))
+        rec(pos + 1, remaining, chosen)
+        for mult in range(1, top + 1):
+            chosen.extend([c] * mult)
+            degrees[c[0]] += mult
+            degrees[c[1]] += mult
+            rec(pos + 1, remaining - mult, chosen)
+            degrees[c[0]] -= mult
+            degrees[c[1]] -= mult
+            del chosen[len(chosen) - mult:]
+
+    rec(0, l, [])
+    return sorted(out, key=lambda d: d.chords)
 
 
 def _check(name: str, body: Callable[[], str]) -> CheckResult:
@@ -199,13 +247,15 @@ def check_solver_contract(max_sum: int = 6) -> CheckResult:
 
 
 def check_bijection_counts(max_sum: int = 6) -> CheckResult:
-    """Diagram count = index count = slice dimension; the index map is a
-    round-trip bijection."""
+    """The bijection listing equals the exhaustive search; diagram count =
+    index count = slice dimension; the index map is a round-trip bijection."""
     def body():
         cases = 0
         for lams in positive_compositions(max_sum):
             for l in range(sum(lams) + 1):
                 diagrams = enumerate_B(lams, l)
+                assert diagrams == search_diagrams(lams, l), \
+                    f"listing != exhaustive search on {lams} level {l}"
                 indices = [index_of_diagram(d) for d in diagrams]
                 expected = enumerate_P(lams, l)
                 assert sorted(indices) == expected, \

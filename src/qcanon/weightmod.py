@@ -20,7 +20,7 @@ Three kinds are supported:
 
 * ``verma``: the same formulas on slots 0..L for any integer highest weight,
   with F truncated past slot L.  Truncation is lossless for computations that
-  never push past level L; callers guard that with ``require_level``.
+  never push past level L; callers size L to the levels they need.
 
 * ``contragredient``: the restricted dual of another module, with the action
   twisted by the antiautomorphism tau (e <-> f, q^h fixed).  On the rewritten
@@ -42,8 +42,6 @@ GEN_QH = "qh"
 GEN_QH_INV = "qh_inv"
 GEN_QHALF = "qh2"
 GEN_QHALF_INV = "qh2_inv"
-
-GENERATORS = (GEN_E, GEN_F, GEN_QH, GEN_QH_INV, GEN_QHALF, GEN_QHALF_INV)
 
 
 class NegativeWeightError(ValueError):
@@ -77,20 +75,11 @@ class WeightModule:
     def weight(self, slot: int) -> int:
         return self.highest_weight - 2 * slot
 
-    @property
-    def truncation_level(self) -> int:
-        return self.size - 1
-
-    def require_level(self, level: int) -> None:
-        if self.kind != "simple" and level > self.truncation_level:
-            raise TruncationTooSmallError(
-                f"level {level} exceeds truncation {self.truncation_level}")
-
     def __repr__(self):
         if self.kind == "contragredient":
             return f"({self.base!r})^c"
         tag = "V" if self.kind == "simple" else "M"
-        extra = "" if self.kind == "simple" else f";L={self.truncation_level}"
+        extra = "" if self.kind == "simple" else f";L={self.size - 1}"
         return f"{tag}({self.highest_weight}{extra})"
 
 

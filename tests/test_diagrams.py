@@ -8,6 +8,7 @@ from qcanon.diagrams import (ArcDiagram, InvalidDiagramError, NotInPError,
                              filter_invariant, filter_singular,
                              index_of_diagram, render, validate_diagram)
 from qcanon.tensor import enumerate_P
+from qcanon.verify import search_diagrams
 
 
 def diag(lam, chords):
@@ -19,6 +20,12 @@ def small_lams(max_sum):
         for lam in itertools.product(range(1, max_sum + 1), repeat=n):
             if sum(lam) <= max_sum:
                 yield lam
+
+
+def capacities_with_zeros(max_n=4):
+    """Every capacity tuple over {0, 1, 2} with at most max_n points."""
+    for n in range(max_n + 1):
+        yield from itertools.product(range(3), repeat=n)
 
 
 class TestValidate:
@@ -68,7 +75,8 @@ class TestEnumerate:
     def test_counts_match_index_sets(self):
         for lam in small_lams(6):
             for l in range(sum(lam) + 1):
-                assert len(enumerate_B(lam, l)) == len(enumerate_P(lam, l))
+                assert len(search_diagrams(lam, l)) == \
+                    len(enumerate_P(lam, l))
 
 
 class TestIndexBijection:
@@ -82,20 +90,14 @@ class TestIndexBijection:
         assert diagram_of_index((2,), (1,)).chords == ((0, 1),)
 
     def test_round_trip_and_bijectivity(self):
-        for lam in small_lams(6):
+        for lam in itertools.chain(small_lams(6), capacities_with_zeros()):
             for l in range(sum(lam) + 1):
-                diagrams = enumerate_B(lam, l)
+                diagrams = search_diagrams(lam, l)
                 indices = [index_of_diagram(d) for d in diagrams]
                 assert sorted(indices) == enumerate_P(lam, l)
                 for d, a in zip(diagrams, indices):
                     assert diagram_of_index(lam, a) == d
-
-    def test_greedy_matches_filter(self):
-        for lam in [(1, 1), (2, 1), (1, 2, 1), (2, 2)]:
-            for l in range(sum(lam) + 1):
-                for a in enumerate_P(lam, l):
-                    assert diagram_of_index(lam, a, "greedy") == \
-                        diagram_of_index(lam, a, "filter")
+                assert enumerate_B(lam, l) == diagrams
 
     def test_not_in_p(self):
         with pytest.raises(NotInPError):

@@ -6,7 +6,8 @@ from qcanon.rmatrix import (NotReducedError, cartan_factor,
                             default_longest_word, r_n_matrix, rcheck_longest,
                             rcheck_matrix, sigma0_matrix, tau_theta_direct,
                             tau_theta_n, theta_matrix, theta_n_matrix)
-from qcanon.tensor import simple_tensor
+from qcanon.canonical import dual_canonical_basis
+from qcanon.tensor import coproduct_matrix
 from qcanon.weightmod import (GEN_E, GEN_F, contragredient, make_simple)
 
 q = QScalar.q_power
@@ -84,12 +85,11 @@ class TestRcheck:
     def test_intertwines_coproduct(self, gen):
         src = factors(1, 2)
         l = 1
-        t_src = simple_tensor([1, 2])
-        t_tgt = simple_tensor([2, 1])
+        tgt = factors(2, 1)
         shift = -1 if gen == GEN_E else 1
         lhs = linalg.matmul(rcheck_matrix(src, l + shift, 0).matrix,
-                            t_src.coproduct_matrix(l, gen))
-        rhs = linalg.matmul(t_tgt.coproduct_matrix(l, gen),
+                            coproduct_matrix(src, l, gen))
+        rhs = linalg.matmul(coproduct_matrix(tgt, l, gen),
                             rcheck_matrix(src, l, 0).matrix)
         assert linalg.mat_eq(lhs, rhs)
 
@@ -99,16 +99,16 @@ class TestRcheck:
         lams = (1, 2, 1)
         swapped = list(lams)
         swapped[pos], swapped[pos + 1] = swapped[pos + 1], swapped[pos]
-        t_src = simple_tensor(lams)
-        t_tgt = simple_tensor(swapped)
+        src = factors(*lams)
+        tgt = factors(*swapped)
         shift = -1 if gen == GEN_E else 1
         for l in range(1, sum(lams)):
             lhs = linalg.matmul(
-                rcheck_matrix(t_src.factors, l + shift, pos).matrix,
-                t_src.coproduct_matrix(l, gen))
+                rcheck_matrix(src, l + shift, pos).matrix,
+                coproduct_matrix(src, l, gen))
             rhs = linalg.matmul(
-                t_tgt.coproduct_matrix(l, gen),
-                rcheck_matrix(t_src.factors, l, pos).matrix)
+                coproduct_matrix(tgt, l, gen),
+                rcheck_matrix(src, l, pos).matrix)
             assert linalg.mat_eq(lhs, rhs)
 
 
@@ -216,3 +216,17 @@ def test_cached_operator_is_immutable():
         op.matrix.shape = (0, 0)
     again = theta_n_matrix(fs, 1).matrix
     assert again[0, 0] == original == ONE
+
+
+@pytest.mark.parametrize("wrapper", [
+    cartan_factor, theta_n_matrix, r_n_matrix, sigma0_matrix, rcheck_longest,
+    tau_theta_direct, tau_theta_n], ids=lambda f: f.__name__)
+def test_empty_product_is_trivial_module(wrapper):
+    # no factors: the trivial module, one vector at level 0 and none above
+    assert linalg.mat_eq(wrapper((), 0).matrix, linalg.identity(1))
+    assert wrapper((), 1).matrix.shape == (0, 0)
+
+
+def test_empty_product_dual_basis():
+    (b,) = dual_canonical_basis((), 0)
+    assert b.index == () and b.coeff(()) == ONE
