@@ -70,9 +70,9 @@ def verma_unit_embedding(factor_weight: int, level: int) -> UnitEmbedding:
 class DualCablingMatrix:
     """The transposed embedding between dual weight slices at one level.
 
-    Rows run over all nonnegative index tuples of the target summing to the
-    level (the ambient truncated-Verma slice, so leaks outside the simple
-    range are visible); columns run over the unit-capacity index tuples.
+    Rows run over the index tuples of the lam-weight slice, enumerate_P(lam,
+    level): each column lands on the tuple of its block sums, which is
+    componentwise <= lam.  Columns run over the unit-capacity index tuples.
     """
     lam: tuple[int, ...]
     level: int
@@ -87,7 +87,7 @@ def dual_cabling_matrix(lam: Sequence[int], level: int) -> DualCablingMatrix:
     total = sum(lam)
     if total < level:
         raise ValueError(f"level {level} exceeds the unit point count {total}")
-    rows = tuple(enumerate_P((level,) * len(lam), level))
+    rows = tuple(enumerate_P(lam, level))
     cols = tuple(enumerate_P((1,) * total, level))
     embeddings = [verma_unit_embedding(x, level) for x in lam]
     spaces = [[emb.target_space(m) for m in range(level + 1)]
@@ -154,12 +154,7 @@ def cabling_report(lam: Sequence[int], level: int) -> CablingReport:
     dcm = dual_cabling_matrix(lam, level)  # first: it rejects empty blocks
     unit = (1,) * sum(lam)
     source = dual_canonical_basis(unit, level)
-    target = dual_canonical_basis(lam, level)
-    row_pos = {a: r for r, a in enumerate(dcm.rows)}
-    target_padded = {}
-    for b in target:
-        target_padded[b.index] = linalg.Vector(len(dcm.rows), {
-            row_pos[b.space.indices[i]]: c for i, c in b.coords.items()})
+    target = {b.index: b for b in dual_canonical_basis(lam, level)}
     outcomes = []
     for b in source:
         x = linalg.matmul(dcm.matrix, b.coords)
@@ -173,12 +168,12 @@ def cabling_report(lam: Sequence[int], level: int) -> CablingReport:
             outcomes.append(CablingOutcome(b.index, killed=True))
             continue
         a = index_of_diagram(collapsed)
-        s = x[row_pos[a]]
+        s = x[target[a].space.pos[a]]
         if not s:
             raise StructuralMismatchError(
                 f"diagram of {b.index} survives cabling but the algebraic "
                 f"image misses its target {a} on {lam} at level {level}")
-        expected = linalg.mat_scale(target_padded[a], s)
+        expected = linalg.mat_scale(target[a].coords, s)
         if not linalg.mat_eq(x, expected):
             raise StructuralMismatchError(
                 f"image of {b.index} is not proportional to the dual "

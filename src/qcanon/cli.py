@@ -27,8 +27,7 @@ import sys
 from .cabling import StructuralMismatchError, cabling_report
 from .canonical import (CountMismatchError, TriangularityViolationError,
                         canonical_basis_pair, dual_canonical_basis)
-from .diagrams import (InvalidDiagramError, NotInPError, WeightMismatchError,
-                       ZeroBlockError, enumerate_B, filter_invariant,
+from .diagrams import (InvalidDiagramError, enumerate_B, filter_invariant,
                        filter_singular, render_ascii, render_svg_many)
 from .qring import BarAsymmetryError, InexactDivisionError, OddExponentError
 from .rmatrix import (CrossCheckFailureError, NotReducedError, rcheck_matrix,
@@ -36,12 +35,10 @@ from .rmatrix import (CrossCheckFailureError, NotReducedError, rcheck_matrix,
                       theta_n_matrix)
 from .tensor import dual_factors, simple_factors, weight_space
 from .verify import SUITE_ALIASES, run_suite
-from .weightmod import NegativeWeightError, TruncationTooSmallError
 
 SCHEMA = "qcanon/1"
 
-_BAD_REQUEST = (NegativeWeightError, TruncationTooSmallError, NotInPError,
-                ZeroBlockError, WeightMismatchError, ValueError, KeyError)
+_BAD_REQUEST = (ValueError, KeyError)
 _PROPERTY_FAILURE = (TriangularityViolationError, CountMismatchError,
                      StructuralMismatchError, CrossCheckFailureError,
                      NotReducedError, InvalidDiagramError, BarAsymmetryError,
@@ -81,14 +78,22 @@ def _dump(obj: dict, output: str | None) -> None:
     _emit(json.dumps(obj, sort_keys=True, indent=2) + "\n", output)
 
 
-def _guard(args, parser) -> None:
+def _guard(args, parser, *more_lams) -> None:
+    """Bound the request; the dimension cap also covers the slices of
+    more_lams at the same level."""
     if sum(args.lam) > args.max_sum:
         parser.error(f"sum(lambda) = {sum(args.lam)} exceeds the limit "
                      f"{args.max_sum} (raise with --max-sum)")
     cap = os.environ.get("QCANON_MAX_DIM")
-    if cap:
-        dim = weight_space(dual_factors(args.lam), args.level).dim
-        if dim > int(cap):
+    if not cap:
+        return
+    try:
+        limit = int(cap)
+    except ValueError:
+        parser.error(f"QCANON_MAX_DIM must be an integer, got {cap!r}")
+    for lams in (args.lam, *more_lams):
+        dim = weight_space(dual_factors(lams), args.level).dim
+        if dim > limit:
             parser.error(f"weight slice dimension {dim} exceeds "
                          f"QCANON_MAX_DIM={cap}")
 
@@ -183,22 +188,19 @@ def cmd_rmatrix(args, parser) -> int:
         op = theta_n_matrix(simple_factors(lams), level)
     elif args.op == "tau_theta_n":
         op = tau_theta_n(dual_factors(lams), level)
-    elif args.op == "rcheck":
-        if args.pos is None:
-            op = rcheck_longest(simple_factors(lams), level)
-        elif not 0 <= args.pos < len(lams) - 1:
-            parser.error(f"--pos {args.pos} is out of range: need "
-                         f"0 <= pos < {len(lams) - 1} for {len(lams)} factors")
-        else:
-            op = rcheck_matrix(simple_factors(lams), level, args.pos)
-    else:  # unreachable through argparse choices
-        parser.error(f"unknown operator {args.op}")
+    elif args.pos is None:  # rcheck, the only other choice
+        op = rcheck_longest(simple_factors(lams), level)
+    elif not 0 <= args.pos < len(lams) - 1:
+        parser.error(f"--pos {args.pos} is out of range: need "
+                     f"0 <= pos < {len(lams) - 1} for {len(lams)} factors")
+    else:
+        op = rcheck_matrix(simple_factors(lams), level, args.pos)
     _dump(_operator_json(op, lams, level, args.op, args.pos), args.output)
     return 0
 
 
 def cmd_cable(args, parser) -> int:
-    _guard(args, parser)
+    _guard(args, parser, (1,) * sum(args.lam))  # and the unit slice it cables
     report = cabling_report(args.lam, args.level)
     _dump({"schema": SCHEMA, **report.to_json_dict()}, args.output)
     return 0

@@ -5,15 +5,16 @@ diagonally (multiplier v^{mu nu} on a vector of factor weights mu, nu) and
 
     Theta = sum_k  q^{k(k-1)/2} (q - q^-1)^k / [k]!  E^k x F^k.
 
-The n-fold versions are built by the coproduct recursions
+The n-fold version has one production recursion,
 
-    Theta^(n) = (1 x Theta^(n-1)) . (1 x Delta^{n-2})(Theta)
-              = (Theta^(n-1) x 1) . (Delta^{n-2} x 1)(Theta)
+    Theta^(n) = (1 x Theta^(n-1)) . (1 x Delta^{n-2})(Theta),
 
-and likewise for R^(n); C^(n) = q^{1/2 sum_{i<j} h_i h_j} stays diagonal.
-The commutativity isomorphism Rcheck = P . R on an adjacent pair of factors
-composes along a reduced word of the order-reversing permutation into the
-longest braiding Rcheck^(n), which is word-independent.
+and C^(n) = q^{1/2 sum_{i<j} h_i h_j} stays diagonal.  The references that
+only checks call are the right-hand recursion `_theta_n_right`, R^(n) by its
+own recursion `_r_n`, and tau(Theta^(n)) as an element, `_tau_theta_direct`.
+Rcheck = P . C . Theta on factors (i, i+1) is one cached pair operator, lifted;
+along a reduced word of the order-reversing permutation these compose into
+the longest braiding Rcheck^(n), which is word-independent.
 
 Applying the antiautomorphism tau factorwise reverses products and swaps the
 legs of Theta (tau(E) = F q^h, tau(F) = q^-h E), giving a parallel recursion
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import linalg
-from .qring import ONE, Q_MINUS_QINV, QScalar, exact_div, quantum_factorial
+from .qring import ONE, Q_MINUS_QINV, QScalar, quantum_factorial
 from .tensor import (WeightSpace, coproduct_matrix, coproduct_target_level,
                      weight_space)
 from .weightmod import GEN_E, GEN_F, GEN_QH, GEN_QH_INV
@@ -62,20 +63,23 @@ class BraidOperator:
 # the shared building blocks: lift, coproduct power, Theta sum, Cartan diagonal
 # ---------------------------------------------------------------------------
 
-def _lift(factors, level, lo, hi, sub_fn, shift):
+def _lift(factors, level, lo, hi, sub_fn, shift, out_block=None):
     """X on the block factors[lo:hi], identity on the other factors.
 
-    sub_fn(b) is the matrix of X from the block's slice at level b to level
-    b + shift; the lift maps W(factors, level) -> W(factors, level + shift).
+    sub_fn(b) is the matrix of X from the block's slice at level b to the
+    slice of out_block (default: the block) at level b + shift; the lift
+    lands on the factors with the block replaced by out_block, at level +
+    shift.
     """
-    src = weight_space(factors, level)
-    tgt = weight_space(factors, level + shift)
     block = factors[lo:hi]
+    out_block = block if out_block is None else out_block
+    src = weight_space(factors, level)
+    tgt = weight_space(factors[:lo] + out_block + factors[hi:], level + shift)
     cols = [{} for _ in range(src.dim)]
     for j, m in enumerate(src.indices):
         head, part, tail = m[:lo], m[lo:hi], m[hi:]
         b = sum(part)
-        sub_tgt = weight_space(block, b + shift)
+        sub_tgt = weight_space(out_block, b + shift)
         out = cols[j]
         for i, x in sub_fn(b).col(weight_space(block, b).pos[part]).items():
             out[tgt.pos[head + sub_tgt.indices[i] + tail]] = x
@@ -90,10 +94,9 @@ def _word_shift(word) -> int:
 @lru_cache(maxsize=None)
 def _coproduct_power(factors, level, word, k):
     """(Delta^{n-1} w)^k for the generator word w = (g_1, ..., g_r), read as
-    the product g_1 ... g_r, as a chain of adjacent-slice matrices.
-
-    On one factor this is the plain power on the module; the words (F, qh)
-    and (qh_inv, E) give tau(E) = F q^h and tau(F) = q^-h E.
+    the product g_1 ... g_r, as a chain of adjacent-slice matrices: the legs
+    of every Theta sum.  The words (F, qh) and (qh_inv, E) give
+    tau(E) = F q^h and tau(F) = q^-h E.
     """
     if k == 0:
         return linalg.identity(weight_space(factors, level).dim)
@@ -165,20 +168,26 @@ def _theta_piece_last(factors, level):
 
 
 @lru_cache(maxsize=None)
-def _theta_n(factors, level, form="left"):
+def _theta_n(factors, level):
+    """Theta^(n) = (1 x Theta^(n-1)) . (1 x Delta^{n-2})(Theta)."""
     n = len(factors)
     if n <= 1:
         return linalg.identity(weight_space(factors, level).dim)
-    if form == "left":
-        rest = factors[1:]
-        return linalg.matmul(
-            _lift(factors, level, 1, n,
-                  lambda b: _theta_n(rest, b, "left"), 0),
-            _theta_piece_first(factors, level))
+    rest = factors[1:]
+    return linalg.matmul(
+        _lift(factors, level, 1, n, lambda b: _theta_n(rest, b), 0),
+        _theta_piece_first(factors, level))
+
+
+@lru_cache(maxsize=None)
+def _theta_n_right(factors, level):
+    """Reference: Theta^(n) = (Theta^(n-1) x 1) . (Delta^{n-2} x 1)(Theta)."""
+    n = len(factors)
+    if n <= 1:
+        return linalg.identity(weight_space(factors, level).dim)
     init = factors[:-1]
     return linalg.matmul(
-        _lift(factors, level, 0, n - 1,
-              lambda b: _theta_n(init, b, "right"), 0),
+        _lift(factors, level, 0, n - 1, lambda b: _theta_n_right(init, b), 0),
         _theta_piece_last(factors, level))
 
 
@@ -232,32 +241,25 @@ def _sigma0(factors, level):
                          [{tgt.pos[m[::-1]]: ONE} for m in src.indices])
 
 
+def _swapped(factors, i):
+    """The factor sequence with entries i and i+1 exchanged."""
+    return factors[:i] + (factors[i + 1], factors[i]) + factors[i + 2:]
+
+
+@lru_cache(maxsize=None)
+def _pair_rcheck(pair, level):
+    """P . C . Theta on a two-factor slice, onto the reversed pair."""
+    return linalg.matmul(_sigma0(pair, level),
+                         linalg.matmul(_cartan(pair, level),
+                                       _theta_piece_first(pair, level)))
+
+
 @lru_cache(maxsize=None)
 def _rcheck(factors, level, i):
-    """P . C . Theta on factors (i, i+1): maps onto the swapped sequence."""
-    src = weight_space(factors, level)
-    swapped = factors[:i] + (factors[i + 1], factors[i]) + factors[i + 2:]
-    tgt = weight_space(swapped, level)
-    cols = [{} for _ in range(src.dim)]
-    a, b = factors[i], factors[i + 1]
-    kmax = min(level, a.size - 1, b.size - 1)
-    for j, m in enumerate(src.indices):
-        out = cols[j]
-        for k in range(kmax + 1):
-            ta = m[i] - k
-            tb = m[i + 1] + k
-            if ta < 0 or tb >= b.size:
-                continue
-            c = _coproduct_power((a,), m[i], (GEN_E,), k)[0, 0] \
-                * _coproduct_power((b,), m[i + 1], (GEN_F,), k)[0, 0]
-            if not c:
-                continue
-            coeff = exact_div(_theta_coefficient(k) * c, quantum_factorial(k))
-            # Cartan factor at the Theta output, then swap the pair
-            coeff = coeff * QScalar.v_power(a.weight(ta) * b.weight(tb))
-            p = tgt.pos[m[:i] + (tb, ta) + m[i + 2:]]
-            out[p] = out[p] + coeff if p in out else coeff
-    return linalg.Matrix((tgt.dim, src.dim), cols)
+    """The pair operator on factors (i, i+1): maps onto the swapped sequence."""
+    pair = factors[i:i + 2]
+    return _lift(factors, level, i, i + 2, lambda b: _pair_rcheck(pair, b), 0,
+                 out_block=pair[::-1])
 
 
 def default_longest_word(n: int) -> tuple[int, ...]:
@@ -293,8 +295,7 @@ def _rcheck_longest(factors, level, word=None):
     mat = linalg.identity(src.dim)
     for i in word:
         mat = linalg.matmul(_rcheck(cur_factors, level, i), mat)
-        cur_factors = cur_factors[:i] + (cur_factors[i + 1], cur_factors[i]) \
-            + cur_factors[i + 2:]
+        cur_factors = _swapped(cur_factors, i)
     return mat
 
 
@@ -349,8 +350,8 @@ def cartan_factor(factors, level) -> BraidOperator:
     return _operator(_cartan, factors, level)
 
 
-def theta_n_matrix(factors, level, form="left") -> BraidOperator:
-    return _operator(_theta_n, factors, level, form)
+def theta_n_matrix(factors, level) -> BraidOperator:
+    return _operator(_theta_n, factors, level)
 
 
 def r_n_matrix(factors, level) -> BraidOperator:
@@ -363,8 +364,7 @@ def sigma0_matrix(factors, level) -> BraidOperator:
 
 def rcheck_matrix(factors, level, i) -> BraidOperator:
     factors = tuple(factors)
-    swapped = factors[:i] + (factors[i + 1], factors[i]) + factors[i + 2:]
-    return _operator(_rcheck, factors, level, i, target=swapped)
+    return _operator(_rcheck, factors, level, i, target=_swapped(factors, i))
 
 
 def rcheck_longest(factors, level, word=None) -> BraidOperator:

@@ -11,8 +11,10 @@ Generator actions are the iterated comultiplication
     E |-> sum_i  1 x ... x E_i x q^h x ... x q^h
     F |-> sum_i  q^-h x ... x q^-h x F_i x 1 x ... x 1
 
-with the Cartan generators acting diagonally; E maps level l to l-1 and F to
-l+1, so the matrices are rectangular between adjacent slices.
+where each q^h flank is the scalar v^(2 w) on a factor of weight w.  A Cartan
+generator acts on a whole slice by one scalar, v^(c * weight) with c its
+exponent per unit of weight.  E maps level l to l-1 and F to l+1, so their
+matrices are rectangular between adjacent slices.
 """
 
 from __future__ import annotations
@@ -21,12 +23,9 @@ from functools import lru_cache
 from typing import Sequence
 
 from . import linalg
-from .qring import ONE
-from .weightmod import (GEN_E, GEN_F, GEN_QH, GEN_QH_INV, GEN_QHALF,
-                        GEN_QHALF_INV, WeightModule, contragredient,
-                        make_simple)
-
-_DIAGONAL_GENS = (GEN_QH, GEN_QH_INV, GEN_QHALF, GEN_QHALF_INV)
+from .qring import QScalar
+from .weightmod import (CARTAN_EXPONENT, GEN_E, GEN_F, WeightModule,
+                        contragredient, make_simple)
 
 
 def enumerate_P(lam: Sequence[int], l: int) -> list[tuple[int, ...]]:
@@ -110,26 +109,20 @@ def coproduct_matrix(factors: tuple[WeightModule, ...], level: int,
     """
     src = weight_space(factors, level)
     tgt = weight_space(factors, coproduct_target_level(level, gen))
-    n = len(factors)
-    if gen in _DIAGONAL_GENS:
-        entries = []
-        for m in src.indices:
-            val = ONE
-            for f, mi in zip(factors, m):
-                val = val * f.matrix(gen)[mi, mi]
-            entries.append(val)
-        return linalg.diagonal(entries)
+    if gen in CARTAN_EXPONENT:
+        scalar = QScalar.v_power(CARTAN_EXPONENT[gen] * src.weight)
+        return linalg.diagonal([scalar] * src.dim)
     cols = [{} for _ in range(src.dim)]
-    flank_gen = GEN_QH if gen == GEN_E else GEN_QH_INV
     for j, m in enumerate(src.indices):
+        w = src.factor_weights(m)
         out = cols[j]
-        for i in range(n):
+        for i in range(len(factors)):
+            # E carries q^h on the factors after slot i, F carries q^-h on
+            # the factors before it.
+            flank = QScalar.v_power(2 * sum(w[i + 1:]) if gen == GEN_E
+                                    else -2 * sum(w[:i]))
             for t, c in factors[i].matrix(gen).col(m[i]).items():
-                # E carries q^h on the factors after slot i, F carries q^-h
-                # on the factors before it.
-                flank_range = range(i + 1, n) if gen == GEN_E else range(i)
-                for k in flank_range:
-                    c = c * factors[k].matrix(flank_gen)[m[k], m[k]]
+                c = c * flank
                 p = tgt.pos[m[:i] + (t,) + m[i + 1:]]
                 out[p] = out[p] + c if p in out else c
     return linalg.Matrix((tgt.dim, src.dim), cols)

@@ -43,6 +43,10 @@ GEN_QH_INV = "qh_inv"
 GEN_QHALF = "qh2"
 GEN_QHALF_INV = "qh2_inv"
 
+# Each Cartan generator as a v-exponent per unit of weight: q^h acts on a
+# weight-w vector by v^(2w), q^{h/2} by v^w.
+CARTAN_EXPONENT = {GEN_QH: 2, GEN_QH_INV: -2, GEN_QHALF: 1, GEN_QHALF_INV: -1}
+
 
 class NegativeWeightError(ValueError):
     """Simple modules need a nonnegative integer highest weight."""
@@ -92,15 +96,12 @@ def _ladder_matrices(lam: int, size: int) -> dict:
                 else -quantum_int(m - 1 - lam)
         if m + 1 < size:
             f[m][m + 1] = quantum_int(m + 1)
-    weights = [lam - 2 * m for m in range(size)]
-    return {
-        GEN_E: linalg.Matrix((size, size), e),
-        GEN_F: linalg.Matrix((size, size), f),
-        GEN_QH: linalg.diagonal([QScalar.q_power(w) for w in weights]),
-        GEN_QH_INV: linalg.diagonal([QScalar.q_power(-w) for w in weights]),
-        GEN_QHALF: linalg.diagonal([QScalar.v_power(w) for w in weights]),
-        GEN_QHALF_INV: linalg.diagonal([QScalar.v_power(-w) for w in weights]),
-    }
+    mats = {gen: linalg.diagonal([QScalar.v_power(c * (lam - 2 * m))
+                                  for m in range(size)])
+            for gen, c in CARTAN_EXPONENT.items()}
+    mats[GEN_E] = linalg.Matrix((size, size), e)
+    mats[GEN_F] = linalg.Matrix((size, size), f)
+    return mats
 
 
 @lru_cache(maxsize=None)
@@ -122,18 +123,11 @@ def contragredient(module: WeightModule) -> WeightModule:
     if module.kind == "contragredient":
         return module.base
     mats = module._mats
-    # tau(E) = F q^h, tau(F) = q^-h E, tau fixes the Cartan part; the dual
-    # action of g is the transpose of tau(g).
-    tau_e = linalg.matmul(mats[GEN_F], mats[GEN_QH])
-    tau_f = linalg.matmul(mats[GEN_QH_INV], mats[GEN_E])
-    dual = {
-        GEN_E: linalg.transpose(tau_e),
-        GEN_F: linalg.transpose(tau_f),
-        GEN_QH: linalg.transpose(mats[GEN_QH]),
-        GEN_QH_INV: linalg.transpose(mats[GEN_QH_INV]),
-        GEN_QHALF: linalg.transpose(mats[GEN_QHALF]),
-        GEN_QHALF_INV: linalg.transpose(mats[GEN_QHALF_INV]),
-    }
+    # tau(E) = F q^h, tau(F) = q^-h E; the dual action of g is the transpose
+    # of tau(g).  tau fixes the Cartan part, whose diagonals are symmetric.
+    dual = {gen: mats[gen] for gen in CARTAN_EXPONENT}
+    dual[GEN_E] = linalg.transpose(linalg.matmul(mats[GEN_F], mats[GEN_QH]))
+    dual[GEN_F] = linalg.transpose(linalg.matmul(mats[GEN_QH_INV], mats[GEN_E]))
     return WeightModule("contragredient", module.highest_weight, module.size,
                         dual, base=module)
 

@@ -7,7 +7,7 @@ from qcanon.cabling import (ZeroBlockError, block_map,
                             dual_cabling_matrix, is_monomial_unit,
                             cabling_report, verma_unit_embedding)
 from qcanon.qring import ONE, QScalar
-from qcanon.tensor import coproduct_matrix, weight_space
+from qcanon.tensor import coproduct_matrix, enumerate_P, weight_space
 from qcanon.weightmod import GEN_E, GEN_F, GEN_QH, make_verma_truncated
 
 q = QScalar.q_power
@@ -84,6 +84,12 @@ class TestDualCablingMatrix:
     def test_weight_preserving_shape(self):
         dcm = dual_cabling_matrix((2, 1), 2)
         assert dcm.matrix.shape == (len(dcm.rows), len(dcm.cols))
+
+    def test_rows_are_the_lam_slice(self):
+        dcm = dual_cabling_matrix((2, 1, 1), 3)
+        assert dcm.rows == tuple(enumerate_P((2, 1, 1), 3))
+        assert all(dcm.matrix.col(j).support()
+                   for j in range(len(dcm.cols)))
 
 
 class TestCablingReport:

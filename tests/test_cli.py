@@ -234,6 +234,23 @@ class TestGuards:
             run(capsys, "basis", "--lambda", "1,1", "--level", "1")
         assert err.value.code == 2
 
+    def test_dimension_cap_covers_the_cabled_unit_slice(self, capsys,
+                                                         monkeypatch):
+        # the (2,2) slice at level 2 has dim 3; cable also solves 1^4 at
+        # level 2, of dim 6
+        monkeypatch.setenv("QCANON_MAX_DIM", "5")
+        with pytest.raises(SystemExit) as err:
+            run(capsys, "cable", "--lambda", "2,2", "--level", "2")
+        assert err.value.code == 2
+        assert "QCANON_MAX_DIM=5" in capsys.readouterr().err
+
+    def test_dimension_cap_must_be_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("QCANON_MAX_DIM", "abc")
+        with pytest.raises(SystemExit) as err:
+            run(capsys, "basis", "--lambda", "1,1", "--level", "1")
+        assert err.value.code == 2
+        assert "QCANON_MAX_DIM" in capsys.readouterr().err
+
     def test_property_failure_exit_1(self, capsys, monkeypatch):
         import qcanon.cli as cli
         from qcanon.cabling import StructuralMismatchError

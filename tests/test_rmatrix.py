@@ -2,7 +2,7 @@ import pytest
 
 from qcanon import linalg
 from qcanon.qring import ONE, Q_MINUS_QINV, QScalar
-from qcanon.rmatrix import (NotReducedError, cartan_factor,
+from qcanon.rmatrix import (NotReducedError, _theta_n_right, cartan_factor,
                             default_longest_word, r_n_matrix, rcheck_longest,
                             rcheck_matrix, sigma0_matrix, tau_theta_direct,
                             tau_theta_n, theta_matrix, theta_n_matrix)
@@ -66,8 +66,8 @@ class TestThetaN:
     @pytest.mark.parametrize("lams,l", [((1, 1, 1), 1), ((1, 1, 1), 2),
                                         ((2, 1, 1), 2), ((1, 2, 1), 3)])
     def test_left_and_right_recursions_agree(self, lams, l):
-        a = theta_n_matrix(factors(*lams), l, form="left").matrix
-        b = theta_n_matrix(factors(*lams), l, form="right").matrix
+        a = theta_n_matrix(factors(*lams), l).matrix
+        b = _theta_n_right(factors(*lams), l)
         assert linalg.mat_eq(a, b)
 
 
@@ -81,26 +81,32 @@ class TestRcheck:
         assert op.matrix.shape == (1, 1)
         assert op.matrix[0, 0].is_monomial()
 
+    # the braid route of tau_theta_n runs Rcheck on contragredient factors
+    @pytest.mark.parametrize("make", [factors, dual_factors],
+                             ids=["simple", "contragredient"])
+    @pytest.mark.parametrize("lams", [(1, 2), (2, 1), (2, 2)])
     @pytest.mark.parametrize("gen", [GEN_E, GEN_F])
-    def test_intertwines_coproduct(self, gen):
-        src = factors(1, 2)
-        l = 1
-        tgt = factors(2, 1)
+    def test_intertwines_coproduct(self, gen, lams, make):
+        src = make(*lams)
+        tgt = make(*lams[::-1])
         shift = -1 if gen == GEN_E else 1
-        lhs = linalg.matmul(rcheck_matrix(src, l + shift, 0).matrix,
-                            coproduct_matrix(src, l, gen))
-        rhs = linalg.matmul(coproduct_matrix(tgt, l, gen),
-                            rcheck_matrix(src, l, 0).matrix)
-        assert linalg.mat_eq(lhs, rhs)
+        for l in range(1, sum(lams)):
+            lhs = linalg.matmul(rcheck_matrix(src, l + shift, 0).matrix,
+                                coproduct_matrix(src, l, gen))
+            rhs = linalg.matmul(coproduct_matrix(tgt, l, gen),
+                                rcheck_matrix(src, l, 0).matrix)
+            assert linalg.mat_eq(lhs, rhs)
 
+    @pytest.mark.parametrize("make", [factors, dual_factors],
+                             ids=["simple", "contragredient"])
+    @pytest.mark.parametrize("lams", [(1, 2, 1), (1, 1, 1)])
     @pytest.mark.parametrize("gen", [GEN_E, GEN_F])
     @pytest.mark.parametrize("pos", [0, 1])
-    def test_intertwines_inside_three_factors(self, gen, pos):
-        lams = (1, 2, 1)
+    def test_intertwines_inside_three_factors(self, gen, pos, lams, make):
         swapped = list(lams)
         swapped[pos], swapped[pos + 1] = swapped[pos + 1], swapped[pos]
-        src = factors(*lams)
-        tgt = factors(*swapped)
+        src = make(*lams)
+        tgt = make(*swapped)
         shift = -1 if gen == GEN_E else 1
         for l in range(1, sum(lams)):
             lhs = linalg.matmul(
