@@ -9,19 +9,27 @@ monomials are bar-fixed because divided powers have bar-invariant
 coefficients).  The matrix of tau(Theta^(n)) is unipotent lower triangular in
 ascending lexicographic index order, so psi_c(e_m) = e_m + (terms at k > m).
 
-The dual canonical basis is the unique family b_m = e_m + sum_{k>m} c_k e_k
-fixed by psi_c with every off-lead coefficient in q^-1 Z[q^-1].  The solver
-walks the indices in decreasing lexicographic order: the defect
-psi_c(e_m) - e_m re-expressed over the already-built b_k has bar-antisymmetric
-coefficients rho_k, and c_k = solve_bar_equation(rho_k) is the unique ideal
-element with c_k - bar(c_k) = rho_k.  Triangularity is asserted, not assumed:
-a defect at an index <= m aborts the run, so a convention error surfaces as a
-loud failure instead of silent garbage.
+The dual canonical basis is the unique family b_m = e_m + sum_{r>m} c_r e_r
+fixed by psi_c with every off-lead coefficient in q^-1 Z[q^-1].  Write A for
+the matrix of psi_c.  Row r of A bar(b_m) = b_m reads
+
+    c_r - bar(c_r) = rho_r,   rho_r = sum_{m <= k < r} A[r, k] bar(c_k),
+
+so each b_m is one forward substitution: start from c_m = 1, take the rows
+r > m in ascending order, set c_r = solve_bar_equation(rho_r) (the unique
+ideal element with that difference, raising unless rho_r is
+bar-antisymmetric with integer q-powers), and add bar(c_r) A[:, r] into the
+running sums of the later rows.  Only rows that some earlier column reaches
+are visited.  The checks are independent of that recursion: A must be unit
+lower triangular before anything is solved, every b_m must satisfy
+psi_c(b_m) = b_m by a fresh product, and every c_r must lie in q^-1 Z[q^-1].
+A convention error therefore surfaces as a loud failure, never as silent
+garbage.
 
 On the plain (non-dual) side of a two-factor product the same construction
-with psi(x) = bar(Theta) . bar(x) produces the canonical basis; there the
-corrections run toward lexicographically smaller indices, so the solver walks
-upward instead.
+with psi(x) = bar(Theta) . bar(x) produces the canonical basis; there A is
+unit upper triangular and the corrections run toward lexicographically
+smaller indices, so the rows are taken in descending order instead.
 
 Singular vectors (killed by the coproduct E) are recognized exactly, and
 `singular_subset` checks its count against an independent fraction-free rank
@@ -30,6 +38,7 @@ computation -- a disagreement is a falsification signal and raises.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -103,41 +112,58 @@ def psi_tensor2(lams: Sequence[int], level: int) -> AntilinearMap:
                          linalg.mat_bar(theta_matrix(fs, level).matrix))
 
 
-def _solve_triangular(anti: AntilinearMap, descending: bool) -> list[BasisVector]:
-    """Shared fixed-point recursion; `descending` picks the processing order
-    (decreasing lex for the dual basis, increasing for the canonical one)."""
+def _require_unitriangular(anti: AntilinearMap, upward: bool) -> None:
+    """Raise unless the matrix has unit diagonal and no entry on the wrong
+    side of it: below the diagonal row if `upward`, above it otherwise."""
+    space = anti.space
+    for p in range(space.dim):
+        col = anti.matrix.col(p)
+        wrong = [k for k, _ in col.items() if (k < p if upward else k > p)]
+        if col[p] != ONE:
+            wrong.append(p)
+        if wrong:
+            raise TriangularityViolationError(
+                f"defect of {space.indices[p]} touches "
+                f"{space.indices[min(wrong)]} on {space!r}")
+
+
+def _solve_triangular(anti: AntilinearMap, upward: bool) -> list[BasisVector]:
+    """The fixed points b_m = e_m + sum_r c_r e_r, each by forward
+    substitution; `upward` says the corrections sit at rows r > m (the dual
+    basis) rather than r < m (the canonical one)."""
+    _require_unitriangular(anti, upward)
     space = anti.space
     dim = space.dim
-    order = range(dim - 1, -1, -1) if descending else range(dim)
-    built: dict[int, linalg.Vector] = {}
-    for p in order:
-        lead = space.unit_vector(space.indices[p])
-        delta = linalg.Accumulator(anti.matrix.col(p))
-        delta.add(-ONE, lead)
-        for k in delta.support():
-            if (k <= p) if descending else (k >= p):
-                raise TriangularityViolationError(
-                    f"defect of {space.indices[p]} touches "
-                    f"{space.indices[k]} on {space!r}")
-        peel = range(p + 1, dim) if descending else range(p - 1, -1, -1)
-        vec = linalg.Accumulator(lead)
-        for k in peel:
-            # a fresh scalar: the update below zeroes row k of delta itself
-            rho = delta[k]
-            if not rho:
+    sign = 1 if upward else -1  # heap keys: rows in processing order
+    cols = [anti.matrix.col(p) for p in range(dim)]
+    basis = []
+    for m in range(dim):
+        coeffs = {m: ONE}
+        rho = linalg.Accumulator(cols[m])
+        queued = {k for k, _ in cols[m].items()}  # rows ever put on the heap
+        heap = [sign * k for k in queued if k != m]
+        heapq.heapify(heap)
+        while heap:
+            r = sign * heapq.heappop(heap)
+            rho_r = rho[r]
+            if not rho_r:  # cancelled: c_r = 0
                 continue
-            c = solve_bar_equation(rho)
-            delta.add(-rho, built[k])
-            vec.add(c, built[k])
-        assert not delta.support()
-        vec = vec.freeze()
+            c = solve_bar_equation(rho_r)
+            if not in_qinv_ideal(c):
+                raise AssertionError(f"coefficient {c} of {space.indices[r]} "
+                                     f"outside q^-1 Z[q^-1] on {space!r}")
+            coeffs[r] = c
+            rho.add(c.bar(), cols[r])
+            for k, _ in cols[r].items():
+                if k not in queued:
+                    queued.add(k)
+                    heapq.heappush(heap, sign * k)
+        vec = linalg.Vector(dim, coeffs)
         if not linalg.mat_eq(anti.apply(vec), vec):
             raise TriangularityViolationError(
-                f"fixed-point defect at {space.indices[p]} on {space!r}")
-        assert all(in_qinv_ideal(c) for k, c in vec.items() if k != p)
-        built[p] = vec
-    return [BasisVector(space.indices[p], space, built[p])
-            for p in range(dim)]
+                f"fixed-point defect at {space.indices[m]} on {space!r}")
+        basis.append(BasisVector(space.indices[m], space, vec))
+    return basis
 
 
 def dual_canonical_basis(lams: Sequence[int], level: int) -> list[BasisVector]:
@@ -148,7 +174,7 @@ def dual_canonical_basis(lams: Sequence[int], level: int) -> list[BasisVector]:
     >= m (with the factor bounds of the simple modules respected by
     construction).
     """
-    return _solve_triangular(psi_c(lams, level), descending=True)
+    return _solve_triangular(psi_c(lams, level), upward=True)
 
 
 def canonical_basis_pair(lams: Sequence[int], level: int) -> list[BasisVector]:
@@ -158,7 +184,7 @@ def canonical_basis_pair(lams: Sequence[int], level: int) -> list[BasisVector]:
     indices, which for two factors means the anti-diagonal shifts
     (i, j) -> (i - k, j + k) with k > 0 only.
     """
-    basis = _solve_triangular(psi_tensor2(lams, level), descending=False)
+    basis = _solve_triangular(psi_tensor2(lams, level), upward=False)
     for b in basis:
         i, j = b.index
         for k in b.support():

@@ -34,7 +34,7 @@ from .rmatrix import (CrossCheckFailureError, NotReducedError, rcheck_matrix,
                       rcheck_longest, tau_theta_n, theta_matrix,
                       theta_n_matrix)
 from .tensor import dual_factors, simple_factors, weight_space
-from .verify import SUITE_ALIASES, run_suite
+from .verify import MAX_WEIGHT_SUM, SUITE_ALIASES, run_suite
 
 SCHEMA = "qcanon/1"
 
@@ -273,7 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all",
                    help="one of %s or a check name" %
                         ", ".join(sorted(SUITE_ALIASES)))
-    p.add_argument("--max-weight-sum", type=_nonneg, default=6)
+    p.add_argument("--max-weight-sum", type=_nonneg, default=6,
+                   help=f"bound on sum(lambda) of the sweeps (default 6, "
+                        f"at most {MAX_WEIGHT_SUM})")
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -271,7 +271,10 @@ def default_longest_word(n: int) -> tuple[int, ...]:
     return tuple(word)
 
 
-def _validate_reduced(word, n):
+def _reduced_word(word, n) -> tuple[int, ...]:
+    """`word` (by default `default_longest_word(n)`) as a tuple, checked to
+    be a reduced expression of the order-reversing permutation."""
+    word = default_longest_word(n) if word is None else tuple(word)
     if len(word) != n * (n - 1) // 2:
         raise NotReducedError(
             f"word of length {len(word)}, expected {n * (n - 1) // 2}")
@@ -282,21 +285,28 @@ def _validate_reduced(word, n):
         perm[i], perm[i + 1] = perm[i + 1], perm[i]
     if perm != list(range(n))[::-1]:
         raise NotReducedError(f"word {word} does not reverse the factors")
+    return word
 
 
 @lru_cache(maxsize=None)
-def _rcheck_longest(factors, level, word=None):
-    n = len(factors)
-    if word is None:
-        word = default_longest_word(n)
-    _validate_reduced(word, n)
-    cur_factors = factors
-    src = weight_space(factors, level)
-    mat = linalg.identity(src.dim)
+def _rcheck_longest(factors, level, word):
+    """Rcheck_{i_L} ... Rcheck_{i_1} along the reduced word (i_1, ..., i_L).
+
+    The pair operators are multiplied in balanced rounds, neighbours first:
+    a product of a few lifted pair operators stays sparse, where a running
+    left-to-right product turns dense after a handful of factors.  The
+    arithmetic is exact, so the bracketing does not change the result.
+    """
+    ops = []
     for i in word:
-        mat = linalg.matmul(_rcheck(cur_factors, level, i), mat)
-        cur_factors = _swapped(cur_factors, i)
-    return mat
+        ops.append(_rcheck(factors, level, i))
+        factors = _swapped(factors, i)
+    if not ops:
+        return linalg.identity(weight_space(factors, level).dim)
+    while len(ops) > 1:
+        ops = [linalg.matmul(ops[j + 1], ops[j]) if j + 1 < len(ops)
+               else ops[j] for j in range(0, len(ops), 2)]
+    return ops[0]
 
 
 @lru_cache(maxsize=None)
@@ -314,7 +324,7 @@ def _tau_theta_n_dual(dual_factors, level):
     transpose_route = linalg.transpose(_theta_n(underlying, level))
     rev = dual_factors[::-1]
     braid_route = linalg.matmul(
-        _rcheck_longest(rev, level),
+        _rcheck_longest(rev, level, default_longest_word(len(rev))),
         linalg.matmul(linalg.diagonal_inverse(_cartan(rev, level)),
                       _sigma0(dual_factors, level)))
     if not linalg.mat_eq(transpose_route, braid_route):
@@ -368,10 +378,10 @@ def rcheck_matrix(factors, level, i) -> BraidOperator:
 
 
 def rcheck_longest(factors, level, word=None) -> BraidOperator:
-    if word is not None:
-        word = tuple(word)
-    return _operator(_rcheck_longest, factors, level, word,
-                     target=tuple(factors)[::-1])
+    """The longest braiding along `word` (default: `default_longest_word`)."""
+    factors = tuple(factors)
+    return _operator(_rcheck_longest, factors, level,
+                     _reduced_word(word, len(factors)), target=factors[::-1])
 
 
 def tau_theta_direct(factors, level) -> BraidOperator:

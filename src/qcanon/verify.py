@@ -109,6 +109,13 @@ def search_diagrams(lam: Sequence[int], l: int) -> list[ArcDiagram]:
     return sorted(out, key=lambda d: d.chords)
 
 
+def _require(cond: bool, template: str = "", *args) -> None:
+    """A check that `python -O` keeps: raise AssertionError with the message
+    `template.format(*args)`, built only on failure."""
+    if not cond:
+        raise AssertionError(template.format(*args))
+
+
 def _check(name: str, body: Callable[[], str]) -> CheckResult:
     start = time.perf_counter()
     try:
@@ -132,8 +139,8 @@ def check_golden_dual_basis(max_sum: int = 6) -> CheckResult:
         q = QScalar.q_power
         basis = {b.index: b for b in dual_canonical_basis((1, 1), 1)}
         b10, b01 = basis[(1, 0)], basis[(0, 1)]
-        assert b10.coeff((1, 0)) == ONE and not b10.coeff((0, 1))
-        assert b01.coeff((0, 1)) == ONE and b01.coeff((1, 0)) == -q(-1)
+        _require(b10.coeff((1, 0)) == ONE and not b10.coeff((0, 1)))
+        _require(b01.coeff((0, 1)) == ONE and b01.coeff((1, 0)) == -q(-1))
         return "dual basis of (V1 x V1)[0] matches the frozen coefficients"
     return _check("golden_dual_basis", body)
 
@@ -147,7 +154,8 @@ def check_yang_baxter(max_sum: int = 6) -> CheckResult:
             for l in range(sum(lams) + 1):
                 a = rcheck_longest(fs, l, word=(0, 1, 0)).matrix
                 b = rcheck_longest(fs, l, word=(1, 0, 1)).matrix
-                assert linalg.mat_eq(a, b), f"YBE fails on {lams} level {l}"
+                _require(linalg.mat_eq(a, b), "YBE fails on {} level {}",
+                         lams, l)
                 cases += 1
         return f"braid relation exact on {cases} weight slices"
     return _check("yang_baxter", body)
@@ -165,29 +173,31 @@ def check_braid_factorizations(max_sum: int = 6) -> CheckResult:
             fs = simple_factors(lams)
             for l in range(sum(lams) + 1):
                 mats = [rcheck_longest(fs, l, word=w).matrix for w in words3]
-                assert linalg.mat_eq(*mats), \
-                    f"reduced words disagree on {lams} level {l}"
+                _require(linalg.mat_eq(*mats),
+                         "reduced words disagree on {} level {}", lams, l)
                 cases += 1
         for lams in positive_compositions(max_sum):
             fs = simple_factors(lams)
             for l in range(sum(lams) + 1):
                 sigma = sigma0_matrix(fs, l).matrix
                 rn = r_n_matrix(fs, l).matrix
-                assert linalg.mat_eq(rcheck_longest(fs, l).matrix,
-                                     linalg.matmul(sigma, rn)), \
-                    f"longest braiding is not sigma0 R on {lams} level {l}"
-                assert linalg.mat_eq(
+                _require(linalg.mat_eq(rcheck_longest(fs, l).matrix,
+                                       linalg.matmul(sigma, rn)),
+                         "longest braiding is not sigma0 R on {} level {}",
+                         lams, l)
+                _require(linalg.mat_eq(
                     rn, linalg.matmul(cartan_factor(fs, l).matrix,
-                                      theta_n_matrix(fs, l).matrix)), \
-                    f"R != C Theta on {lams} level {l}"
+                                      theta_n_matrix(fs, l).matrix)),
+                    "R != C Theta on {} level {}", lams, l)
                 rev = fs[::-1]
                 braid = linalg.matmul(
                     rcheck_longest(rev, l).matrix,
                     linalg.matmul(
                         linalg.diagonal_inverse(cartan_factor(rev, l).matrix),
                         sigma))
-                assert linalg.mat_eq(tau_theta_direct(fs, l).matrix, braid), \
-                    f"tau-twist braid product fails on {lams} level {l}"
+                _require(linalg.mat_eq(tau_theta_direct(fs, l).matrix, braid),
+                         "tau-twist braid product fails on {} level {}",
+                         lams, l)
                 cases += 3
         return f"{cases} exact operator identities verified"
     return _check("braid_factorizations", body)
@@ -200,12 +210,12 @@ def check_involutions(max_sum: int = 6) -> CheckResult:
         cases = 0
         for lams in positive_compositions(max_sum):
             for l in range(sum(lams) + 1):
-                assert psi_c(lams, l).is_involution(), \
-                    f"psi_c not involutive on {lams} level {l}"
+                _require(psi_c(lams, l).is_involution(),
+                         "psi_c not involutive on {} level {}", lams, l)
                 cases += 1
                 if len(lams) == 2:
-                    assert psi_tensor2(lams, l).is_involution(), \
-                        f"psi not involutive on {lams} level {l}"
+                    _require(psi_tensor2(lams, l).is_involution(),
+                             "psi not involutive on {} level {}", lams, l)
                     cases += 1
         return f"{cases} involution identities verified"
     return _check("involutions", body)
@@ -221,16 +231,17 @@ def check_solver_contract(max_sum: int = 6) -> CheckResult:
         for lams in positive_compositions(max_sum):
             for l in range(sum(lams) + 1):
                 basis = dual_canonical_basis(lams, l)
-                assert [b.index for b in basis] == enumerate_P(lams, l)
+                _require([b.index for b in basis] == enumerate_P(lams, l))
                 for b in basis:
-                    assert b.coeff(b.index) == ONE
+                    _require(b.coeff(b.index) == ONE)
                     for k in b.support():
-                        assert k >= b.index, \
-                            f"support below the lead index on {lams} level {l}"
+                        _require(k >= b.index,
+                                 "support below the lead index on {} level {}",
+                                 lams, l)
                         if k != b.index:
-                            assert in_qinv_ideal(b.coeff(k)), \
-                                f"coefficient outside q^-1 Z[q^-1] " \
-                                f"on {lams} level {l}"
+                            _require(in_qinv_ideal(b.coeff(k)),
+                                     "coefficient outside q^-1 Z[q^-1] "
+                                     "on {} level {}", lams, l)
                     vectors += 1
                 if len(lams) == 2:
                     canonical_basis_pair(lams, l)  # support shape checked inside
@@ -241,7 +252,7 @@ def check_solver_contract(max_sum: int = 6) -> CheckResult:
         for i, b in enumerate(basis):
             for other in basis[i + 1:]:
                 perturbed = linalg.mat_add(b.coords, other.coords, q(-1))
-                assert not linalg.mat_eq(psi.apply(perturbed), perturbed)
+                _require(not linalg.mat_eq(psi.apply(perturbed), perturbed))
         return f"{vectors} basis vectors pass the full contract"
     return _check("solver_contract", body)
 
@@ -254,17 +265,18 @@ def check_bijection_counts(max_sum: int = 6) -> CheckResult:
         for lams in positive_compositions(max_sum):
             for l in range(sum(lams) + 1):
                 diagrams = enumerate_B(lams, l)
-                assert diagrams == search_diagrams(lams, l), \
-                    f"listing != exhaustive search on {lams} level {l}"
+                _require(diagrams == search_diagrams(lams, l),
+                         "listing != exhaustive search on {} level {}",
+                         lams, l)
                 indices = [index_of_diagram(d) for d in diagrams]
                 expected = enumerate_P(lams, l)
-                assert sorted(indices) == expected, \
-                    f"index image mismatch on {lams} level {l}"
-                assert len(diagrams) == independent_dimension(lams, l), \
-                    f"diagram count != dimension on {lams} level {l}"
+                _require(sorted(indices) == expected,
+                         "index image mismatch on {} level {}", lams, l)
+                _require(len(diagrams) == independent_dimension(lams, l),
+                         "diagram count != dimension on {} level {}", lams, l)
                 for d, a in zip(diagrams, indices):
-                    assert diagram_of_index(lams, a) == d, \
-                        f"round trip fails at {a} on {lams}"
+                    _require(diagram_of_index(lams, a) == d,
+                             "round trip fails at {} on {}", a, lams)
                 cases += len(diagrams)
         return f"{cases} diagrams matched to indices and dimensions"
     return _check("bijection_counts", body)
@@ -282,8 +294,8 @@ def check_singular_bases(max_sum: int = 6) -> CheckResult:
                 diagram_indices = {
                     index_of_diagram(d)
                     for d in filter_singular(enumerate_B(lams, l))}
-                assert kernel_indices == diagram_indices, \
-                    f"singular sets disagree on {lams} level {l}"
+                _require(kernel_indices == diagram_indices,
+                         "singular sets disagree on {} level {}", lams, l)
                 cases += len(kernel_indices)
         return f"{cases} singular basis elements matched both ways"
     return _check("singular_bases", body)
@@ -294,7 +306,7 @@ def check_catalan(max_sum: int = 8) -> CheckResult:
     def body():
         got = [len(filter_invariant(enumerate_B((1,) * (2 * l), l)))
                for l in range(1, 5)]
-        assert got == [1, 2, 5, 14], f"Catalan counts off: {got}"
+        _require(got == [1, 2, 5, 14], "Catalan counts off: {}", got)
         return "invariant diagram counts 1, 2, 5, 14 for levels 1..4"
     return _check("catalan", body)
 
@@ -312,8 +324,8 @@ def check_cabling(max_sum: int = 5) -> CheckResult:
                         key = str(o.scalar)
                         scalars[key] = scalars.get(key, 0) + 1
         golden = cabling_report((2,), 1)
-        assert golden.all_scalars_one
-        assert [o.killed for o in golden.outcomes] == [True, False]
+        _require(golden.all_scalars_one)
+        _require([o.killed for o in golden.outcomes] == [True, False])
         return f"kill patterns agree; scalar multiset {scalars}"
     return _check("cabling", body)
 
@@ -332,9 +344,9 @@ def check_duality(max_sum: int = 5) -> CheckResult:
                         for cb in can:
                             pair = linalg.dot(db.coords, cb.coords)
                             want = ONE if db.index == cb.index else QScalar()
-                            assert pair == want, \
-                                f"pairing off at {db.index}/{cb.index} " \
-                                f"on {lams} level {l}"
+                            _require(pair == want,
+                                     "pairing off at {}/{} on {} level {}",
+                                     db.index, cb.index, lams, l)
                             cases += 1
         return f"{cases} pairings equal the identity pattern"
     return _check("duality", body)
@@ -367,6 +379,9 @@ SUITE_ALIASES = {
 #: fast.  `CheckResult.max_sum` records the bound each check really used.
 BOUND_CAPS = {"cabling": 5, "duality": 5}
 
+#: The largest weight-sum bound a suite accepts: each step up costs about 4x.
+MAX_WEIGHT_SUM = 8
+
 
 def run_suite(suite: str = "all", max_weight_sum: int = 6) -> list[CheckResult]:
     if suite in SUITE_ALIASES:
@@ -376,6 +391,9 @@ def run_suite(suite: str = "all", max_weight_sum: int = 6) -> list[CheckResult]:
     else:
         raise KeyError(f"unknown suite {suite!r}; know "
                        f"{sorted(set(SUITE_ALIASES) | set(ALL_CHECKS))}")
+    if max_weight_sum > MAX_WEIGHT_SUM:
+        raise ValueError(f"--max-weight-sum {max_weight_sum} exceeds the "
+                         f"limit {MAX_WEIGHT_SUM}")
     out = []
     for name in names:
         bound = min(max_weight_sum, BOUND_CAPS.get(name, max_weight_sum))

@@ -6,9 +6,11 @@ assertions are exact symbolic identities; the only tolerances anywhere are
 the wall-clock budgets.
 """
 
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 from qcanon.verify import (check_bijection_counts, check_cabling,
                            check_catalan, check_duality,
@@ -86,3 +88,26 @@ def test_criterion_11_performance_envelope():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert elapsed < 300.0
     assert proc.stdout.count("PASS") == 10
+
+
+def test_checks_still_run_under_python_O():
+    # `python -O` strips assert statements; the checks must not depend on them
+    code = ("import qcanon.canonical as c, qcanon.verify as v\n"
+            "v.in_qinv_ideal = lambda x: False\n"
+            "r = v.check_solver_contract(4)\n"
+            "print('PASS' if r.passed else 'FAIL', r.detail)\n"
+            "c.in_qinv_ideal = lambda x: False\n"
+            "try:\n"
+            "    c.dual_canonical_basis((1, 1), 1)\n"
+            "    print('PASS')\n"
+            "except AssertionError as exc:\n"
+            "    print('FAIL', exc)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-O", "-c", code],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    verify_line, solver_line = done.stdout.splitlines()
+    assert verify_line == "FAIL AssertionError: coefficient outside " \
+                          "q^-1 Z[q^-1] on (1, 1) level 1"
+    assert solver_line.startswith("FAIL coefficient")

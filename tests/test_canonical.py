@@ -3,10 +3,12 @@ import itertools
 import pytest
 
 from qcanon import linalg
-from qcanon.canonical import (CountMismatchError, canonical_basis_pair,
-                              dual_canonical_basis, is_singular, psi_c,
-                              psi_tensor2, singular_subset)
-from qcanon.qring import ONE, QScalar, in_qinv_ideal
+from qcanon.canonical import (AntilinearMap, CountMismatchError,
+                              TriangularityViolationError, _solve_triangular,
+                              canonical_basis_pair, dual_canonical_basis,
+                              is_singular, psi_c, psi_tensor2,
+                              singular_subset)
+from qcanon.qring import ONE, BarAsymmetryError, QScalar, in_qinv_ideal
 from qcanon.tensor import enumerate_P
 
 q = QScalar.q_power
@@ -103,6 +105,38 @@ class TestDualCanonicalBasis:
             for k in basis[i + 1:]:
                 perturbed = linalg.mat_add(b.coords, k.coords, eps)
                 assert not linalg.mat_eq(psi.apply(perturbed), perturbed)
+
+
+def _defective(anti, upward, defect):
+    """A copy of `anti` with one defect the solver must refuse."""
+    dim = anti.space.dim
+    cols = [dict(anti.matrix.col(j).items()) for j in range(dim)]
+    if defect == "diagonal":
+        cols[0][0] = q(2)
+    elif defect == "wrong_side":  # a row before the column in solving order
+        if upward:
+            cols[1][0] = ONE
+        else:
+            cols[0][1] = ONE
+    else:  # the first off-diagonal entry, shifted by q^-1
+        p, k = next((p, k) for p in range(dim) for k in sorted(cols[p])
+                    if k != p)
+        cols[p][k] = cols[p][k] + q(-1)
+    return AntilinearMap(anti.space, linalg.Matrix((dim, dim), cols))
+
+
+class TestSolverGuards:
+    @pytest.mark.parametrize("upward", [True, False],
+                             ids=["dual", "canonical"])
+    @pytest.mark.parametrize("defect, error", [
+        ("diagonal", TriangularityViolationError),
+        ("wrong_side", TriangularityViolationError),
+        ("shifted", BarAsymmetryError)])
+    def test_defective_map_raises(self, upward, defect, error):
+        anti = psi_c((1, 1, 1), 1) if upward else psi_tensor2((2, 1), 1)
+        assert _solve_triangular(anti, upward)  # the intact map solves
+        with pytest.raises(error):
+            _solve_triangular(_defective(anti, upward, defect), upward)
 
 
 class TestCanonicalPair:

@@ -207,6 +207,29 @@ class TestVerifyCommand:
             assert err == ""
 
 
+    @pytest.mark.parametrize("bound, code", [(8, 0), (9, 2)])
+    def test_weight_sum_bound_is_capped(self, capsys, monkeypatch, bound,
+                                        code):
+        import qcanon.verify as v
+        ran = []
+
+        def fake(name):
+            def check(max_sum=6):
+                ran.append(name)
+                return v._check(name, lambda: "fine")
+            return check
+
+        for name in v.ALL_CHECKS:
+            monkeypatch.setitem(v.ALL_CHECKS, name, fake(name))
+        got, out, err = run(capsys, "verify", "--max-weight-sum", str(bound))
+        assert got == code
+        if code == 2:  # refused before any check ran
+            assert ran == [] and out == ""
+            assert err == "qcanon: --max-weight-sum 9 exceeds the limit 8\n"
+        else:
+            assert ran == list(v.ALL_CHECKS)
+
+
 class TestGuards:
     def test_bad_lambda_exit_2(self, capsys):
         with pytest.raises(SystemExit) as err:

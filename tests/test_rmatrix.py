@@ -2,12 +2,13 @@ import pytest
 
 from qcanon import linalg
 from qcanon.qring import ONE, Q_MINUS_QINV, QScalar
-from qcanon.rmatrix import (NotReducedError, _theta_n_right, cartan_factor,
-                            default_longest_word, r_n_matrix, rcheck_longest,
-                            rcheck_matrix, sigma0_matrix, tau_theta_direct,
-                            tau_theta_n, theta_matrix, theta_n_matrix)
+from qcanon.rmatrix import (NotReducedError, _rcheck_longest, _theta_n_right,
+                            cartan_factor, default_longest_word, r_n_matrix,
+                            rcheck_longest, rcheck_matrix, sigma0_matrix,
+                            tau_theta_direct, tau_theta_n, theta_matrix,
+                            theta_n_matrix)
 from qcanon.canonical import dual_canonical_basis
-from qcanon.tensor import coproduct_matrix
+from qcanon.tensor import coproduct_matrix, weight_space
 from qcanon.weightmod import (GEN_E, GEN_F, contragredient, make_simple)
 
 q = QScalar.q_power
@@ -150,6 +151,43 @@ class TestRcheckLongest:
         assert default_longest_word(2) == (0,)
         assert default_longest_word(3) == (0, 1, 0)
         assert default_longest_word(4) == (0, 1, 0, 2, 1, 0)
+
+
+def left_to_right_chain(fs, l, word):
+    """Rcheck_{i_L} ... Rcheck_{i_1}, one factor at a time from the right."""
+    mat = linalg.identity(weight_space(fs, l).dim)
+    for i in word:
+        mat = linalg.matmul(rcheck_matrix(fs, l, i).matrix, mat)
+        fs = fs[:i] + (fs[i + 1], fs[i]) + fs[i + 2:]
+    return mat
+
+
+class TestRcheckLongestBracketing:
+    @pytest.mark.parametrize("n", range(6))
+    def test_default_word_matches_chain(self, n):
+        # word lengths 0, 1, 3, 6, 10, 15: odd and even operator counts
+        fs = factors(1, 2, 1, 1, 1)[:n]
+        word = default_longest_word(n)
+        for l in range(sum(x.size - 1 for x in fs) + 1):
+            assert linalg.mat_eq(_rcheck_longest(fs, l, word),
+                                 left_to_right_chain(fs, l, word))
+
+    @pytest.mark.parametrize("lams, word", [
+        ((1, 2, 1), (0, 1, 0)), ((1, 2, 1), (1, 0, 1)),
+        ((1, 2, 1, 1), (2, 1, 0, 2, 1, 2))])
+    def test_other_words_match_chain(self, lams, word):
+        fs = factors(*lams)
+        for l in range(sum(x.size - 1 for x in fs) + 1):
+            assert linalg.mat_eq(rcheck_longest(fs, l, word=word).matrix,
+                                 left_to_right_chain(fs, l, word))
+
+    def test_one_cache_entry_per_product(self):
+        fs = factors(1, 1, 2)
+        _rcheck_longest.cache_clear()
+        for word in (None, (0, 1, 0), [0, 1, 0]):
+            rcheck_longest(fs, 2, word=word)
+        rcheck_longest(fs, 2)
+        assert _rcheck_longest.cache_info().currsize == 1
 
 
 class TestBraidFactorizationIdentities:
