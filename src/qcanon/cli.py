@@ -30,9 +30,8 @@ from .canonical import (CountMismatchError, TriangularityViolationError,
 from .diagrams import (InvalidDiagramError, enumerate_B, filter_invariant,
                        filter_singular, render_ascii, render_svg_many)
 from .qring import BarAsymmetryError, InexactDivisionError, OddExponentError
-from .rmatrix import (CrossCheckFailureError, NotReducedError, rcheck_matrix,
-                      rcheck_longest, tau_theta_n, theta_matrix,
-                      theta_n_matrix)
+from .rmatrix import (NotReducedError, rcheck_matrix, rcheck_longest,
+                      tau_theta_n, theta_matrix, theta_n_matrix)
 from .tensor import dual_factors, simple_factors, weight_space
 from .verify import MAX_WEIGHT_SUM, SUITE_ALIASES, run_suite
 
@@ -40,9 +39,9 @@ SCHEMA = "qcanon/1"
 
 _BAD_REQUEST = (ValueError, KeyError)
 _PROPERTY_FAILURE = (TriangularityViolationError, CountMismatchError,
-                     StructuralMismatchError, CrossCheckFailureError,
-                     NotReducedError, InvalidDiagramError, BarAsymmetryError,
-                     OddExponentError, InexactDivisionError, AssertionError)
+                     StructuralMismatchError, NotReducedError,
+                     InvalidDiagramError, BarAsymmetryError, OddExponentError,
+                     InexactDivisionError, AssertionError)
 
 
 def _parse_lambda(text: str) -> tuple[int, ...]:

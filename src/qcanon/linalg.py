@@ -174,17 +174,17 @@ def _apply(acols, x: dict) -> dict:
 
 
 class Accumulator:
-    """A vector under construction: row -> private v-exponent -> int dict.
+    """A running vector sum, read entry by entry: row -> private
+    v-exponent -> int dict.
 
     The one mutable object of the kernel.  Reading an entry returns a fresh
     QScalar, so ``acc.add(-acc[k], x)`` is safe even when ``x`` touches
     row ``k``.
     """
 
-    __slots__ = ("dim", "_rows")
+    __slots__ = ("_rows",)
 
     def __init__(self, start: Vector):
-        self.dim = start.shape[0]
         self._rows = _private(start._cols[0])
 
     def __getitem__(self, i: int) -> QScalar:
@@ -194,14 +194,6 @@ class Accumulator:
     def add(self, s: QScalar, x: Vector) -> None:
         """self += s*x."""
         _axpy(self._rows, s, x._cols[0])
-
-    def support(self) -> list[int]:
-        """Rows with a nonzero entry, ascending."""
-        return sorted(i for i, t in self._rows.items() if t)
-
-    def freeze(self) -> Vector:
-        return Vector._wrap((self.dim, 1), (
-            {i: QScalar._raw(dict(t)) for i, t in self._rows.items() if t},))
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,9 @@ from .diagrams import (ArcDiagram, _crossing, diagram_of_index, enumerate_B,
                        validate_diagram)
 from .qring import ONE, QScalar, in_qinv_ideal
 from .rmatrix import (cartan_factor, r_n_matrix, rcheck_longest,
-                      sigma0_matrix, tau_theta_direct, theta_n_matrix)
-from .tensor import enumerate_P, simple_factors
+                      sigma0_matrix, tau_theta_braid, tau_theta_direct,
+                      theta_n_matrix)
+from .tensor import dual_factors, enumerate_P, simple_factors
 
 
 @dataclass
@@ -179,23 +180,18 @@ def check_braid_factorizations(max_sum: int = 6) -> CheckResult:
         for lams in positive_compositions(max_sum):
             fs = simple_factors(lams)
             for l in range(sum(lams) + 1):
-                sigma = sigma0_matrix(fs, l).matrix
                 rn = r_n_matrix(fs, l).matrix
-                _require(linalg.mat_eq(rcheck_longest(fs, l).matrix,
-                                       linalg.matmul(sigma, rn)),
+                _require(linalg.mat_eq(
+                    rcheck_longest(fs, l).matrix,
+                    linalg.matmul(sigma0_matrix(fs, l).matrix, rn)),
                          "longest braiding is not sigma0 R on {} level {}",
                          lams, l)
                 _require(linalg.mat_eq(
                     rn, linalg.matmul(cartan_factor(fs, l).matrix,
                                       theta_n_matrix(fs, l).matrix)),
                     "R != C Theta on {} level {}", lams, l)
-                rev = fs[::-1]
-                braid = linalg.matmul(
-                    rcheck_longest(rev, l).matrix,
-                    linalg.matmul(
-                        linalg.diagonal_inverse(cartan_factor(rev, l).matrix),
-                        sigma))
-                _require(linalg.mat_eq(tau_theta_direct(fs, l).matrix, braid),
+                _require(linalg.mat_eq(tau_theta_direct(fs, l).matrix,
+                                       tau_theta_braid(fs, l).matrix),
                          "tau-twist braid product fails on {} level {}",
                          lams, l)
                 cases += 3
@@ -203,15 +199,24 @@ def check_braid_factorizations(max_sum: int = 6) -> CheckResult:
     return _check("braid_factorizations", body)
 
 
+def _require_braid_route(lams, l) -> None:
+    """psi_c's matrix, tau(Theta^(n)) by its transpose route, equals the
+    braid product on the contragredient factors."""
+    _require(linalg.mat_eq(psi_c(lams, l).matrix,
+                           tau_theta_braid(dual_factors(lams), l).matrix),
+             "tau(Theta^(n)) != braid product on {} level {}", lams, l)
+
+
 def check_involutions(max_sum: int = 6) -> CheckResult:
     """psi_c (any factor count) and psi (two factors) square to the identity;
-    psi_c carries its built-in transpose/braid cross-check."""
+    psi_c's matrix equals the braid product on every slice."""
     def body():
         cases = 0
         for lams in positive_compositions(max_sum):
             for l in range(sum(lams) + 1):
                 _require(psi_c(lams, l).is_involution(),
                          "psi_c not involutive on {} level {}", lams, l)
+                _require_braid_route(lams, l)
                 cases += 1
                 if len(lams) == 2:
                     _require(psi_tensor2(lams, l).is_involution(),
@@ -331,7 +336,8 @@ def check_cabling(max_sum: int = 5) -> CheckResult:
 
 
 def check_duality(max_sum: int = 5) -> CheckResult:
-    """The canonical and dual canonical bases pair to the identity matrix."""
+    """The canonical and dual canonical bases pair to the identity matrix;
+    psi_c's matrix equals the braid product on each slice, zero weights too."""
     def body():
         cases = 0
         for l1 in range(max_sum + 1):
@@ -340,6 +346,7 @@ def check_duality(max_sum: int = 5) -> CheckResult:
                 for l in range(sum(lams) + 1):
                     can = canonical_basis_pair(lams, l)
                     dual = dual_canonical_basis(lams, l)
+                    _require_braid_route(lams, l)
                     for db in dual:
                         for cb in can:
                             pair = linalg.dot(db.coords, cb.coords)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from qcanon import linalg
@@ -5,8 +10,8 @@ from qcanon.qring import ONE, Q_MINUS_QINV, QScalar
 from qcanon.rmatrix import (NotReducedError, _rcheck_longest, _theta_n_right,
                             cartan_factor, default_longest_word, r_n_matrix,
                             rcheck_longest, rcheck_matrix, sigma0_matrix,
-                            tau_theta_direct, tau_theta_n, theta_matrix,
-                            theta_n_matrix)
+                            tau_theta_braid, tau_theta_direct, tau_theta_n,
+                            theta_matrix, theta_n_matrix)
 from qcanon.canonical import dual_canonical_basis
 from qcanon.tensor import coproduct_matrix, weight_space
 from qcanon.weightmod import (GEN_E, GEN_F, contragredient, make_simple)
@@ -214,14 +219,8 @@ class TestBraidFactorizationIdentities:
         # tau(Theta^(n)) = Rcheck^(n) (C^(n))^-1 sigma_0 on the plain product
         fs = factors(*lams)
         for l in range(sum(lams) + 1):
-            lhs = tau_theta_direct(fs, l).matrix
-            rev = fs[::-1]
-            rhs = linalg.matmul(
-                rcheck_longest(rev, l).matrix,
-                linalg.matmul(
-                    linalg.diagonal_inverse(cartan_factor(rev, l).matrix),
-                    sigma0_matrix(fs, l).matrix))
-            assert linalg.mat_eq(lhs, rhs)
+            assert linalg.mat_eq(tau_theta_direct(fs, l).matrix,
+                                 tau_theta_braid(fs, l).matrix)
 
 
 class TestTauThetaOnDuals:
@@ -239,11 +238,29 @@ class TestTauThetaOnDuals:
         assert col2[ws.pos[(1, 0)]] == ONE
         assert col2[ws.pos[(0, 1)]] == 0
 
-    @pytest.mark.parametrize("lams", [(1, 1), (2, 1), (1, 1, 1)])
+    @pytest.mark.parametrize("lams", [(1, 1), (2, 1), (1, 1, 1), (0, 2),
+                                      (2, 0, 1)])
     def test_cross_check_passes(self, lams):
-        # the braid-route comparison is built in; no exception means agreement
+        # the transpose route agrees with the braid product on the duals
+        fs = dual_factors(*lams)
         for l in range(sum(lams) + 1):
-            tau_theta_n(dual_factors(*lams), l)
+            assert linalg.mat_eq(tau_theta_n(fs, l).matrix,
+                                 tau_theta_braid(fs, l).matrix)
+
+    def test_basis_runs_the_transpose_route_only(self):
+        # in a fresh process: psi_c builds tau(Theta^(n)) without Rcheck
+        code = ("from qcanon import rmatrix\n"
+                "from qcanon.canonical import dual_canonical_basis\n"
+                "dual_canonical_basis((1, 1, 1, 1), 2)\n"
+                "print(*(f.cache_info().currsize for f in (\n"
+                "    rmatrix._tau_theta_n_dual, rmatrix._rcheck_longest,\n"
+                "    rmatrix._rcheck)))\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run([sys.executable, "-c", code],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["1", "0", "0"]
 
     def test_requires_dual_factors(self):
         with pytest.raises(ValueError):
@@ -264,7 +281,7 @@ def test_cached_operator_is_immutable():
 
 @pytest.mark.parametrize("wrapper", [
     cartan_factor, theta_n_matrix, r_n_matrix, sigma0_matrix, rcheck_longest,
-    tau_theta_direct, tau_theta_n], ids=lambda f: f.__name__)
+    tau_theta_direct, tau_theta_braid, tau_theta_n], ids=lambda f: f.__name__)
 def test_empty_product_is_trivial_module(wrapper):
     # no factors: the trivial module, one vector at level 0 and none above
     assert linalg.mat_eq(wrapper((), 0).matrix, linalg.identity(1))
