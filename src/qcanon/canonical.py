@@ -15,21 +15,20 @@ the matrix of psi_c.  Row r of A bar(b_m) = b_m reads
 
     c_r - bar(c_r) = rho_r,   rho_r = sum_{m <= k < r} A[r, k] bar(c_k),
 
-so each b_m is one forward substitution: start from c_m = 1, take the rows
-r > m in ascending order, set c_r = solve_bar_equation(rho_r) (the unique
-ideal element with that difference, raising unless rho_r is
-bar-antisymmetric with integer q-powers), and add bar(c_r) A[:, r] into the
-running sums of the later rows.  Only rows that some earlier column reaches
-are visited.  The checks are independent of that recursion: A must be unit
-lower triangular before anything is solved, every b_m must satisfy
-psi_c(b_m) = b_m by a fresh product, and every c_r must lie in q^-1 Z[q^-1].
-A convention error therefore surfaces as a loud failure, never as silent
-garbage.
+so each b_m is one forward substitution: start from c_m = 1 and scan the
+rows r > m in ascending order.  A row with rho_r = 0 has c_r = 0 and is
+skipped; otherwise c_r = solve_bar_equation(rho_r) (the unique ideal element
+with that difference, raising unless rho_r is bar-antisymmetric with integer
+q-powers), and bar(c_r) A[:, r] is added into the running sums of the later
+rows.  The checks are independent of that recursion: A must be unit lower
+triangular before anything is solved, every b_m must satisfy psi_c(b_m) = b_m
+by a fresh product, and every c_r must lie in q^-1 Z[q^-1].  A convention
+error therefore surfaces as a loud failure, never as silent garbage.
 
 On the plain (non-dual) side of a two-factor product the same construction
 with psi(x) = bar(Theta) . bar(x) produces the canonical basis; there A is
 unit upper triangular and the corrections run toward lexicographically
-smaller indices, so the rows are taken in descending order instead.
+smaller indices, so the rows are scanned in descending order instead.
 
 Singular vectors (killed by the coproduct E) are recognized exactly, and
 `singular_subset` checks its count against an independent fraction-free rank
@@ -38,7 +37,6 @@ computation -- a disagreement is a falsification signal and raises.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -128,25 +126,21 @@ def _require_unitriangular(anti: AntilinearMap, upward: bool) -> None:
 
 
 def _solve_triangular(anti: AntilinearMap, upward: bool) -> list[BasisVector]:
-    """The fixed points b_m = e_m + sum_r c_r e_r, each by forward
-    substitution; `upward` says the corrections sit at rows r > m (the dual
-    basis) rather than r < m (the canonical one)."""
+    """The fixed points b_m = e_m + sum_r c_r e_r, each by one forward
+    substitution that scans the rows after m in ascending order (`upward`,
+    the dual basis) or the rows before m in descending order (the canonical
+    one), skipping each row whose running sum rho_r is zero."""
     _require_unitriangular(anti, upward)
     space = anti.space
     dim = space.dim
-    sign = 1 if upward else -1  # heap keys: rows in processing order
     cols = [anti.matrix.col(p) for p in range(dim)]
     basis = []
     for m in range(dim):
         coeffs = {m: ONE}
         rho = linalg.Accumulator(cols[m])
-        queued = {k for k, _ in cols[m].items()}  # rows ever put on the heap
-        heap = [sign * k for k in queued if k != m]
-        heapq.heapify(heap)
-        while heap:
-            r = sign * heapq.heappop(heap)
+        for r in range(m + 1, dim) if upward else range(m - 1, -1, -1):
             rho_r = rho[r]
-            if not rho_r:  # cancelled: c_r = 0
+            if not rho_r:  # c_r = 0
                 continue
             c = solve_bar_equation(rho_r)
             if not in_qinv_ideal(c):
@@ -154,10 +148,6 @@ def _solve_triangular(anti: AntilinearMap, upward: bool) -> list[BasisVector]:
                                      f"outside q^-1 Z[q^-1] on {space!r}")
             coeffs[r] = c
             rho.add(c.bar(), cols[r])
-            for k, _ in cols[r].items():
-                if k not in queued:
-                    queued.add(k)
-                    heapq.heappush(heap, sign * k)
         vec = linalg.Vector(dim, coeffs)
         if not linalg.mat_eq(anti.apply(vec), vec):
             raise TriangularityViolationError(

@@ -24,9 +24,8 @@ import json
 import os
 import sys
 
-from .cabling import StructuralMismatchError, cabling_report
-from .canonical import (CountMismatchError, TriangularityViolationError,
-                        canonical_basis_pair, dual_canonical_basis)
+from .cabling import cabling_report
+from .canonical import canonical_basis_pair, dual_canonical_basis
 from .diagrams import (InvalidDiagramError, enumerate_B, filter_invariant,
                        filter_singular, render_ascii, render_svg_many)
 from .qring import BarAsymmetryError, InexactDivisionError, OddExponentError
@@ -38,10 +37,8 @@ from .verify import MAX_WEIGHT_SUM, SUITE_ALIASES, run_suite
 SCHEMA = "qcanon/1"
 
 _BAD_REQUEST = (ValueError, KeyError)
-_PROPERTY_FAILURE = (TriangularityViolationError, CountMismatchError,
-                     StructuralMismatchError, NotReducedError,
-                     InvalidDiagramError, BarAsymmetryError, OddExponentError,
-                     InexactDivisionError, AssertionError)
+_PROPERTY_FAILURE = (NotReducedError, InvalidDiagramError, BarAsymmetryError,
+                     OddExponentError, InexactDivisionError, AssertionError)
 
 
 def _parse_lambda(text: str) -> tuple[int, ...]:

@@ -60,8 +60,8 @@ class ValidationReport(NamedTuple):
 
 @dataclass(frozen=True)
 class ArcDiagram:
-    """Chords as a sorted tuple of (left, right) pairs on points 0..n."""
-    n: int
+    """Chords as a sorted tuple of (left, right) pairs on points 0..n,
+    where n = len(capacities)."""
     capacities: tuple[int, ...]
     chords: tuple[tuple[int, int], ...]
 
@@ -69,6 +69,10 @@ class ArcDiagram:
         object.__setattr__(self, "capacities", tuple(self.capacities))
         object.__setattr__(self, "chords",
                            tuple(sorted(tuple(c) for c in self.chords)))
+
+    @property
+    def n(self) -> int:
+        return len(self.capacities)
 
     @property
     def arcs(self) -> int:
@@ -92,8 +96,6 @@ def _crossing(c1: tuple[int, int], c2: tuple[int, int]) -> bool:
 
 def validate_diagram(d: ArcDiagram) -> ValidationReport:
     """Check every condition and report the first violation."""
-    if len(d.capacities) != d.n:
-        return ValidationReport(False, "capacity list does not match n")
     for i, j in d.chords:
         if not (0 <= i < j <= d.n):
             return ValidationReport(False, f"bad chord endpoints ({i}, {j})")
@@ -156,7 +158,7 @@ def diagram_of_index(lam: Sequence[int], a: Sequence[int]) -> ArcDiagram:
         for _ in range(aj):
             chords.append((free.pop() if free else 0, j))
         free.extend([j] * (cap - aj))
-    d = ArcDiagram(len(lam), lam, tuple(chords))
+    d = ArcDiagram(lam, tuple(chords))
     _require_valid(d)
     return d
 
@@ -215,7 +217,7 @@ def cable_diagram(d: ArcDiagram, lam: Sequence[int]) -> ArcDiagram | None:
         if i >= 1 and bi == bj:
             return None
         mapped.append((bi, bj))
-    out = ArcDiagram(len(lam), lam, tuple(mapped))
+    out = ArcDiagram(lam, tuple(mapped))
     _require_valid(out)
     return out
 

@@ -26,7 +26,25 @@ from __future__ import annotations
 from .qring import ONE, ZERO, QScalar, exact_div
 
 
-class Matrix:
+class Frozen:
+    """Base of the immutable objects (matrices, weight slices, modules):
+    ``_freeze`` sets each attribute once, in the constructor, and assigning
+    or deleting one afterwards raises."""
+
+    __slots__ = ()
+
+    def _freeze(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Matrix(Frozen):
     """Immutable sparse matrix: ``shape`` and a tuple of column dicts.
 
     ``cols`` holds one ``row -> QScalar`` mapping per column; the constructor
@@ -48,8 +66,7 @@ class Matrix:
                 if x:
                     out[i] = x
             frozen.append(out)
-        object.__setattr__(self, "shape", (rows, ncols))
-        object.__setattr__(self, "_cols", tuple(frozen))
+        self._freeze(shape=(rows, ncols), _cols=tuple(frozen))
 
     @classmethod
     def _wrap(cls, shape, cols):
@@ -58,12 +75,6 @@ class Matrix:
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "_cols", cols)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __getitem__(self, key) -> QScalar:
         i, j = key

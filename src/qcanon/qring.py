@@ -39,7 +39,7 @@ class QScalar:
     structural.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[int, int] | None = None):
         clean = {}
@@ -48,14 +48,12 @@ class QScalar:
                 if c:
                     clean[int(e)] = c
         self._terms = clean
-        self._hash = None
 
     @staticmethod
     def _raw(terms: dict) -> "QScalar":
         # internal: terms already canonical (no zeros)
         s = QScalar.__new__(QScalar)
         s._terms = terms
-        s._hash = None
         return s
 
     # -- constructors ------------------------------------------------------
@@ -85,9 +83,7 @@ class QScalar:
         return NotImplemented
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(tuple(sorted(self._terms.items())))
-        return self._hash
+        return hash(tuple(sorted(self._terms.items())))
 
     def __neg__(self) -> "QScalar":
         return QScalar._raw({e: -c for e, c in self._terms.items()})

@@ -20,6 +20,7 @@ matrices are rectangular between adjacent slices.
 from __future__ import annotations
 
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Sequence
 
 from . import linalg
@@ -49,18 +50,18 @@ def enumerate_P(lam: Sequence[int], l: int) -> list[tuple[int, ...]]:
     return out
 
 
-class WeightSpace:
-    """One weight slice of a tensor product, with its monomial index list."""
+class WeightSpace(linalg.Frozen):
+    """One immutable weight slice of a tensor product, with its monomial
+    index list and the read-only map `pos` from index to position."""
 
     __slots__ = ("factors", "level", "weight", "indices", "pos")
 
     def __init__(self, factors: tuple[WeightModule, ...], level: int):
-        self.factors = factors
-        self.level = level
-        self.weight = sum(f.highest_weight for f in factors) - 2 * level
-        bounds = [f.size - 1 for f in factors]
-        self.indices = tuple(enumerate_P(bounds, level))
-        self.pos = {m: i for i, m in enumerate(self.indices)}
+        indices = tuple(enumerate_P([f.size - 1 for f in factors], level))
+        self._freeze(
+            factors=factors, level=level, indices=indices,
+            weight=sum(f.highest_weight for f in factors) - 2 * level,
+            pos=MappingProxyType({m: i for i, m in enumerate(indices)}))
 
     @property
     def dim(self) -> int:

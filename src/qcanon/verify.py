@@ -40,12 +40,10 @@ class CheckResult:
     max_sum: int | None = None  # the weight-sum bound the check ran at
 
 
-def positive_compositions(max_sum: int, min_parts: int = 1,
-                          max_parts: int | None = None):
+def positive_compositions(max_sum: int):
     """All tuples of positive integers with sum <= max_sum."""
-    for total in range(min_parts, max_sum + 1):
-        top = total if max_parts is None else min(total, max_parts)
-        for n in range(min_parts, top + 1):
+    for total in range(1, max_sum + 1):
+        for n in range(1, total + 1):
             for cuts in itertools.combinations(range(1, total), n - 1):
                 bounds = (0,) + cuts + (total,)
                 yield tuple(bounds[i + 1] - bounds[i] for i in range(n))
@@ -87,7 +85,7 @@ def search_diagrams(lam: Sequence[int], l: int) -> list[ArcDiagram]:
 
     def rec(pos: int, remaining: int, chosen: list):
         if remaining == 0:
-            d = ArcDiagram(n, lam, tuple(chosen))
+            d = ArcDiagram(lam, tuple(chosen))
             if validate_diagram(d).ok:
                 out.append(d)
             return
@@ -168,7 +166,7 @@ def check_braid_factorizations(max_sum: int = 6) -> CheckResult:
     def body():
         words3 = ((0, 1, 0), (1, 0, 1))
         cases = 0
-        for lams in positive_compositions(max_sum, max_parts=3):
+        for lams in positive_compositions(max_sum):
             if len(lams) != 3:
                 continue
             fs = simple_factors(lams)

@@ -31,6 +31,7 @@ Three kinds are supported:
 from __future__ import annotations
 
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Sequence
 
 from . import linalg
@@ -60,18 +61,15 @@ class TruncationTooSmallError(ValueError):
     """A computation needs levels beyond the Verma truncation bound."""
 
 
-class WeightModule:
+class WeightModule(linalg.Frozen):
     """Immutable single factor with cached generator matrices."""
 
     __slots__ = ("kind", "highest_weight", "size", "base", "_mats")
 
     def __init__(self, kind: str, highest_weight: int, size: int,
                  mats: dict, base: "WeightModule | None" = None):
-        self.kind = kind
-        self.highest_weight = highest_weight
-        self.size = size
-        self.base = base
-        self._mats = mats
+        self._freeze(kind=kind, highest_weight=highest_weight, size=size,
+                     base=base, _mats=MappingProxyType(mats))
 
     def matrix(self, gen: str) -> linalg.Matrix:
         return self._mats[gen]

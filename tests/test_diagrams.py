@@ -12,7 +12,7 @@ from qcanon.verify import search_diagrams
 
 
 def diag(lam, chords):
-    return ArcDiagram(len(lam), tuple(lam), tuple(chords))
+    return ArcDiagram(tuple(lam), tuple(chords))
 
 
 def small_lams(max_sum):

@@ -14,7 +14,8 @@ from qcanon.rmatrix import (NotReducedError, _rcheck_longest, _theta_n_right,
                             theta_matrix, theta_n_matrix)
 from qcanon.canonical import dual_canonical_basis
 from qcanon.tensor import coproduct_matrix, weight_space
-from qcanon.weightmod import (GEN_E, GEN_F, contragredient, make_simple)
+from qcanon.weightmod import (GEN_E, GEN_F, contragredient, make_simple,
+                              make_verma_truncated)
 
 q = QScalar.q_power
 v = QScalar.v_power
@@ -277,6 +278,30 @@ def test_cached_operator_is_immutable():
         op.matrix.shape = (0, 0)
     again = theta_n_matrix(fs, 1).matrix
     assert again[0, 0] == original == ONE
+
+
+def test_cached_weight_slice_is_immutable():
+    # each write repeats the value it replaces, so where it is not refused
+    # the cached slice stays intact for the tests that follow
+    space = weight_space(dual_factors(1, 1), 1)
+    with pytest.raises(TypeError):
+        space.pos[(1, 0)] = space.pos[(1, 0)]
+    with pytest.raises(AttributeError):
+        space.indices = space.indices
+    basis = dual_canonical_basis((1, 1), 1)
+    assert [b.index for b in basis] == [(0, 1), (1, 0)]
+    assert basis[0].coeff((1, 0)) == -q(-1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_simple(1), lambda: make_verma_truncated(1, 2),
+    lambda: contragredient(make_simple(1))],
+    ids=["simple", "verma", "contragredient"])
+def test_cached_module_is_immutable(make):
+    module = make()
+    with pytest.raises(AttributeError):
+        module.highest_weight = module.highest_weight
+    assert make() is module and module.highest_weight == 1
 
 
 @pytest.mark.parametrize("wrapper", [
