@@ -63,12 +63,12 @@ class QScalar:
         return QScalar._raw({0: c} if c else {})
 
     @staticmethod
-    def v_power(e: int, coeff: int = 1) -> "QScalar":
-        return QScalar._raw({e: coeff} if coeff else {})
+    def v_power(e: int) -> "QScalar":
+        return QScalar._raw({e: 1})
 
     @staticmethod
-    def q_power(k: int, coeff: int = 1) -> "QScalar":
-        return QScalar.v_power(2 * k, coeff)
+    def q_power(k: int) -> "QScalar":
+        return QScalar.v_power(2 * k)
 
     # -- ring structure ----------------------------------------------------
 
@@ -83,6 +83,9 @@ class QScalar:
         return NotImplemented
 
     def __hash__(self):
+        # a constant hashes as its integer, since it compares equal to it
+        if not self._terms.keys() - {0}:
+            return hash(self._terms.get(0, 0))
         return hash(tuple(sorted(self._terms.items())))
 
     def __neg__(self) -> "QScalar":

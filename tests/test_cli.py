@@ -162,12 +162,8 @@ class TestVerifyCommand:
     def test_failure_is_exit_1_with_record(self, capsys, monkeypatch):
         import qcanon.verify as v
 
-        def broken(max_sum=6):
-            from qcanon.verify import _check
-
-            def body():
-                raise AssertionError("synthetic failure")
-            return _check("catalan", body)
+        def broken(max_sum):
+            raise AssertionError("synthetic failure")
 
         monkeypatch.setitem(v.ALL_CHECKS, "catalan", broken)
         code, out, _ = run(capsys, "verify", "--suite", "catalan")
@@ -183,9 +179,9 @@ class TestVerifyCommand:
         used = {}
 
         def fake(name):
-            def check(max_sum=6):
+            def check(max_sum):
                 used[name] = max_sum
-                return v._check(name, lambda: "fine")
+                return "fine"
             return check
 
         for name in ("cabling", "duality", "catalan"):
@@ -214,9 +210,9 @@ class TestVerifyCommand:
         ran = []
 
         def fake(name):
-            def check(max_sum=6):
+            def check(max_sum):
                 ran.append(name)
-                return v._check(name, lambda: "fine")
+                return "fine"
             return check
 
         for name in v.ALL_CHECKS:

@@ -101,6 +101,13 @@ class TestRing:
     def test_serialization_round_trip(self, a):
         assert QScalar.from_pairs(a.to_pairs()) == a
 
+    def test_constants_hash_like_their_integers(self):
+        # equal values must hash alike, so sets and dicts do not split them
+        assert ONE in {1} and ZERO in {0} and 1 in {ONE}
+        assert QScalar.from_int(-3) in {-3}
+        assert {1: "x"}[ONE] == "x"
+        assert len({ONE, 1, ZERO, 0, q(1)}) == 3
+
     def test_printer(self):
         assert str(ZERO) == "0"
         assert str(-q(-1) + 2 + q(3)) == "-q^-1 + 2 + q^3"
