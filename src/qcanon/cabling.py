@@ -111,7 +111,8 @@ def dual_cabling_matrix(lam: Sequence[int], level: int) -> DualCablingMatrix:
 
 
 def is_monomial_unit(s: QScalar) -> bool:
-    return s.is_monomial() and next(iter(s._terms.values())) in (1, -1)
+    """The units of Z[v, v^-1] are the s with s * bar(s) = 1: +-v^e."""
+    return s * s.bar() == ONE
 
 
 @dataclass(frozen=True)

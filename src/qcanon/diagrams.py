@@ -27,12 +27,16 @@ if any chord joins two points of the same block.
 
 Only the chord multiset is identity: embeddings differing by nesting order of
 parallel arcs are the same diagram, and marked points are never labeled.
+
+The conditions are an invariant of the type: `ArcDiagram` checks them once,
+in its constructor, and raises `InvalidDiagramError` on a violation, so every
+function here may assume the diagram it is given is valid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .tensor import enumerate_P
 
@@ -53,15 +57,11 @@ class ZeroBlockError(ValueError):
     """Cabling blocks must have positive size."""
 
 
-class ValidationReport(NamedTuple):
-    ok: bool
-    reason: str | None
-
-
 @dataclass(frozen=True)
 class ArcDiagram:
     """Chords as a sorted tuple of (left, right) pairs on points 0..n,
-    where n = len(capacities)."""
+    where n = len(capacities).  Valid by construction: the constructor raises
+    `InvalidDiagramError` if the chords violate a diagram condition."""
     capacities: tuple[int, ...]
     chords: tuple[tuple[int, int], ...]
 
@@ -69,6 +69,9 @@ class ArcDiagram:
         object.__setattr__(self, "capacities", tuple(self.capacities))
         object.__setattr__(self, "chords",
                            tuple(sorted(tuple(c) for c in self.chords)))
+        reason = validate_diagram(self.capacities, self.chords)
+        if reason is not None:
+            raise InvalidDiagramError(reason)
 
     @property
     def n(self) -> int:
@@ -94,35 +97,30 @@ def _crossing(c1: tuple[int, int], c2: tuple[int, int]) -> bool:
     return i < k < j < l
 
 
-def validate_diagram(d: ArcDiagram) -> ValidationReport:
-    """Check every condition and report the first violation."""
-    for i, j in d.chords:
-        if not (0 <= i < j <= d.n):
-            return ValidationReport(False, f"bad chord endpoints ({i}, {j})")
-    for p in range(1, d.n + 1):
-        if d.degree(p) > d.capacities[p - 1]:
-            return ValidationReport(
-                False, f"point z{p} exceeds its capacity {d.capacities[p - 1]}")
-    chords = d.chords
+def validate_diagram(capacities: Sequence[int],
+                     chords: Sequence[tuple[int, int]]) -> str | None:
+    """The first violated condition, or None if the chords form a diagram."""
+    n = len(capacities)
+    for i, j in chords:
+        if not (0 <= i < j <= n):
+            return f"bad chord endpoints ({i}, {j})"
+    degree = [0] * (n + 1)
+    for i, j in chords:
+        degree[i] += 1
+        degree[j] += 1
+    for p, cap in enumerate(capacities, start=1):
+        if degree[p] > cap:
+            return f"point z{p} exceeds its capacity {cap}"
     for a in range(len(chords)):
         for b in range(a + 1, len(chords)):
             if _crossing(chords[a], chords[b]):
-                return ValidationReport(
-                    False, f"chords {chords[a]} and {chords[b]} cross")
-    for p in range(1, d.n + 1):
-        if d.degree(p) < d.capacities[p - 1]:
+                return f"chords {chords[a]} and {chords[b]} cross"
+    for p, cap in enumerate(capacities, start=1):
+        if degree[p] < cap:
             for i, j in chords:
                 if i < p < j:
-                    return ValidationReport(
-                        False,
-                        f"chord ({i}, {j}) passes over unsaturated z{p}")
-    return ValidationReport(True, None)
-
-
-def _require_valid(d: ArcDiagram) -> None:
-    report = validate_diagram(d)
-    if not report.ok:
-        raise InvalidDiagramError(report.reason)
+                    return f"chord ({i}, {j}) passes over unsaturated z{p}"
+    return None
 
 
 def enumerate_B(lam: Sequence[int], l: int) -> list[ArcDiagram]:
@@ -134,7 +132,6 @@ def enumerate_B(lam: Sequence[int], l: int) -> list[ArcDiagram]:
 
 def index_of_diagram(d: ArcDiagram) -> tuple[int, ...]:
     """a_i = number of chords joining z_i to a point on its left."""
-    _require_valid(d)
     a = [0] * d.n
     for _, j in d.chords:
         a[j - 1] += 1
@@ -158,9 +155,7 @@ def diagram_of_index(lam: Sequence[int], a: Sequence[int]) -> ArcDiagram:
         for _ in range(aj):
             chords.append((free.pop() if free else 0, j))
         free.extend([j] * (cap - aj))
-    d = ArcDiagram(lam, tuple(chords))
-    _require_valid(d)
-    return d
+    return ArcDiagram(lam, tuple(chords))
 
 
 def filter_singular(diagrams: Iterable[ArcDiagram]) -> list[ArcDiagram]:
@@ -209,7 +204,6 @@ def cable_diagram(d: ArcDiagram, lam: Sequence[int]) -> ArcDiagram | None:
     if d.n != sum(lam):
         raise InvalidDiagramError(
             f"diagram on {d.n} points cannot collapse to blocks of {lam}")
-    _require_valid(d)
     blocks = (0,) + block_map(lam)  # the origin maps to the origin
     mapped = []
     for i, j in d.chords:
@@ -217,9 +211,7 @@ def cable_diagram(d: ArcDiagram, lam: Sequence[int]) -> ArcDiagram | None:
         if i >= 1 and bi == bj:
             return None
         mapped.append((bi, bj))
-    out = ArcDiagram(lam, tuple(mapped))
-    _require_valid(out)
-    return out
+    return ArcDiagram(lam, tuple(mapped))
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +235,6 @@ def _labels(n: int) -> list[str]:
 
 def render_ascii(d: ArcDiagram) -> str:
     """Label line, then one row per chord: widest span first, dot at apex."""
-    _require_valid(d)
     width = 5
     cols = [width * p for p in range(d.n + 1)]
     header = ""
@@ -292,22 +283,10 @@ def _svg_panel(d: ArcDiagram) -> tuple[int, int, list[str]]:
     return width, height, parts
 
 
-def render_svg(d: ArcDiagram) -> str:
-    """A standalone SVG: baseline points, elliptical arcs, one dot per arc."""
-    _require_valid(d)
-    width, height, parts = _svg_panel(d)
-    head = (f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-            f'width="{width}" height="{height}" '
-            f'viewBox="0 0 {width} {height}">')
-    return "\n".join([head] + parts + ["</svg>"]) + "\n"
-
-
 def render_svg_many(diagrams: Sequence[ArcDiagram]) -> str:
-    """Stack several diagrams vertically inside one SVG document."""
-    panels = []
-    for d in diagrams:
-        _require_valid(d)
-        panels.append(_svg_panel(d))
+    """Stack several diagrams vertically inside one SVG document: baseline
+    points, elliptical arcs, one dot per arc."""
+    panels = [_svg_panel(d) for d in diagrams]
     width = max((w for w, _, _ in panels), default=120)
     total = sum(h for _, h, _ in panels) or 40
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -326,5 +305,5 @@ def render(d: ArcDiagram, format: str = "ascii") -> str:
     if format == "ascii":
         return render_ascii(d)
     if format == "svg":
-        return render_svg(d)
+        return render_svg_many([d])
     raise ValueError(f"unknown render format {format!r}")

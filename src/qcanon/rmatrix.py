@@ -357,6 +357,9 @@ def sigma0_matrix(factors, level) -> BraidOperator:
 
 def rcheck_matrix(factors, level, i) -> BraidOperator:
     factors = tuple(factors)
+    if not 0 <= i < len(factors) - 1:
+        raise ValueError(f"position {i} out of range: need 0 <= pos < "
+                         f"{len(factors) - 1} for {len(factors)} factors")
     return _operator(_rcheck, factors, level, i, target=_swapped(factors, i))
 
 

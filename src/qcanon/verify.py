@@ -98,9 +98,8 @@ def search_diagrams(lam: Sequence[int], l: int) -> list[ArcDiagram]:
 
     def rec(pos: int, remaining: int, chosen: list):
         if remaining == 0:
-            d = ArcDiagram(lam, tuple(chosen))
-            if validate_diagram(d).ok:
-                out.append(d)
+            if validate_diagram(lam, chosen) is None:
+                out.append(ArcDiagram(lam, tuple(chosen)))
             return
         if pos == len(alphabet):
             return

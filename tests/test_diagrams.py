@@ -30,29 +30,34 @@ def capacities_with_zeros(max_n=4):
 
 class TestValidate:
     def test_pass_over_unsaturated(self):
-        rep = validate_diagram(diag((1, 1), [(0, 2)]))
-        assert not rep.ok and "passes over" in rep.reason
+        assert "passes over" in validate_diagram((1, 1), [(0, 2)])
 
     def test_simple_valid(self):
-        assert validate_diagram(diag((1, 1), [(1, 2)])).ok
+        assert validate_diagram((1, 1), [(1, 2)]) is None
 
     def test_nesting_at_origin_allowed(self):
-        assert validate_diagram(diag((1, 1), [(0, 1), (0, 2)])).ok
+        assert validate_diagram((1, 1), [(0, 1), (0, 2)]) is None
 
     def test_capacity(self):
-        rep = validate_diagram(diag((1, 1), [(0, 1), (0, 1)]))
-        assert not rep.ok and "capacity" in rep.reason
+        assert "capacity" in validate_diagram((1, 1), [(0, 1), (0, 1)])
 
     def test_crossing(self):
-        rep = validate_diagram(diag((1, 1, 1, 1), [(1, 3), (2, 4)]))
-        assert not rep.ok and "cross" in rep.reason
+        assert "cross" in validate_diagram((1, 1, 1, 1), [(1, 3), (2, 4)])
 
     def test_doubled_arc_allowed(self):
-        assert validate_diagram(diag((2, 2), [(1, 2), (1, 2)])).ok
+        assert validate_diagram((2, 2), [(1, 2), (1, 2)]) is None
 
     def test_zero_capacity_is_transparent(self):
         # a saturated-by-zero point may be passed over
-        assert validate_diagram(diag((1, 0, 1), [(1, 3)])).ok
+        assert validate_diagram((1, 0, 1), [(1, 3)]) is None
+
+    def test_constructor_rejects_crossing(self):
+        with pytest.raises(InvalidDiagramError, match="cross"):
+            ArcDiagram((1, 1, 1, 1), ((1, 3), (2, 4)))
+
+    def test_constructor_rejects_pass_over(self):
+        with pytest.raises(InvalidDiagramError, match="passes over"):
+            ArcDiagram((1, 1), ((0, 2),))
 
 
 class TestEnumerate:
@@ -159,7 +164,8 @@ class TestCabling:
                 for d in enumerate_B(unit, l):
                     out = cable_diagram(d, lam)
                     if out is not None:
-                        assert validate_diagram(out).ok
+                        assert validate_diagram(out.capacities,
+                                                out.chords) is None
                         images.add(out)
                 assert images == set(enumerate_B(lam, l))
 

@@ -124,6 +124,11 @@ class TestRcheck:
                 rcheck_matrix(src, l, pos).matrix)
             assert linalg.mat_eq(lhs, rhs)
 
+    @pytest.mark.parametrize("pos", [-3, -1, 2, 3])
+    def test_position_out_of_range(self, pos):
+        with pytest.raises(ValueError, match="0 <= pos < 2"):
+            rcheck_matrix(factors(1, 1, 1), 1, pos)
+
 
 class TestRcheckLongest:
     def test_n2_is_single_rcheck(self):
