@@ -2,8 +2,9 @@
 
 The involution psi_c = tau(Theta^(n)) . bar is unipotent triangular on dual
 monomials, so each basis vector is the monomial plus corrections at larger
-indices, with every correction coefficient in q^-1 Z[q^-1].  The solver walks
-indices downward and solves one bar-equation per correction.
+indices, with every correction coefficient in q^-1 Z[q^-1].  The solver scans
+the rows after the lead in ascending order and solves one bar-equation per
+correction.
 """
 
 from qcanon import canonical_basis_pair, dual_canonical_basis, is_singular, \
@@ -24,7 +25,7 @@ for b in basis:
     marker = "  <- singular" if is_singular(b) else ""
     print(f"  {b}{marker}")
 
-print("\nsingular members (E-kernel), count certified by exact rank:")
+print("\nsingular members (E-kernel), count certified by rank at q = 1:")
 print("  indices:", [b.index for b in singular_subset(basis)])
 
 print("\npsi_c really is an involution here:",

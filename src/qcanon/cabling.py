@@ -19,6 +19,7 @@ or target-index disagreement is a hard failure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 from . import linalg
@@ -89,21 +90,19 @@ def dual_cabling_matrix(lam: Sequence[int], level: int) -> DualCablingMatrix:
         raise ValueError(f"level {level} exceeds the unit point count {total}")
     rows = tuple(enumerate_P(lam, level))
     cols = tuple(enumerate_P((1,) * total, level))
-    embeddings = [verma_unit_embedding(x, level) for x in lam]
-    spaces = [[emb.target_space(m) for m in range(level + 1)]
-              for emb in embeddings]
+    embeddings = {x: verma_unit_embedding(x, level) for x in set(lam)}
+    spaces = {x: [emb.target_space(m) for m in range(level + 1)]
+              for x, emb in embeddings.items()}
     row_pos = {a: r for r, a in enumerate(rows)}
     out = [{} for _ in cols]
-    starts = [0]
-    for x in lam:
-        starts.append(starts[-1] + x)
+    starts = [0, *accumulate(lam)]
     for c, mt in enumerate(cols):
         # column mt reaches one row only: the tuple of its block sums
-        blocks = [mt[starts[i]:starts[i + 1]] for i in range(len(lam))]
+        blocks = [mt[s:t] for s, t in zip(starts, starts[1:])]
         a = tuple(sum(block) for block in blocks)
         val = ONE
-        for i, (ai, block) in enumerate(zip(a, blocks)):
-            val = val * embeddings[i].columns[ai][spaces[i][ai].pos[block]]
+        for x, ai, block in zip(lam, a, blocks):
+            val = val * embeddings[x].columns[ai][spaces[x][ai].pos[block]]
         if val:
             out[c][row_pos[a]] = val
     return DualCablingMatrix(lam, level, rows, cols,

@@ -31,8 +31,8 @@ unit upper triangular and the corrections run toward lexicographically
 smaller indices, so the rows are scanned in descending order instead.
 
 Singular vectors (killed by the coproduct E) are recognized exactly, and
-`singular_subset` checks its count against an independent fraction-free rank
-computation -- a disagreement is a falsification signal and raises.
+`singular_subset` certifies its count by the integer rank of E at q = 1 -- a
+disagreement is a falsification signal and raises.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ class TriangularityViolationError(AssertionError):
 
 
 class CountMismatchError(AssertionError):
-    """A basis subset count disagrees with an independent rank computation."""
+    """A basis subset count disagrees with an independent rank bound."""
 
 
 @dataclass(frozen=True)
@@ -194,15 +194,21 @@ def is_singular(b: BasisVector) -> bool:
 
 
 def singular_subset(basis: list[BasisVector]) -> list[BasisVector]:
-    """The singular members, with an independent E-kernel dimension check."""
+    """The members killed by the coproduct E, their count certified by the
+    rank of E at q = 1.  The counted vectors are independent and killed by E,
+    so count <= dim ker E.  v -> 1 is a ring map: a minor that vanishes over
+    Z[v, v^-1] vanishes at v = 1, so rank_at_q1(E) <= the generic rank and
+    dim - rank_at_q1(E) >= dim ker E.  Equality proves count = dim ker E, so a
+    wrong count never passes.  A lower count raises: it means a missed kernel
+    vector or a rank drop at q = 1, which the classical Clebsch-Gordan count
+    rules out for simple and contragredient factors; there is no retry."""
     if not basis:
         return []
     space = basis[0].space
-    subset = [b for b in basis if is_singular(b)]
     e = coproduct_matrix(space.factors, space.level, GEN_E)
-    expected = linalg.kernel_dimension(e)
-    if len(subset) != expected:
-        raise CountMismatchError(
-            f"{len(subset)} singular basis elements but ker E has dimension "
-            f"{expected} on {space!r}")
+    subset = [b for b in basis if linalg.is_zero(linalg.matmul(e, b.coords))]
+    bound = space.dim - linalg.rank_at_q1(e)
+    if len(subset) != bound:
+        raise CountMismatchError(f"{len(subset)} singular elements, but E has "
+                                 f"corank {bound} at q = 1 on {space!r}")
     return subset

@@ -26,8 +26,9 @@ import sys
 
 from .cabling import cabling_report
 from .canonical import canonical_basis_pair, dual_canonical_basis
-from .diagrams import (InvalidDiagramError, enumerate_B, filter_invariant,
-                       filter_singular, render_ascii, render_svg_many)
+from .diagrams import (InvalidDiagramError, WeightMismatchError, enumerate_B,
+                       filter_invariant, filter_singular, render_ascii,
+                       render_svg_many)
 from .qring import BarAsymmetryError, InexactDivisionError, OddExponentError
 from .rmatrix import (NotReducedError, rcheck_matrix, rcheck_longest,
                       tau_theta_n, theta_matrix, theta_n_matrix)
@@ -150,13 +151,17 @@ def cmd_canonical2(args, parser) -> int:
 
 def cmd_diagrams(args, parser) -> int:
     _guard(args, parser)
+    if args.filter == "invariant" and sum(args.lam) != 2 * args.level:
+        raise WeightMismatchError(f"need sum(capacities) = 2*arcs, got "
+                                  f"{sum(args.lam)} vs {2 * args.level}")
     diagrams = enumerate_B(args.lam, args.level)
     if args.filter == "singular":
         diagrams = filter_singular(diagrams)
     elif args.filter == "invariant":
         diagrams = filter_invariant(diagrams)
     if args.render == "ascii":
-        _emit("\n".join(render_ascii(d) for d in diagrams), args.output)
+        _emit("\n".join(render_ascii(d) for d in diagrams) or "no diagrams\n",
+              args.output)
         return 0
     if args.render == "svg":
         _emit(render_svg_many(diagrams), args.output)

@@ -101,11 +101,10 @@ def validate_diagram(capacities: Sequence[int],
                      chords: Sequence[tuple[int, int]]) -> str | None:
     """The first violated condition, or None if the chords form a diagram."""
     n = len(capacities)
+    degree = [0] * (n + 1)
     for i, j in chords:
         if not (0 <= i < j <= n):
             return f"bad chord endpoints ({i}, {j})"
-    degree = [0] * (n + 1)
-    for i, j in chords:
         degree[i] += 1
         degree[j] += 1
     for p, cap in enumerate(capacities, start=1):

@@ -13,17 +13,13 @@ once per partial sum.  An accumulator dict is never the ``_terms`` of a live
 QScalar, so reading an entry of a sum and then adding a multiple of a vector
 that touches the same entry is safe.
 
-Rank is computed by fraction-free (Bareiss) elimination, whose interior
-divisions are exact over an integral domain -- no rational arithmetic ever
-appears.
-
 Dict iteration order is insertion order, not row order; callers that emit
 indices sort them (`Vector.support`).
 """
 
 from __future__ import annotations
 
-from .qring import ONE, ZERO, QScalar, exact_div
+from .qring import ONE, ZERO, InexactDivisionError, QScalar, exact_div
 
 
 class Frozen:
@@ -292,35 +288,29 @@ def diagonal_inverse(a: Matrix) -> Matrix:
         {i: a._cols[i].get(i, ZERO).monomial_inverse()} for i in range(n)))
 
 
-def exact_rank(a: Matrix) -> int:
-    """Rank over the fraction field of Z[v, v^-1], by Bareiss elimination."""
+def rank_at_q1(a: Matrix) -> int:
+    """Rank at v = 1, where each entry is the sum of its coefficients, by
+    fraction-free (Bareiss) elimination over the integers; a division that
+    leaves a remainder raises.  v -> 1 is a ring map, so this is at most the
+    rank over the fraction field of Z[v, v^-1]."""
     nr, nc = a.shape
-    if nr == 0 or nc == 0:
-        return 0
-    m = [[ZERO] * nc for _ in range(nr)]
+    m = [[0] * nc for _ in range(nr)]
     for j, col in enumerate(a._cols):
         for i, x in col.items():
-            m[i][j] = x
-    rank = 0
-    prev = ONE
+            m[i][j] = sum(x._terms.values())
+    rank, prev = 0, 1
     for c in range(nc):
         pivot_row = next((i for i in range(rank, nr) if m[i][c]), None)
         if pivot_row is None:
             continue
         m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        piv = m[rank][c]
-        for i in range(rank + 1, nr):
-            row_i, row_r = m[i], m[rank]
-            head = row_i[c]
+        top = m[rank]
+        for row in m[rank + 1:]:
             for j in range(c + 1, nc):
-                row_i[j] = exact_div(piv * row_i[j] - head * row_r[j], prev)
-            row_i[c] = ZERO
-        prev = piv
+                row[j], rem = divmod(top[c] * row[j] - row[c] * top[j], prev)
+                if rem:
+                    raise InexactDivisionError(f"inexact division by {prev}")
+            row[c] = 0
+        prev = top[c]
         rank += 1
-        if rank == nr:
-            break
     return rank
-
-
-def kernel_dimension(a: Matrix) -> int:
-    return a.shape[1] - exact_rank(a)

@@ -6,9 +6,9 @@ otherwise returns a one-line detail.  `run_suite` runs the checks a suite
 names, times each call and records its outcome as a `CheckResult`.  The
 checks are deliberately redundant with independent machinery on each side:
 dimension counts come from convolving weight multisets, singular counts from
-fraction-free rank, braid products are compared against coproduct recursions,
-diagram listings against an exhaustive chord search, and the diagram model
-against the fixed-point solver.
+the integer rank of E at q = 1, braid products are compared against coproduct
+recursions, diagram listings against an exhaustive chord search, and the
+diagram model against the fixed-point solver.
 """
 
 from __future__ import annotations
@@ -261,7 +261,7 @@ def check_bijection_counts(max_sum: int) -> str:
 
 def check_singular_bases(max_sum: int) -> str:
     """Origin-avoiding diagrams index exactly the E-kernel members of the
-    dual canonical basis, with the count certified by exact rank."""
+    dual canonical basis, with the count certified by the rank at q = 1."""
     cases = 0
     for lams, l in weight_slices(max_sum):
         basis = dual_canonical_basis(lams, l)

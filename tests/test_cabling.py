@@ -131,6 +131,23 @@ class TestCablingReport:
         assert {o["killed"] for o in d["outcomes"]} == {True, False}
 
 
+def test_one_embedding_per_distinct_block_weight(monkeypatch):
+    import qcanon.cabling as cabling
+    built = []
+    real = cabling.verma_unit_embedding
+
+    def counting(factor_weight, level):
+        built.append(factor_weight)
+        return real(factor_weight, level)
+
+    monkeypatch.setattr(cabling, "verma_unit_embedding", counting)
+    dcm = dual_cabling_matrix((2, 1, 2, 2), 3)
+    assert sorted(built) == [1, 2]
+    monkeypatch.undo()
+    again = dual_cabling_matrix((2, 1, 2, 2), 3)
+    assert linalg.mat_eq(dcm.matrix, again.matrix)
+
+
 def test_is_monomial_unit():
     assert is_monomial_unit(ONE)
     assert is_monomial_unit(-q(3))

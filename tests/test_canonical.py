@@ -196,6 +196,21 @@ class TestSingular:
             singular_subset(broken)
 
 
+def test_rank_at_q1_bound_is_the_classical_count():
+    # dim - rank(E at q = 1) equals the number of highest-weight vectors of
+    # the classical tensor product on every slice of the bound-5 sweep
+    from qcanon.tensor import coproduct_matrix, dual_factors
+    from qcanon.verify import independent_dimension, weight_slices
+    from qcanon.weightmod import GEN_E
+    for lams, l in weight_slices(5):
+        e = coproduct_matrix(dual_factors(lams), l, GEN_E)
+        expected = 0
+        if sum(lams) >= 2 * l:
+            expected = (independent_dimension(lams, l)
+                        - independent_dimension(lams, l - 1))
+        assert e.shape[1] - linalg.rank_at_q1(e) == expected, (lams, l)
+
+
 class TestLemmaDimensionIdentity:
     def test_singular_slice_of_trivial_verma_product(self):
         # dim ker E on (M_0^c x V)[mu] equals dim V[mu]: attaching a
@@ -209,4 +224,4 @@ class TestLemmaDimensionIdentity:
             factors = (contragredient(make_verma_truncated(0, sum(lams))),) \
                 + tuple(contragredient(make_simple(x)) for x in lams)
             e = coproduct_matrix(factors, l, GEN_E)
-            assert linalg.kernel_dimension(e) == v_dim
+            assert e.shape[1] - linalg.rank_at_q1(e) == v_dim

@@ -91,6 +91,20 @@ class TestDiagramsCommand:
                         "--render", "ascii")
         assert "*" in out and "z4" in out
 
+    def test_empty_ascii_listing_says_so(self, capsys):
+        code, out, _ = run(capsys, "diagrams", "--lambda", "1", "--level", "1",
+                           "--filter", "singular", "--render", "ascii")
+        assert code == 0 and out == "no diagrams\n"
+
+    @pytest.mark.parametrize("lam, level", [("1,1", "3"), ("1,1,1", "1")])
+    def test_invariant_filter_needs_weight_zero(self, capsys, lam, level):
+        # (1,1) at level 3 is an empty slice: the guard must not depend on
+        # there being a diagram to check
+        code, out, err = run(capsys, "diagrams", "--lambda", lam,
+                             "--level", level, "--filter", "invariant")
+        assert code == 2 and out == ""
+        assert "need sum(capacities) = 2*arcs" in err
+
     def test_svg_render_single_document(self, capsys, tmp_path):
         path = tmp_path / "out.svg"
         code, out, _ = run(capsys, "diagrams", "--lambda", "1,1,1,1",

@@ -1,12 +1,15 @@
 """The sparse kernel against a naive dense triple loop over QScalar."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcanon import linalg
 from qcanon.canonical import dual_canonical_basis
-from qcanon.qring import ONE, ZERO, InexactDivisionError, QScalar, exact_div
+from qcanon.qring import (ONE, Q_MINUS_QINV, ZERO, InexactDivisionError,
+                          QScalar, exact_div)
 
 scalars = st.dictionaries(st.integers(-3, 3), st.integers(-3, 3),
                           max_size=3).map(QScalar)
@@ -171,8 +174,38 @@ def test_empty_slices():
         assert linalg.transpose(z).shape == shape[::-1]
     assert linalg.mat_eq(linalg.matmul(linalg.zeros(2, 0), linalg.zeros(0, 2)),
                          linalg.zeros(2, 2))
-    assert linalg.exact_rank(linalg.zeros(0, 3)) == 0
+    assert linalg.rank_at_q1(linalg.zeros(0, 3)) == 0
     assert linalg.zeros(0).dim == 0
+
+
+def test_rank_at_q1_is_one_sided():
+    # q - q^-1 is nonzero but vanishes at q = 1: the rank can only drop
+    assert linalg.rank_at_q1(linalg.diagonal([Q_MINUS_QINV])) == 0
+    assert linalg.rank_at_q1(linalg.diagonal([Q_MINUS_QINV, ONE])) == 1
+
+
+def _rational_rank(rows):
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(len(m[0])):
+        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for i in range(rank + 1, len(m)):
+            f = m[i][c] / m[rank][c]
+            m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes.flatmap(lambda r: sizes.flatmap(
+    lambda c: dense_matrices(r + 2, c + 2))))
+def test_rank_at_q1_is_the_rational_rank_at_v_equals_1(rows):
+    at_one = [[sum(x._terms.values()) for x in row] for row in rows]
+    assert linalg.rank_at_q1(from_dense(rows, len(rows[0]))) == \
+        _rational_rank(at_one)
 
 
 def test_matrices_are_immutable():
