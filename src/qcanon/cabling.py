@@ -27,7 +27,8 @@ from .canonical import dual_canonical_basis
 from .diagrams import (ZeroBlockError, block_map, cable_diagram,
                        diagram_of_index, index_of_diagram)
 from .qring import ONE, QScalar, quantum_factorial
-from .tensor import coproduct_matrix, enumerate_P, weight_space
+from .rmatrix import _coproduct_power
+from .tensor import enumerate_P, weight_space
 from .weightmod import GEN_F, make_verma_truncated
 
 
@@ -56,15 +57,11 @@ def verma_unit_embedding(factor_weight: int, level: int) -> UnitEmbedding:
         raise ZeroBlockError(f"factor weight must be >= 1, got {factor_weight}")
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
-    unit = make_verma_truncated(1, level)
-    factors = (unit,) * factor_weight
-    vec = weight_space(factors, 0).unit_vector((0,) * factor_weight)
-    columns = []
-    for m in range(level + 1):
-        columns.append(linalg.mat_div(vec, quantum_factorial(m)))
-        if m < level:
-            vec = linalg.matmul(coproduct_matrix(factors, m, GEN_F), vec)
-    return UnitEmbedding(factor_weight, level, tuple(columns))
+    factors = (make_verma_truncated(1, level),) * factor_weight
+    # column 0 of the chain F^m from level 0 is F^m on the pure top tensor
+    return UnitEmbedding(factor_weight, level, tuple(
+        linalg.mat_div(_coproduct_power(factors, 0, (GEN_F,), m).col(0),
+                       quantum_factorial(m)) for m in range(level + 1)))
 
 
 @dataclass(frozen=True)

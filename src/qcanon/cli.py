@@ -12,9 +12,9 @@ Subcommands:
 Exit codes: 0 success, 1 a property check failed (a machine-readable JSON
 record is printed), 2 bad flags or request outside the configured bounds.
 All JSON is emitted with sorted keys and canonical scalar serialization, so
-identical requests produce byte-identical output.  The environment variable
-QCANON_MAX_DIM, when set, caps the dimension of any weight slice a command
-may touch.
+identical requests produce byte-identical output.  QCANON_MAX_DIM, when set,
+is a nonnegative integer that caps the dimension of any weight slice a command
+touches; verify does not read it and is bounded by --max-weight-sum instead.
 """
 
 from __future__ import annotations
@@ -84,10 +84,10 @@ def _guard(args, parser, *more_lams) -> None:
     cap = os.environ.get("QCANON_MAX_DIM")
     if not cap:
         return
-    try:
-        limit = int(cap)
-    except ValueError:
-        parser.error(f"QCANON_MAX_DIM must be an integer, got {cap!r}")
+    if not cap.strip().isdecimal():
+        parser.error(f"QCANON_MAX_DIM must be a nonnegative integer, "
+                     f"got {cap!r}")
+    limit = int(cap)
     for lams in (args.lam, *more_lams):
         dim = weight_space(dual_factors(lams), args.level).dim
         if dim > limit:

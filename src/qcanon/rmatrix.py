@@ -28,6 +28,10 @@ as an element (`tau_theta_direct`), and the braid-product identity
 
 evaluated with the given factor matrices (`tau_theta_braid`).
 
+`_lift` builds each block operator once per block level, per call.  Only
+what is built again is cached: the recursions `_lift` re-enters, coproduct
+chains, the pair operator, the shared Theta piece and what `verify` rereads.
+
 Every division by [k]! is exact on monomial bases (the entries carry the
 matching quantum-binomial numerators); `exact_div` raising would indicate a
 genuine bug, not a rounding concern.
@@ -73,14 +77,17 @@ def _lift(factors, level, lo, hi, sub_fn, shift, out_block=None):
     out_block = block if out_block is None else out_block
     src = weight_space(factors, level)
     tgt = weight_space(factors[:lo] + out_block + factors[hi:], level + shift)
-    cols = [{} for _ in range(src.dim)]
-    for j, m in enumerate(src.indices):
+    per_level = {}  # b -> (sub_fn(b), block pos, out-block indices)
+    cols = []
+    for m in src.indices:
         head, part, tail = m[:lo], m[lo:hi], m[hi:]
         b = sum(part)
-        sub_tgt = weight_space(out_block, b + shift)
-        out = cols[j]
-        for i, x in sub_fn(b).col(weight_space(block, b).pos[part]).items():
-            out[tgt.pos[head + sub_tgt.indices[i] + tail]] = x
+        if b not in per_level:
+            per_level[b] = (sub_fn(b), weight_space(block, b).pos,
+                            weight_space(out_block, b + shift).indices)
+        sub, pos, sub_indices = per_level[b]
+        cols.append({tgt.pos[head + sub_indices[i] + tail]: x
+                     for i, x in sub.col(pos[part]).items()})
     return linalg.Matrix((tgt.dim, src.dim), cols)
 
 
@@ -157,7 +164,6 @@ def _theta_piece_first(factors, level):
                       ((0, 1, (GEN_E,)), (1, len(factors), (GEN_F,))))
 
 
-@lru_cache(maxsize=None)
 def _theta_piece_last(factors, level):
     """(Delta^{n-2} x 1)(Theta): coproducted E^k on the front, F^k on the last."""
     n = len(factors)
@@ -206,7 +212,6 @@ def _tau_theta_direct(factors, level):
     return linalg.matmul(piece, sub)
 
 
-@lru_cache(maxsize=None)
 def _cartan(factors, level):
     n = len(factors)
     return _cartan_diagonal(factors, level, lambda w: sum(
@@ -231,7 +236,6 @@ def _r_n(factors, level):
 # permutations and the commutativity isomorphisms
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def _sigma0(factors, level):
     src = weight_space(factors, level)
     tgt = weight_space(factors[::-1], level)
@@ -252,7 +256,6 @@ def _pair_rcheck(pair, level):
                                        _theta_piece_first(pair, level)))
 
 
-@lru_cache(maxsize=None)
 def _rcheck(factors, level, i):
     """The pair operator on factors (i, i+1): maps onto the swapped sequence."""
     pair = factors[i:i + 2]

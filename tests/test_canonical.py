@@ -3,13 +3,15 @@ import itertools
 import pytest
 
 from qcanon import linalg
-from qcanon.canonical import (AntilinearMap, CountMismatchError,
+from qcanon.canonical import (AntilinearMap, BasisVector, CountMismatchError,
                               TriangularityViolationError, _solve_triangular,
                               canonical_basis_pair, dual_canonical_basis,
                               is_singular, psi_c, psi_tensor2,
                               singular_subset)
 from qcanon.qring import ONE, BarAsymmetryError, QScalar, in_qinv_ideal
-from qcanon.tensor import enumerate_P
+from qcanon.tensor import coproduct_matrix, dual_factors, enumerate_P
+from qcanon.verify import weight_slices
+from qcanon.weightmod import GEN_E, GEN_F
 
 q = QScalar.q_power
 
@@ -209,6 +211,71 @@ def test_rank_at_q1_bound_is_the_classical_count():
             expected = (independent_dimension(lams, l)
                         - independent_dimension(lams, l - 1))
         assert e.shape[1] - linalg.rank_at_q1(e) == expected, (lams, l)
+
+
+def _expand(basis, x):
+    """The coefficients of x over a dual canonical basis (ascending index
+    order, b_p = e_p + terms after p), peeled from the lowest index."""
+    rest = linalg.Accumulator(x)
+    coeffs = []
+    for p, b in enumerate(basis):
+        c = rest[p]
+        if c:
+            coeffs.append(c)
+            rest.add(-c, b.coords)
+    assert all(not rest[p] for p in range(x.dim)), "incomplete peel"
+    return coeffs
+
+
+def _structure_constants(slices, basis_of):
+    """Every coefficient of E b and F b over the target slice's dual
+    canonical basis, for each b = basis_of(lams, l) on the given slices."""
+    bases = {}
+
+    def basis(lams, l):
+        if (lams, l) not in bases:
+            bases[lams, l] = basis_of(lams, l)
+        return bases[lams, l]
+
+    out = []
+    for lams, l in slices:
+        for gen, t in ((GEN_E, l - 1), (GEN_F, l + 1)):
+            if 0 <= t <= sum(lams):
+                mat = coproduct_matrix(dual_factors(lams), l, gen)
+                for b in basis(lams, l):
+                    out.extend(_expand(basis(lams, t),
+                                       linalg.matmul(mat, b.coords)))
+    return out
+
+
+def _nonnegative(c):
+    return all(int(k) > 0 for _, k in c.to_pairs())
+
+
+def _negated_off_lead(lams, l):
+    """The solver's basis with every off-lead coefficient negated."""
+    out = []
+    for b in dual_canonical_basis(lams, l):
+        lead = b.space.pos[b.index]
+        coords = {i: x if i == lead else -x for i, x in b.coords.items()}
+        out.append(BasisVector(b.index, b.space,
+                               linalg.Vector(b.coords.dim, coords)))
+    return out
+
+
+class TestPositivity:
+    def test_e_and_f_have_coefficients_in_n_v(self):
+        # E b and F b expand over the dual canonical basis with every
+        # coefficient in N[v, v^-1], on every slice of the bound-5 sweep
+        consts = _structure_constants(weight_slices(5), dual_canonical_basis)
+        assert len(consts) == 920
+        assert all(_nonnegative(c) for c in consts)
+
+    @pytest.mark.parametrize("lams", [(1, 1), (2, 1), (1, 1, 1), (2, 2)])
+    def test_negated_off_lead_coefficients_break_it(self, lams):
+        slices = [(lams, l) for l in range(sum(lams) + 1)]
+        consts = _structure_constants(slices, _negated_off_lead)
+        assert not all(_nonnegative(c) for c in consts)
 
 
 class TestLemmaDimensionIdentity:

@@ -284,6 +284,14 @@ class TestGuards:
         assert err.value.code == 2
         assert "QCANON_MAX_DIM" in capsys.readouterr().err
 
+    def test_dimension_cap_must_be_nonnegative(self, capsys, monkeypatch):
+        monkeypatch.setenv("QCANON_MAX_DIM", "-3")
+        with pytest.raises(SystemExit) as err:
+            run(capsys, "basis", "--lambda", "1", "--level", "0")
+        assert err.value.code == 2
+        assert ("QCANON_MAX_DIM must be a nonnegative integer, got '-3'"
+                in capsys.readouterr().err)
+
     def test_property_failure_exit_1(self, capsys, monkeypatch):
         import qcanon.cli as cli
         from qcanon.cabling import StructuralMismatchError

@@ -7,11 +7,12 @@ import pytest
 
 from qcanon import linalg
 from qcanon.qring import ONE, Q_MINUS_QINV, QScalar
-from qcanon.rmatrix import (NotReducedError, _rcheck_longest, _theta_n_right,
-                            cartan_factor, default_longest_word, r_n_matrix,
-                            rcheck_longest, rcheck_matrix, sigma0_matrix,
-                            tau_theta_braid, tau_theta_direct, tau_theta_n,
-                            theta_matrix, theta_n_matrix)
+from qcanon.rmatrix import (NotReducedError, _lift, _rcheck_longest,
+                            _theta_n_right, cartan_factor,
+                            default_longest_word, r_n_matrix, rcheck_longest,
+                            rcheck_matrix, sigma0_matrix, tau_theta_braid,
+                            tau_theta_direct, tau_theta_n, theta_matrix,
+                            theta_n_matrix)
 from qcanon.canonical import dual_canonical_basis
 from qcanon.tensor import coproduct_matrix, weight_space
 from qcanon.weightmod import (GEN_E, GEN_F, contragredient, make_simple,
@@ -57,6 +58,22 @@ class TestCartan:
     def test_zero_weight_factor_drops_out(self):
         op = cartan_factor(factors(1, 0, 1), 0)
         assert op.matrix[0, 0] == v(1)
+
+
+class TestLift:
+    def test_builds_each_block_level_once(self):
+        # the columns (0,0,1), (0,1,0), (1,0,0) put the block [1:3] at
+        # levels 1, 1, 0: two distinct levels, so two calls
+        fs = factors(1, 1, 1)
+        calls = []
+
+        def sub(b):
+            calls.append(b)
+            return linalg.identity(weight_space(fs[1:], b).dim)
+
+        lifted = _lift(fs, 1, 1, 3, sub, 0)
+        assert calls == [1, 0]
+        assert linalg.mat_eq(lifted, linalg.identity(3))
 
 
 class TestThetaN:
@@ -260,7 +277,7 @@ class TestTauThetaOnDuals:
                 "dual_canonical_basis((1, 1, 1, 1), 2)\n"
                 "print(*(f.cache_info().currsize for f in (\n"
                 "    rmatrix._tau_theta_n_dual, rmatrix._rcheck_longest,\n"
-                "    rmatrix._rcheck)))\n")
+                "    rmatrix._pair_rcheck)))\n")
         src = str(Path(__file__).resolve().parents[1] / "src")
         done = subprocess.run([sys.executable, "-c", code],
                               env={**os.environ, "PYTHONPATH": src},
