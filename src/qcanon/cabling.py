@@ -18,7 +18,6 @@ or target-index disagreement is a hard failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
@@ -36,16 +35,18 @@ class StructuralMismatchError(AssertionError):
     """The algebraic collapse disagrees with the diagram collapse."""
 
 
-@dataclass(frozen=True)
-class UnitEmbedding:
+class UnitEmbedding(linalg.Frozen):
     """M_lam -> M_1^(x lam) on levels 0..level, one column per level.
 
     Column m holds the coordinates of the image of F^(m) applied to the top
     vector, i.e. the divided coproduct power applied to the pure top tensor.
     """
-    factor_weight: int
-    level: int
-    columns: tuple[linalg.Vector, ...]
+
+    __slots__ = ("factor_weight", "level", "columns")
+
+    def __init__(self, factor_weight: int, level: int,
+                 columns: tuple[linalg.Vector, ...]):
+        self._freeze(factor_weight=factor_weight, level=level, columns=columns)
 
     def target_space(self, m: int):
         unit = make_verma_truncated(1, self.level)
@@ -64,19 +65,20 @@ def verma_unit_embedding(factor_weight: int, level: int) -> UnitEmbedding:
                        quantum_factorial(m)) for m in range(level + 1)))
 
 
-@dataclass(frozen=True)
-class DualCablingMatrix:
+class DualCablingMatrix(linalg.Frozen):
     """The transposed embedding between dual weight slices at one level.
 
     Rows run over the index tuples of the lam-weight slice, enumerate_P(lam,
     level): each column lands on the tuple of its block sums, which is
     componentwise <= lam.  Columns run over the unit-capacity index tuples.
     """
-    lam: tuple[int, ...]
-    level: int
-    rows: tuple[tuple[int, ...], ...]
-    cols: tuple[tuple[int, ...], ...]
-    matrix: linalg.Matrix
+
+    __slots__ = ("lam", "level", "rows", "cols", "matrix")
+
+    def __init__(self, lam: tuple[int, ...], level: int,
+                 rows: tuple[tuple[int, ...], ...],
+                 cols: tuple[tuple[int, ...], ...], matrix: linalg.Matrix):
+        self._freeze(lam=lam, level=level, rows=rows, cols=cols, matrix=matrix)
 
 
 def dual_cabling_matrix(lam: Sequence[int], level: int) -> DualCablingMatrix:
@@ -111,12 +113,13 @@ def is_monomial_unit(s: QScalar) -> bool:
     return s * s.bar() == ONE
 
 
-@dataclass(frozen=True)
-class CablingOutcome:
-    source: tuple[int, ...]
-    killed: bool
-    target: tuple[int, ...] | None = None
-    scalar: QScalar | None = None
+class CablingOutcome(linalg.Frozen):
+    __slots__ = ("source", "killed", "target", "scalar")
+
+    def __init__(self, source: tuple[int, ...], killed: bool,
+                 target: tuple[int, ...] | None = None,
+                 scalar: QScalar | None = None):
+        self._freeze(source=source, killed=killed, target=target, scalar=scalar)
 
     def to_json_dict(self) -> dict:
         if self.killed:
@@ -126,13 +129,16 @@ class CablingOutcome:
                 "scalar": self.scalar.to_pairs()}
 
 
-@dataclass(frozen=True)
-class CablingReport:
-    lam: tuple[int, ...]
-    level: int
-    outcomes: tuple[CablingOutcome, ...]
-    all_unit_scalars: bool
-    all_scalars_one: bool
+class CablingReport(linalg.Frozen):
+    __slots__ = ("lam", "level", "outcomes", "all_unit_scalars",
+                 "all_scalars_one")
+
+    def __init__(self, lam: tuple[int, ...], level: int,
+                 outcomes: tuple[CablingOutcome, ...], all_unit_scalars: bool,
+                 all_scalars_one: bool):
+        self._freeze(lam=lam, level=level, outcomes=outcomes,
+                     all_unit_scalars=all_unit_scalars,
+                     all_scalars_one=all_scalars_one)
 
     def to_json_dict(self) -> dict:
         return {

@@ -37,7 +37,6 @@ disagreement is a falsification signal and raises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import linalg
@@ -56,11 +55,13 @@ class CountMismatchError(AssertionError):
     """A basis subset count disagrees with an independent rank bound."""
 
 
-@dataclass(frozen=True)
-class AntilinearMap:
+class AntilinearMap(linalg.Frozen):
     """x -> matrix . bar(x) on a fixed weight slice."""
-    space: WeightSpace
-    matrix: linalg.Matrix
+
+    __slots__ = ("space", "matrix")
+
+    def __init__(self, space: WeightSpace, matrix: linalg.Matrix):
+        self._freeze(space=space, matrix=matrix)
 
     def apply(self, vec: linalg.Vector) -> linalg.Vector:
         return linalg.matmul(self.matrix, linalg.mat_bar(vec))
@@ -70,12 +71,14 @@ class AntilinearMap:
         return linalg.mat_eq(composed, linalg.identity(self.space.dim))
 
 
-@dataclass(frozen=True)
-class BasisVector:
+class BasisVector(linalg.Frozen):
     """One basis element, as exact coordinates over (dual) monomials."""
-    index: tuple[int, ...]
-    space: WeightSpace
-    coords: linalg.Vector
+
+    __slots__ = ("index", "space", "coords")
+
+    def __init__(self, index: tuple[int, ...], space: WeightSpace,
+                 coords: linalg.Vector):
+        self._freeze(index=index, space=space, coords=coords)
 
     def coeff(self, k: tuple[int, ...]) -> QScalar:
         return self.coords[self.space.pos[k]]

@@ -35,9 +35,9 @@ function here may assume the diagram it is given is valid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .linalg import Frozen
 from .tensor import enumerate_P
 
 
@@ -57,21 +57,28 @@ class ZeroBlockError(ValueError):
     """Cabling blocks must have positive size."""
 
 
-@dataclass(frozen=True)
-class ArcDiagram:
+class ArcDiagram(Frozen):
     """Chords as a sorted tuple of (left, right) pairs on points 0..n,
     where n = len(capacities).  Valid by construction: the constructor raises
     `InvalidDiagramError` if the chords violate a diagram condition."""
-    capacities: tuple[int, ...]
-    chords: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "capacities", tuple(self.capacities))
-        object.__setattr__(self, "chords",
-                           tuple(sorted(tuple(c) for c in self.chords)))
+    __slots__ = ("capacities", "chords")
+
+    def __init__(self, capacities: Sequence[int],
+                 chords: Iterable[tuple[int, int]]):
+        self._freeze(capacities=tuple(capacities),
+                     chords=tuple(sorted(tuple(c) for c in chords)))
         reason = validate_diagram(self.capacities, self.chords)
         if reason is not None:
             raise InvalidDiagramError(reason)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.capacities, self.chords) == (other.capacities, other.chords)
+
+    def __hash__(self):
+        return hash((self.capacities, self.chords))
 
     @property
     def n(self) -> int:

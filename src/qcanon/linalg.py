@@ -23,9 +23,11 @@ from .qring import ONE, ZERO, InexactDivisionError, QScalar, exact_div
 
 
 class Frozen:
-    """Base of the immutable objects (matrices, weight slices, modules):
-    ``_freeze`` sets each attribute once, in the constructor, and assigning
-    or deleting one afterwards raises."""
+    """Base of the immutable objects: matrices, weight slices, modules, arc
+    diagrams, antilinear maps, basis vectors, braid operators, cabling
+    records (unit embeddings, dual cabling matrices, outcomes, reports) and
+    check results.  ``_freeze`` sets each attribute once, in the
+    constructor, and assigning or deleting one afterwards raises."""
 
     __slots__ = ()
 

@@ -39,7 +39,6 @@ genuine bug, not a rounding concern.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import linalg
@@ -53,12 +52,14 @@ class NotReducedError(ValueError):
     """The supplied word is not a reduced expression of the reversal."""
 
 
-@dataclass(frozen=True)
-class BraidOperator:
+class BraidOperator(linalg.Frozen):
     """An exact operator between two weight slices."""
-    source: WeightSpace
-    target: WeightSpace
-    matrix: linalg.Matrix
+
+    __slots__ = ("source", "target", "matrix")
+
+    def __init__(self, source: WeightSpace, target: WeightSpace,
+                 matrix: linalg.Matrix):
+        self._freeze(source=source, target=target, matrix=matrix)
 
 
 # ---------------------------------------------------------------------------

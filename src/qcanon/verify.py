@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from . import linalg
@@ -32,13 +31,13 @@ from .rmatrix import (cartan_factor, r_n_matrix, rcheck_longest,
 from .tensor import dual_factors, enumerate_P, simple_factors
 
 
-@dataclass
-class CheckResult:
-    name: str
-    detail: str
-    elapsed: float
-    max_sum: int  # the weight-sum bound the check ran at
-    failure: dict | None = None
+class CheckResult(linalg.Frozen):
+    __slots__ = ("name", "detail", "elapsed", "max_sum", "failure")
+
+    def __init__(self, name: str, detail: str, elapsed: float, max_sum: int,
+                 failure: dict | None = None):
+        self._freeze(name=name, detail=detail, elapsed=elapsed,
+                     max_sum=max_sum, failure=failure)
 
     @property
     def passed(self) -> bool:
@@ -352,8 +351,8 @@ def run_suite(suite: str = "all", max_weight_sum: int = 6) -> list[CheckResult]:
     elif suite in ALL_CHECKS:
         names = (suite,)
     else:
-        raise KeyError(f"unknown suite {suite!r}; know "
-                       f"{sorted(set(SUITE_ALIASES) | set(ALL_CHECKS))}")
+        raise ValueError(f"unknown suite {suite!r}; know "
+                         f"{sorted(set(SUITE_ALIASES) | set(ALL_CHECKS))}")
     if max_weight_sum > MAX_WEIGHT_SUM:
         raise ValueError(f"--max-weight-sum {max_weight_sum} exceeds the "
                          f"limit {MAX_WEIGHT_SUM}")

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from qcanon import linalg
-from qcanon.cabling import (ZeroBlockError, block_map,
+from qcanon.cabling import (CablingOutcome, ZeroBlockError, block_map,
                             dual_cabling_matrix, is_monomial_unit,
                             cabling_report, verma_unit_embedding)
 from qcanon.qring import ONE, QScalar
@@ -146,6 +146,12 @@ def test_one_embedding_per_distinct_block_weight(monkeypatch):
     monkeypatch.undo()
     again = dual_cabling_matrix((2, 1, 2, 2), 3)
     assert linalg.mat_eq(dcm.matrix, again.matrix)
+
+
+def test_outcome_defaults():
+    o = CablingOutcome((1, 0), killed=True)
+    assert o.target is None and o.scalar is None
+    assert o.to_json_dict() == {"source": [1, 0], "killed": True}
 
 
 def test_is_monomial_unit():

@@ -173,6 +173,16 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", "--suite", "nonsense")
         assert code == 2
 
+    def test_unknown_suite_message_is_unquoted(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "nope")
+        assert code == 2 and out == ""
+        assert err == (
+            "qcanon: unknown suite 'nope'; know ['all', 'basis', "
+            "'bijection_counts', 'braid_factorizations', 'braiding', "
+            "'cabling', 'catalan', 'diagrams', 'duality', 'golden_dual_basis', "
+            "'involutions', 'singular_bases', 'solver_contract', "
+            "'yang_baxter', 'ybe']\n")
+
     def test_failure_is_exit_1_with_record(self, capsys, monkeypatch):
         import qcanon.verify as v
 
@@ -314,6 +324,21 @@ def test_import_leaves_numpy_out():
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", code], env=env)
     assert done.returncode == 0
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    # the difference of sys.modules, so that what `site` loads does not count
+    code = ("import sys; before = set(sys.modules); "
+            "import qcanon.cli, qcanon.verify; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert "qcanon.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 @st.composite

@@ -59,6 +59,35 @@ class TestValidate:
         with pytest.raises(InvalidDiagramError, match="passes over"):
             ArcDiagram((1, 1), ((0, 2),))
 
+    @pytest.mark.parametrize("caps, chords, message", [
+        ((1, 1), ((2, 1),), "bad chord endpoints (2, 1)"),
+        ((1, 1), ((0, 1), (0, 1)), "point z1 exceeds its capacity 1"),
+        ((1, 1, 1, 1), ((2, 4), (1, 3)), "chords (1, 3) and (2, 4) cross"),
+        ((1, 1), ((0, 2),), "chord (0, 2) passes over unsaturated z1"),
+    ])
+    def test_constructor_messages(self, caps, chords, message):
+        with pytest.raises(InvalidDiagramError) as info:
+            ArcDiagram(caps, chords)
+        assert str(info.value) == message
+
+
+class TestValueSemantics:
+    def test_chord_order_does_not_matter(self):
+        a = ArcDiagram((2, 2, 2), ((0, 1), (1, 2), (2, 3)))
+        b = ArcDiagram([2, 2, 2], [[2, 3], (0, 1), (1, 2)])
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a.chords == ((0, 1), (1, 2), (2, 3))
+        assert a.capacities == (2, 2, 2)
+
+    def test_capacities_count(self):
+        assert ArcDiagram((1, 1), ((1, 2),)) != ArcDiagram((1, 2), ((1, 2),))
+
+    def test_unequal_to_other_types(self):
+        d = ArcDiagram((1, 1), ((1, 2),))
+        assert d != ((1, 1), ((1, 2),))
+        assert d != d.chords
+
 
 class TestEnumerate:
     def test_l1(self):

@@ -7,9 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcanon import linalg
-from qcanon.canonical import dual_canonical_basis
+from qcanon.cabling import (CablingOutcome, cabling_report,
+                            dual_cabling_matrix, verma_unit_embedding)
+from qcanon.canonical import dual_canonical_basis, psi_c
+from qcanon.diagrams import ArcDiagram
 from qcanon.qring import (ONE, Q_MINUS_QINV, ZERO, InexactDivisionError,
                           QScalar, exact_div)
+from qcanon.rmatrix import tau_theta_braid
+from qcanon.tensor import dual_factors
+from qcanon.verify import CheckResult
 
 scalars = st.dictionaries(st.integers(-3, 3), st.integers(-3, 3),
                           max_size=3).map(QScalar)
@@ -220,6 +226,34 @@ def test_matrices_are_immutable():
     assert frozen[0, 0] == ONE
     with pytest.raises(IndexError):
         m[2, 0]
+
+
+# one fresh instance of each value type built on linalg.Frozen
+VALUE_TYPES = {
+    "ArcDiagram": lambda: ArcDiagram((1, 1), ((1, 2),)),
+    "AntilinearMap": lambda: psi_c((1, 1), 1),
+    "BasisVector": lambda: dual_canonical_basis((1, 1), 1)[0],
+    "BraidOperator": lambda: tau_theta_braid(dual_factors((1, 1)), 1),
+    "UnitEmbedding": lambda: verma_unit_embedding(2, 1),
+    "DualCablingMatrix": lambda: dual_cabling_matrix((2,), 1),
+    "CablingOutcome": lambda: CablingOutcome((1, 0), killed=True),
+    "CablingReport": lambda: cabling_report((2,), 1),
+    "CheckResult": lambda: CheckResult("catalan", "ok", 0.0, 4),
+}
+
+
+@pytest.mark.parametrize("make", VALUE_TYPES.values(), ids=VALUE_TYPES)
+def test_value_types_are_frozen(make):
+    obj = make()
+    assert isinstance(obj, linalg.Frozen)
+    name = type(obj).__slots__[0]
+    with pytest.raises(AttributeError):
+        setattr(obj, name, getattr(obj, name))
+    with pytest.raises(AttributeError):
+        delattr(obj, name)
+    with pytest.raises(AttributeError):
+        obj.extra = None
+    assert hasattr(obj, name)
 
 
 def test_support_is_ascending():
