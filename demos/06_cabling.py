@@ -22,9 +22,10 @@ for o in report.outcomes:
 
 dcm = dual_cabling_matrix((2,), 1)
 print("\nthe underlying dual collapse matrix (rows x cols):")
-print("  rows:", list(dcm.rows), " cols:", list(dcm.cols))
-print("  entries:", [[str(dcm.matrix[r, c]) for c in range(len(dcm.cols))]
-                     for r in range(len(dcm.rows))])
+print("  rows:", list(dcm.target.indices),
+      " cols:", list(dcm.source.indices))
+print("  entries:", [[str(dcm.matrix[r, c]) for c in range(dcm.source.dim)]
+                     for r in range(dcm.target.dim)])
 
 print("\na mixed case, capacities (2, 2) at level 2:")
 report = cabling_report((2, 2), 2)

@@ -2,9 +2,9 @@
 
 Refine each highest weight lam_i into lam_i copies of 1.  On modules this is
 the embedding M_lam -> M_1^(x lam) sending the top vector to the pure tensor
-of top vectors; on dual coordinates it transposes to a collapse map from the
-unit-weight dual slice onto the lam-weight dual slice.  On diagrams it is the
-blockwise projection of `cable_diagram`.
+of top vectors; its transpose on dual coordinates collapses the unit-weight
+dual slice onto the lam-weight one, read from F^(a) on the top tensor of a
+power of V_1.  On diagrams it is the blockwise projection of `cable_diagram`.
 
 `cabling_report` runs both sides over every unit-weight dual canonical
 element and insists they tell the same story: an element dies under the
@@ -26,86 +26,51 @@ from .canonical import dual_canonical_basis
 from .diagrams import (ZeroBlockError, block_map, cable_diagram,
                        diagram_of_index, index_of_diagram)
 from .qring import ONE, QScalar, quantum_factorial
-from .rmatrix import _coproduct_power
-from .tensor import enumerate_P, weight_space
-from .weightmod import GEN_F, make_verma_truncated
+from .rmatrix import BraidOperator, _coproduct_power
+from .tensor import dual_factors, simple_factors, weight_space
+from .weightmod import GEN_F
 
 
 class StructuralMismatchError(AssertionError):
     """The algebraic collapse disagrees with the diagram collapse."""
 
 
-class UnitEmbedding(linalg.Frozen):
-    """M_lam -> M_1^(x lam) on levels 0..level, one column per level.
+def dual_cabling_matrix(lam: Sequence[int], level: int) -> BraidOperator:
+    """The dual collapse from the unit-weight slice onto the lam-weight slice.
 
-    Column m holds the coordinates of the image of F^(m) applied to the top
-    vector, i.e. the divided coproduct power applied to the pure top tensor.
+    Unit tuple mt reaches one row, the tuple a of its block sums, with the
+    product over blocks of the block's coefficient in F^(a_i) on the top
+    tensor of V_1^(x lam_i): F only raises slots and is [1] on slot 0 of V_1
+    as of M_1, so these are the Verma coefficients of 0/1 tuples.
     """
-
-    __slots__ = ("factor_weight", "level", "columns")
-
-    def __init__(self, factor_weight: int, level: int,
-                 columns: tuple[linalg.Vector, ...]):
-        self._freeze(factor_weight=factor_weight, level=level, columns=columns)
-
-    def target_space(self, m: int):
-        unit = make_verma_truncated(1, self.level)
-        return weight_space((unit,) * self.factor_weight, m)
-
-
-def verma_unit_embedding(factor_weight: int, level: int) -> UnitEmbedding:
-    if factor_weight < 1:
-        raise ZeroBlockError(f"factor weight must be >= 1, got {factor_weight}")
-    if level < 0:
-        raise ValueError(f"level must be >= 0, got {level}")
-    factors = (make_verma_truncated(1, level),) * factor_weight
-    # column 0 of the chain F^m from level 0 is F^m on the pure top tensor
-    return UnitEmbedding(factor_weight, level, tuple(
-        linalg.mat_div(_coproduct_power(factors, 0, (GEN_F,), m).col(0),
-                       quantum_factorial(m)) for m in range(level + 1)))
-
-
-class DualCablingMatrix(linalg.Frozen):
-    """The transposed embedding between dual weight slices at one level.
-
-    Rows run over the index tuples of the lam-weight slice, enumerate_P(lam,
-    level): each column lands on the tuple of its block sums, which is
-    componentwise <= lam.  Columns run over the unit-capacity index tuples.
-    """
-
-    __slots__ = ("lam", "level", "rows", "cols", "matrix")
-
-    def __init__(self, lam: tuple[int, ...], level: int,
-                 rows: tuple[tuple[int, ...], ...],
-                 cols: tuple[tuple[int, ...], ...], matrix: linalg.Matrix):
-        self._freeze(lam=lam, level=level, rows=rows, cols=cols, matrix=matrix)
-
-
-def dual_cabling_matrix(lam: Sequence[int], level: int) -> DualCablingMatrix:
     lam = tuple(lam)
     block_map(lam)  # validates positivity
+    if level < 0:
+        raise ValueError(f"level must be >= 0, got {level}")
     total = sum(lam)
     if total < level:
         raise ValueError(f"level {level} exceeds the unit point count {total}")
-    rows = tuple(enumerate_P(lam, level))
-    cols = tuple(enumerate_P((1,) * total, level))
-    embeddings = {x: verma_unit_embedding(x, level) for x in set(lam)}
-    spaces = {x: [emb.target_space(m) for m in range(level + 1)]
-              for x, emb in embeddings.items()}
-    row_pos = {a: r for r, a in enumerate(rows)}
-    out = [{} for _ in cols]
+    source = weight_space(dual_factors((1,) * total), level)
+    target = weight_space(dual_factors(lam), level)
     starts = [0, *accumulate(lam)]
-    for c, mt in enumerate(cols):
-        # column mt reaches one row only: the tuple of its block sums
+    columns = {}  # (x, a) -> F^(a) on the top tensor of V_1^(x x), its pos
+    cols = []
+    for mt in source.indices:
         blocks = [mt[s:t] for s, t in zip(starts, starts[1:])]
-        a = tuple(sum(block) for block in blocks)
+        a = tuple(map(sum, blocks))
         val = ONE
         for x, ai, block in zip(lam, a, blocks):
-            val = val * embeddings[x].columns[ai][spaces[x][ai].pos[block]]
-        if val:
-            out[c][row_pos[a]] = val
-    return DualCablingMatrix(lam, level, rows, cols,
-                             linalg.Matrix((len(rows), len(cols)), out))
+            if (x, ai) not in columns:
+                units = simple_factors((1,) * x)
+                chain = _coproduct_power(units, 0, (GEN_F,), ai)
+                columns[x, ai] = (
+                    linalg.mat_div(chain.col(0), quantum_factorial(ai)),
+                    weight_space(units, ai).pos)
+            col, pos = columns[x, ai]
+            val = val * col[pos[block]]
+        cols.append({target.pos[a]: val})  # Matrix drops a zero entry
+    return BraidOperator(source, target,
+                         linalg.Matrix((target.dim, source.dim), cols))
 
 
 def is_monomial_unit(s: QScalar) -> bool:

@@ -5,10 +5,13 @@ import pytest
 from qcanon import linalg
 from qcanon.cabling import (CablingOutcome, ZeroBlockError, block_map,
                             dual_cabling_matrix, is_monomial_unit,
-                            cabling_report, verma_unit_embedding)
+                            cabling_report)
 from qcanon.qring import ONE, QScalar
-from qcanon.tensor import coproduct_matrix, enumerate_P, weight_space
-from qcanon.weightmod import GEN_E, GEN_F, GEN_QH, make_verma_truncated
+from qcanon.rmatrix import BraidOperator
+from qcanon.tensor import (coproduct_matrix, coproduct_target_level,
+                           dual_factors, enumerate_P)
+from qcanon.verify import weight_slices
+from qcanon.weightmod import GEN_E, GEN_F
 
 q = QScalar.q_power
 
@@ -24,57 +27,31 @@ class TestBlockMap:
             block_map((2, 0, 1))
 
 
-class TestUnitEmbedding:
-    def test_top_vector(self):
-        emb = verma_unit_embedding(3, 2)
-        ws = emb.target_space(0)
-        assert emb.columns[0][ws.pos[(0, 0, 0)]] == ONE
-
-    def test_weight_two_level_one(self):
-        # F^(1) on the top of M_2 lands on u1 x u0 + q^-1 u0 x u1
-        emb = verma_unit_embedding(2, 1)
-        ws = emb.target_space(1)
-        col = emb.columns[1]
-        assert col[ws.pos[(1, 0)]] == ONE
-        assert col[ws.pos[(0, 1)]] == q(-1)
-
-    @pytest.mark.parametrize("lam_i", [1, 2, 3])
-    def test_intertwines_generators(self, lam_i):
-        level = 2
-        emb = verma_unit_embedding(lam_i, level)
-        source = make_verma_truncated(lam_i, level)
-        unit_factors = (make_verma_truncated(1, level),) * lam_i
-        # columns as a rectangular map per level; check E, F, q^h slotwise
-        for m in range(level + 1):
-            # q^h: weights match
-            tgt = weight_space(unit_factors, m)
-            qh = coproduct_matrix(unit_factors, m, GEN_QH)
-            lhs = linalg.matmul(qh, emb.columns[m])
-            rhs = linalg.mat_scale(emb.columns[m],
-                                   source.matrix(GEN_QH)[m, m])
-            assert linalg.mat_eq(lhs, rhs)
-        for m in range(level):
-            # F: source F then embed == embed then coproduct F
-            f_src = source.matrix(GEN_F)[m + 1, m]
-            lhs = linalg.mat_scale(emb.columns[m + 1], f_src)
-            rhs = linalg.matmul(coproduct_matrix(unit_factors, m, GEN_F),
-                                emb.columns[m])
-            assert linalg.mat_eq(lhs, rhs)
-        for m in range(1, level + 1):
-            e_src = source.matrix(GEN_E)[m - 1, m]
-            lhs = linalg.mat_scale(emb.columns[m - 1], e_src)
-            rhs = linalg.matmul(coproduct_matrix(unit_factors, m, GEN_E),
-                                emb.columns[m])
-            assert linalg.mat_eq(lhs, rhs)
+def test_collapse_intertwines_dual_e_and_f():
+    pairs = 0
+    for lam, l in weight_slices(4):
+        unit, down = dual_factors((1,) * sum(lam)), dual_factors(lam)
+        for gen in (GEN_E, GEN_F):
+            l2 = coproduct_target_level(l, gen)
+            if not 0 <= l2 <= sum(lam):
+                continue
+            lhs = linalg.matmul(dual_cabling_matrix(lam, l2).matrix,
+                                coproduct_matrix(unit, l, gen))
+            rhs = linalg.matmul(coproduct_matrix(down, l, gen),
+                                dual_cabling_matrix(lam, l).matrix)
+            assert linalg.mat_eq(lhs, rhs), (lam, l, gen)
+            pairs += 1
+    assert pairs == 98
 
 
 class TestDualCablingMatrix:
     def test_weight_two_level_one(self):
         dcm = dual_cabling_matrix((2,), 1)
-        assert dcm.rows == ((1,),)
-        assert dcm.cols == ((0, 1), (1, 0))
-        assert dcm.matrix[0, dcm.cols.index((1, 0))] == ONE
-        assert dcm.matrix[0, dcm.cols.index((0, 1))] == q(-1)
+        assert isinstance(dcm, BraidOperator)
+        assert dcm.target.indices == ((1,),)
+        assert dcm.source.indices == ((0, 1), (1, 0))
+        assert dcm.matrix[0, dcm.source.indices.index((1, 0))] == ONE
+        assert dcm.matrix[0, dcm.source.indices.index((0, 1))] == q(-1)
 
     def test_level_zero_identity(self):
         dcm = dual_cabling_matrix((2, 1), 0)
@@ -83,13 +60,26 @@ class TestDualCablingMatrix:
 
     def test_weight_preserving_shape(self):
         dcm = dual_cabling_matrix((2, 1), 2)
-        assert dcm.matrix.shape == (len(dcm.rows), len(dcm.cols))
+        assert dcm.matrix.shape == (len(dcm.target.indices),
+                                    len(dcm.source.indices))
 
     def test_rows_are_the_lam_slice(self):
         dcm = dual_cabling_matrix((2, 1, 1), 3)
-        assert dcm.rows == tuple(enumerate_P((2, 1, 1), 3))
+        assert dcm.target.indices == tuple(enumerate_P((2, 1, 1), 3))
         assert all(dcm.matrix.col(j).support()
-                   for j in range(len(dcm.cols)))
+                   for j in range(len(dcm.source.indices)))
+
+    def test_negative_level_rejected(self):
+        for build in (dual_cabling_matrix, cabling_report):
+            with pytest.raises(ValueError, match="^level must be >= 0, got -1$"):
+                build((2,), -1)
+
+    def test_empty_block_and_high_level_rejected(self):
+        with pytest.raises(ZeroBlockError):
+            dual_cabling_matrix((2, 0, 1), 1)
+        with pytest.raises(ValueError,
+                           match="^level 4 exceeds the unit point count 3$"):
+            dual_cabling_matrix((2, 1), 4)
 
 
 class TestCablingReport:
@@ -133,16 +123,16 @@ class TestCablingReport:
 
 def test_one_embedding_per_distinct_block_weight(monkeypatch):
     import qcanon.cabling as cabling
-    built = []
-    real = cabling.verma_unit_embedding
+    read = []
+    real = cabling._coproduct_power
 
-    def counting(factor_weight, level):
-        built.append(factor_weight)
-        return real(factor_weight, level)
+    def counting(factors, level, word, k):
+        read.append((len(factors), k))
+        return real(factors, level, word, k)
 
-    monkeypatch.setattr(cabling, "verma_unit_embedding", counting)
+    monkeypatch.setattr(cabling, "_coproduct_power", counting)
     dcm = dual_cabling_matrix((2, 1, 2, 2), 3)
-    assert sorted(built) == [1, 2]
+    assert sorted(read) == [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]
     monkeypatch.undo()
     again = dual_cabling_matrix((2, 1, 2, 2), 3)
     assert linalg.mat_eq(dcm.matrix, again.matrix)

@@ -1,5 +1,7 @@
 """The sparse kernel against a naive dense triple loop over QScalar."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -7,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcanon import linalg
-from qcanon.cabling import (CablingOutcome, cabling_report,
-                            dual_cabling_matrix, verma_unit_embedding)
+from qcanon.cabling import CablingOutcome, cabling_report
 from qcanon.canonical import dual_canonical_basis, psi_c
 from qcanon.diagrams import ArcDiagram
 from qcanon.qring import (ONE, Q_MINUS_QINV, ZERO, InexactDivisionError,
@@ -234,8 +235,6 @@ VALUE_TYPES = {
     "AntilinearMap": lambda: psi_c((1, 1), 1),
     "BasisVector": lambda: dual_canonical_basis((1, 1), 1)[0],
     "BraidOperator": lambda: tau_theta_braid(dual_factors((1, 1)), 1),
-    "UnitEmbedding": lambda: verma_unit_embedding(2, 1),
-    "DualCablingMatrix": lambda: dual_cabling_matrix((2,), 1),
     "CablingOutcome": lambda: CablingOutcome((1, 0), killed=True),
     "CablingReport": lambda: cabling_report((2,), 1),
     "CheckResult": lambda: CheckResult("catalan", "ok", 0.0, 4),
@@ -254,6 +253,43 @@ def test_value_types_are_frozen(make):
     with pytest.raises(AttributeError):
         obj.extra = None
     assert hasattr(obj, name)
+
+
+def _state(obj):
+    """What a copy of obj must reproduce, as plain comparable data."""
+    if isinstance(obj, linalg.Matrix):
+        return obj.shape, [sorted(obj.col(j).items())
+                           for j in range(obj.shape[1])]
+    if hasattr(obj, "to_json_dict"):
+        return obj.to_json_dict()
+    return [getattr(obj, name) for name in type(obj).__slots__]
+
+
+# one instance of each kind that copy and pickle must reproduce
+COPYABLE = {
+    "identity": lambda: linalg.identity(2),
+    "Vector": lambda: linalg.Vector(3, {0: ONE, 2: Q_MINUS_QINV}),
+    "ArcDiagram": lambda: ArcDiagram((2, 2, 2), ((0, 1), (1, 2), (2, 3))),
+    "CablingOutcome": lambda: CablingOutcome((1, 0), killed=False,
+                                             target=(1,), scalar=ONE),
+    "CablingReport": lambda: cabling_report((2,), 1),
+    "CheckResult": lambda: CheckResult("catalan", "ok", 0.5, 4),
+}
+
+
+@pytest.mark.parametrize("make", COPYABLE.values(), ids=COPYABLE)
+@pytest.mark.parametrize("clone", [
+    copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+    ids=["copy", "deepcopy", "pickle"])
+def test_frozen_values_copy_and_pickle(make, clone):
+    obj = make()
+    twin = clone(obj)
+    assert type(twin) is type(obj)
+    assert _state(twin) == _state(obj)
+    if isinstance(obj, ArcDiagram):
+        assert twin == obj and hash(twin) == hash(obj)
+    with pytest.raises(AttributeError):
+        twin.extra = None
 
 
 def test_support_is_ascending():
