@@ -19,10 +19,10 @@ or target-index disagreement is a hard failure.
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import linalg
-from .canonical import dual_canonical_basis
+from .canonical import BasisVector, dual_canonical_basis
 from .diagrams import (ZeroBlockError, block_map, cable_diagram,
                        diagram_of_index, index_of_diagram)
 from .qring import ONE, QScalar, quantum_factorial
@@ -115,14 +115,24 @@ class CablingReport(linalg.Frozen):
         }
 
 
-def cabling_report(lam: Sequence[int], level: int) -> CablingReport:
+def cabling_report(lam: Sequence[int], level: int,
+                   solve: Callable[[Sequence[int], int],
+                                   Sequence[BasisVector]] | None = None
+                   ) -> CablingReport:
     """Collapse every unit-weight dual canonical element and compare with the
-    diagram collapse; raises StructuralMismatchError on any disagreement."""
+    diagram collapse; raises StructuralMismatchError on any disagreement.
+
+    `solve(lams, level)` gives a slice's dual canonical basis; it defaults to
+    `dual_canonical_basis`, and a caller that has solved the slices already
+    passes its own reader.
+    """
+    if solve is None:
+        solve = dual_canonical_basis
     lam = tuple(lam)
     dcm = dual_cabling_matrix(lam, level)  # first: it rejects empty blocks
     unit = (1,) * sum(lam)
-    source = dual_canonical_basis(unit, level)
-    target = {b.index: b for b in dual_canonical_basis(lam, level)}
+    source = solve(unit, level)
+    target = {b.index: b for b in solve(lam, level)}
     outcomes = []
     for b in source:
         x = linalg.matmul(dcm.matrix, b.coords)

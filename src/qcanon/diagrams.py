@@ -100,8 +100,8 @@ class ArcDiagram(Frozen):
 
 
 def _crossing(c1: tuple[int, int], c2: tuple[int, int]) -> bool:
-    (i, j), (k, l) = sorted((c1, c2))
-    return i < k < j < l
+    (i, j), (k, l) = c1, c2
+    return i < k < j < l or k < i < l < j
 
 
 def validate_diagram(capacities: Sequence[int],

@@ -32,9 +32,11 @@ evaluated with the given factor matrices (`tau_theta_braid`).
 what is built again is cached: the recursions `_lift` re-enters, coproduct
 chains, the pair operator, the shared Theta piece and what `verify` rereads.
 
-Every division by [k]! is exact on monomial bases (the entries carry the
-matching quantum-binomial numerators); `exact_div` raising would indicate a
-genuine bug, not a rounding concern.
+Every Theta sum starts from the identity, its k = 0 term, and builds only
+the terms with k >= 1; only k >= 2 divides, since [0]! = [1]! = 1.  Every
+division by [k]! is exact on monomial bases (the entries carry the matching
+quantum-binomial numerators); `exact_div` raising would indicate a genuine
+bug, not a rounding concern.
 """
 
 from __future__ import annotations
@@ -134,16 +136,18 @@ def _theta_sum(factors, level, kmax, term):
     first and Y brings the level back.
     """
     (lo_x, hi_x, word_x), (lo_y, hi_y, word_y) = term
-    dim = weight_space(factors, level).dim
-    out = linalg.zeros(dim, dim)
-    for k in range(kmax + 1):
+    # k = 0 is the identity: coefficient 1, [0]! = 1, both legs identity
+    out = linalg.identity(weight_space(factors, level).dim)
+    for k in range(1, kmax + 1):
         mid = level + k * _word_shift(word_x)
         if weight_space(factors, mid).dim == 0:
             continue
         x = _leg(factors, level, lo_x, hi_x, word_x, k)
         y = _leg(factors, mid, lo_y, hi_y, word_y, k)
-        piece = linalg.mat_scale(linalg.matmul(y, x), _theta_coefficient(k))
-        out = linalg.mat_add(out, linalg.mat_div(piece, quantum_factorial(k)))
+        piece = linalg.matmul(y, x)
+        if k >= 2:  # [1]! = 1
+            piece = linalg.mat_div(piece, quantum_factorial(k))
+        out = linalg.mat_add(out, piece, _theta_coefficient(k))
     return out
 
 

@@ -3,12 +3,14 @@
 Each check `check_<name>(max_sum)` sweeps a family of desk-scale cases,
 bounded by the sum of the highest weights; it raises on the first failure and
 otherwise returns a one-line detail.  `run_suite` runs the checks a suite
-names, times each call and records its outcome as a `CheckResult`.  The
-checks are deliberately redundant with independent machinery on each side:
-dimension counts come from convolving weight multisets, singular counts from
-the integer rank of E at q = 1, braid products are compared against coproduct
-recursions, diagram listings against an exhaustive chord search, and the
-diagram model against the fixed-point solver.
+names, times each call and records its outcome as a `CheckResult`; the
+checks read dual canonical bases through one memo that the run owns, so a
+run solves each slice once.  The checks are deliberately redundant with
+independent machinery on each side: dimension counts come from convolving
+weight multisets, singular counts from the integer rank of E at q = 1, braid
+products are compared against coproduct recursions, diagram listings against
+an exhaustive chord search, and the diagram model against the fixed-point
+solver.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ import time
 from typing import Callable, Iterable, Sequence
 
 from . import linalg
-from .canonical import (canonical_basis_pair, dual_canonical_basis, psi_c,
-                        psi_tensor2, singular_subset)
+from .canonical import (BasisVector, canonical_basis_pair,
+                        dual_canonical_basis, psi_c, psi_tensor2,
+                        singular_subset)
 from .cabling import cabling_report
 from .diagrams import (ArcDiagram, _crossing, diagram_of_index, enumerate_B,
                        filter_invariant, filter_singular, index_of_diagram,
@@ -119,6 +122,22 @@ def search_diagrams(lam: Sequence[int], l: int) -> list[ArcDiagram]:
     return sorted(out, key=lambda d: d.chords)
 
 
+#: The dual canonical bases solved during the current `run_suite` call, keyed
+#: by (lams, level), so that each slice is solved once per run.  None outside
+#: a run: no basis outlives the run that solved it.
+_run_bases: dict[tuple[tuple[int, ...], int],
+                 tuple[BasisVector, ...]] | None = None
+
+
+def _dual_basis(lams: Sequence[int], level: int) -> tuple[BasisVector, ...]:
+    """The slice's dual canonical basis, read through the run's memo."""
+    key = (tuple(lams), level)
+    memo = {} if _run_bases is None else _run_bases
+    if key not in memo:
+        memo[key] = tuple(dual_canonical_basis(*key))
+    return memo[key]
+
+
 def _require(cond: bool, template: str = "", *args) -> None:
     """A check that `python -O` keeps: raise AssertionError with the message
     `template.format(*args)`, built only on failure."""
@@ -133,7 +152,7 @@ def _require(cond: bool, template: str = "", *args) -> None:
 def check_golden_dual_basis(max_sum: int) -> str:
     """Exact coefficients of the two-factor unit-weight dual basis."""
     q = QScalar.q_power
-    basis = {b.index: b for b in dual_canonical_basis((1, 1), 1)}
+    basis = {b.index: b for b in _dual_basis((1, 1), 1)}
     b10, b01 = basis[(1, 0)], basis[(0, 1)]
     _require(b10.coeff((1, 0)) == ONE and not b10.coeff((0, 1)))
     _require(b01.coeff((0, 1)) == ONE and b01.coeff((1, 0)) == -q(-1))
@@ -212,7 +231,7 @@ def check_solver_contract(max_sum: int) -> str:
     q = QScalar.q_power
     vectors = 0
     for lams, l in weight_slices(max_sum):
-        basis = dual_canonical_basis(lams, l)
+        basis = _dual_basis(lams, l)
         _require([b.index for b in basis] == enumerate_P(lams, l))
         for b in basis:
             _require(b.coeff(b.index) == ONE)
@@ -229,7 +248,7 @@ def check_solver_contract(max_sum: int) -> str:
             canonical_basis_pair(lams, l)  # support shape checked inside
     # uniqueness: perturbing by an ideal multiple of a later element
     # breaks the fixed point
-    basis = dual_canonical_basis((2, 2), 2)
+    basis = _dual_basis((2, 2), 2)
     psi = psi_c((2, 2), 2)
     for i, b in enumerate(basis):
         for other in basis[i + 1:]:
@@ -263,7 +282,7 @@ def check_singular_bases(max_sum: int) -> str:
     dual canonical basis, with the count certified by the rank at q = 1."""
     cases = 0
     for lams, l in weight_slices(max_sum):
-        basis = dual_canonical_basis(lams, l)
+        basis = _dual_basis(lams, l)
         kernel_indices = {b.index for b in singular_subset(basis)}
         diagram_indices = {index_of_diagram(d)
                            for d in filter_singular(enumerate_B(lams, l))}
@@ -286,11 +305,11 @@ def check_cabling(max_sum: int) -> str:
     scalars are all exactly 1 at desk scale."""
     scalars = {}
     for lams, l in weight_slices(max_sum):
-        for o in cabling_report(lams, l).outcomes:
+        for o in cabling_report(lams, l, _dual_basis).outcomes:
             if not o.killed:
                 key = str(o.scalar)
                 scalars[key] = scalars.get(key, 0) + 1
-    golden = cabling_report((2,), 1)
+    golden = cabling_report((2,), 1, _dual_basis)
     _require(golden.all_scalars_one)
     _require([o.killed for o in golden.outcomes] == [True, False])
     return f"kill patterns agree; scalar multiset {scalars}"
@@ -305,7 +324,7 @@ def check_duality(max_sum: int) -> str:
             lams = (l1, l2)
             for l in range(sum(lams) + 1):
                 can = canonical_basis_pair(lams, l)
-                dual = dual_canonical_basis(lams, l)
+                dual = _dual_basis(lams, l)
                 _require_braid_route(lams, l)
                 for db in dual:
                     for cb in can:
@@ -356,17 +375,22 @@ def run_suite(suite: str = "all", max_weight_sum: int = 6) -> list[CheckResult]:
     if max_weight_sum > MAX_WEIGHT_SUM:
         raise ValueError(f"--max-weight-sum {max_weight_sum} exceeds the "
                          f"limit {MAX_WEIGHT_SUM}")
+    global _run_bases
     out = []
-    for name in names:
-        bound = min(max_weight_sum, BOUND_CAPS.get(name, max_weight_sum))
-        failure = None
-        start = time.perf_counter()
-        try:
-            detail = ALL_CHECKS[name](bound)
-        except Exception as exc:  # property failure: report, never mask
-            detail = f"{type(exc).__name__}: {exc}"
-            failure = {"check": name, "error_type": type(exc).__name__,
-                       "error": str(exc)}
-        out.append(CheckResult(name, detail, time.perf_counter() - start,
-                               bound, failure))
+    _run_bases = {}
+    try:
+        for name in names:
+            bound = min(max_weight_sum, BOUND_CAPS.get(name, max_weight_sum))
+            failure = None
+            start = time.perf_counter()
+            try:
+                detail = ALL_CHECKS[name](bound)
+            except Exception as exc:  # property failure: report, never mask
+                detail = f"{type(exc).__name__}: {exc}"
+                failure = {"check": name, "error_type": type(exc).__name__,
+                           "error": str(exc)}
+            out.append(CheckResult(name, detail, time.perf_counter() - start,
+                                   bound, failure))
+    finally:
+        _run_bases = None
     return out

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from qcanon.diagrams import (ArcDiagram, InvalidDiagramError, NotInPError,
-                             WeightMismatchError, ZeroBlockError,
+                             WeightMismatchError, ZeroBlockError, _crossing,
                              cable_diagram, diagram_of_index, enumerate_B,
                              filter_invariant, filter_singular,
                              index_of_diagram, render, validate_diagram)
@@ -43,6 +43,16 @@ class TestValidate:
 
     def test_crossing(self):
         assert "cross" in validate_diagram((1, 1, 1, 1), [(1, 3), (2, 4)])
+
+    def test_crossing_matches_sorted_definition(self):
+        # the chords sorted first, then one interleaving test
+        def reference(c1, c2):
+            (i, j), (k, l) = sorted((c1, c2))
+            return i < k < j < l
+
+        chords = list(itertools.combinations(range(9), 2))
+        for c1, c2 in itertools.product(chords, repeat=2):
+            assert _crossing(c1, c2) == reference(c1, c2), (c1, c2)
 
     def test_doubled_arc_allowed(self):
         assert validate_diagram((2, 2), [(1, 2), (1, 2)]) is None

@@ -7,8 +7,9 @@ import pytest
 
 from qcanon import linalg
 from qcanon.qring import ONE, Q_MINUS_QINV, QScalar
+from qcanon.qring import InexactDivisionError
 from qcanon.rmatrix import (NotReducedError, _lift, _rcheck_longest,
-                            _theta_n_right, cartan_factor,
+                            _theta_n_right, _theta_sum, cartan_factor,
                             default_longest_word, r_n_matrix, rcheck_longest,
                             rcheck_matrix, sigma0_matrix, tau_theta_braid,
                             tau_theta_direct, tau_theta_n, theta_matrix,
@@ -44,6 +45,52 @@ class TestTheta:
     def test_top_slice_trivial(self):
         op = theta_matrix(factors(2, 3), 0)
         assert linalg.mat_eq(op.matrix, linalg.identity(1))
+
+
+class TestThetaSum:
+    TERM = ((0, 1, (GEN_E,)), (1, 2, (GEN_F,)))
+
+    def test_kmax_zero_is_identity(self):
+        fs = factors(2, 2)
+        for l in range(5):
+            dim = weight_space(fs, l).dim
+            assert linalg.mat_eq(_theta_sum(fs, l, 0, self.TERM),
+                                 linalg.identity(dim))
+
+    def test_division_by_factorial_stays_exact(self, monkeypatch):
+        # a divisor the k = 2 numerators do not carry must raise
+        import qcanon.rmatrix as rmatrix
+        real = rmatrix.quantum_factorial
+        monkeypatch.setattr(rmatrix, "quantum_factorial",
+                            lambda k: 3 * real(k))
+        with pytest.raises(InexactDivisionError):
+            _theta_sum(factors(2, 2), 2, 2, self.TERM)
+
+    def test_divides_only_from_k_two(self):
+        # in a fresh process, so that psi_c builds every Theta sum anew
+        code = ("from qcanon import linalg\n"
+                "from qcanon.canonical import psi_c\n"
+                "from qcanon.qring import ONE, quantum_factorial\n"
+                "divisors = []\n"
+                "real = linalg.exact_div\n"
+                "def counting(x, d):\n"
+                "    divisors.append(d)\n"
+                "    return real(x, d)\n"
+                "linalg.exact_div = counting\n"
+                "for lams in ((1,) * 6, (2, 2, 2)):\n"
+                "    divisors.clear()\n"
+                "    psi_c(lams, 3)\n"
+                "    print(divisors.count(ONE),\n"
+                "          divisors.count(quantum_factorial(2)))\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run([sys.executable, "-c", code],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        unit, mixed = [tuple(map(int, line.split()))
+                       for line in done.stdout.splitlines()]
+        assert unit == (0, 0)
+        assert mixed[0] == 0 and mixed[1] > 0
 
 
 class TestCartan:

@@ -1,0 +1,76 @@
+"""`run_suite` solves each dual slice once per run and keeps nothing after."""
+
+from collections import Counter
+
+import pytest
+
+from qcanon import verify
+from qcanon.cabling import cabling_report
+from qcanon.verify import run_suite, weight_slices
+
+
+def test_one_solve_per_slice_per_run(monkeypatch):
+    solved = Counter()
+    real = verify.dual_canonical_basis
+
+    def counting(lams, level):
+        solved[tuple(lams), level] += 1
+        return real(lams, level)
+
+    monkeypatch.setattr(verify, "dual_canonical_basis", counting)
+    assert all(r.passed for r in run_suite("all", 4))
+    assert solved and set(solved.values()) == {1}
+    # the cabling check reads its unit slices through the same memo
+    assert ((1, 1, 1, 1), 2) in solved
+
+
+def test_memo_empty_after_run():
+    run_suite("basis", 3)
+    assert not verify._run_bases
+
+
+def test_memo_empty_after_check_raises(monkeypatch):
+    def failing(max_sum):
+        verify._dual_basis((2, 1), 1)
+        raise ValueError("boom")
+
+    monkeypatch.setitem(verify.ALL_CHECKS, "catalan", failing)
+    [result] = run_suite("catalan", 4)
+    assert not result.passed
+    assert not verify._run_bases
+
+    def interrupted(max_sum):
+        verify._dual_basis((2, 1), 1)
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(verify.ALL_CHECKS, "catalan", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_suite("catalan", 4)
+    assert not verify._run_bases
+
+
+def test_memo_shares_tuples(monkeypatch):
+    seen = []
+
+    def reading(max_sum):
+        first = verify._dual_basis((2, 1), 1)
+        seen.append(first is verify._dual_basis([2, 1], 1))
+        seen.extend(type(b) is tuple for b in verify._run_bases.values())
+        return "read"
+
+    monkeypatch.setitem(verify.ALL_CHECKS, "catalan", reading)
+    [result] = run_suite("catalan", 4)
+    assert result.passed and seen and all(seen)
+
+
+def test_outside_a_run_nothing_is_kept():
+    basis = verify._dual_basis((2, 1), 1)
+    assert type(basis) is tuple
+    assert basis is not verify._dual_basis((2, 1), 1)
+    assert verify._run_bases is None
+
+
+def test_cabling_report_with_a_given_solver():
+    for lams, l in weight_slices(4):
+        assert cabling_report(lams, l, verify._dual_basis).to_json_dict() \
+            == cabling_report(lams, l).to_json_dict()
