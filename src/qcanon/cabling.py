@@ -62,10 +62,10 @@ def dual_cabling_matrix(lam: Sequence[int], level: int) -> BraidOperator:
         for x, ai, block in zip(lam, a, blocks):
             if (x, ai) not in columns:
                 units = simple_factors((1,) * x)
-                chain = _coproduct_power(units, 0, (GEN_F,), ai)
-                columns[x, ai] = (
-                    linalg.mat_div(chain.col(0), quantum_factorial(ai)),
-                    weight_space(units, ai).pos)
+                col = _coproduct_power(units, 0, (GEN_F,), ai).col(0)
+                if ai >= 2:  # [0]! = [1]! = 1
+                    col = linalg.mat_div(col, quantum_factorial(ai))
+                columns[x, ai] = (col, weight_space(units, ai).pos)
             col, pos = columns[x, ai]
             val = val * col[pos[block]]
         cols.append({target.pos[a]: val})  # Matrix drops a zero entry

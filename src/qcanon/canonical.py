@@ -25,6 +25,21 @@ triangular before anything is solved, every b_m must satisfy psi_c(b_m) = b_m
 by a fresh product, and every c_r must lie in q^-1 Z[q^-1].  A convention
 error therefore surfaces as a loud failure, never as silent garbage.
 
+The substitution and the fixed-point product run on Kronecker-packed ints
+(`linalg.pack`): each entry of A is evaluated once at q = 2^B (at v = 2^B
+when some exponent is odd) and shifted so that no exponent is negative, each
+running sum is a row -> int dict, and only the rho_r that the substitution
+reads are decoded.  Evaluation at 2^B is a ring map, so the packed sums and
+products are the packed images of the true ones, and balanced base-2^B
+digits recover a polynomial exactly when every coefficient has
+|c| < 2^(B-1).  Every value decoded or compared is a sum of products
+A[r, k] bar(c_k), so its coefficients are at most l1(A) (1 + sum_k L1(c_k)),
+with l1(A) the largest L1 norm of an entry of A.  B starts a few bits above
+the bit length of l1(A), and a vector whose bound reaches 2^(B-1) is redone
+with B doubled before anything is decoded past it.  The fixed-point product
+A bar(b_m) is recomputed from the packed columns and compared with packed
+b_m as ints, which under the same bound is equality of polynomials.
+
 On the plain (non-dual) side of a two-factor product the same construction
 with psi(x) = bar(Theta) . bar(x) produces the canonical basis; there A is
 unit upper triangular and the corrections run toward lexicographically
@@ -128,35 +143,82 @@ def _require_unitriangular(anti: AntilinearMap, upward: bool) -> None:
                 f"{space.indices[min(wrong)]} on {space!r}")
 
 
+#: Bits above the largest L1 norm of an entry of A in the first packing
+#: width: room for the coefficients a solve adds before the width must grow.
+_HEADROOM = 8
+
+
 def _solve_triangular(anti: AntilinearMap, upward: bool) -> list[BasisVector]:
     """The fixed points b_m = e_m + sum_r c_r e_r, each by one forward
     substitution that scans the rows after m in ascending order (`upward`,
     the dual basis) or the rows before m in descending order (the canonical
-    one), skipping each row whose running sum rho_r is zero."""
+    one), skipping each row whose running sum rho_r is zero.  The arithmetic
+    runs on the Kronecker-packed entries of A (`linalg.pack`); a vector whose
+    coefficient bound outgrows the packing width is redone wider."""
     _require_unitriangular(anti, upward)
     space = anti.space
     dim = space.dim
-    cols = [anti.matrix.col(p) for p in range(dim)]
+    l1, off, unit = linalg.pack_layout(anti.matrix)
+    bits = l1.bit_length() + _HEADROOM
+    cols = _pack_columns(anti.matrix, bits, off, unit)
     basis = []
     for m in range(dim):
-        coeffs = {m: ONE}
-        rho = linalg.Accumulator(cols[m])
-        for r in range(m + 1, dim) if upward else range(m - 1, -1, -1):
-            rho_r = rho[r]
-            if not rho_r:  # c_r = 0
-                continue
-            c = solve_bar_equation(rho_r)
-            if not in_qinv_ideal(c):
-                raise AssertionError(f"coefficient {c} of {space.indices[r]} "
-                                     f"outside q^-1 Z[q^-1] on {space!r}")
-            coeffs[r] = c
-            rho.add(c.bar(), cols[r])
-        vec = linalg.Vector(dim, coeffs)
-        if not linalg.mat_eq(anti.apply(vec), vec):
-            raise TriangularityViolationError(
-                f"fixed-point defect at {space.indices[m]} on {space!r}")
-        basis.append(BasisVector(space.indices[m], space, vec))
+        rows = range(m + 1, dim) if upward else range(m - 1, -1, -1)
+        while (coeffs := _fixed_point(space, cols, m, rows, l1, bits, off,
+                                      unit)) is None:
+            bits *= 2
+            cols = _pack_columns(anti.matrix, bits, off, unit)
+        basis.append(BasisVector(space.indices[m], space,
+                                 linalg.Vector(dim, coeffs)))
     return basis
+
+
+def _pack_columns(a: linalg.Matrix, bits: int, off: int,
+                  unit: int) -> list[dict]:
+    return [{i: linalg.pack(x, bits, off, unit) for i, x in a.col(p).items()}
+            for p in range(a.shape[1])]
+
+
+def _fixed_point(space: WeightSpace, cols: list[dict], m: int, rows,
+                 l1: int, bits: int, off: int, unit: int) -> dict | None:
+    """The coefficients of b_m, found on packed columns and certified by a
+    fresh packed product A . bar(b_m) = b_m; None as soon as the proven
+    coefficient bound l1 * (1 + sum L1(c_r)) of everything still to be
+    decoded or compared reaches 2^(bits-1)."""
+    half = 1 << (bits - 1)
+    coeffs = {m: ONE}
+    terms = [(m, 1)]  # (k, packed bar(c_k)), at offset 0
+    bound = l1
+    rho = dict(cols[m])  # row -> packed running sum, at offset `off`
+    for r in rows:
+        rho_r = rho.get(r)
+        if not rho_r:  # c_r = 0
+            continue
+        c = solve_bar_equation(linalg.unpack(rho_r, bits, off, unit))
+        if not in_qinv_ideal(c):
+            raise AssertionError(f"coefficient {c} of {space.indices[r]} "
+                                 f"outside q^-1 Z[q^-1] on {space!r}")
+        coeffs[r] = c
+        bound += l1 * linalg.l1_norm(c)
+        if bound >= half:
+            return None
+        bar_c = linalg.pack(c.bar(), bits, 0, unit)
+        terms.append((r, bar_c))
+        for i, x in cols[r].items():
+            rho[i] = rho.get(i, 0) + x * bar_c
+    fresh = {}
+    for k, bar_c in terms:
+        for i, x in cols[k].items():
+            fresh[i] = fresh.get(i, 0) + x * bar_c
+    try:
+        packed = {k: linalg.pack(c, bits, off, unit)
+                  for k, c in coeffs.items()}
+    except ValueError:  # a term of b_m below every term of A . bar(b_m)
+        packed = None
+    if {i: x for i, x in fresh.items() if x} != packed:
+        raise TriangularityViolationError(
+            f"fixed-point defect at {space.indices[m]} on {space!r}")
+    return coeffs
 
 
 def dual_canonical_basis(lams: Sequence[int], level: int) -> list[BasisVector]:

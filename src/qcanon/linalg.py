@@ -10,8 +10,13 @@ about a third), so every loop here visits stored nonzeros only.
 Sums of products go through one fused multiply-accumulate, :func:`addmul`,
 on private ``v-exponent -> int`` dicts: each output scalar is built once, not
 once per partial sum.  An accumulator dict is never the ``_terms`` of a live
-QScalar, so reading an entry of a sum and then adding a multiple of a vector
-that touches the same entry is safe.
+QScalar.
+
+The triangular solver, which applies one fixed matrix many times, works on
+Kronecker-packed entries instead: :func:`pack` evaluates a Laurent
+polynomial at a power of two, so that CPython's big-int code does the sums
+and products, and :func:`unpack` reads it back, exactly while every
+coefficient stays below half the digit range.
 
 Dict iteration order is insertion order, not row order; callers that emit
 indices sort them (`Vector.support`).
@@ -185,27 +190,61 @@ def _apply(acols, x: dict) -> dict:
     return _frozen(acc)
 
 
-class Accumulator:
-    """A running vector sum, read entry by entry: row -> private
-    v-exponent -> int dict.
+# ---------------------------------------------------------------------------
+# Kronecker packing: a Laurent polynomial as one Python int
+# ---------------------------------------------------------------------------
 
-    The one mutable object of the kernel.  Reading an entry returns a fresh
-    QScalar, so ``acc.add(-acc[k], x)`` is safe even when ``x`` touches
-    row ``k``.
+def pack(x: QScalar, bits: int, off: int, unit: int = 1) -> int:
+    """x evaluated at v^unit = 2^bits, times 2^(bits*off): each term c v^e
+    becomes c << bits*(e/unit + off).
+
+    A ring map, so sums and products of packed values are the packed sums
+    and products (product offsets add).  Raises ValueError unless every
+    exponent is a multiple of `unit` and none lies below -off*unit.
     """
+    n = 0
+    for e, c in x._terms.items():
+        k, odd = divmod(e, unit)
+        if odd or k < -off:
+            raise ValueError(f"{x} does not pack at offset {off} in units "
+                             f"of v^{unit}")
+        n += c << bits * (k + off)
+    return n
 
-    __slots__ = ("_rows",)
 
-    def __init__(self, start: Vector):
-        self._rows = _private(start._cols[0])
+def unpack(n: int, bits: int, off: int, unit: int = 1) -> QScalar:
+    """The inverse of `pack`, read as balanced base-2^bits digits: exact for
+    every polynomial whose coefficients all have |c| < 2^(bits-1)."""
+    terms = {}
+    full, half = 1 << bits, 1 << (bits - 1)
+    k = -off
+    while n:
+        d = n & (full - 1)
+        if d >= half:
+            d -= full
+        if d:
+            terms[k * unit] = d
+        n = (n - d) >> bits
+        k += 1
+    return QScalar._raw(terms)
 
-    def __getitem__(self, i: int) -> QScalar:
-        t = self._rows.get(i)
-        return QScalar._raw(dict(t)) if t else ZERO
 
-    def add(self, s: QScalar, x: Vector) -> None:
-        """self += s*x."""
-        _axpy(self._rows, s, x._cols[0])
+def pack_layout(a: Matrix) -> tuple[int, int, int]:
+    """(l1, off, unit) for packing every entry of `a`: the largest L1 norm
+    of an entry, and the least offset under unit 2 (q-units) when every
+    exponent is even, unit 1 (v-units) otherwise."""
+    l1, exps = 0, set()
+    for col in a._cols:
+        for x in col.values():
+            exps.update(x._terms)
+            l1 = max(l1, l1_norm(x))
+    unit = 1 if any(e & 1 for e in exps) else 2
+    return l1, -(min(exps, default=0) // unit), unit
+
+
+def l1_norm(x: QScalar) -> int:
+    """The sum of the absolute values of the coefficients."""
+    return sum(map(abs, x._terms.values()))
 
 
 # ---------------------------------------------------------------------------

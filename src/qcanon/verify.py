@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from . import linalg
 from .canonical import (BasisVector, canonical_basis_pair,
@@ -123,8 +123,9 @@ def search_diagrams(lam: Sequence[int], l: int) -> list[ArcDiagram]:
 
 
 #: The dual canonical bases solved during the current `run_suite` call, keyed
-#: by (lams, level), so that each slice is solved once per run.  None outside
-#: a run: no basis outlives the run that solved it.
+#: by (lams, level), so that each slice is solved once per run.  A slice goes
+#: once no check still to run has a bound as high as its weight sum, and all
+#: go when the run ends: None outside a run.
 _run_bases: dict[tuple[tuple[int, ...], int],
                  tuple[BasisVector, ...]] | None = None
 
@@ -366,7 +367,7 @@ def run_suite(suite: str = "all", max_weight_sum: int = 6) -> list[CheckResult]:
     """Run each check the suite names at its bound, capped by `BOUND_CAPS`,
     and record its time, detail and any exception it raised."""
     if suite in SUITE_ALIASES:
-        names: Iterable[str] = SUITE_ALIASES[suite]
+        names: tuple[str, ...] = SUITE_ALIASES[suite]
     elif suite in ALL_CHECKS:
         names = (suite,)
     else:
@@ -375,12 +376,13 @@ def run_suite(suite: str = "all", max_weight_sum: int = 6) -> list[CheckResult]:
     if max_weight_sum > MAX_WEIGHT_SUM:
         raise ValueError(f"--max-weight-sum {max_weight_sum} exceeds the "
                          f"limit {MAX_WEIGHT_SUM}")
+    bounds = [min(max_weight_sum, BOUND_CAPS.get(name, max_weight_sum))
+              for name in names]
     global _run_bases
     out = []
     _run_bases = {}
     try:
-        for name in names:
-            bound = min(max_weight_sum, BOUND_CAPS.get(name, max_weight_sum))
+        for i, (name, bound) in enumerate(zip(names, bounds)):
             failure = None
             start = time.perf_counter()
             try:
@@ -391,6 +393,10 @@ def run_suite(suite: str = "all", max_weight_sum: int = 6) -> list[CheckResult]:
                            "error": str(exc)}
             out.append(CheckResult(name, detail, time.perf_counter() - start,
                                    bound, failure))
+            # drop the slices above the bound of every check still to run
+            keep = max(bounds[i + 1:], default=-1)
+            for key in [k for k in _run_bases if sum(k[0]) > keep]:
+                del _run_bases[key]
     finally:
         _run_bases = None
     return out

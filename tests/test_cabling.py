@@ -6,7 +6,7 @@ from qcanon import linalg
 from qcanon.cabling import (CablingOutcome, ZeroBlockError, block_map,
                             dual_cabling_matrix, is_monomial_unit,
                             cabling_report)
-from qcanon.qring import ONE, QScalar
+from qcanon.qring import ONE, QScalar, quantum_factorial
 from qcanon.rmatrix import BraidOperator
 from qcanon.tensor import (coproduct_matrix, coproduct_target_level,
                            dual_factors, enumerate_P)
@@ -136,6 +136,23 @@ def test_one_embedding_per_distinct_block_weight(monkeypatch):
     monkeypatch.undo()
     again = dual_cabling_matrix((2, 1, 2, 2), 3)
     assert linalg.mat_eq(dcm.matrix, again.matrix)
+
+
+def test_divides_only_from_a_two(monkeypatch):
+    dual_cabling_matrix((2, 1, 2, 2), 3)  # builds the cached F chains
+    divisors = []
+    real = linalg.exact_div
+
+    def counting(x, d):
+        divisors.append(d)
+        return real(x, d)
+
+    monkeypatch.setattr(linalg, "exact_div", counting)
+    dcm = dual_cabling_matrix((2, 1, 2, 2), 3)
+    assert ONE not in divisors and quantum_factorial(2) in divisors
+    monkeypatch.undo()
+    assert linalg.mat_eq(dcm.matrix,
+                         dual_cabling_matrix((2, 1, 2, 2), 3).matrix)
 
 
 def test_outcome_defaults():

@@ -2,13 +2,14 @@ import itertools
 
 import pytest
 
-from qcanon import linalg
+from qcanon import canonical, linalg
 from qcanon.canonical import (AntilinearMap, BasisVector, CountMismatchError,
                               TriangularityViolationError, _solve_triangular,
                               canonical_basis_pair, dual_canonical_basis,
                               is_singular, psi_c, psi_tensor2,
                               singular_subset)
-from qcanon.qring import ONE, BarAsymmetryError, QScalar, in_qinv_ideal
+from qcanon.qring import (ONE, BarAsymmetryError, OddExponentError, QScalar,
+                          in_qinv_ideal)
 from qcanon.tensor import coproduct_matrix, dual_factors, enumerate_P
 from qcanon.verify import weight_slices
 from qcanon.weightmod import GEN_E, GEN_F
@@ -120,10 +121,11 @@ def _defective(anti, upward, defect):
             cols[1][0] = ONE
         else:
             cols[0][1] = ONE
-    else:  # the first off-diagonal entry, shifted by q^-1
+    else:  # the first off-diagonal entry, shifted by q^-1 or v^-1
         p, k = next((p, k) for p in range(dim) for k in sorted(cols[p])
                     if k != p)
-        cols[p][k] = cols[p][k] + q(-1)
+        shift = q(-1) if defect == "shifted" else QScalar.v_power(-1)
+        cols[p][k] = cols[p][k] + shift
     return AntilinearMap(anti.space, linalg.Matrix((dim, dim), cols))
 
 
@@ -133,12 +135,73 @@ class TestSolverGuards:
     @pytest.mark.parametrize("defect, error", [
         ("diagonal", TriangularityViolationError),
         ("wrong_side", TriangularityViolationError),
-        ("shifted", BarAsymmetryError)])
+        ("shifted", BarAsymmetryError),
+        ("odd", OddExponentError)])
     def test_defective_map_raises(self, upward, defect, error):
         anti = psi_c((1, 1, 1), 1) if upward else psi_tensor2((2, 1), 1)
         assert _solve_triangular(anti, upward)  # the intact map solves
         with pytest.raises(error):
             _solve_triangular(_defective(anti, upward, defect), upward)
+
+
+class TestPackedSolver:
+    def test_widens_on_large_coefficients(self, monkeypatch):
+        # A = [[1, 0, 0], [a, 1, 0], [b, a, 1]] with a = n (q - q^-1) and
+        # b = n^2 (2 q^2 - 1 - q^-2): the coefficients outgrow the first
+        # packing width, and the exact solution is known by hand
+        n = 2**40 + 3
+        a = n * (q(1) - q(-1))
+        b = n * n * (2 * q(2) - ONE - q(-2))
+        space = psi_c((1, 1, 1), 1).space
+        anti = AntilinearMap(space, linalg.Matrix(
+            (3, 3), [{0: ONE, 1: a, 2: b}, {1: ONE, 2: a}, {2: ONE}]))
+        widths = set()
+        real = linalg.unpack
+
+        def unpack(x, bits, off, unit=1):
+            widths.add(bits)
+            return real(x, bits, off, unit)
+
+        monkeypatch.setattr(linalg, "unpack", unpack)
+        basis = _solve_triangular(anti, upward=True)
+        assert len(widths) > 1
+        want = [{0: ONE, 1: -n * q(-1), 2: -n * n * q(-2)},
+                {1: ONE, 2: -n * q(-1)}, {2: ONE}]
+        assert [dict(b.coords.items()) for b in basis] == want
+        for vec in basis:
+            assert linalg.mat_eq(anti.apply(vec.coords), vec.coords)
+
+    @pytest.mark.parametrize("lams", [(1, 1), (2, 1)])
+    def test_perturbed_answer_fails_the_fixed_point_check(self, lams,
+                                                          monkeypatch):
+        # an ideal term added to the first answer: the solve goes on, and
+        # the packed product must refuse the vector (on (1, 1) the term
+        # also lies below every exponent of A, on (2, 1) it does not)
+        real = canonical.solve_bar_equation
+        calls = []
+
+        def perturbed(rho):
+            calls.append(rho)
+            c = real(rho)
+            return c + q(-2) if len(calls) == 1 else c
+
+        monkeypatch.setattr(canonical, "solve_bar_equation", perturbed)
+        with pytest.raises(TriangularityViolationError,
+                           match="fixed-point defect"):
+            dual_canonical_basis(lams, 1)
+
+    def test_every_vector_is_a_fixed_point_on_the_scalar_route(self):
+        # psi . bar on QScalar entries, independent of the packed kernel
+        for lams, l in weight_slices(5):
+            cases = [(psi_c(lams, l), dual_canonical_basis(lams, l))]
+            if len(lams) == 2:
+                cases.append((psi_tensor2(lams, l),
+                              canonical_basis_pair(lams, l)))
+            for anti, basis in cases:
+                assert len(basis) == anti.space.dim
+                for b in basis:
+                    assert linalg.mat_eq(anti.apply(b.coords), b.coords), \
+                        (lams, l, b.index)
 
 
 class TestCanonicalPair:
@@ -216,14 +279,14 @@ def test_rank_at_q1_bound_is_the_classical_count():
 def _expand(basis, x):
     """The coefficients of x over a dual canonical basis (ascending index
     order, b_p = e_p + terms after p), peeled from the lowest index."""
-    rest = linalg.Accumulator(x)
+    rest = x
     coeffs = []
     for p, b in enumerate(basis):
         c = rest[p]
         if c:
             coeffs.append(c)
-            rest.add(-c, b.coords)
-    assert all(not rest[p] for p in range(x.dim)), "incomplete peel"
+            rest = linalg.mat_add(rest, b.coords, -c)
+    assert linalg.is_zero(rest), "incomplete peel"
     return coeffs
 
 

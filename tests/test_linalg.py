@@ -136,42 +136,46 @@ def test_dot(xs, ys):
         (x * y for x, y in zip(xs, ys)), start=ZERO)
 
 
-@given(st.lists(scalars, max_size=4), st.lists(scalars, max_size=4), scalars)
-def test_accumulator_matches_mat_add(xs, ys, s):
-    n = min(len(xs), len(ys))
-    x, y = vector(xs[:n]), vector(ys[:n])
-    acc = linalg.Accumulator(x)
-    acc.add(s, y)
-    want = linalg.mat_add(x, y, s)
-    assert [acc[i] for i in range(n)] == [want[i] for i in range(n)]
+def _in_units(x, unit):
+    return QScalar({e * unit: c for e, c in x._terms.items()})
 
 
-@settings(max_examples=50)
-@given(st.lists(nonzero_scalars, min_size=1, max_size=4), st.data())
-def test_accumulator_aliasing_own_entry(xs, data):
-    """The solver's peel step: scale a vector by an entry read from the sum
-    it is being subtracted from, where that entry lies in its support."""
-    k = data.draw(st.integers(0, len(xs) - 1))
-    x = vector(xs)
-    lead = x[k]
-    acc = linalg.Accumulator(x)
-    rho = acc[k]
-    acc.add(-rho, x)  # row k: x[k] - x[k] * x[k]
-    assert acc[k] == xs[k] - xs[k] * xs[k]
-    assert rho == lead and x[k] is lead and x[k] == xs[k]
-    if xs[k] == ONE:
-        assert not acc[k]
-    acc = linalg.Accumulator(x)
-    acc.add(acc[k], x)  # the scale is read from the row being updated
-    assert acc[k] == xs[k] + xs[k] * xs[k]
+@given(st.dictionaries(st.integers(-6, 6), st.integers(-2**70, 2**70),
+                       max_size=5).map(QScalar),
+       st.sampled_from([1, 2]), st.integers(0, 4))
+def test_pack_round_trip(x, unit, extra):
+    x = _in_units(x, unit)
+    bits = linalg.l1_norm(x).bit_length() + 1  # every |c| < 2^(bits-1)
+    off = 6 + extra
+    n = linalg.pack(x, bits, off, unit)
+    assert linalg.unpack(n, bits, off, unit) == x
+    assert (n == 0) == (x == ZERO)
 
 
-def test_accumulator_peels_lead_entry_to_zero():
-    x = linalg.Vector(3, {2: QScalar.q_power(-1), 0: ONE})
-    acc = linalg.Accumulator(x)
-    acc.add(-acc[0], x)
-    assert [acc[i] for i in range(3)] == [ZERO] * 3
-    assert x[0] == ONE and x[2] == QScalar.q_power(-1)
+@given(scalars, scalars, st.sampled_from([1, 2]), st.integers(0, 3))
+def test_pack_is_a_ring_map(a, b, unit, extra):
+    a, b = _in_units(a, unit), _in_units(b, unit)
+    bits, off = 8, 3 + extra  # coefficients of a * b stay below 2^7
+    pa, pb = (linalg.pack(x, bits, off, unit) for x in (a, b))
+    assert pa + pb == linalg.pack(a + b, bits, off, unit)
+    assert pa * pb == linalg.pack(a * b, bits, 2 * off, unit)
+    assert linalg.unpack(pa * pb, bits, 2 * off, unit) == a * b
+
+
+def test_pack_rejects_what_does_not_fit():
+    with pytest.raises(ValueError):
+        linalg.pack(QScalar.q_power(-2), 8, 1, 2)  # below the offset
+    with pytest.raises(ValueError):
+        linalg.pack(QScalar.v_power(1), 8, 0, 2)  # a half q-power
+    assert linalg.pack(QScalar.v_power(1), 8, 0, 1) == 1 << 8
+
+
+def test_pack_layout():
+    # psi_c on (V1 x V1)^c at level 1: entries 1 and q - q^-1
+    assert linalg.pack_layout(psi_c((1, 1), 1).matrix) == (2, 1, 2)
+    odd = linalg.diagonal([QScalar.v_power(-3), 3 * ONE])
+    assert linalg.pack_layout(odd) == (3, 3, 1)
+    assert linalg.pack_layout(linalg.zeros(0, 0)) == (0, 0, 2)
 
 
 def test_empty_slices():

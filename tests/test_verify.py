@@ -63,6 +63,21 @@ def test_memo_shares_tuples(monkeypatch):
     assert result.passed and seen and all(seen)
 
 
+def test_memo_drops_slices_no_later_check_reads(monkeypatch):
+    sums = []
+
+    def reading(max_sum):
+        sums.append(max(sum(lams) for lams, _ in verify._run_bases))
+        return "read"
+
+    # singular_bases fills the memo up to sum 4; catalan, the last check,
+    # runs at 3
+    monkeypatch.setitem(verify.BOUND_CAPS, "catalan", 3)
+    monkeypatch.setitem(verify.ALL_CHECKS, "catalan", reading)
+    assert all(r.passed for r in run_suite("diagrams", 4))
+    assert sums == [3]
+
+
 def test_outside_a_run_nothing_is_kept():
     basis = verify._dual_basis((2, 1), 1)
     assert type(basis) is tuple
