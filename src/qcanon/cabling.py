@@ -3,8 +3,8 @@
 Refine each highest weight lam_i into lam_i copies of 1.  On modules this is
 the embedding M_lam -> M_1^(x lam) sending the top vector to the pure tensor
 of top vectors; its transpose on dual coordinates collapses the unit-weight
-dual slice onto the lam-weight one, read from F^(a) on the top tensor of a
-power of V_1.  On diagrams it is the blockwise projection of `cable_diagram`.
+dual slice onto the lam-weight one by the monomials q^-inv that F^(a) gives
+on the top tensor of V_1^(x x).  On diagrams: the blockwise `cable_diagram`.
 
 `cabling_report` runs both sides over every unit-weight dual canonical
 element and insists they tell the same story: an element dies under the
@@ -18,17 +18,15 @@ or target-index disagreement is a hard failure.
 
 from __future__ import annotations
 
-from itertools import accumulate
 from typing import Callable, Sequence
 
 from . import linalg
 from .canonical import BasisVector, dual_canonical_basis
 from .diagrams import (ZeroBlockError, block_map, cable_diagram,
                        diagram_of_index, index_of_diagram)
-from .qring import ONE, QScalar, quantum_factorial
-from .rmatrix import BraidOperator, _coproduct_power
-from .tensor import dual_factors, simple_factors, weight_space
-from .weightmod import GEN_F
+from .qring import ONE, QScalar
+from .rmatrix import BraidOperator
+from .tensor import dual_factors, weight_space
 
 
 class StructuralMismatchError(AssertionError):
@@ -38,13 +36,14 @@ class StructuralMismatchError(AssertionError):
 def dual_cabling_matrix(lam: Sequence[int], level: int) -> BraidOperator:
     """The dual collapse from the unit-weight slice onto the lam-weight slice.
 
-    Unit tuple mt reaches one row, the tuple a of its block sums, with the
-    product over blocks of the block's coefficient in F^(a_i) on the top
-    tensor of V_1^(x lam_i): F only raises slots and is [1] on slot 0 of V_1
-    as of M_1, so these are the Verma coefficients of 0/1 tuples.
+    Unit tuple mt reaches one row, the tuple a of its block sums, with entry
+    q^-inv: inv counts the pairs j < i in one block with mt_j = 0, mt_i = 1.
+    Per block, that is mt's coefficient in F^(a_i) on the top tensor of
+    V_1^(x lam_i): F passes q^-h on the slots before it, so the slots left on
+    top give q^-inv, and the orders of lowering give the [a_i]! divided out.
     """
     lam = tuple(lam)
-    block_map(lam)  # validates positivity
+    blocks = block_map(lam)  # validates positivity
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
     total = sum(lam)
@@ -52,23 +51,14 @@ def dual_cabling_matrix(lam: Sequence[int], level: int) -> BraidOperator:
         raise ValueError(f"level {level} exceeds the unit point count {total}")
     source = weight_space(dual_factors((1,) * total), level)
     target = weight_space(dual_factors(lam), level)
-    starts = [0, *accumulate(lam)]
-    columns = {}  # (x, a) -> F^(a) on the top tensor of V_1^(x x), its pos
     cols = []
     for mt in source.indices:
-        blocks = [mt[s:t] for s, t in zip(starts, starts[1:])]
-        a = tuple(map(sum, blocks))
-        val = ONE
-        for x, ai, block in zip(lam, a, blocks):
-            if (x, ai) not in columns:
-                units = simple_factors((1,) * x)
-                col = _coproduct_power(units, 0, (GEN_F,), ai).col(0)
-                if ai >= 2:  # [0]! = [1]! = 1
-                    col = linalg.mat_div(col, quantum_factorial(ai))
-                columns[x, ai] = (col, weight_space(units, ai).pos)
-            col, pos = columns[x, ai]
-            val = val * col[pos[block]]
-        cols.append({target.pos[a]: val})  # Matrix drops a zero entry
+        a, tops, inv = [0] * (len(lam) + 1), [0] * (len(lam) + 1), 0
+        for b, t in zip(blocks, mt):  # b: the 1-based block of the point
+            a[b] += t
+            inv += t * tops[b]  # the top slots before it in its block
+            tops[b] += 1 - t
+        cols.append({target.pos[tuple(a[1:])]: QScalar.q_power(-inv)})
     return BraidOperator(source, target,
                          linalg.Matrix((target.dim, source.dim), cols))
 

@@ -231,7 +231,6 @@ ONE = QScalar._raw({0: 1})
 Q_MINUS_QINV = QScalar._raw({2: 1, -2: -1})
 
 
-@lru_cache(maxsize=None)
 def quantum_int(n: int) -> QScalar:
     """[n] = q^{n-1} + q^{n-3} + ... + q^{1-n}; [0] = 0."""
     if n < 0:
@@ -248,7 +247,6 @@ def quantum_factorial(n: int) -> QScalar:
     return quantum_factorial(n - 1) * quantum_int(n)
 
 
-@lru_cache(maxsize=None)
 def quantum_binomial(n: int, k: int) -> QScalar:
     if not 0 <= k <= n:
         raise ValueError(f"quantum binomial needs 0 <= k <= n, got ({n}, {k})")

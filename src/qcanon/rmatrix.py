@@ -28,9 +28,13 @@ as an element (`tau_theta_direct`), and the braid-product identity
 
 evaluated with the given factor matrices (`tau_theta_braid`).
 
-`_lift` builds each block operator once per block level, per call.  Only
-what is built again is cached: the recursions `_lift` re-enters, coproduct
-chains, the pair operator, the shared Theta piece and what `verify` rereads.
+`_lift` builds each block operator once per block level, per call.  A result
+is cached only if rebuilding it costs measurable ring work or other cache
+keys rest on its identity.  Twelve caches meet that rule: here
+`_coproduct_power`, `_theta_piece_first`, `_theta_n`, `_tau_theta_direct`,
+`_r_n`, `_pair_rcheck` and `_rcheck_longest`; `tensor.weight_space` and the
+three `weightmod` constructors, whose canonical instances key all the others
+(modules and slices hash by identity); and `qring.quantum_factorial`.
 
 Every Theta sum starts from the identity, its k = 0 term, and builds only
 the terms with k >= 1; only k >= 2 divides, since [0]! = [1]! = 1.  Every
@@ -188,7 +192,6 @@ def _theta_n(factors, level):
         _theta_piece_first(factors, level))
 
 
-@lru_cache(maxsize=None)
 def _theta_n_right(factors, level):
     """Reference: Theta^(n) = (Theta^(n-1) x 1) . (Delta^{n-2} x 1)(Theta)."""
     n = len(factors)
@@ -315,7 +318,6 @@ def _rcheck_longest(factors, level, word):
     return ops[0]
 
 
-@lru_cache(maxsize=None)
 def _tau_theta_n_dual(dual_factors, level):
     """tau(Theta^(n)) on a contragredient slice: Theta^(n)'s transpose."""
     for f in dual_factors:

@@ -73,6 +73,9 @@ class WeightSpace(linalg.Frozen):
     def unit_vector(self, m: tuple[int, ...]) -> linalg.Vector:
         return linalg.unit_vector(self.dim, self.pos[m])
 
+    def __reduce__(self):  # a copy is the cached slice: slices hash by id
+        return weight_space, (self.factors, self.level)
+
     def __repr__(self):
         return f"WeightSpace({list(self.factors)!r}, l={self.level}, dim={self.dim})"
 
@@ -100,7 +103,6 @@ def coproduct_target_level(level: int, gen: str) -> int:
     return level
 
 
-@lru_cache(maxsize=None)
 def coproduct_matrix(factors: tuple[WeightModule, ...], level: int,
                      gen: str) -> linalg.Matrix:
     """Matrix of the iterated coproduct of a generator on one weight slice.

@@ -77,6 +77,13 @@ class WeightModule(linalg.Frozen):
     def weight(self, slot: int) -> int:
         return self.highest_weight - 2 * slot
 
+    def __reduce__(self):  # a copy is the cached instance, as for slices
+        if self.kind == "contragredient":
+            return contragredient, (self.base,)
+        if self.kind == "simple":
+            return make_simple, (self.highest_weight,)
+        return make_verma_truncated, (self.highest_weight, self.size - 1)
+
     def __repr__(self):
         if self.kind == "contragredient":
             return f"({self.base!r})^c"

@@ -6,10 +6,11 @@ from qcanon import linalg
 from qcanon.cabling import (CablingOutcome, ZeroBlockError, block_map,
                             dual_cabling_matrix, is_monomial_unit,
                             cabling_report)
-from qcanon.qring import ONE, QScalar, quantum_factorial
-from qcanon.rmatrix import BraidOperator
+from qcanon.qring import ONE, QScalar, exact_div, quantum_factorial
+from qcanon.rmatrix import BraidOperator, _coproduct_power
 from qcanon.tensor import (coproduct_matrix, coproduct_target_level,
-                           dual_factors, enumerate_P)
+                           dual_factors, enumerate_P, simple_factors,
+                           weight_space)
 from qcanon.verify import weight_slices
 from qcanon.weightmod import GEN_E, GEN_F
 
@@ -121,38 +122,24 @@ class TestCablingReport:
         assert {o["killed"] for o in d["outcomes"]} == {True, False}
 
 
-def test_one_embedding_per_distinct_block_weight(monkeypatch):
-    import qcanon.cabling as cabling
-    read = []
-    real = cabling._coproduct_power
-
-    def counting(factors, level, word, k):
-        read.append((len(factors), k))
-        return real(factors, level, word, k)
-
-    monkeypatch.setattr(cabling, "_coproduct_power", counting)
-    dcm = dual_cabling_matrix((2, 1, 2, 2), 3)
-    assert sorted(read) == [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]
-    monkeypatch.undo()
-    again = dual_cabling_matrix((2, 1, 2, 2), 3)
-    assert linalg.mat_eq(dcm.matrix, again.matrix)
-
-
-def test_divides_only_from_a_two(monkeypatch):
-    dual_cabling_matrix((2, 1, 2, 2), 3)  # builds the cached F chains
-    divisors = []
-    real = linalg.exact_div
-
-    def counting(x, d):
-        divisors.append(d)
-        return real(x, d)
-
-    monkeypatch.setattr(linalg, "exact_div", counting)
-    dcm = dual_cabling_matrix((2, 1, 2, 2), 3)
-    assert ONE not in divisors and quantum_factorial(2) in divisors
-    monkeypatch.undo()
-    assert linalg.mat_eq(dcm.matrix,
-                         dual_cabling_matrix((2, 1, 2, 2), 3).matrix)
+def test_entry_is_q_to_minus_inv_of_the_f_chain():
+    # F^(a) on the top tensor of V_1^(x x) is the reference: its coefficient
+    # on a 0/1 tuple t is q^-inv(t), inv = #{j < i: t_j = 0, t_i = 1}
+    tuples = 0
+    for x in range(1, 8):
+        units = simple_factors((1,) * x)
+        for t in itertools.product((0, 1), repeat=x):
+            a = sum(t)
+            inv = sum(1 for j, i in itertools.combinations(range(x), 2)
+                      if (t[j], t[i]) == (0, 1))
+            col = _coproduct_power(units, 0, (GEN_F,), a).col(0)
+            ref = exact_div(col[weight_space(units, a).pos[t]],
+                            quantum_factorial(a))
+            assert ref == q(-inv), t
+            dcm = dual_cabling_matrix((x,), a)
+            assert dcm.matrix[0, dcm.source.pos[t]] == q(-inv), t
+            tuples += 1
+    assert tuples == 254
 
 
 def test_outcome_defaults():

@@ -1,10 +1,15 @@
+import copy
+import importlib
 import os
+import pickle
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import qcanon
 from qcanon import linalg
 from qcanon.qring import ONE, Q_MINUS_QINV, QScalar
 from qcanon.qring import InexactDivisionError
@@ -14,7 +19,7 @@ from qcanon.rmatrix import (NotReducedError, _lift, _rcheck_longest,
                             rcheck_matrix, sigma0_matrix, tau_theta_braid,
                             tau_theta_direct, tau_theta_n, theta_matrix,
                             theta_n_matrix)
-from qcanon.canonical import dual_canonical_basis
+from qcanon.canonical import dual_canonical_basis, psi_c
 from qcanon.tensor import coproduct_matrix, weight_space
 from qcanon.weightmod import (GEN_E, GEN_F, contragredient, make_simple,
                               make_verma_truncated)
@@ -318,19 +323,24 @@ class TestTauThetaOnDuals:
                                  tau_theta_braid(fs, l).matrix)
 
     def test_basis_runs_the_transpose_route_only(self):
-        # in a fresh process: psi_c builds tau(Theta^(n)) without Rcheck
+        # in a fresh process: psi_c builds tau(Theta^(n)) from the cached
+        # Theta^(n) downstairs, without Rcheck
         code = ("from qcanon import rmatrix\n"
                 "from qcanon.canonical import dual_canonical_basis\n"
+                "from qcanon.tensor import simple_factors\n"
                 "dual_canonical_basis((1, 1, 1, 1), 2)\n"
-                "print(*(f.cache_info().currsize for f in (\n"
-                "    rmatrix._tau_theta_n_dual, rmatrix._rcheck_longest,\n"
-                "    rmatrix._pair_rcheck)))\n")
+                "seen = rmatrix._theta_n.cache_info()\n"
+                "rmatrix._theta_n(simple_factors((1, 1, 1, 1)), 2)\n"
+                "now = rmatrix._theta_n.cache_info()\n"
+                "print(now.hits - seen.hits, now.misses - seen.misses,\n"
+                "      *(f.cache_info().currsize for f in (\n"
+                "          rmatrix._rcheck_longest, rmatrix._pair_rcheck)))\n")
         src = str(Path(__file__).resolve().parents[1] / "src")
         done = subprocess.run([sys.executable, "-c", code],
                               env={**os.environ, "PYTHONPATH": src},
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["1", "0", "0"]
+        assert done.stdout.split() == ["1", "0", "0", "0"]
 
     def test_requires_dual_factors(self):
         with pytest.raises(ValueError):
@@ -371,6 +381,49 @@ def test_cached_module_is_immutable(make):
     with pytest.raises(AttributeError):
         module.highest_weight = module.highest_weight
     assert make() is module and module.highest_weight == 1
+
+
+@pytest.mark.parametrize("clone", [
+    copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+    ids=["copy", "deepcopy", "pickle"])
+def test_copies_are_the_cached_instances(clone):
+    # modules and slices hash by identity: a copy must be the cached one
+    for module in (make_simple(1), make_verma_truncated(-2, 3),
+                   contragredient(make_simple(2))):
+        assert clone(module) is module
+    basis = dual_canonical_basis((1, 2), 1)
+    space = basis[0].space
+    assert clone(space) is space
+    for b in basis:
+        c = clone(b)
+        assert c.space is space and c.index == b.index
+        assert linalg.mat_eq(c.coords, b.coords)
+    for op in (theta_n_matrix(factors(1, 2), 1),
+               rcheck_matrix(factors(1, 2), 1, 0)):
+        c = clone(op)
+        assert c.source is op.source and c.target is op.target
+        assert linalg.mat_eq(c.matrix, op.matrix)
+    psi = psi_c((1, 2), 1)
+    c = clone(psi)
+    assert c.space is psi.space and linalg.mat_eq(c.matrix, psi.matrix)
+
+
+def test_cache_inventory():
+    # each cache must earn its place (see the rmatrix docstring); a change
+    # that adds or drops one edits this list and says why
+    cached = set()
+    for info in pkgutil.iter_modules(qcanon.__path__):
+        module = importlib.import_module(f"qcanon.{info.name}")
+        cached |= {f"{info.name}.{name}" for name, f in vars(module).items()
+                   if hasattr(f, "cache_info")
+                   and f.__module__ == module.__name__}
+    assert cached == {
+        "rmatrix._coproduct_power", "rmatrix._theta_piece_first",
+        "rmatrix._theta_n", "rmatrix._tau_theta_direct", "rmatrix._r_n",
+        "rmatrix._pair_rcheck", "rmatrix._rcheck_longest",
+        "weightmod.make_simple", "weightmod.make_verma_truncated",
+        "weightmod.contragredient", "qring.quantum_factorial",
+        "tensor.weight_space"}
 
 
 @pytest.mark.parametrize("wrapper", [
