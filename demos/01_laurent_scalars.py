@@ -5,7 +5,7 @@ coefficients, exponents tracked in units of v so half-integer q-powers are
 just odd v-powers, and divisions that must be exact or raise.
 """
 
-from qcanon import QScalar, exact_div, in_qinv_ideal, \
+from qcanon.qring import QScalar, exact_div, in_qinv_ideal, \
     quantum_binomial, quantum_factorial, quantum_int, solve_bar_equation
 
 q = QScalar.q_power

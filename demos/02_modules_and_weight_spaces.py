@@ -6,11 +6,11 @@ materialized: each weight slice carries its own index list and exact
 generator matrices through the iterated coproduct.
 """
 
-from qcanon import (apply_generator, contragredient, enumerate_P, make_simple,
-                    shapovalov_embed, simple_factors, weight_space)
-from qcanon.tensor import coproduct_matrix
-from qcanon.weightmod import GEN_E, GEN_F
 from qcanon import linalg
+from qcanon.common import enumerate_P
+from qcanon.tensor import coproduct_matrix, simple_factors, weight_space
+from qcanon.weightmod import (GEN_E, GEN_F, apply_generator, contragredient,
+                              make_simple, shapovalov_embed)
 
 v2 = make_simple(2)
 print("V_2 ladder matrices (columns act on slots 0, 1, 2):")

@@ -6,10 +6,11 @@ along any reduced word of the order-reversing permutation gives the same
 longest braiding.
 """
 
-from qcanon import linalg, make_simple
+from qcanon import linalg
 from qcanon.rmatrix import (cartan_factor, r_n_matrix, rcheck_longest,
                             rcheck_matrix, sigma0_matrix, theta_matrix,
                             theta_n_matrix)
+from qcanon.weightmod import make_simple
 
 fs = (make_simple(1), make_simple(1))
 op = theta_matrix(fs, 1)

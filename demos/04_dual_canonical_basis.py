@@ -7,9 +7,8 @@ the rows after the lead in ascending order and solves one bar-equation per
 correction.
 """
 
-from qcanon import canonical_basis_pair, dual_canonical_basis, is_singular, \
-    singular_subset
-from qcanon.canonical import psi_c
+from qcanon.canonical import (canonical_basis_pair, dual_canonical_basis,
+                              is_singular, psi_c, singular_subset)
 
 print("dual canonical basis of (V_1 x V_1) at level 1:")
 for b in dual_canonical_basis((1, 1), 1):

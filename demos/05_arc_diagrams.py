@@ -6,9 +6,9 @@ elements, and fully saturated unit-capacity diagrams are Catalan-counted
 matchings.
 """
 
-from qcanon import (diagram_of_index, enumerate_B, enumerate_P,
-                    filter_invariant, filter_singular, index_of_diagram,
-                    render)
+from qcanon.common import enumerate_P
+from qcanon.diagrams import (diagram_of_index, enumerate_B, filter_invariant,
+                             filter_singular, index_of_diagram, render)
 
 lam, l = (2, 1), 2
 print(f"all diagrams for capacities {lam} with {l} arcs:")

@@ -7,8 +7,8 @@ survivor onto the matching dual canonical element downstairs with scalar 1.
 The report checks this element by element.
 """
 
-from qcanon import block_map, cabling_report
-from qcanon.cabling import dual_cabling_matrix
+from qcanon.cabling import cabling_report, dual_cabling_matrix
+from qcanon.diagrams import block_map
 
 print("block structure for capacities (2, 1):", block_map((2, 1)))
 

@@ -15,6 +15,9 @@ All JSON is emitted with sorted keys and canonical scalar serialization, so
 identical requests produce byte-identical output.  QCANON_MAX_DIM, when set,
 is a nonnegative integer that caps the dimension of any weight slice a command
 touches; verify does not read it and is bounded by --max-weight-sum instead.
+
+Each command imports the modules it runs inside its own function, so a
+request compiles and loads only what its subcommand needs.
 """
 
 from __future__ import annotations
@@ -24,16 +27,9 @@ import json
 import os
 import sys
 
-from .cabling import cabling_report
-from .canonical import canonical_basis_pair, dual_canonical_basis
-from .diagrams import (InvalidDiagramError, WeightMismatchError, enumerate_B,
-                       filter_invariant, filter_singular, render_ascii,
-                       render_svg_many)
-from .qring import BarAsymmetryError, InexactDivisionError, OddExponentError
-from .rmatrix import (NotReducedError, rcheck_matrix, rcheck_longest,
-                      tau_theta_n, theta_matrix, theta_n_matrix)
-from .tensor import dual_factors, simple_factors, weight_space
-from .verify import MAX_WEIGHT_SUM, SUITE_ALIASES, run_suite
+from .common import (MAX_WEIGHT_SUM, SUITE_ALIASES, BarAsymmetryError,
+                     InexactDivisionError, InvalidDiagramError,
+                     NotReducedError, OddExponentError)
 
 SCHEMA = "qcanon/1"
 
@@ -54,7 +50,11 @@ def _parse_lambda(text: str) -> tuple[int, ...]:
 
 
 def _nonneg(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a nonnegative integer: {text!r}")
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative: {text}")
     return value
@@ -88,6 +88,7 @@ def _guard(args, parser, *more_lams) -> None:
         parser.error(f"QCANON_MAX_DIM must be a nonnegative integer, "
                      f"got {cap!r}")
     limit = int(cap)
+    from .tensor import dual_factors, weight_space
     for lams in (args.lam, *more_lams):
         dim = weight_space(dual_factors(lams), args.level).dim
         if dim > limit:
@@ -133,6 +134,7 @@ def _operator_json(op, lams, level, name, position=None) -> dict:
 
 
 def cmd_basis(args, parser) -> int:
+    from .canonical import dual_canonical_basis
     _guard(args, parser)
     basis = dual_canonical_basis(args.lam, args.level)
     _dump(_basis_json(args.lam, args.level, basis, "dual_canonical"),
@@ -141,6 +143,7 @@ def cmd_basis(args, parser) -> int:
 
 
 def cmd_canonical2(args, parser) -> int:
+    from .canonical import canonical_basis_pair
     _guard(args, parser)
     if len(args.lam) != 2:
         parser.error("canonical2 needs exactly two weights")
@@ -150,6 +153,8 @@ def cmd_canonical2(args, parser) -> int:
 
 
 def cmd_diagrams(args, parser) -> int:
+    from .diagrams import (WeightMismatchError, enumerate_B, filter_invariant,
+                           filter_singular, render_ascii, render_svg_many)
     _guard(args, parser)
     if args.filter == "invariant" and sum(args.lam) != 2 * args.level:
         raise WeightMismatchError(f"need sum(capacities) = 2*arcs, got "
@@ -178,6 +183,9 @@ def cmd_diagrams(args, parser) -> int:
 
 
 def cmd_rmatrix(args, parser) -> int:
+    from .rmatrix import (rcheck_longest, rcheck_matrix, tau_theta_n,
+                          theta_matrix, theta_n_matrix)
+    from .tensor import dual_factors, simple_factors
     _guard(args, parser)
     lams, level = args.lam, args.level
     if args.pos is not None and args.op != "rcheck":
@@ -201,6 +209,7 @@ def cmd_rmatrix(args, parser) -> int:
 
 
 def cmd_cable(args, parser) -> int:
+    from .cabling import cabling_report
     _guard(args, parser, (1,) * sum(args.lam))  # and the unit slice it cables
     report = cabling_report(args.lam, args.level)
     _dump({"schema": SCHEMA, **report.to_json_dict()}, args.output)
@@ -208,6 +217,7 @@ def cmd_cable(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
+    from .verify import run_suite
     results = run_suite(args.suite, args.max_weight_sum)
     failed = [r for r in results if not r.passed]
     for r in results:

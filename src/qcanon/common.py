@@ -1,0 +1,93 @@
+"""Pieces shared by the command line, the diagram model and the ring layers.
+
+This module imports nothing from qcanon, so the front end and `diagrams` can
+use it without loading the ring code.  It holds the immutable base class,
+the index tuples of a weight slice, the exceptions the command line maps to
+exit code 1, and the suite names and bound that `verify --help` shows.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+
+class InexactDivisionError(ArithmeticError):
+    """A division that was expected to be exact left a remainder."""
+
+
+class BarAsymmetryError(ValueError):
+    """Input to the bar-equation solver is not bar-antisymmetric."""
+
+
+class OddExponentError(ValueError):
+    """Input has half-integer q-powers where only integer powers are legal."""
+
+
+class NotReducedError(ValueError):
+    """The supplied word is not a reduced expression of the reversal."""
+
+
+class InvalidDiagramError(ValueError):
+    """The chord multiset violates one of the diagram conditions."""
+
+
+class Frozen:
+    """Base of the immutable objects: matrices, weight slices, modules, arc
+    diagrams, antilinear maps, basis vectors, braid operators, cabling
+    outcomes and reports, and check results.  ``_freeze`` sets each
+    attribute once, in the constructor or when copy and pickle restore the
+    slot state, and assigning or deleting one afterwards raises."""
+
+    __slots__ = ()
+
+    def _freeze(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setstate__(self, state):  # (None, {slot: value})
+        self._freeze(**state[1])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+def enumerate_P(lam: Sequence[int], l: int) -> list[tuple[int, ...]]:
+    """All tuples a with 0 <= a_i <= lam_i and sum(a) = l, in lex order."""
+    lam = tuple(lam)
+    out: list[tuple[int, ...]] = []
+
+    def rec(i: int, remaining: int, prefix: tuple[int, ...]):
+        if i == len(lam):
+            if remaining == 0:
+                out.append(prefix)
+            return
+        tail_room = sum(lam[i + 1:])
+        lo = max(0, remaining - tail_room)
+        hi = min(lam[i], remaining)
+        for a in range(lo, hi + 1):
+            rec(i + 1, remaining - a, prefix + (a,))
+
+    if l >= 0:
+        rec(0, l, ())
+    return out
+
+
+#: The named suites of `verify`; "all" lists every check in `ALL_CHECKS`
+#: order.
+SUITE_ALIASES = {
+    "all": ("golden_dual_basis", "yang_baxter", "braid_factorizations",
+            "involutions", "solver_contract", "bijection_counts",
+            "singular_bases", "catalan", "cabling", "duality"),
+    "ybe": ("yang_baxter",),
+    "braiding": ("yang_baxter", "braid_factorizations"),
+    "basis": ("golden_dual_basis", "involutions", "solver_contract",
+              "duality"),
+    "diagrams": ("bijection_counts", "singular_bases", "catalan"),
+    "cabling": ("cabling",),
+}
+
+#: The largest weight-sum bound a suite accepts: each step up costs about 4x.
+MAX_WEIGHT_SUM = 8

@@ -37,12 +37,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .linalg import Frozen
-from .tensor import enumerate_P
-
-
-class InvalidDiagramError(ValueError):
-    """The chord multiset violates one of the diagram conditions."""
+from .common import Frozen, InvalidDiagramError, enumerate_P
 
 
 class NotInPError(ValueError):

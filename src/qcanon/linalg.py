@@ -24,30 +24,8 @@ indices sort them (`Vector.support`).
 
 from __future__ import annotations
 
+from .common import Frozen
 from .qring import ONE, ZERO, InexactDivisionError, QScalar, exact_div
-
-
-class Frozen:
-    """Base of the immutable objects: matrices, weight slices, modules, arc
-    diagrams, antilinear maps, basis vectors, braid operators, cabling
-    outcomes and reports, and check results.  ``_freeze`` sets each
-    attribute once, in the constructor or when copy and pickle restore the
-    slot state, and assigning or deleting one afterwards raises."""
-
-    __slots__ = ()
-
-    def _freeze(self, **fields):
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
-
-    def __setstate__(self, state):  # (None, {slot: value})
-        self._freeze(**state[1])
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 class Matrix(Frozen):

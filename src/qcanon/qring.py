@@ -18,17 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Mapping
 
-
-class InexactDivisionError(ArithmeticError):
-    """A division that was expected to be exact left a remainder."""
-
-
-class BarAsymmetryError(ValueError):
-    """Input to the bar-equation solver is not bar-antisymmetric."""
-
-
-class OddExponentError(ValueError):
-    """Input has half-integer q-powers where only integer powers are legal."""
+from .common import BarAsymmetryError, InexactDivisionError, OddExponentError
 
 
 class QScalar:

@@ -48,14 +48,11 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import linalg
+from .common import NotReducedError
 from .qring import ONE, Q_MINUS_QINV, QScalar, quantum_factorial
 from .tensor import (WeightSpace, coproduct_matrix, coproduct_target_level,
                      weight_space)
 from .weightmod import GEN_E, GEN_F, GEN_QH, GEN_QH_INV
-
-
-class NotReducedError(ValueError):
-    """The supplied word is not a reduced expression of the reversal."""
 
 
 class BraidOperator(linalg.Frozen):

@@ -24,30 +24,10 @@ from types import MappingProxyType
 from typing import Sequence
 
 from . import linalg
+from .common import enumerate_P
 from .qring import QScalar
 from .weightmod import (CARTAN_EXPONENT, GEN_E, GEN_F, WeightModule,
                         contragredient, make_simple)
-
-
-def enumerate_P(lam: Sequence[int], l: int) -> list[tuple[int, ...]]:
-    """All tuples a with 0 <= a_i <= lam_i and sum(a) = l, in lex order."""
-    lam = tuple(lam)
-    out: list[tuple[int, ...]] = []
-
-    def rec(i: int, remaining: int, prefix: tuple[int, ...]):
-        if i == len(lam):
-            if remaining == 0:
-                out.append(prefix)
-            return
-        tail_room = sum(lam[i + 1:])
-        lo = max(0, remaining - tail_room)
-        hi = min(lam[i], remaining)
-        for a in range(lo, hi + 1):
-            rec(i + 1, remaining - a, prefix + (a,))
-
-    if l >= 0:
-        rec(0, l, ())
-    return out
 
 
 class WeightSpace(linalg.Frozen):

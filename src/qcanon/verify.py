@@ -24,6 +24,7 @@ from .canonical import (BasisVector, canonical_basis_pair,
                         dual_canonical_basis, psi_c, psi_tensor2,
                         singular_subset)
 from .cabling import cabling_report
+from .common import MAX_WEIGHT_SUM, SUITE_ALIASES
 from .diagrams import (ArcDiagram, _crossing, diagram_of_index, enumerate_B,
                        filter_invariant, filter_singular, index_of_diagram,
                        validate_diagram)
@@ -345,22 +346,9 @@ ALL_CHECKS: dict[str, Callable[[int], str]] = {
         check_bijection_counts, check_singular_bases, check_catalan,
         check_cabling, check_duality)}
 
-SUITE_ALIASES = {
-    "all": tuple(ALL_CHECKS),
-    "ybe": ("yang_baxter",),
-    "braiding": ("yang_baxter", "braid_factorizations"),
-    "basis": ("golden_dual_basis", "involutions", "solver_contract",
-              "duality"),
-    "diagrams": ("bijection_counts", "singular_bases", "catalan"),
-    "cabling": ("cabling",),
-}
-
 #: Checks that never run above this weight-sum bound: their sweeps grow too
 #: fast.  `CheckResult.max_sum` records the bound each check really used.
 BOUND_CAPS = {"cabling": 5, "duality": 5}
-
-#: The largest weight-sum bound a suite accepts: each step up costs about 4x.
-MAX_WEIGHT_SUM = 8
 
 
 def run_suite(suite: str = "all", max_weight_sum: int = 6) -> list[CheckResult]:

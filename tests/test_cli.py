@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qcanon.cli import main
+from qcanon.cli import _PROPERTY_FAILURE, main
 
 
 def run(capsys, *argv):
@@ -260,6 +260,23 @@ class TestGuards:
         with pytest.raises(SystemExit) as err:
             run(capsys, "basis", "--lambda", "1,1", "--level", "-1")
         assert err.value.code == 2
+        assert "argument --level: must be nonnegative: -1" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["basis", "--lambda", "1,1", "--level", "x"], "--level", "x"),
+        (["basis", "--lambda", "1", "--level", "0", "--max-sum", "2e3"],
+         "--max-sum", "2e3"),
+        (["verify", "--max-weight-sum", "1.5"], "--max-weight-sum", "1.5")])
+    def test_non_integer_count_exit_2(self, capsys, argv, flag, value):
+        # the message names the flag and the value, not a private function
+        with pytest.raises(SystemExit) as err:
+            run(capsys, *argv)
+        assert err.value.code == 2
+        err_text = capsys.readouterr().err
+        assert f"argument {flag}: not a nonnegative integer: '{value}'" \
+            in err_text
+        assert "_nonneg" not in err_text and "Traceback" not in err_text
 
     def test_weight_sum_guard(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -303,18 +320,49 @@ class TestGuards:
                 in capsys.readouterr().err)
 
     def test_property_failure_exit_1(self, capsys, monkeypatch):
-        import qcanon.cli as cli
+        import qcanon.cabling as cabling
         from qcanon.cabling import StructuralMismatchError
 
         def explode(lams, level):
             raise StructuralMismatchError("synthetic mismatch")
 
-        monkeypatch.setattr(cli, "cabling_report", explode)
+        monkeypatch.setattr(cabling, "cabling_report", explode)
         code, out, _ = run(capsys, "cable", "--lambda", "2", "--level", "1")
         assert code == 1
         record = json.loads(out)
         assert record["failure"] and record["error_type"] == \
             "StructuralMismatchError"
+
+
+def test_property_failures_are_the_classes_the_layers_raise():
+    from qcanon import cli, diagrams, qring, rmatrix
+    assert set(cli._PROPERTY_FAILURE) == {
+        qring.InexactDivisionError, qring.BarAsymmetryError,
+        qring.OddExponentError, rmatrix.NotReducedError,
+        diagrams.InvalidDiagramError, AssertionError}
+
+
+@pytest.mark.parametrize(
+    "exc_type, code",
+    [(t, 1) for t in _PROPERTY_FAILURE] + [(ValueError, 2)],
+    ids=lambda x: getattr(x, "__name__", str(x)))
+def test_exception_from_a_command_maps_to_exit_code(capsys, monkeypatch,
+                                                    exc_type, code):
+    import qcanon.diagrams as diagrams
+
+    def explode(lams, level):
+        raise exc_type("synthetic")
+
+    monkeypatch.setattr(diagrams, "enumerate_B", explode)
+    got, out, err = run(capsys, "diagrams", "--lambda", "1,1", "--level", "1")
+    assert got == code
+    if code == 1:
+        assert json.loads(out) == {
+            "schema": "qcanon/1", "failure": True,
+            "error_type": exc_type.__name__, "error": "synthetic"}
+        assert err == ""
+    else:
+        assert out == "" and err == "qcanon: synthetic\n"
 
 
 def test_import_leaves_numpy_out():
@@ -339,6 +387,65 @@ def test_import_loads_no_dataclasses_or_inspect():
     loaded = set(done.stdout.split())
     assert "qcanon.cli" in loaded
     assert not loaded & {"dataclasses", "inspect"}
+
+
+def _loaded_modules(statements: str) -> set[str]:
+    """The qcanon modules a fresh interpreter loads to run `statements`."""
+    code = ("import sys; before = set(sys.modules)\n" + statements + "\n"
+            "print(' '.join(sorted(m for m in set(sys.modules) - before "
+            "if m.split('.')[0] == 'qcanon')))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("QCANON_MAX_DIM", None)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.split())
+
+
+RING = {"qcanon.qring", "qcanon.linalg", "qcanon.weightmod", "qcanon.tensor",
+        "qcanon.rmatrix", "qcanon.canonical"}
+
+
+def test_import_cli_loads_no_ring_module():
+    assert _loaded_modules("import qcanon.cli") == {
+        "qcanon", "qcanon.cli", "qcanon.common"}
+
+
+def test_import_package_loads_no_submodule():
+    assert _loaded_modules("import qcanon") == {"qcanon"}
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["diagrams", "--lambda", "1,1,1,1", "--level", "2"],
+     {"qcanon", "qcanon.cli", "qcanon.common", "qcanon.diagrams"}),
+    (["basis", "--lambda", "1,2", "--level", "1"],
+     {"qcanon", "qcanon.cli", "qcanon.common"} | RING),
+    (["canonical2", "--lambda", "1,2", "--level", "1"],
+     {"qcanon", "qcanon.cli", "qcanon.common"} | RING),
+], ids=["diagrams", "basis", "canonical2"])
+def test_request_loads_only_what_it_runs(argv, modules):
+    loaded = _loaded_modules(
+        "import contextlib, io, qcanon.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert qcanon.cli.main({argv!r}) == 0")
+    assert loaded == modules
+
+
+HELP = json.loads((Path(__file__).parent / "cli_help.json").read_text())
+
+
+@pytest.mark.skipif("%d.%d" % sys.version_info[:2] != HELP["python"],
+                    reason="argparse lays out help differently across "
+                           "Python versions")
+@pytest.mark.parametrize("command", sorted(HELP["help"]),
+                         ids=lambda c: c or "qcanon")
+def test_help_text_is_unchanged(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", str(HELP["columns"]))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"] if command else ["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == HELP["help"][command]
 
 
 @st.composite

@@ -89,3 +89,11 @@ def test_cabling_report_with_a_given_solver():
     for lams, l in weight_slices(4):
         assert cabling_report(lams, l, verify._dual_basis).to_json_dict() \
             == cabling_report(lams, l).to_json_dict()
+
+
+def test_suite_table_matches_the_checks():
+    # the table lives in `common` so that `verify --help` can show it
+    # without loading the checks
+    assert verify.SUITE_ALIASES["all"] == tuple(verify.ALL_CHECKS)
+    for names in verify.SUITE_ALIASES.values():
+        assert set(names) <= set(verify.ALL_CHECKS)
