@@ -8,9 +8,9 @@ generator matrices through the iterated coproduct.
 
 from qcanon import linalg
 from qcanon.common import enumerate_P
-from qcanon.tensor import coproduct_matrix, simple_factors, weight_space
+from qcanon.tensor import coproduct_matrix, weight_space
 from qcanon.weightmod import (GEN_E, GEN_F, apply_generator, contragredient,
-                              make_simple, shapovalov_embed)
+                              make_simple, shapovalov_embed, simple_factors)
 
 v2 = make_simple(2)
 print("V_2 ladder matrices (columns act on slots 0, 1, 2):")

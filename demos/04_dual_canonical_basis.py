@@ -8,7 +8,8 @@ correction.
 """
 
 from qcanon.canonical import (canonical_basis_pair, dual_canonical_basis,
-                              is_singular, psi_c, singular_subset)
+                              is_involution, is_singular, psi_c,
+                              singular_subset)
 
 print("dual canonical basis of (V_1 x V_1) at level 1:")
 for b in dual_canonical_basis((1, 1), 1):
@@ -28,4 +29,4 @@ print("\nsingular members (E-kernel), count certified by rank at q = 1:")
 print("  indices:", [b.index for b in singular_subset(basis)])
 
 print("\npsi_c really is an involution here:",
-      psi_c((2, 2), 2).is_involution())
+      is_involution(psi_c((2, 2), 2)))

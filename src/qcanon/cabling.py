@@ -26,7 +26,8 @@ from .diagrams import (ZeroBlockError, block_map, cable_diagram,
                        diagram_of_index, index_of_diagram)
 from .qring import ONE, QScalar
 from .rmatrix import BraidOperator
-from .tensor import dual_factors, weight_space
+from .tensor import weight_space
+from .weightmod import dual_factors
 
 
 class StructuralMismatchError(AssertionError):

@@ -45,6 +45,9 @@ with psi(x) = bar(Theta) . bar(x) produces the canonical basis; there A is
 unit upper triangular and the corrections run toward lexicographically
 smaller indices, so the rows are scanned in descending order instead.
 
+Each involution is the `BraidOperator` A that acts after bar: `psi_c` is
+tau(Theta^(n)) itself and `psi_tensor2` is bar(Theta).
+
 Singular vectors (killed by the coproduct E) are recognized exactly, and
 `singular_subset` certifies its count by the integer rank of E at q = 1 -- a
 disagreement is a falsification signal and raises.
@@ -56,10 +59,9 @@ from typing import Sequence
 
 from . import linalg
 from .qring import ONE, QScalar, in_qinv_ideal, solve_bar_equation
-from .rmatrix import tau_theta_n, theta_matrix
-from .tensor import (WeightSpace, coproduct_matrix, dual_factors,
-                     simple_factors, weight_space)
-from .weightmod import GEN_E
+from .rmatrix import BraidOperator, tau_theta_n, theta_matrix
+from .tensor import WeightSpace, coproduct_matrix
+from .weightmod import GEN_E, dual_factors, simple_factors
 
 
 class TriangularityViolationError(AssertionError):
@@ -68,22 +70,6 @@ class TriangularityViolationError(AssertionError):
 
 class CountMismatchError(AssertionError):
     """A basis subset count disagrees with an independent rank bound."""
-
-
-class AntilinearMap(linalg.Frozen):
-    """x -> matrix . bar(x) on a fixed weight slice."""
-
-    __slots__ = ("space", "matrix")
-
-    def __init__(self, space: WeightSpace, matrix: linalg.Matrix):
-        self._freeze(space=space, matrix=matrix)
-
-    def apply(self, vec: linalg.Vector) -> linalg.Vector:
-        return linalg.matmul(self.matrix, linalg.mat_bar(vec))
-
-    def is_involution(self) -> bool:
-        composed = linalg.matmul(self.matrix, linalg.mat_bar(self.matrix))
-        return linalg.mat_eq(composed, linalg.identity(self.space.dim))
 
 
 class BasisVector(linalg.Frozen):
@@ -112,28 +98,37 @@ class BasisVector(linalg.Frozen):
         return f"b{self.index} = " + " + ".join(parts)
 
 
-def psi_c(lams: Sequence[int], level: int) -> AntilinearMap:
-    """The involution tau(Theta^(n)) . bar on the contragredient slice."""
-    fs = dual_factors(lams)
-    return AntilinearMap(weight_space(fs, level),
-                         tau_theta_n(fs, level).matrix)
+def psi_c(lams: Sequence[int], level: int) -> BraidOperator:
+    """tau(Theta^(n)) on the contragredient slice; psi_c(x) = it . bar(x)."""
+    return tau_theta_n(dual_factors(lams), level)
 
 
-def psi_tensor2(lams: Sequence[int], level: int) -> AntilinearMap:
-    """The involution bar(Theta) . bar on a plain two-factor slice."""
+def psi_tensor2(lams: Sequence[int], level: int) -> BraidOperator:
+    """bar(Theta) on a plain two-factor slice; psi(x) = it . bar(x)."""
     if len(lams) != 2:
         raise ValueError("psi_tensor2 needs exactly two factors")
-    fs = simple_factors(lams)
-    return AntilinearMap(weight_space(fs, level),
-                         linalg.mat_bar(theta_matrix(fs, level).matrix))
+    theta = theta_matrix(simple_factors(lams), level)
+    return BraidOperator(theta.source, theta.target,
+                         linalg.mat_bar(theta.matrix))
 
 
-def _require_unitriangular(anti: AntilinearMap, upward: bool) -> None:
+def apply_antilinear(op: BraidOperator, vec: linalg.Vector) -> linalg.Vector:
+    """x -> op . bar(x), the involution that `op` stands for."""
+    return linalg.matmul(op.matrix, linalg.mat_bar(vec))
+
+
+def is_involution(op: BraidOperator) -> bool:
+    """True iff x -> op . bar(x) squares to the identity."""
+    composed = linalg.matmul(op.matrix, linalg.mat_bar(op.matrix))
+    return linalg.mat_eq(composed, linalg.identity(op.source.dim))
+
+
+def _require_unitriangular(op: BraidOperator, upward: bool) -> None:
     """Raise unless the matrix has unit diagonal and no entry on the wrong
     side of it: below the diagonal row if `upward`, above it otherwise."""
-    space = anti.space
+    space = op.source
     for p in range(space.dim):
-        col = anti.matrix.col(p)
+        col = op.matrix.col(p)
         wrong = [k for k, _ in col.items() if (k < p if upward else k > p)]
         if col[p] != ONE:
             wrong.append(p)
@@ -148,26 +143,26 @@ def _require_unitriangular(anti: AntilinearMap, upward: bool) -> None:
 _HEADROOM = 8
 
 
-def _solve_triangular(anti: AntilinearMap, upward: bool) -> list[BasisVector]:
+def _solve_triangular(op: BraidOperator, upward: bool) -> list[BasisVector]:
     """The fixed points b_m = e_m + sum_r c_r e_r, each by one forward
     substitution that scans the rows after m in ascending order (`upward`,
     the dual basis) or the rows before m in descending order (the canonical
     one), skipping each row whose running sum rho_r is zero.  The arithmetic
     runs on the Kronecker-packed entries of A (`linalg.pack`); a vector whose
     coefficient bound outgrows the packing width is redone wider."""
-    _require_unitriangular(anti, upward)
-    space = anti.space
+    _require_unitriangular(op, upward)
+    space = op.source
     dim = space.dim
-    l1, off, unit = linalg.pack_layout(anti.matrix)
+    l1, off, unit = linalg.pack_layout(op.matrix)
     bits = l1.bit_length() + _HEADROOM
-    cols = _pack_columns(anti.matrix, bits, off, unit)
+    cols = _pack_columns(op.matrix, bits, off, unit)
     basis = []
     for m in range(dim):
         rows = range(m + 1, dim) if upward else range(m - 1, -1, -1)
         while (coeffs := _fixed_point(space, cols, m, rows, l1, bits, off,
                                       unit)) is None:
             bits *= 2
-            cols = _pack_columns(anti.matrix, bits, off, unit)
+            cols = _pack_columns(op.matrix, bits, off, unit)
         basis.append(BasisVector(space.indices[m], space,
                                  linalg.Vector(dim, coeffs)))
     return basis

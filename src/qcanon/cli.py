@@ -10,7 +10,8 @@ Subcommands:
     verify      run the property suites
 
 Exit codes: 0 success, 1 a property check failed (a machine-readable JSON
-record is printed), 2 bad flags or request outside the configured bounds.
+record is printed), 2 bad flags, a request outside the configured bounds, or
+one that runs out of memory or recursion depth.
 All JSON is emitted with sorted keys and canonical scalar serialization, so
 identical requests produce byte-identical output.  QCANON_MAX_DIM, when set,
 is a nonnegative integer that caps the dimension of any weight slice a command
@@ -29,7 +30,7 @@ import sys
 
 from .common import (MAX_WEIGHT_SUM, SUITE_ALIASES, BarAsymmetryError,
                      InexactDivisionError, InvalidDiagramError,
-                     NotReducedError, OddExponentError)
+                     NotReducedError, OddExponentError, enumerate_P)
 
 SCHEMA = "qcanon/1"
 
@@ -88,9 +89,8 @@ def _guard(args, parser, *more_lams) -> None:
         parser.error(f"QCANON_MAX_DIM must be a nonnegative integer, "
                      f"got {cap!r}")
     limit = int(cap)
-    from .tensor import dual_factors, weight_space
     for lams in (args.lam, *more_lams):
-        dim = weight_space(dual_factors(lams), args.level).dim
+        dim = len(enumerate_P(lams, args.level))  # the slice's index tuples
         if dim > limit:
             parser.error(f"weight slice dimension {dim} exceeds "
                          f"QCANON_MAX_DIM={cap}")
@@ -185,13 +185,15 @@ def cmd_diagrams(args, parser) -> int:
 def cmd_rmatrix(args, parser) -> int:
     from .rmatrix import (rcheck_longest, rcheck_matrix, tau_theta_n,
                           theta_matrix, theta_n_matrix)
-    from .tensor import dual_factors, simple_factors
+    from .weightmod import dual_factors, simple_factors
     _guard(args, parser)
     lams, level = args.lam, args.level
     if args.pos is not None and args.op != "rcheck":
         parser.error(f"--pos is only for --op rcheck, where it needs "
                      f"0 <= pos < {len(lams) - 1} for {len(lams)} factors")
     if args.op == "theta":
+        if len(lams) != 2:
+            parser.error("--op theta needs exactly two weights")
         op = theta_matrix(simple_factors(lams), level)
     elif args.op == "theta_n":
         op = theta_n_matrix(simple_factors(lams), level)
@@ -304,6 +306,10 @@ def main(argv=None) -> int:
         return 1
     except _BAD_REQUEST as exc:
         sys.stderr.write(f"qcanon: {exc}\n")
+        return 2
+    except (MemoryError, RecursionError) as exc:
+        sys.stderr.write(f"qcanon: {type(exc).__name__}: the request is too "
+                         f"large; lower --max-sum or set QCANON_MAX_DIM\n")
         return 2
 
 

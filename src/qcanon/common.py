@@ -33,10 +33,10 @@ class InvalidDiagramError(ValueError):
 
 class Frozen:
     """Base of the immutable objects: matrices, weight slices, modules, arc
-    diagrams, antilinear maps, basis vectors, braid operators, cabling
-    outcomes and reports, and check results.  ``_freeze`` sets each
-    attribute once, in the constructor or when copy and pickle restore the
-    slot state, and assigning or deleting one afterwards raises."""
+    diagrams, basis vectors, braid operators, cabling outcomes and reports,
+    and check results.  ``_freeze`` sets each attribute once, in the
+    constructor or when copy and pickle restore the slot state, and
+    assigning or deleting one afterwards raises."""
 
     __slots__ = ()
 

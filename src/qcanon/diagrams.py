@@ -35,6 +35,7 @@ function here may assume the diagram it is given is valid.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 from .common import Frozen, InvalidDiagramError, enumerate_P
@@ -144,18 +145,22 @@ def diagram_of_index(lam: Sequence[int], a: Sequence[int]) -> ArcDiagram:
 
     One left-to-right pass over a stack of free capacity units: each of the
     a_j arcs ending at z_j pops the nearest free unit, or starts at the origin
-    once none is left; then z_j pushes its lam_j - a_j free units.
+    once none is left; then z_j pushes its lam_j - a_j free units as one run.
     """
     lam = tuple(lam)
     a = tuple(a)
     if len(a) != len(lam) or any(x < 0 or x > c for x, c in zip(a, lam)):
         raise NotInPError(f"{a} is not an admissible index for {lam}")
-    free: list[int] = []
+    free = [(0, math.inf)]  # (point, free units) runs; the origin never ends
     chords = []
     for j, (aj, cap) in enumerate(zip(a, lam), start=1):
         for _ in range(aj):
-            chords.append((free.pop() if free else 0, j))
-        free.extend([j] * (cap - aj))
+            point, units = free.pop()
+            chords.append((point, j))
+            if units > 1:
+                free.append((point, units - 1))
+        if cap > aj:
+            free.append((j, cap - aj))
     return ArcDiagram(lam, tuple(chords))
 
 

@@ -7,10 +7,9 @@ builders fill plain dicts that the constructor copies.  The operators on a
 weight slice are sparse (basis vectors are under a tenth full, ``psi_c``
 about a third), so every loop here visits stored nonzeros only.
 
-Sums of products go through one fused multiply-accumulate, :func:`addmul`,
-on private ``v-exponent -> int`` dicts: each output scalar is built once, not
-once per partial sum.  An accumulator dict is never the ``_terms`` of a live
-QScalar.
+Sums of products go through the ring's fused multiply-accumulate,
+`qring.addmul`, on private ``v-exponent -> int`` dicts: each output scalar is
+built once, not once per partial sum.
 
 The triangular solver, which applies one fixed matrix many times, works on
 Kronecker-packed entries instead: :func:`pack` evaluates a Laurent
@@ -25,7 +24,8 @@ indices sort them (`Vector.support`).
 from __future__ import annotations
 
 from .common import Frozen
-from .qring import ONE, ZERO, InexactDivisionError, QScalar, exact_div
+from .qring import (ONE, ZERO, InexactDivisionError, QScalar, addmul,
+                    exact_div)
 
 
 class Matrix(Frozen):
@@ -123,24 +123,8 @@ def unit_vector(n: int, i: int) -> Vector:
 
 
 # ---------------------------------------------------------------------------
-# the fused multiply-accumulate
+# sums of products on private accumulator dicts
 # ---------------------------------------------------------------------------
-
-def addmul(acc: dict, a: QScalar, b: QScalar) -> None:
-    """acc += a*b in place, on a zero-free v-exponent -> int dict.
-
-    `acc` must be a private dict, never the ``_terms`` of a live QScalar.
-    """
-    bt = b._terms
-    for ea, ca in a._terms.items():
-        for eb, cb in bt.items():
-            e = ea + eb
-            c = acc.get(e, 0) + ca * cb
-            if c:
-                acc[e] = c
-            else:
-                del acc[e]
-
 
 def _axpy(rows: dict, s: QScalar, x: dict) -> None:
     """rows += s*x, on row -> private v-exponent -> int dicts."""

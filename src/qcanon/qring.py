@@ -6,7 +6,8 @@ that half-integer powers of q (which show up in Cartan factors q^{h@h/2} on
 odd weights) need no special casing.  Coefficients are Python ints, so all
 arithmetic is exact by construction.  Divisions (by quantum factorials, for
 divided powers) go through :func:`exact_div`, which raises instead of ever
-producing a non-integral result.
+producing a non-integral result.  Products, sums and the sums of products
+in `linalg` share one coefficient loop, the multiply-accumulate `addmul`.
 
 The bar involution fixes v-degree-zero terms and negates exponents
 (q -> q^-1).  Quantum integers [n] = (q^n - q^-n)/(q - q^-1) and their
@@ -91,12 +92,7 @@ class QScalar:
         if not other._terms:
             return self
         acc = dict(self._terms)
-        for e, c in other._terms.items():
-            s = acc.get(e, 0) + c
-            if s:
-                acc[e] = s
-            else:
-                acc.pop(e, None)
+        addmul(acc, other, ONE)
         return QScalar._raw(acc)
 
     __radd__ = __add__
@@ -128,14 +124,7 @@ class QScalar:
             ((eb, cb),) = b.items()
             return QScalar._raw({ea + eb: ca * cb for ea, ca in a.items()})
         acc: dict[int, int] = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = ea + eb
-                s = acc.get(e, 0) + ca * cb
-                if s:
-                    acc[e] = s
-                else:
-                    acc.pop(e, None)
+        addmul(acc, self, other)
         return QScalar._raw(acc)
 
     __rmul__ = __mul__
@@ -212,6 +201,22 @@ class QScalar:
         return " ".join(chunks)
 
     __repr__ = __str__
+
+
+def addmul(acc: dict, a: QScalar, b: QScalar) -> None:
+    """acc += a*b in place, on a zero-free v-exponent -> int dict.
+
+    `acc` must be a private dict, never the ``_terms`` of a live QScalar.
+    """
+    bt = b._terms
+    for ea, ca in a._terms.items():
+        for eb, cb in bt.items():
+            e = ea + eb
+            c = acc.get(e, 0) + ca * cb
+            if c:
+                acc[e] = c
+            else:
+                del acc[e]
 
 
 ZERO = QScalar._raw({})

@@ -21,13 +21,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Sequence
 
 from . import linalg
 from .common import enumerate_P
 from .qring import QScalar
-from .weightmod import (CARTAN_EXPONENT, GEN_E, GEN_F, WeightModule,
-                        contragredient, make_simple)
+from .weightmod import CARTAN_EXPONENT, GEN_E, GEN_F, WeightModule
 
 
 class WeightSpace(linalg.Frozen):
@@ -58,16 +56,6 @@ class WeightSpace(linalg.Frozen):
 
     def __repr__(self):
         return f"WeightSpace({list(self.factors)!r}, l={self.level}, dim={self.dim})"
-
-
-def simple_factors(lams: Sequence[int]) -> tuple[WeightModule, ...]:
-    """V_{lam_1}, ..., V_{lam_n}."""
-    return tuple(make_simple(x) for x in lams)
-
-
-def dual_factors(lams: Sequence[int]) -> tuple[WeightModule, ...]:
-    """The contragredients, carrying the dual monomial coordinates."""
-    return tuple(contragredient(make_simple(x)) for x in lams)
 
 
 @lru_cache(maxsize=None)

@@ -20,11 +20,11 @@ import time
 from typing import Callable, Sequence
 
 from . import linalg
-from .canonical import (BasisVector, canonical_basis_pair,
-                        dual_canonical_basis, psi_c, psi_tensor2,
-                        singular_subset)
+from .canonical import (BasisVector, apply_antilinear, canonical_basis_pair,
+                        dual_canonical_basis, is_involution, psi_c,
+                        psi_tensor2, singular_subset)
 from .cabling import cabling_report
-from .common import MAX_WEIGHT_SUM, SUITE_ALIASES
+from .common import MAX_WEIGHT_SUM, SUITE_ALIASES, enumerate_P
 from .diagrams import (ArcDiagram, _crossing, diagram_of_index, enumerate_B,
                        filter_invariant, filter_singular, index_of_diagram,
                        validate_diagram)
@@ -32,7 +32,7 @@ from .qring import ONE, QScalar, in_qinv_ideal
 from .rmatrix import (cartan_factor, r_n_matrix, rcheck_longest,
                       sigma0_matrix, tau_theta_braid, tau_theta_direct,
                       theta_n_matrix)
-from .tensor import dual_factors, enumerate_P, simple_factors
+from .weightmod import dual_factors, simple_factors
 
 
 class CheckResult(linalg.Frozen):
@@ -215,12 +215,12 @@ def check_involutions(max_sum: int) -> str:
     psi_c's matrix equals the braid product on every slice."""
     cases = 0
     for lams, l in weight_slices(max_sum):
-        _require(psi_c(lams, l).is_involution(),
+        _require(is_involution(psi_c(lams, l)),
                  "psi_c not involutive on {} level {}", lams, l)
         _require_braid_route(lams, l)
         cases += 1
         if len(lams) == 2:
-            _require(psi_tensor2(lams, l).is_involution(),
+            _require(is_involution(psi_tensor2(lams, l)),
                      "psi not involutive on {} level {}", lams, l)
             cases += 1
     return f"{cases} involution identities verified"
@@ -255,7 +255,8 @@ def check_solver_contract(max_sum: int) -> str:
     for i, b in enumerate(basis):
         for other in basis[i + 1:]:
             perturbed = linalg.mat_add(b.coords, other.coords, q(-1))
-            _require(not linalg.mat_eq(psi.apply(perturbed), perturbed))
+            _require(not linalg.mat_eq(apply_antilinear(psi, perturbed),
+                                     perturbed))
     return f"{vectors} basis vectors pass the full contract"
 
 

@@ -137,6 +137,16 @@ def contragredient(module: WeightModule) -> WeightModule:
                         dual, base=module)
 
 
+def simple_factors(lams: Sequence[int]) -> tuple[WeightModule, ...]:
+    """V_{lam_1}, ..., V_{lam_n}."""
+    return tuple(make_simple(x) for x in lams)
+
+
+def dual_factors(lams: Sequence[int]) -> tuple[WeightModule, ...]:
+    """The contragredients, carrying the dual monomial coordinates."""
+    return tuple(contragredient(make_simple(x)) for x in lams)
+
+
 def apply_generator(module: WeightModule, word: Sequence,
                     vec: linalg.Vector) -> linalg.Vector:
     """Apply a word of generators right-to-left to an exact coordinate vector.

@@ -9,10 +9,9 @@ from qcanon.cabling import (CablingOutcome, ZeroBlockError, block_map,
 from qcanon.qring import ONE, QScalar, exact_div, quantum_factorial
 from qcanon.rmatrix import BraidOperator, _coproduct_power
 from qcanon.tensor import (coproduct_matrix, coproduct_target_level,
-                           dual_factors, enumerate_P, simple_factors,
-                           weight_space)
+                           enumerate_P, weight_space)
 from qcanon.verify import weight_slices
-from qcanon.weightmod import GEN_E, GEN_F
+from qcanon.weightmod import GEN_E, GEN_F, dual_factors, simple_factors
 
 q = QScalar.q_power
 

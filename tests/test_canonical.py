@@ -3,16 +3,18 @@ import itertools
 import pytest
 
 from qcanon import canonical, linalg
-from qcanon.canonical import (AntilinearMap, BasisVector, CountMismatchError,
+from qcanon.canonical import (BasisVector, CountMismatchError,
                               TriangularityViolationError, _solve_triangular,
-                              canonical_basis_pair, dual_canonical_basis,
+                              apply_antilinear, canonical_basis_pair,
+                              dual_canonical_basis, is_involution,
                               is_singular, psi_c, psi_tensor2,
                               singular_subset)
 from qcanon.qring import (ONE, BarAsymmetryError, OddExponentError, QScalar,
                           in_qinv_ideal)
-from qcanon.tensor import coproduct_matrix, dual_factors, enumerate_P
+from qcanon.rmatrix import BraidOperator, tau_theta_n
+from qcanon.tensor import coproduct_matrix, enumerate_P, weight_space
 from qcanon.verify import weight_slices
-from qcanon.weightmod import GEN_E, GEN_F
+from qcanon.weightmod import GEN_E, GEN_F, dual_factors
 
 q = QScalar.q_power
 
@@ -27,38 +29,47 @@ def small_lams(max_sum, min_n=1, max_n=None):
 class TestPsiC:
     def test_fixes_lowest_dual_monomial(self):
         psi = psi_c((1, 1), 1)
-        e10 = psi.space.unit_vector((1, 0))
-        assert linalg.mat_eq(psi.apply(e10), e10)
+        e10 = psi.source.unit_vector((1, 0))
+        assert linalg.mat_eq(apply_antilinear(psi, e10), e10)
 
     def test_corrects_highest_dual_monomial(self):
         psi = psi_c((1, 1), 1)
-        ws = psi.space
-        out = psi.apply(ws.unit_vector((0, 1)))
+        ws = psi.source
+        out = apply_antilinear(psi, ws.unit_vector((0, 1)))
         assert out[ws.pos[(0, 1)]] == ONE
         assert out[ws.pos[(1, 0)]] == q(1) - q(-1)
 
     @pytest.mark.parametrize("lams", [(1, 1), (2, 1), (1, 1, 1), (2, 2)])
     def test_involution(self, lams):
         for l in range(sum(lams) + 1):
-            assert psi_c(lams, l).is_involution()
+            assert is_involution(psi_c(lams, l))
+
+    def test_is_tau_theta_n_on_the_dual_slice(self):
+        for lams, l in weight_slices(4):
+            psi = psi_c(lams, l)
+            assert isinstance(psi, BraidOperator)
+            space = weight_space(dual_factors(lams), l)
+            assert psi.source is space and psi.target is space
+            assert linalg.mat_eq(psi.matrix,
+                                 tau_theta_n(dual_factors(lams), l).matrix)
 
 
 class TestPsiTensor2:
     def test_fixes_top(self):
         psi = psi_tensor2((1, 1), 0)
-        e = psi.space.unit_vector((0, 0))
-        assert linalg.mat_eq(psi.apply(e), e)
+        e = psi.source.unit_vector((0, 0))
+        assert linalg.mat_eq(apply_antilinear(psi, e), e)
 
     def test_bar_theta_coefficient(self):
         psi = psi_tensor2((1, 1), 1)
-        ws = psi.space
-        out = psi.apply(ws.unit_vector((1, 0)))
+        ws = psi.source
+        out = apply_antilinear(psi, ws.unit_vector((1, 0)))
         assert out[ws.pos[(1, 0)]] == ONE
         assert out[ws.pos[(0, 1)]] == q(-1) - q(1)
 
     def test_involution_v2v1(self):
         for l in range(4):
-            assert psi_tensor2((2, 1), l).is_involution()
+            assert is_involution(psi_tensor2((2, 1), l))
 
 
 class TestDualCanonicalBasis:
@@ -93,7 +104,8 @@ class TestDualCanonicalBasis:
             assert [b.index for b in basis] == enumerate_P(lams, l)
             psi = psi_c(lams, l)
             for b in basis:
-                assert linalg.mat_eq(psi.apply(b.coords), b.coords)
+                assert linalg.mat_eq(apply_antilinear(psi, b.coords),
+                                     b.coords)
                 assert b.coeff(b.index) == ONE
                 for k in b.support():
                     assert k >= b.index
@@ -107,12 +119,13 @@ class TestDualCanonicalBasis:
         for i, b in enumerate(basis):
             for k in basis[i + 1:]:
                 perturbed = linalg.mat_add(b.coords, k.coords, eps)
-                assert not linalg.mat_eq(psi.apply(perturbed), perturbed)
+                assert not linalg.mat_eq(apply_antilinear(psi, perturbed),
+                                         perturbed)
 
 
 def _defective(anti, upward, defect):
     """A copy of `anti` with one defect the solver must refuse."""
-    dim = anti.space.dim
+    dim = anti.source.dim
     cols = [dict(anti.matrix.col(j).items()) for j in range(dim)]
     if defect == "diagonal":
         cols[0][0] = q(2)
@@ -126,7 +139,8 @@ def _defective(anti, upward, defect):
                     if k != p)
         shift = q(-1) if defect == "shifted" else QScalar.v_power(-1)
         cols[p][k] = cols[p][k] + shift
-    return AntilinearMap(anti.space, linalg.Matrix((dim, dim), cols))
+    return BraidOperator(anti.source, anti.target,
+                         linalg.Matrix((dim, dim), cols))
 
 
 class TestSolverGuards:
@@ -152,8 +166,8 @@ class TestPackedSolver:
         n = 2**40 + 3
         a = n * (q(1) - q(-1))
         b = n * n * (2 * q(2) - ONE - q(-2))
-        space = psi_c((1, 1, 1), 1).space
-        anti = AntilinearMap(space, linalg.Matrix(
+        space = psi_c((1, 1, 1), 1).source
+        anti = BraidOperator(space, space, linalg.Matrix(
             (3, 3), [{0: ONE, 1: a, 2: b}, {1: ONE, 2: a}, {2: ONE}]))
         widths = set()
         real = linalg.unpack
@@ -169,7 +183,8 @@ class TestPackedSolver:
                 {1: ONE, 2: -n * q(-1)}, {2: ONE}]
         assert [dict(b.coords.items()) for b in basis] == want
         for vec in basis:
-            assert linalg.mat_eq(anti.apply(vec.coords), vec.coords)
+            assert linalg.mat_eq(apply_antilinear(anti, vec.coords),
+                                 vec.coords)
 
     @pytest.mark.parametrize("lams", [(1, 1), (2, 1)])
     def test_perturbed_answer_fails_the_fixed_point_check(self, lams,
@@ -198,9 +213,10 @@ class TestPackedSolver:
                 cases.append((psi_tensor2(lams, l),
                               canonical_basis_pair(lams, l)))
             for anti, basis in cases:
-                assert len(basis) == anti.space.dim
+                assert len(basis) == anti.source.dim
                 for b in basis:
-                    assert linalg.mat_eq(anti.apply(b.coords), b.coords), \
+                    assert linalg.mat_eq(apply_antilinear(anti, b.coords),
+                                         b.coords), \
                         (lams, l, b.index)
 
 
@@ -264,9 +280,9 @@ class TestSingular:
 def test_rank_at_q1_bound_is_the_classical_count():
     # dim - rank(E at q = 1) equals the number of highest-weight vectors of
     # the classical tensor product on every slice of the bound-5 sweep
-    from qcanon.tensor import coproduct_matrix, dual_factors
+    from qcanon.tensor import coproduct_matrix
     from qcanon.verify import independent_dimension, weight_slices
-    from qcanon.weightmod import GEN_E
+    from qcanon.weightmod import GEN_E, dual_factors
     for lams, l in weight_slices(5):
         e = coproduct_matrix(dual_factors(lams), l, GEN_E)
         expected = 0

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -11,7 +12,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from qcanon import cli
 from qcanon.cli import _PROPERTY_FAILURE, main
+from qcanon.tensor import weight_space
+from qcanon.verify import weight_slices
+from qcanon.weightmod import dual_factors
 
 
 def run(capsys, *argv):
@@ -105,6 +110,16 @@ class TestDiagramsCommand:
         assert code == 2 and out == ""
         assert "need sum(capacities) = 2*arcs" in err
 
+    def test_capacity_far_beyond_memory(self, capsys):
+        # one point of capacity 10^15 with two arcs: one diagram, and no
+        # memory spent on the free capacity
+        big = str(10**15)
+        code, out, _ = run(capsys, "diagrams", "--lambda", big, "--level",
+                           "2", "--max-sum", big)
+        doc = json.loads(out)
+        assert code == 0 and doc["count"] == 1
+        assert doc["diagrams"][0]["chords"] == [[0, 1], [0, 1]]
+
     def test_svg_render_single_document(self, capsys, tmp_path):
         path = tmp_path / "out.svg"
         code, out, _ = run(capsys, "diagrams", "--lambda", "1,1,1,1",
@@ -140,6 +155,17 @@ class TestRmatrixCommand:
         assert err.value.code == 2
         err_text = capsys.readouterr().err
         assert "0 <= pos < 2" in err_text and "Traceback" not in err_text
+
+    @pytest.mark.parametrize("lam", ["1", "1,1,1"])
+    def test_theta_needs_two_weights(self, capsys, lam):
+        with pytest.raises(SystemExit) as err:
+            run(capsys, "rmatrix", "--lambda", lam, "--level", "1",
+                "--op", "theta")
+        assert err.value.code == 2
+        err_text = capsys.readouterr().err
+        assert err_text.startswith("usage: qcanon")
+        assert err_text.endswith(
+            "error: --op theta needs exactly two weights\n")
 
     def test_tau_theta(self, capsys):
         code, out, _ = run(capsys, "rmatrix", "--lambda", "1,1", "--level",
@@ -319,6 +345,49 @@ class TestGuards:
         assert ("QCANON_MAX_DIM must be a nonnegative integer, got '-3'"
                 in capsys.readouterr().err)
 
+    def test_dimension_cap_counts_each_slice(self, monkeypatch):
+        # the guard's count is the slice dimension, for the request and for
+        # the unit slice that cable also solves
+        class Refused(Exception):
+            pass
+
+        class Parser:
+            def error(self, message):
+                raise Refused(message)
+
+        for lams, level in weight_slices(6):
+            for more in ((), ((1,) * sum(lams),)):
+                args = argparse.Namespace(lam=lams, level=level,
+                                          max_sum=sum(lams))
+                dim = max(weight_space(dual_factors(x), level).dim
+                          for x in (lams, *more))
+                monkeypatch.setenv("QCANON_MAX_DIM", str(dim))
+                cli._guard(args, Parser(), *more)
+                monkeypatch.setenv("QCANON_MAX_DIM", str(dim - 1))
+                with pytest.raises(Refused, match=f"dimension {dim} exceeds"):
+                    cli._guard(args, Parser(), *more)
+
+    def test_recursion_depth_exit_2(self, capsys):
+        # 1500 factors: deeper than the recursion limit of the index walk
+        code, out, err = run(capsys, "diagrams", "--lambda",
+                             ",".join(["1"] * 1500), "--level", "0",
+                             "--max-sum", "2000")
+        assert code == 2 and out == ""
+        assert err == ("qcanon: RecursionError: the request is too large; "
+                       "lower --max-sum or set QCANON_MAX_DIM\n")
+
+    def test_memory_error_exit_2(self, capsys, monkeypatch):
+        import qcanon.canonical as canonical
+
+        def explode(lams, level):
+            raise MemoryError
+
+        monkeypatch.setattr(canonical, "dual_canonical_basis", explode)
+        code, out, err = run(capsys, "basis", "--lambda", "2", "--level", "1")
+        assert code == 2 and out == ""
+        assert err == ("qcanon: MemoryError: the request is too large; "
+                       "lower --max-sum or set QCANON_MAX_DIM\n")
+
     def test_property_failure_exit_1(self, capsys, monkeypatch):
         import qcanon.cabling as cabling
         from qcanon.cabling import StructuralMismatchError
@@ -416,17 +485,22 @@ def test_import_package_loads_no_submodule():
     assert _loaded_modules("import qcanon") == {"qcanon"}
 
 
-@pytest.mark.parametrize("argv, modules", [
-    (["diagrams", "--lambda", "1,1,1,1", "--level", "2"],
+@pytest.mark.parametrize("argv, max_dim, modules", [
+    (["diagrams", "--lambda", "1,1,1,1", "--level", "2"], None,
      {"qcanon", "qcanon.cli", "qcanon.common", "qcanon.diagrams"}),
-    (["basis", "--lambda", "1,2", "--level", "1"],
+    (["diagrams", "--lambda", "1,1,1,1", "--level", "2"], "6",
+     {"qcanon", "qcanon.cli", "qcanon.common", "qcanon.diagrams"}),
+    (["basis", "--lambda", "1,2", "--level", "1"], None,
      {"qcanon", "qcanon.cli", "qcanon.common"} | RING),
-    (["canonical2", "--lambda", "1,2", "--level", "1"],
+    (["canonical2", "--lambda", "1,2", "--level", "1"], None,
      {"qcanon", "qcanon.cli", "qcanon.common"} | RING),
-], ids=["diagrams", "basis", "canonical2"])
-def test_request_loads_only_what_it_runs(argv, modules):
+], ids=["diagrams", "diagrams-max-dim", "basis", "canonical2"])
+def test_request_loads_only_what_it_runs(argv, max_dim, modules):
+    # with QCANON_MAX_DIM set, the guard counts index tuples, no ring code
+    env = "" if max_dim is None else \
+        f"os.environ['QCANON_MAX_DIM'] = {max_dim!r}\n"
     loaded = _loaded_modules(
-        "import contextlib, io, qcanon.cli\n"
+        "import contextlib, io, os, qcanon.cli\n" + env +
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert qcanon.cli.main({argv!r}) == 0")
     assert loaded == modules

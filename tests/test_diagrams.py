@@ -133,6 +133,15 @@ class TestIndexBijection:
         assert diagram_of_index((1, 1), (0, 1)).chords == ((1, 2),)
         assert diagram_of_index((2,), (1,)).chords == ((0, 1),)
 
+    def test_capacity_far_beyond_memory(self):
+        # the free units are kept as runs: a capacity of 10^15 costs no more
+        # than a capacity of 3
+        big = 10**15
+        assert diagram_of_index((big,), (2,)).chords == ((0, 1), (0, 1))
+        d = diagram_of_index((big, 3, big), (0, 3, 2))
+        assert d.chords == ((1, 2), (1, 2), (1, 2), (1, 3), (1, 3))
+        assert index_of_diagram(d) == (0, 3, 2)
+
     def test_round_trip_and_bijectivity(self):
         for lam in itertools.chain(small_lams(6), capacities_with_zeros()):
             for l in range(sum(lam) + 1):

@@ -1,11 +1,14 @@
+import itertools
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcanon.qring import (ONE, ZERO, BarAsymmetryError, InexactDivisionError,
-                          OddExponentError, QScalar, exact_div, in_qinv_ideal,
-                          quantum_binomial, quantum_factorial, quantum_int,
-                          solve_bar_equation)
+                          OddExponentError, QScalar, addmul, exact_div,
+                          in_qinv_ideal, quantum_binomial, quantum_factorial,
+                          quantum_int, solve_bar_equation)
 
 q = QScalar.q_power
 v = QScalar.v_power
@@ -114,6 +117,20 @@ class TestRing:
         assert str(v(1)) == "q^{1/2}"
         assert str(v(-3) * 2) == "2q^{-3/2}"
         assert str(q(1) - q(-1)) == "-q^-1 + q"
+
+
+@settings(max_examples=200)
+@given(scalars, scalars, scalars)
+def test_addmul_matches_ring(start, a, b):
+    acc = dict(start._terms)
+    addmul(acc, a, b)
+    assert all(acc.values())  # stays zero-free
+    assert QScalar(acc) == start + a * b
+    want = Counter(start._terms)  # term by term, without addmul
+    for (ea, ca), (eb, cb) in itertools.product(a._terms.items(),
+                                                b._terms.items()):
+        want[ea + eb] += ca * cb
+    assert acc == {e: c for e, c in want.items() if c}
 
 
 class TestQinvIdeal:

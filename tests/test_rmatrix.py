@@ -327,7 +327,7 @@ class TestTauThetaOnDuals:
         # Theta^(n) downstairs, without Rcheck
         code = ("from qcanon import rmatrix\n"
                 "from qcanon.canonical import dual_canonical_basis\n"
-                "from qcanon.tensor import simple_factors\n"
+                "from qcanon.weightmod import simple_factors\n"
                 "dual_canonical_basis((1, 1, 1, 1), 2)\n"
                 "seen = rmatrix._theta_n.cache_info()\n"
                 "rmatrix._theta_n(simple_factors((1, 1, 1, 1)), 2)\n"
@@ -405,7 +405,8 @@ def test_copies_are_the_cached_instances(clone):
         assert linalg.mat_eq(c.matrix, op.matrix)
     psi = psi_c((1, 2), 1)
     c = clone(psi)
-    assert c.space is psi.space and linalg.mat_eq(c.matrix, psi.matrix)
+    assert c.source is psi.source and c.target is psi.target
+    assert linalg.mat_eq(c.matrix, psi.matrix)
 
 
 def test_cache_inventory():

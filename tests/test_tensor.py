@@ -4,10 +4,10 @@ import pytest
 
 from qcanon import linalg
 from qcanon.qring import ONE, Q_MINUS_QINV, QScalar
-from qcanon.tensor import (coproduct_matrix, dual_factors, enumerate_P,
-                           simple_factors, weight_space)
-from qcanon.weightmod import (GEN_E, GEN_F, GEN_QH, GEN_QH_INV,
-                              make_simple, make_verma_truncated)
+from qcanon.tensor import coproduct_matrix, enumerate_P, weight_space
+from qcanon.weightmod import (GEN_E, GEN_F, GEN_QH, GEN_QH_INV, dual_factors,
+                              make_simple, make_verma_truncated,
+                              simple_factors)
 
 q = QScalar.q_power
 
