@@ -26,19 +26,22 @@ by a fresh product, and every c_r must lie in q^-1 Z[q^-1].  A convention
 error therefore surfaces as a loud failure, never as silent garbage.
 
 The substitution and the fixed-point product run on Kronecker-packed ints
-(`linalg.pack`): each entry of A is evaluated once at q = 2^B (at v = 2^B
-when some exponent is odd) and shifted so that no exponent is negative, each
-running sum is a row -> int dict, and only the rho_r that the substitution
-reads are decoded.  Evaluation at 2^B is a ring map, so the packed sums and
-products are the packed images of the true ones, and balanced base-2^B
-digits recover a polynomial exactly when every coefficient has
-|c| < 2^(B-1).  Every value decoded or compared is a sum of products
-A[r, k] bar(c_k), so its coefficients are at most l1(A) (1 + sum_k L1(c_k)),
-with l1(A) the largest L1 norm of an entry of A.  B starts a few bits above
-the bit length of l1(A), and a vector whose bound reaches 2^(B-1) is redone
-with B doubled before anything is decoded past it.  The fixed-point product
-A bar(b_m) is recomputed from the packed columns and compared with packed
-b_m as ints, which under the same bound is equality of polynomials.
+(`_pack`): each entry of A is evaluated once at q = 2^B and shifted so that
+no exponent is negative, each running sum is a row -> int dict, and only the
+rho_r that the substitution reads are decoded.  Every entry of A is a
+polynomial in q and q^-1 (the Theta coefficients, the quantum integers and
+the q^{+-h} flanks are all integer powers of q), and a half-integer q-power
+raises OddExponentError before anything is packed.  Evaluation at 2^B is a
+ring map, so the packed sums and products are the packed images of the true
+ones, and balanced base-2^B digits recover a polynomial exactly when every
+coefficient has |c| < 2^(B-1).  Every value decoded or compared is a sum of
+products A[r, k] bar(c_k), so its coefficients are at most
+l1(A) (1 + sum_k L1(c_k)), with l1(A) the largest L1 norm of an entry of A.
+B starts a few bits above the bit length of l1(A), and a vector whose bound
+reaches 2^(B-1) is redone with B doubled before anything is decoded past
+it.  The fixed-point product A bar(b_m) is recomputed from the packed
+columns and compared with packed b_m as ints, which under the same bound is
+equality of polynomials.
 
 On the plain (non-dual) side of a two-factor product the same construction
 with psi(x) = bar(Theta) . bar(x) produces the canonical basis; there A is
@@ -58,7 +61,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import linalg
-from .qring import ONE, QScalar, in_qinv_ideal, solve_bar_equation
+from .qring import (ONE, OddExponentError, QScalar, in_qinv_ideal,
+                    solve_bar_equation)
 from .rmatrix import BraidOperator, tau_theta_n, theta_matrix
 from .tensor import WeightSpace, coproduct_matrix
 from .weightmod import GEN_E, dual_factors, simple_factors
@@ -143,39 +147,91 @@ def _require_unitriangular(op: BraidOperator, upward: bool) -> None:
 _HEADROOM = 8
 
 
+def _pack(x: QScalar, bits: int, off: int) -> int:
+    """x evaluated at q = 2^bits, times 2^(bits*off): each term c q^k
+    becomes c << bits*(k + off).
+
+    A ring map, so sums and products of packed values are the packed sums
+    and products (product offsets add).  Raises ValueError on a half-integer
+    q-power or an exponent below q^-off.
+    """
+    n = 0
+    for e, c in x._terms.items():
+        k, odd = divmod(e, 2)
+        if odd or k < -off:
+            raise ValueError(f"{x} does not pack at offset {off}")
+        n += c << bits * (k + off)
+    return n
+
+
+def _unpack(n: int, bits: int, off: int) -> QScalar:
+    """The inverse of `_pack`, read as balanced base-2^bits digits: exact for
+    every polynomial whose coefficients all have |c| < 2^(bits-1)."""
+    terms = {}
+    full, half = 1 << bits, 1 << (bits - 1)
+    k = -off
+    while n:
+        d = n & (full - 1)
+        if d >= half:
+            d -= full
+        if d:
+            terms[2 * k] = d
+        n = (n - d) >> bits
+        k += 1
+    return QScalar._raw(terms)
+
+
+def _l1_norm(x: QScalar) -> int:
+    """The sum of the absolute values of the coefficients."""
+    return sum(map(abs, x._terms.values()))
+
+
+def _pack_layout(a: linalg.Matrix) -> tuple[int, int]:
+    """(l1, off) for packing every entry of `a`: the largest L1 norm of an
+    entry, and the least offset in q-units.  Raises OddExponentError on a
+    half-integer q-power."""
+    l1, exps = 0, set()
+    for p in range(a.shape[1]):
+        for _, x in a.col(p).items():
+            exps.update(x._terms)
+            l1 = max(l1, _l1_norm(x))
+    if any(e & 1 for e in exps):
+        raise OddExponentError(f"half-integer q-powers in {a!r}")
+    return l1, -(min(exps, default=0) // 2)
+
+
 def _solve_triangular(op: BraidOperator, upward: bool) -> list[BasisVector]:
     """The fixed points b_m = e_m + sum_r c_r e_r, each by one forward
     substitution that scans the rows after m in ascending order (`upward`,
     the dual basis) or the rows before m in descending order (the canonical
     one), skipping each row whose running sum rho_r is zero.  The arithmetic
-    runs on the Kronecker-packed entries of A (`linalg.pack`); a vector whose
+    runs on the Kronecker-packed entries of A (`_pack`); a vector whose
     coefficient bound outgrows the packing width is redone wider."""
     _require_unitriangular(op, upward)
     space = op.source
     dim = space.dim
-    l1, off, unit = linalg.pack_layout(op.matrix)
+    l1, off = _pack_layout(op.matrix)
     bits = l1.bit_length() + _HEADROOM
-    cols = _pack_columns(op.matrix, bits, off, unit)
+    cols = _pack_columns(op.matrix, bits, off)
     basis = []
     for m in range(dim):
         rows = range(m + 1, dim) if upward else range(m - 1, -1, -1)
-        while (coeffs := _fixed_point(space, cols, m, rows, l1, bits, off,
-                                      unit)) is None:
+        while (coeffs := _fixed_point(space, cols, m, rows, l1, bits,
+                                      off)) is None:
             bits *= 2
-            cols = _pack_columns(op.matrix, bits, off, unit)
+            cols = _pack_columns(op.matrix, bits, off)
         basis.append(BasisVector(space.indices[m], space,
                                  linalg.Vector(dim, coeffs)))
     return basis
 
 
-def _pack_columns(a: linalg.Matrix, bits: int, off: int,
-                  unit: int) -> list[dict]:
-    return [{i: linalg.pack(x, bits, off, unit) for i, x in a.col(p).items()}
+def _pack_columns(a: linalg.Matrix, bits: int, off: int) -> list[dict]:
+    return [{i: _pack(x, bits, off) for i, x in a.col(p).items()}
             for p in range(a.shape[1])]
 
 
 def _fixed_point(space: WeightSpace, cols: list[dict], m: int, rows,
-                 l1: int, bits: int, off: int, unit: int) -> dict | None:
+                 l1: int, bits: int, off: int) -> dict | None:
     """The coefficients of b_m, found on packed columns and certified by a
     fresh packed product A . bar(b_m) = b_m; None as soon as the proven
     coefficient bound l1 * (1 + sum L1(c_r)) of everything still to be
@@ -189,15 +245,15 @@ def _fixed_point(space: WeightSpace, cols: list[dict], m: int, rows,
         rho_r = rho.get(r)
         if not rho_r:  # c_r = 0
             continue
-        c = solve_bar_equation(linalg.unpack(rho_r, bits, off, unit))
+        c = solve_bar_equation(_unpack(rho_r, bits, off))
         if not in_qinv_ideal(c):
             raise AssertionError(f"coefficient {c} of {space.indices[r]} "
                                  f"outside q^-1 Z[q^-1] on {space!r}")
         coeffs[r] = c
-        bound += l1 * linalg.l1_norm(c)
+        bound += l1 * _l1_norm(c)
         if bound >= half:
             return None
-        bar_c = linalg.pack(c.bar(), bits, 0, unit)
+        bar_c = _pack(c.bar(), bits, 0)
         terms.append((r, bar_c))
         for i, x in cols[r].items():
             rho[i] = rho.get(i, 0) + x * bar_c
@@ -206,8 +262,7 @@ def _fixed_point(space: WeightSpace, cols: list[dict], m: int, rows,
         for i, x in cols[k].items():
             fresh[i] = fresh.get(i, 0) + x * bar_c
     try:
-        packed = {k: linalg.pack(c, bits, off, unit)
-                  for k, c in coeffs.items()}
+        packed = {k: _pack(c, bits, off) for k, c in coeffs.items()}
     except ValueError:  # a term of b_m below every term of A . bar(b_m)
         packed = None
     if {i: x for i, x in fresh.items() if x} != packed:

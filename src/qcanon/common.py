@@ -55,28 +55,23 @@ class Frozen:
 
 
 def enumerate_P(lam: Sequence[int], l: int) -> list[tuple[int, ...]]:
-    """All tuples a with 0 <= a_i <= lam_i and sum(a) = l, in lex order."""
-    lam = tuple(lam)
-    out: list[tuple[int, ...]] = []
+    """All tuples a with 0 <= a_i <= lam_i and sum(a) = l, in lex order.
 
-    def rec(i: int, remaining: int, prefix: tuple[int, ...]):
-        if i == len(lam):
-            if remaining == 0:
-                out.append(prefix)
-            return
-        tail_room = sum(lam[i + 1:])
-        lo = max(0, remaining - tail_room)
-        hi = min(lam[i], remaining)
-        for a in range(lo, hi + 1):
-            rec(i + 1, remaining - a, prefix + (a,))
-
-    if l >= 0:
-        rec(0, l, ())
-    return out
+    The prefixes grow one factor at a time, each entry at least what the
+    later factors cannot hold, so every prefix kept has a completion."""
+    rooms, room = [], 0  # sum(lam[i+1:]), for i from the last factor down
+    for cap in reversed(lam):
+        rooms.append(room)
+        room += cap
+    prefixes = [((), l)] if 0 <= l <= room else []
+    for cap, after in zip(lam, reversed(rooms)):
+        prefixes = [(p + (a,), rest - a) for p, rest in prefixes
+                    for a in range(max(0, rest - after), min(cap, rest) + 1)]
+    return [p for p, _ in prefixes]
 
 
-#: The named suites of `verify`; "all" lists every check in `ALL_CHECKS`
-#: order.
+#: The named suites of `verify`; "all" lists every check in run order, and
+#: `verify.ALL_CHECKS` maps each of its names to `check_<name>`.
 SUITE_ALIASES = {
     "all": ("golden_dual_basis", "yang_baxter", "braid_factorizations",
             "involutions", "solver_contract", "bijection_counts",

@@ -11,12 +11,6 @@ Sums of products go through the ring's fused multiply-accumulate,
 `qring.addmul`, on private ``v-exponent -> int`` dicts: each output scalar is
 built once, not once per partial sum.
 
-The triangular solver, which applies one fixed matrix many times, works on
-Kronecker-packed entries instead: :func:`pack` evaluates a Laurent
-polynomial at a power of two, so that CPython's big-int code does the sums
-and products, and :func:`unpack` reads it back, exactly while every
-coefficient stays below half the digit range.
-
 Dict iteration order is insertion order, not row order; callers that emit
 indices sort them (`Vector.support`).
 """
@@ -153,63 +147,6 @@ def _apply(acols, x: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Kronecker packing: a Laurent polynomial as one Python int
-# ---------------------------------------------------------------------------
-
-def pack(x: QScalar, bits: int, off: int, unit: int = 1) -> int:
-    """x evaluated at v^unit = 2^bits, times 2^(bits*off): each term c v^e
-    becomes c << bits*(e/unit + off).
-
-    A ring map, so sums and products of packed values are the packed sums
-    and products (product offsets add).  Raises ValueError unless every
-    exponent is a multiple of `unit` and none lies below -off*unit.
-    """
-    n = 0
-    for e, c in x._terms.items():
-        k, odd = divmod(e, unit)
-        if odd or k < -off:
-            raise ValueError(f"{x} does not pack at offset {off} in units "
-                             f"of v^{unit}")
-        n += c << bits * (k + off)
-    return n
-
-
-def unpack(n: int, bits: int, off: int, unit: int = 1) -> QScalar:
-    """The inverse of `pack`, read as balanced base-2^bits digits: exact for
-    every polynomial whose coefficients all have |c| < 2^(bits-1)."""
-    terms = {}
-    full, half = 1 << bits, 1 << (bits - 1)
-    k = -off
-    while n:
-        d = n & (full - 1)
-        if d >= half:
-            d -= full
-        if d:
-            terms[k * unit] = d
-        n = (n - d) >> bits
-        k += 1
-    return QScalar._raw(terms)
-
-
-def pack_layout(a: Matrix) -> tuple[int, int, int]:
-    """(l1, off, unit) for packing every entry of `a`: the largest L1 norm
-    of an entry, and the least offset under unit 2 (q-units) when every
-    exponent is even, unit 1 (v-units) otherwise."""
-    l1, exps = 0, set()
-    for col in a._cols:
-        for x in col.values():
-            exps.update(x._terms)
-            l1 = max(l1, l1_norm(x))
-    unit = 1 if any(e & 1 for e in exps) else 2
-    return l1, -(min(exps, default=0) // unit), unit
-
-
-def l1_norm(x: QScalar) -> int:
-    """The sum of the absolute values of the coefficients."""
-    return sum(map(abs, x._terms.values()))
-
-
-# ---------------------------------------------------------------------------
 # matrix operations (each works on vectors too and keeps the type)
 # ---------------------------------------------------------------------------
 
@@ -285,13 +222,6 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
 
 def is_zero(a: Matrix) -> bool:
     return not any(a._cols)
-
-
-def diagonal_inverse(a: Matrix) -> Matrix:
-    """Inverse of a diagonal matrix of unit monomials (e.g. Cartan factors)."""
-    n = a.shape[0]
-    return Matrix._wrap((n, n), tuple(
-        {i: a._cols[i].get(i, ZERO).monomial_inverse()} for i in range(n)))
 
 
 def rank_at_q1(a: Matrix) -> int:

@@ -150,15 +150,6 @@ class QScalar:
     def is_monomial(self) -> bool:
         return len(self._terms) == 1
 
-    def monomial_inverse(self) -> "QScalar":
-        """Inverse of a unit monomial c*v^e with c in {1, -1}."""
-        if len(self._terms) != 1:
-            raise InexactDivisionError(f"not a monomial: {self}")
-        ((e, c),) = self._terms.items()
-        if c not in (1, -1):
-            raise InexactDivisionError(f"not a unit monomial: {self}")
-        return QScalar._raw({-e: c})
-
     # -- serialization -------------------------------------------------------
 
     def to_pairs(self) -> list:

@@ -20,13 +20,14 @@ for tau(Theta^(n)).  On a contragredient product, tau(Theta^(n)) acts by the
 transpose of Theta^(n) downstairs, and that transpose is the one route by
 which `tau_theta_n` builds it.
 
-The references that only `verify` and the tests call are the right-hand
-recursion `_theta_n_right`, R^(n) by its own recursion `_r_n`, tau(Theta^(n))
-as an element (`tau_theta_direct`), and the braid-product identity
+The references that only `verify` and the tests call are R^(n) by its own
+recursion `_r_n`, tau(Theta^(n)) as an element (`tau_theta_direct`), and the
+braid-product identity
 
     tau(Theta^(n)) = Rcheck^(n) (C^(n))^-1 sigma_0
 
-evaluated with the given factor matrices (`tau_theta_braid`).
+evaluated with the given factor matrices (`tau_theta_braid`); C^(n) is a
+diagonal of monomials v^e, so its inverse is its bar.
 
 `_lift` builds each block operator once per block level, per call.  A result
 is cached only if rebuilding it costs measurable ring work or other cache
@@ -170,13 +171,6 @@ def _theta_piece_first(factors, level):
                       ((0, 1, (GEN_E,)), (1, len(factors), (GEN_F,))))
 
 
-def _theta_piece_last(factors, level):
-    """(Delta^{n-2} x 1)(Theta): coproducted E^k on the front, F^k on the last."""
-    n = len(factors)
-    return _theta_sum(factors, level, min(level, factors[-1].size - 1),
-                      ((n - 1, n, (GEN_F,)), (0, n - 1, (GEN_E,))))
-
-
 @lru_cache(maxsize=None)
 def _theta_n(factors, level):
     """Theta^(n) = (1 x Theta^(n-1)) . (1 x Delta^{n-2})(Theta)."""
@@ -187,17 +181,6 @@ def _theta_n(factors, level):
     return linalg.matmul(
         _lift(factors, level, 1, n, lambda b: _theta_n(rest, b), 0),
         _theta_piece_first(factors, level))
-
-
-def _theta_n_right(factors, level):
-    """Reference: Theta^(n) = (Theta^(n-1) x 1) . (Delta^{n-2} x 1)(Theta)."""
-    n = len(factors)
-    if n <= 1:
-        return linalg.identity(weight_space(factors, level).dim)
-    init = factors[:-1]
-    return linalg.matmul(
-        _lift(factors, level, 0, n - 1, lambda b: _theta_n_right(init, b), 0),
-        _theta_piece_last(factors, level))
 
 
 @lru_cache(maxsize=None)
@@ -391,7 +374,7 @@ def tau_theta_braid(factors, level) -> BraidOperator:
     space = weight_space(factors, level)
     return BraidOperator(space, space, linalg.matmul(
         rcheck_longest(rev, level).matrix,
-        linalg.matmul(linalg.diagonal_inverse(_cartan(rev, level)),
+        linalg.matmul(linalg.mat_bar(_cartan(rev, level)),
                       _sigma0(factors, level))))
 
 

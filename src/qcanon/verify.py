@@ -341,11 +341,7 @@ def check_duality(max_sum: int) -> str:
 
 
 ALL_CHECKS: dict[str, Callable[[int], str]] = {
-    check.__name__.removeprefix("check_"): check for check in (
-        check_golden_dual_basis, check_yang_baxter,
-        check_braid_factorizations, check_involutions, check_solver_contract,
-        check_bijection_counts, check_singular_bases, check_catalan,
-        check_cabling, check_duality)}
+    name: globals()[f"check_{name}"] for name in SUITE_ALIASES["all"]}
 
 #: Checks that never run above this weight-sum bound: their sweeps grow too
 #: fast.  `CheckResult.max_sum` records the bound each check really used.

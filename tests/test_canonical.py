@@ -1,16 +1,19 @@
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qcanon import canonical, linalg
 from qcanon.canonical import (BasisVector, CountMismatchError,
-                              TriangularityViolationError, _solve_triangular,
+                              TriangularityViolationError, _l1_norm, _pack,
+                              _pack_layout, _solve_triangular, _unpack,
                               apply_antilinear, canonical_basis_pair,
                               dual_canonical_basis, is_involution,
                               is_singular, psi_c, psi_tensor2,
                               singular_subset)
-from qcanon.qring import (ONE, BarAsymmetryError, OddExponentError, QScalar,
-                          in_qinv_ideal)
+from qcanon.qring import (ONE, ZERO, BarAsymmetryError, OddExponentError,
+                          QScalar, in_qinv_ideal)
 from qcanon.rmatrix import BraidOperator, tau_theta_n
 from qcanon.tensor import coproduct_matrix, enumerate_P, weight_space
 from qcanon.verify import weight_slices
@@ -170,13 +173,13 @@ class TestPackedSolver:
         anti = BraidOperator(space, space, linalg.Matrix(
             (3, 3), [{0: ONE, 1: a, 2: b}, {1: ONE, 2: a}, {2: ONE}]))
         widths = set()
-        real = linalg.unpack
+        real = canonical._unpack
 
-        def unpack(x, bits, off, unit=1):
+        def unpack(x, bits, off):
             widths.add(bits)
-            return real(x, bits, off, unit)
+            return real(x, bits, off)
 
-        monkeypatch.setattr(linalg, "unpack", unpack)
+        monkeypatch.setattr(canonical, "_unpack", unpack)
         basis = _solve_triangular(anti, upward=True)
         assert len(widths) > 1
         want = [{0: ONE, 1: -n * q(-1), 2: -n * n * q(-2)},
@@ -218,6 +221,50 @@ class TestPackedSolver:
                     assert linalg.mat_eq(apply_antilinear(anti, b.coords),
                                          b.coords), \
                         (lams, l, b.index)
+
+
+def q_polys(exps, coeffs, max_size):
+    """Laurent polynomials in q: exponents drawn in q-units."""
+    return st.dictionaries(exps, coeffs, max_size=max_size).map(
+        lambda t: QScalar({2 * k: c for k, c in t.items()}))
+
+
+@given(q_polys(st.integers(-6, 6), st.integers(-2**70, 2**70), 5),
+       st.integers(0, 4))
+def test_pack_round_trip(x, extra):
+    bits = _l1_norm(x).bit_length() + 1  # every |c| < 2^(bits-1)
+    off = 6 + extra
+    n = _pack(x, bits, off)
+    assert _unpack(n, bits, off) == x
+    assert (n == 0) == (x == ZERO)
+
+
+small_q_polys = q_polys(st.integers(-3, 3), st.integers(-3, 3), 3)
+
+
+@given(small_q_polys, small_q_polys, st.integers(0, 3))
+def test_pack_is_a_ring_map(a, b, extra):
+    bits, off = 8, 3 + extra  # coefficients of a * b stay below 2^7
+    pa, pb = (_pack(x, bits, off) for x in (a, b))
+    assert pa + pb == _pack(a + b, bits, off)
+    assert pa * pb == _pack(a * b, bits, 2 * off)
+    assert _unpack(pa * pb, bits, 2 * off) == a * b
+
+
+def test_pack_rejects_what_does_not_fit():
+    with pytest.raises(ValueError):
+        _pack(q(-2), 8, 1)  # below the offset
+    with pytest.raises(ValueError):
+        _pack(QScalar.v_power(1), 8, 0)  # a half q-power
+
+
+def test_pack_layout():
+    # psi_c on (V1 x V1)^c at level 1: entries 1 and q - q^-1
+    assert _pack_layout(psi_c((1, 1), 1).matrix) == (2, 1)
+    odd = linalg.diagonal([QScalar.v_power(-3), 3 * ONE])
+    with pytest.raises(OddExponentError):
+        _pack_layout(odd)
+    assert _pack_layout(linalg.zeros(0, 0)) == (0, 0)
 
 
 class TestCanonicalPair:

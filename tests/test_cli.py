@@ -367,14 +367,26 @@ class TestGuards:
                 with pytest.raises(Refused, match=f"dimension {dim} exceeds"):
                     cli._guard(args, Parser(), *more)
 
-    def test_recursion_depth_exit_2(self, capsys):
-        # 1500 factors: deeper than the recursion limit of the index walk
-        code, out, err = run(capsys, "diagrams", "--lambda",
-                             ",".join(["1"] * 1500), "--level", "0",
-                             "--max-sum", "2000")
+    def test_recursion_depth_exit_2(self, capsys, monkeypatch):
+        import qcanon.diagrams as diagrams
+
+        def explode(lam, level):
+            raise RecursionError
+
+        monkeypatch.setattr(diagrams, "enumerate_B", explode)
+        code, out, err = run(capsys, "diagrams", "--lambda", "1,1",
+                             "--level", "1")
         assert code == 2 and out == ""
         assert err == ("qcanon: RecursionError: the request is too large; "
                        "lower --max-sum or set QCANON_MAX_DIM\n")
+
+    def test_many_factors_need_no_deep_recursion(self, capsys):
+        # 1500 factors: deeper than the recursion limit, one diagram
+        code, out, _ = run(capsys, "diagrams", "--lambda",
+                           ",".join(["1"] * 1500), "--level", "0",
+                           "--max-sum", "2000")
+        assert code == 0
+        assert json.loads(out)["count"] == 1
 
     def test_memory_error_exit_2(self, capsys, monkeypatch):
         import qcanon.canonical as canonical

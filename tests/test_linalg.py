@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from qcanon import linalg
 from qcanon.cabling import CablingOutcome, cabling_report
-from qcanon.canonical import dual_canonical_basis, psi_c
+from qcanon.canonical import dual_canonical_basis
 from qcanon.diagrams import ArcDiagram
 from qcanon.qring import (ONE, Q_MINUS_QINV, ZERO, InexactDivisionError,
                           QScalar, exact_div)
@@ -126,48 +126,6 @@ def test_dot(xs, ys):
     xs, ys = xs[:n], ys[:n]
     assert linalg.dot(vector(xs), vector(ys)) == sum(
         (x * y for x, y in zip(xs, ys)), start=ZERO)
-
-
-def _in_units(x, unit):
-    return QScalar({e * unit: c for e, c in x._terms.items()})
-
-
-@given(st.dictionaries(st.integers(-6, 6), st.integers(-2**70, 2**70),
-                       max_size=5).map(QScalar),
-       st.sampled_from([1, 2]), st.integers(0, 4))
-def test_pack_round_trip(x, unit, extra):
-    x = _in_units(x, unit)
-    bits = linalg.l1_norm(x).bit_length() + 1  # every |c| < 2^(bits-1)
-    off = 6 + extra
-    n = linalg.pack(x, bits, off, unit)
-    assert linalg.unpack(n, bits, off, unit) == x
-    assert (n == 0) == (x == ZERO)
-
-
-@given(scalars, scalars, st.sampled_from([1, 2]), st.integers(0, 3))
-def test_pack_is_a_ring_map(a, b, unit, extra):
-    a, b = _in_units(a, unit), _in_units(b, unit)
-    bits, off = 8, 3 + extra  # coefficients of a * b stay below 2^7
-    pa, pb = (linalg.pack(x, bits, off, unit) for x in (a, b))
-    assert pa + pb == linalg.pack(a + b, bits, off, unit)
-    assert pa * pb == linalg.pack(a * b, bits, 2 * off, unit)
-    assert linalg.unpack(pa * pb, bits, 2 * off, unit) == a * b
-
-
-def test_pack_rejects_what_does_not_fit():
-    with pytest.raises(ValueError):
-        linalg.pack(QScalar.q_power(-2), 8, 1, 2)  # below the offset
-    with pytest.raises(ValueError):
-        linalg.pack(QScalar.v_power(1), 8, 0, 2)  # a half q-power
-    assert linalg.pack(QScalar.v_power(1), 8, 0, 1) == 1 << 8
-
-
-def test_pack_layout():
-    # psi_c on (V1 x V1)^c at level 1: entries 1 and q - q^-1
-    assert linalg.pack_layout(psi_c((1, 1), 1).matrix) == (2, 1, 2)
-    odd = linalg.diagonal([QScalar.v_power(-3), 3 * ONE])
-    assert linalg.pack_layout(odd) == (3, 3, 1)
-    assert linalg.pack_layout(linalg.zeros(0, 0)) == (0, 0, 2)
 
 
 def test_empty_slices():

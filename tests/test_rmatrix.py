@@ -14,11 +14,10 @@ from qcanon import linalg
 from qcanon.qring import ONE, Q_MINUS_QINV, QScalar
 from qcanon.qring import InexactDivisionError
 from qcanon.rmatrix import (NotReducedError, _lift, _rcheck_longest,
-                            _theta_n_right, _theta_sum, cartan_factor,
-                            default_longest_word, r_n_matrix, rcheck_longest,
-                            rcheck_matrix, sigma0_matrix, tau_theta_braid,
-                            tau_theta_direct, tau_theta_n, theta_matrix,
-                            theta_n_matrix)
+                            _theta_sum, cartan_factor, default_longest_word,
+                            r_n_matrix, rcheck_longest, rcheck_matrix,
+                            sigma0_matrix, tau_theta_braid, tau_theta_direct,
+                            tau_theta_n, theta_matrix, theta_n_matrix)
 from qcanon.canonical import dual_canonical_basis, psi_c
 from qcanon.tensor import coproduct_matrix, weight_space
 from qcanon.weightmod import (GEN_E, GEN_F, contragredient, make_simple,
@@ -126,6 +125,26 @@ class TestLift:
         lifted = _lift(fs, 1, 1, 3, sub, 0)
         assert calls == [1, 0]
         assert linalg.mat_eq(lifted, linalg.identity(3))
+
+
+def _theta_piece_last(fs, level):
+    """(Delta^{n-2} x 1)(Theta): coproducted E^k on the front, F^k on the
+    last."""
+    n = len(fs)
+    return _theta_sum(fs, level, min(level, fs[-1].size - 1),
+                      ((n - 1, n, (GEN_F,)), (0, n - 1, (GEN_E,))))
+
+
+def _theta_n_right(fs, level):
+    """Theta^(n) = (Theta^(n-1) x 1) . (Delta^{n-2} x 1)(Theta), the
+    right-hand recursion that production does not use."""
+    n = len(fs)
+    if n <= 1:
+        return linalg.identity(weight_space(fs, level).dim)
+    init = fs[:-1]
+    return linalg.matmul(
+        _lift(fs, level, 0, n - 1, lambda b: _theta_n_right(init, b), 0),
+        _theta_piece_last(fs, level))
 
 
 class TestThetaN:

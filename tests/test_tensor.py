@@ -33,8 +33,8 @@ class TestEnumerateP:
                                              (2, 0, 0)]
 
     def test_lex_sorted_and_complete(self):
-        for lam in [(1, 1, 1), (2, 3), (2, 1, 2)]:
-            for l in range(sum(lam) + 1):
+        for lam in [(1, 1, 1), (2, 3), (2, 1, 2), (), (0,), (0, 2, 0)]:
+            for l in range(-1, sum(lam) + 2):
                 got = enumerate_P(lam, l)
                 brute = sorted(
                     m for m in itertools.product(*[range(x + 1) for x in lam])
