@@ -13,9 +13,12 @@ Exit codes: 0 success, 1 a property check failed (a machine-readable JSON
 record is printed), 2 bad flags, a request outside the configured bounds, or
 one that runs out of memory or recursion depth.
 All JSON is emitted with sorted keys and canonical scalar serialization, so
-identical requests produce byte-identical output.  QCANON_MAX_DIM, when set,
-is a nonnegative integer that caps the dimension of any weight slice a command
-touches; verify does not read it and is bounded by --max-weight-sum instead.
+identical requests produce byte-identical output.  The CLI writes it with its
+own writer, byte for byte equal to json.dumps(sort_keys=True, indent=2).
+QCANON_MAX_DIM, when set, is a nonnegative integer that caps the dimension of
+any weight slice a command touches; the guard computes that dimension without
+listing the slice.  verify does not read it and is bounded by
+--max-weight-sum instead.
 
 Each command imports the modules it runs inside its own function, so a
 request compiles and loads only what its subcommand needs.
@@ -27,10 +30,11 @@ import argparse
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .common import (MAX_WEIGHT_SUM, SUITE_ALIASES, BarAsymmetryError,
                      InexactDivisionError, InvalidDiagramError,
-                     NotReducedError, OddExponentError, enumerate_P)
+                     NotReducedError, OddExponentError, slice_dim)
 
 SCHEMA = "qcanon/1"
 
@@ -72,8 +76,57 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+_SCALARS = frozenset((int, str))
+
+
+def _json_text(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, for the types the CLI
+    emits: dicts with str keys, lists, str, int, bool and None.  Any other
+    type raises TypeError.
+
+    The stdlib runs its pure-Python encoder whenever ``indent`` is set; this
+    writer escapes strings with the same C function.  Index tuples, chords
+    and coefficient pairs repeat all through a document, so a list of ints
+    and strings is rendered once per call for each contents and depth."""
+    memo = {}
+
+    def text(o, pad):  # pad: the newline and indent before o's closer
+        t = type(o)
+        if t is str:
+            return encode_basestring_ascii(o)
+        if t is int:
+            return int.__repr__(o)
+        inner = pad + "  "
+        if t is list:
+            if not o:
+                return "[]"
+            if not _SCALARS.issuperset(map(type, o)):
+                return ("[" + inner + ("," + inner).join(
+                    [text(x, inner) for x in o]) + pad + "]")
+            key = (pad, *o)
+            out = memo.get(key)
+            if out is None:
+                out = memo[key] = "[" + inner + ("," + inner).join(
+                    [encode_basestring_ascii(x) if type(x) is str
+                     else int.__repr__(x) for x in o]) + pad + "]"
+            return out
+        if t is dict:
+            if not o:
+                return "{}"
+            return "{" + inner + ("," + inner).join(
+                [encode_basestring_ascii(k) + ": " + text(o[k], inner)
+                 for k in sorted(o)]) + pad + "}"
+        if o is None:
+            return "null"
+        if t is bool:
+            return "true" if o else "false"
+        raise TypeError(f"cannot write {t.__name__} as JSON")
+
+    return text(obj, "\n")
+
+
 def _dump(obj: dict, output: str | None) -> None:
-    _emit(json.dumps(obj, sort_keys=True, indent=2) + "\n", output)
+    _emit(_json_text(obj) + "\n", output)
 
 
 def _guard(args, parser, *more_lams) -> None:
@@ -90,7 +143,7 @@ def _guard(args, parser, *more_lams) -> None:
                      f"got {cap!r}")
     limit = int(cap)
     for lams in (args.lam, *more_lams):
-        dim = len(enumerate_P(lams, args.level))  # the slice's index tuples
+        dim = slice_dim(lams, args.level)
         if dim > limit:
             parser.error(f"weight slice dimension {dim} exceeds "
                          f"QCANON_MAX_DIM={cap}")
@@ -106,19 +159,19 @@ def _basis_json(lams, level, basis, kind) -> dict:
         "order": "lex",
         "basis": [{
             "index": list(b.index),
-            "coeffs": [{"index": list(k), "value": b.coeff(k).to_pairs()}
-                       for k in b.support()],
+            "coeffs": [{"index": list(b.space.indices[i]),
+                        "value": x.to_pairs()}
+                       for i, x in sorted(b.coords.items())],
         } for b in basis],
     }
 
 
 def _operator_json(op, lams, level, name, position=None) -> dict:
-    entries = []
+    rows, entries = op.target.indices, []
     for j, col in enumerate(op.source.indices):
-        column = op.matrix.col(j)
-        for i in column.support():
-            entries.append({"row": list(op.target.indices[i]),
-                            "col": list(col), "value": column[i].to_pairs()})
+        for i, x in sorted(op.matrix.col(j).items()):
+            entries.append({"row": list(rows[i]), "col": list(col),
+                            "value": x.to_pairs()})
     out = {
         "schema": SCHEMA,
         "op": name,

@@ -2,12 +2,14 @@
 
 This module imports nothing from qcanon, so the front end and `diagrams` can
 use it without loading the ring code.  It holds the immutable base class,
-the index tuples of a weight slice, the exceptions the command line maps to
-exit code 1, and the suite names and bound that `verify --help` shows.
+the index tuples of a weight slice and their count, the exceptions the
+command line maps to exit code 1, and the suite names and bound that
+`verify --help` shows.
 """
 
 from __future__ import annotations
 
+from math import comb
 from typing import Sequence
 
 
@@ -68,6 +70,29 @@ def enumerate_P(lam: Sequence[int], l: int) -> list[tuple[int, ...]]:
         prefixes = [(p + (a,), rest - a) for p, rest in prefixes
                     for a in range(max(0, rest - after), min(cap, rest) + 1)]
     return [p for p, _ in prefixes]
+
+
+def slice_dim(lam: Sequence[int], l: int) -> int:
+    """len(enumerate_P(lam, l)), without listing the tuples.
+
+    The count is the coefficient of x^l in prod_i (1 + x + ... + x^lam_i)
+    = prod_i (1 - x^(lam_i + 1)) / (1 - x)^n.  The numerator is expanded
+    only up to x^l, and x^m in 1/(1 - x)^n has coefficient C(m + n - 1,
+    n - 1), so the cost depends on the factors with lam_i < l, not on the
+    size of the slice.  The slice at l and at sum(lam) - l have the same
+    size (a -> lam - a), so l is taken as the smaller of the two."""
+    room = sum(lam)
+    if not 0 <= l <= room:
+        return 0
+    l, n = min(l, room - l), len(lam)
+    if n == 0:
+        return 1
+    numerator = {0: 1}  # exponent -> coefficient, exponents at most l
+    for cap in lam:
+        for e, c in list(numerator.items()):
+            if e + cap < l:
+                numerator[e + cap + 1] = numerator.get(e + cap + 1, 0) - c
+    return sum(c * comb(l - e + n - 1, n - 1) for e, c in numerator.items())
 
 
 #: The named suites of `verify`; "all" lists every check in run order, and

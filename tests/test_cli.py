@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qcanon import cli
+from qcanon import cli, common
 from qcanon.cli import _PROPERTY_FAILURE, main
 from qcanon.tensor import weight_space
 from qcanon.verify import weight_slices
@@ -43,11 +43,14 @@ class TestBasisCommand:
         assert out1 == out2
 
     def test_output_file(self, capsys, tmp_path):
-        path = tmp_path / "basis.json"
-        code, out, _ = run(capsys, "basis", "--lambda", "1,1", "--level", "1",
-                           "-o", str(path))
-        assert code == 0 and out == ""
-        assert json.loads(path.read_text())["schema"] == "qcanon/1"
+        # -o writes exactly the bytes the request prints on stdout
+        for argv in (("basis", "--lambda", "2,1,1", "--level", "2"),
+                     ("diagrams", "--lambda", "1,1,1,1", "--level", "2")):
+            path = tmp_path / f"{argv[0]}.json"
+            code, out, _ = run(capsys, *argv, "-o", str(path))
+            assert code == 0 and out == ""
+            code, out, _ = run(capsys, *argv)
+            assert code == 0 and path.read_bytes() == out.encode()
 
     @pytest.mark.parametrize("where", ["directory", "missing_parent"])
     def test_unwritable_output_exit_2(self, capsys, tmp_path, where):
@@ -367,6 +370,24 @@ class TestGuards:
                 with pytest.raises(Refused, match=f"dimension {dim} exceeds"):
                     cli._guard(args, Parser(), *more)
 
+    def test_dimension_cap_lists_no_tuples(self, capsys, monkeypatch):
+        # 1^40 at level 20 has C(40, 20) index tuples, too many to list; only
+        # the guard runs, so a guard that let the request through runs nothing
+        def listing(*args):
+            raise AssertionError("the guard listed the slice")
+
+        monkeypatch.setattr(common, "enumerate_P", listing)
+        monkeypatch.setattr(cli, "enumerate_P", listing, raising=False)
+        monkeypatch.setenv("QCANON_MAX_DIM", "100")
+        parser = cli.build_parser()
+        args = parser.parse_args(["diagrams", "--lambda", ",".join("1" * 40),
+                                  "--level", "20", "--max-sum", "40"])
+        with pytest.raises(SystemExit) as err:
+            cli._guard(args, parser)
+        assert err.value.code == 2
+        assert ("weight slice dimension 137846528820 exceeds "
+                "QCANON_MAX_DIM=100") in capsys.readouterr().err
+
     def test_recursion_depth_exit_2(self, capsys, monkeypatch):
         import qcanon.diagrams as diagrams
 
@@ -446,6 +467,66 @@ def test_exception_from_a_command_maps_to_exit_code(capsys, monkeypatch,
         assert out == "" and err == "qcanon: synthetic\n"
 
 
+# strings with quotes, backslashes, control and non-ASCII characters and
+# lone surrogates; small ints repeat, so the writer's memo is exercised
+_TEXT = st.text(st.one_of(st.characters(), st.sampled_from(
+    ['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u00e9", "\u2028",
+     "\U0001f600", "\ud800", "\udfff"])), max_size=6)
+_SCALAR = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+                    st.integers(), st.integers(-2**80, 2**80), _TEXT)
+_DOCUMENT = st.recursive(
+    _SCALAR, lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_TEXT, inner, max_size=4), max_leaves=30)
+
+
+class TestJsonWriter:
+    @staticmethod
+    def reference(obj):
+        return json.dumps(obj, sort_keys=True, indent=2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_DOCUMENT)
+    def test_bytes_match_json_dumps(self, doc):
+        assert cli._json_text(doc) == self.reference(doc)
+
+    def test_empty_containers_at_every_depth(self):
+        doc = {"": [], "a": {}, "b": [[], {}, [[]], {"c": {}}, [{}]]}
+        assert cli._json_text(doc) == self.reference(doc)
+
+    def test_bools_are_not_the_ints_they_equal(self):
+        # True == 1 and hash(True) == hash(1): the memo must tell them apart
+        doc = [[1, 0], [True, False], [1, 0], [False, True], [0, 1]]
+        assert cli._json_text(doc) == self.reference(doc)
+
+    def test_one_list_at_two_depths(self):
+        pair = [3, "4"]
+        doc = {"a": pair, "b": [pair, {"c": pair}], "d": pair}
+        text = cli._json_text(doc)
+        assert text == self.reference(doc)
+        assert '[\n    3,\n    "4"\n  ]' in text  # under "a"
+        assert '[\n      3,\n      "4"\n    ]' in text  # inside "b"
+
+    def test_calls_share_no_state(self):
+        items = [1, 2]
+        first = cli._json_text([items, items])
+        items[:] = [5, 6]
+        second = cli._json_text([items, items])
+        assert first == self.reference([[1, 2], [1, 2]])
+        assert second == self.reference([[5, 6], [5, 6]])
+        for n in range(20):  # fresh lists, whose ids may repeat
+            assert cli._json_text([[n, n + 1]]) == self.reference([[n, n + 1]])
+
+    @pytest.mark.parametrize("doc", [
+        1.5, [1, 0.0], (1, 2), [(1, 2)], {"a": (1,)}, {1: "x"}, {None: 1},
+        {"a": {2: 3}}, {"a": b"x"}, [{1, 2}]],
+        ids=["float", "float-in-list", "tuple", "tuple-in-list",
+             "tuple-in-dict", "int-key", "none-key", "nested-int-key",
+             "bytes", "set"])
+    def test_other_types_raise_type_error(self, doc):
+        with pytest.raises(TypeError):
+            cli._json_text(doc)
+
+
 def test_import_leaves_numpy_out():
     code = ("import sys, qcanon.cli, qcanon.verify; "
             "sys.exit('numpy' in sys.modules)")
@@ -508,7 +589,7 @@ def test_import_package_loads_no_submodule():
      {"qcanon", "qcanon.cli", "qcanon.common"} | RING),
 ], ids=["diagrams", "diagrams-max-dim", "basis", "canonical2"])
 def test_request_loads_only_what_it_runs(argv, max_dim, modules):
-    # with QCANON_MAX_DIM set, the guard counts index tuples, no ring code
+    # with QCANON_MAX_DIM set, the guard counts the slice, no ring code
     env = "" if max_dim is None else \
         f"os.environ['QCANON_MAX_DIM'] = {max_dim!r}\n"
     loaded = _loaded_modules(

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from qcanon import linalg
+from qcanon.common import slice_dim
 from qcanon.qring import ONE, Q_MINUS_QINV, QScalar
 from qcanon.tensor import coproduct_matrix, enumerate_P, weight_space
 from qcanon.weightmod import (GEN_E, GEN_F, GEN_QH, GEN_QH_INV, dual_factors,
@@ -40,6 +41,17 @@ class TestEnumerateP:
                     m for m in itertools.product(*[range(x + 1) for x in lam])
                     if sum(m) == l)
                 assert got == brute
+
+    def test_slice_dim_counts_without_listing(self):
+        for n in range(5):
+            for lam in itertools.product(range(4), repeat=n):
+                for l in range(-1, sum(lam) + 2):
+                    assert slice_dim(lam, l) == len(enumerate_P(lam, l))
+
+    def test_slice_dim_beyond_listing(self):
+        assert slice_dim((1,) * 40, 20) == 137846528820  # C(40, 20)
+        assert slice_dim((10**15,), 2) == 1
+        assert slice_dim((10**9, 10**9), 10**9) == 10**9 + 1
 
 
 class TestWeightSpace:
