@@ -6,7 +6,7 @@ just odd v-powers, and divisions that must be exact or raise.
 """
 
 from qcanon.qring import QScalar, exact_div, in_qinv_ideal, \
-    quantum_binomial, quantum_factorial, quantum_int, solve_bar_equation
+    quantum_factorial, quantum_int, solve_bar_equation
 
 q = QScalar.q_power
 v = QScalar.v_power
@@ -17,8 +17,9 @@ for n in range(5):
 
 print("\nfactorials and binomials stay bar-invariant with integer entries:")
 print(f"  [3]! = {quantum_factorial(3)}")
-print(f"  [4 choose 2] = {quantum_binomial(4, 2)}")
-print(f"  bar([4 choose 2]) = {quantum_binomial(4, 2).bar()}")
+binom = exact_div(quantum_factorial(4), quantum_factorial(2) ** 2)
+print(f"  [4 choose 2] = {binom}")
+print(f"  bar([4 choose 2]) = {binom.bar()}")
 
 print("\nthe bar involution negates exponents (q -> q^-1):")
 p = q(2) + 3 * q(1) - 2

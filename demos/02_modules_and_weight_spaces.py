@@ -6,11 +6,10 @@ materialized: each weight slice carries its own index list and exact
 generator matrices through the iterated coproduct.
 """
 
-from qcanon import linalg
 from qcanon.common import enumerate_P
 from qcanon.tensor import coproduct_matrix, weight_space
-from qcanon.weightmod import (GEN_E, GEN_F, apply_generator, contragredient,
-                              make_simple, shapovalov_embed, simple_factors)
+from qcanon.weightmod import (GEN_E, GEN_F, contragredient, make_simple,
+                              simple_factors)
 
 v2 = make_simple(2)
 print("V_2 ladder matrices (columns act on slots 0, 1, 2):")
@@ -19,19 +18,10 @@ print("  E:", [[str(v2.matrix(GEN_E)[i, j]) for j in range(3)]
 print("  F:", [[str(v2.matrix(GEN_F)[i, j]) for j in range(3)]
                for i in range(3)])
 
-print("\nwords of generators act right-to-left; divided powers divide by [k]!:")
-x = linalg.unit_vector(3, 0)
-y = apply_generator(v2, [(GEN_F, 2)], x)
-print("  F^(2) . slot0 =", [str(y[i]) for i in range(y.dim)])
-
 dual = contragredient(v2)
 print("\nthe contragredient twists the action through tau (e <-> f):")
 print("  E on (V_2)^c lifts dual slots:",
       str(dual.matrix(GEN_E)[0, 1]), ",", str(dual.matrix(GEN_E)[1, 2]))
-
-print("\nthe pairing-compatible embedding V_lam -> (M_lam)^c is diagonal:")
-emb = shapovalov_embed(2, 2)
-print(" ", [str(emb[m, m]) for m in range(3)])
 
 lams = (2, 1)
 fs = simple_factors(lams)

@@ -8,8 +8,7 @@ correction.
 """
 
 from qcanon.canonical import (canonical_basis_pair, dual_canonical_basis,
-                              is_involution, is_singular, psi_c,
-                              singular_subset)
+                              is_involution, psi_c, singular_subset)
 
 print("dual canonical basis of (V_1 x V_1) at level 1:")
 for b in dual_canonical_basis((1, 1), 1):
@@ -21,12 +20,13 @@ for b in canonical_basis_pair((1, 1), 1):
 
 print("\na richer slice, (V_2 x V_2) at level 2:")
 basis = dual_canonical_basis((2, 2), 2)
+singular = singular_subset(basis)
 for b in basis:
-    marker = "  <- singular" if is_singular(b) else ""
+    marker = "  <- singular" if b in singular else ""
     print(f"  {b}{marker}")
 
 print("\nsingular members (E-kernel), count certified by rank at q = 1:")
-print("  indices:", [b.index for b in singular_subset(basis)])
+print("  indices:", [b.index for b in singular])
 
 print("\npsi_c really is an involution here:",
       is_involution(psi_c((2, 2), 2)))

@@ -8,7 +8,7 @@ matchings.
 
 from qcanon.common import enumerate_P
 from qcanon.diagrams import (diagram_of_index, enumerate_B, filter_invariant,
-                             filter_singular, index_of_diagram, render)
+                             filter_singular, index_of_diagram, render_ascii)
 
 lam, l = (2, 1), 2
 print(f"all diagrams for capacities {lam} with {l} arcs:")
@@ -20,7 +20,7 @@ for a in enumerate_P(lam, l):
     print(f"  {a} -> {list(diagram_of_index(lam, a).chords)}")
 
 print("\nascii rendering (one dot per arc):")
-print(render(diagram_of_index((1, 1, 1, 1), (0, 1, 0, 1)), "ascii"))
+print(render_ascii(diagram_of_index((1, 1, 1, 1), (0, 1, 0, 1))))
 
 print("origin-avoiding (singular) diagrams for (1,1,1,1) at level 2:")
 for d in filter_singular(enumerate_B((1, 1, 1, 1), 2)):

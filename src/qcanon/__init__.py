@@ -2,7 +2,7 @@
 
 The package computes, entirely in Z[v, v^-1] with q = v^2:
 
-* simple, truncated Verma and contragredient weight modules (`weightmod`),
+* simple and contragredient weight modules (`weightmod`),
 * weight slices of tensor products with coproduct matrices (`tensor`),
 * quasi-R-matrices, Cartan factors and longest-element braidings (`rmatrix`),
 * the bar-involution fixed-point solver for canonical and dual canonical

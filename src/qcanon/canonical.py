@@ -302,12 +302,6 @@ def canonical_basis_pair(lams: Sequence[int], level: int) -> list[BasisVector]:
     return basis
 
 
-def is_singular(b: BasisVector) -> bool:
-    """True iff the coproduct E annihilates the basis vector."""
-    e = coproduct_matrix(b.space.factors, b.space.level, GEN_E)
-    return linalg.is_zero(linalg.matmul(e, b.coords))
-
-
 def singular_subset(basis: list[BasisVector]) -> list[BasisVector]:
     """The members killed by the coproduct E, their count certified by the
     rank of E at q = 1.  The counted vectors are independent and killed by E,

@@ -305,11 +305,3 @@ def render_svg_many(diagrams: Sequence[ArcDiagram]) -> str:
         y += h
     out.append("</svg>")
     return "\n".join(out) + "\n"
-
-
-def render(d: ArcDiagram, format: str = "ascii") -> str:
-    if format == "ascii":
-        return render_ascii(d)
-    if format == "svg":
-        return render_svg_many([d])
-    raise ValueError(f"unknown render format {format!r}")

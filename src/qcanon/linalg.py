@@ -97,12 +97,6 @@ class Vector(Matrix):
         return sorted(self._cols[0])
 
 
-def zeros(rows: int, cols: int | None = None) -> Matrix:
-    if cols is None:
-        return Vector._wrap((rows, 1), ({},))
-    return Matrix._wrap((rows, cols), tuple({} for _ in range(cols)))
-
-
 def identity(n: int) -> Matrix:
     return Matrix._wrap((n, n), tuple({i: ONE} for i in range(n)))
 
@@ -110,10 +104,6 @@ def identity(n: int) -> Matrix:
 def diagonal(entries) -> Matrix:
     n = len(entries)
     return Matrix((n, n), [{i: x} for i, x in enumerate(entries)])
-
-
-def unit_vector(n: int, i: int) -> Vector:
-    return Vector(n, {i: ONE})
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ in `linalg` share one coefficient loop, the multiply-accumulate `addmul`.
 
 The bar involution fixes v-degree-zero terms and negates exponents
 (q -> q^-1).  Quantum integers [n] = (q^n - q^-n)/(q - q^-1) and their
-factorials/binomials are bar-invariant with nonnegative integer coefficients.
+factorials are bar-invariant with nonnegative integer coefficients.
 """
 
 from __future__ import annotations
@@ -147,18 +147,11 @@ class QScalar:
         """The involution q -> q^-1 (negate every v-exponent)."""
         return QScalar._raw({-e: c for e, c in self._terms.items()})
 
-    def is_monomial(self) -> bool:
-        return len(self._terms) == 1
-
     # -- serialization -------------------------------------------------------
 
     def to_pairs(self) -> list:
         """Canonical form: ascending [v-exponent, coefficient-as-string] pairs."""
         return [[e, str(self._terms[e])] for e in sorted(self._terms)]
-
-    @staticmethod
-    def from_pairs(pairs) -> "QScalar":
-        return QScalar({int(e): int(c) for e, c in pairs})
 
     # -- printing ------------------------------------------------------------
 
@@ -231,13 +224,6 @@ def quantum_factorial(n: int) -> QScalar:
     if n == 0:
         return ONE
     return quantum_factorial(n - 1) * quantum_int(n)
-
-
-def quantum_binomial(n: int, k: int) -> QScalar:
-    if not 0 <= k <= n:
-        raise ValueError(f"quantum binomial needs 0 <= k <= n, got ({n}, {k})")
-    return exact_div(quantum_factorial(n),
-                     quantum_factorial(k) * quantum_factorial(n - k))
 
 
 def exact_div(num: QScalar, den: QScalar) -> QScalar:

@@ -31,10 +31,10 @@ diagonal of monomials v^e, so its inverse is its bar.
 
 `_lift` builds each block operator once per block level, per call.  A result
 is cached only if rebuilding it costs measurable ring work or other cache
-keys rest on its identity.  Twelve caches meet that rule: here
+keys rest on its identity.  Eleven caches meet that rule: here
 `_coproduct_power`, `_theta_piece_first`, `_theta_n`, `_tau_theta_direct`,
 `_r_n`, `_pair_rcheck` and `_rcheck_longest`; `tensor.weight_space` and the
-three `weightmod` constructors, whose canonical instances key all the others
+two `weightmod` constructors, whose canonical instances key all the others
 (modules and slices hash by identity); and `qring.quantum_factorial`.
 
 Every Theta sum starts from the identity, its k = 0 term, and builds only
@@ -200,6 +200,20 @@ def _tau_theta_direct(factors, level):
     return linalg.matmul(piece, sub)
 
 
+def _suffixes_first(factors, level, fn):
+    """fn(factors, level) for a cached n-fold recursion that lifts
+    fn(factors[1:], b).  Each proper suffix factors[i:] is evaluated first,
+    shortest first, at every level a lift reads, so each call finds its tail
+    cached and no call recurses more than one factor deep."""
+    caps = [f.size - 1 for f in factors]
+    head, tail = sum(caps), 0
+    for i in range(len(factors) - 1, 0, -1):
+        head, tail = head - caps[i], tail + caps[i]
+        for b in range(max(0, level - head), min(level, tail) + 1):
+            fn(factors[i:], b)
+    return fn(factors, level)
+
+
 def _cartan(factors, level):
     n = len(factors)
     return _cartan_diagonal(factors, level, lambda w: sum(
@@ -303,8 +317,8 @@ def _tau_theta_n_dual(dual_factors, level):
     for f in dual_factors:
         if f.kind != "contragredient":
             raise ValueError(f"expected contragredient factors, got {f!r}")
-    return linalg.transpose(_theta_n(tuple(f.base for f in dual_factors),
-                                     level))
+    return linalg.transpose(_suffixes_first(
+        tuple(f.base for f in dual_factors), level, _theta_n))
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +348,11 @@ def cartan_factor(factors, level) -> BraidOperator:
 
 
 def theta_n_matrix(factors, level) -> BraidOperator:
-    return _operator(_theta_n, factors, level)
+    return _operator(_suffixes_first, factors, level, _theta_n)
 
 
 def r_n_matrix(factors, level) -> BraidOperator:
-    return _operator(_r_n, factors, level)
+    return _operator(_suffixes_first, factors, level, _r_n)
 
 
 def sigma0_matrix(factors, level) -> BraidOperator:
@@ -362,7 +376,7 @@ def rcheck_longest(factors, level, word=None) -> BraidOperator:
 
 def tau_theta_direct(factors, level) -> BraidOperator:
     """tau(Theta^(n)) acting on the given product, evaluated as an element."""
-    return _operator(_tau_theta_direct, factors, level)
+    return _operator(_suffixes_first, factors, level, _tau_theta_direct)
 
 
 def tau_theta_braid(factors, level) -> BraidOperator:

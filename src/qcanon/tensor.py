@@ -48,9 +48,6 @@ class WeightSpace(linalg.Frozen):
     def factor_weights(self, m: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(f.weight(mi) for f, mi in zip(self.factors, m))
 
-    def unit_vector(self, m: tuple[int, ...]) -> linalg.Vector:
-        return linalg.unit_vector(self.dim, self.pos[m])
-
     def __reduce__(self):  # a copy is the cached slice: slices hash by id
         return weight_space, (self.factors, self.level)
 

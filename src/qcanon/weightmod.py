@@ -1,11 +1,11 @@
 """Single-factor weight modules for quantum sl2.
 
 A module here is a finite ordered basis of weight vectors together with exact
-matrices for the generators E, F, q^{+-h} and q^{+-h/2}.  Basis slot m stands
+matrices for the generators E, F and q^{+-h}.  Basis slot m stands
 for the divided-power vector F^(m) applied to the highest-weight vector (or
 its dual functional, for contragredients), so slot m has weight lam - 2m.
 
-Three kinds are supported:
+Two kinds are supported:
 
 * ``simple``: the (lam+1)-dimensional irreducible with highest weight lam >= 0.
   The ladder action on divided powers is
@@ -17,10 +17,6 @@ Three kinds are supported:
   These coefficients follow from commuting E past F^m with
   [E, F] = (q^h - q^-h)/(q - q^-1) and dividing by [m]!; the expansion is
   re-derived symbolically in the test suite and frozen here.
-
-* ``verma``: the same formulas on slots 0..L for any integer highest weight,
-  with F truncated past slot L.  Truncation is lossless for computations that
-  never push past level L; callers size L to the levels they need.
 
 * ``contragredient``: the restricted dual of another module, with the action
   twisted by the antiautomorphism tau (e <-> f, q^h fixed).  On the rewritten
@@ -35,30 +31,20 @@ from types import MappingProxyType
 from typing import Sequence
 
 from . import linalg
-from .qring import QScalar, quantum_factorial, quantum_int
+from .qring import QScalar, quantum_int
 
 GEN_E = "E"
 GEN_F = "F"
 GEN_QH = "qh"
 GEN_QH_INV = "qh_inv"
-GEN_QHALF = "qh2"
-GEN_QHALF_INV = "qh2_inv"
 
 # Each Cartan generator as a v-exponent per unit of weight: q^h acts on a
-# weight-w vector by v^(2w), q^{h/2} by v^w.
-CARTAN_EXPONENT = {GEN_QH: 2, GEN_QH_INV: -2, GEN_QHALF: 1, GEN_QHALF_INV: -1}
+# weight-w vector by v^(2w).
+CARTAN_EXPONENT = {GEN_QH: 2, GEN_QH_INV: -2}
 
 
 class NegativeWeightError(ValueError):
     """Simple modules need a nonnegative integer highest weight."""
-
-
-class DimensionMismatchError(ValueError):
-    """Vector length does not match the module dimension."""
-
-
-class TruncationTooSmallError(ValueError):
-    """A computation needs levels beyond the Verma truncation bound."""
 
 
 class WeightModule(linalg.Frozen):
@@ -80,16 +66,12 @@ class WeightModule(linalg.Frozen):
     def __reduce__(self):  # a copy is the cached instance, as for slices
         if self.kind == "contragredient":
             return contragredient, (self.base,)
-        if self.kind == "simple":
-            return make_simple, (self.highest_weight,)
-        return make_verma_truncated, (self.highest_weight, self.size - 1)
+        return make_simple, (self.highest_weight,)
 
     def __repr__(self):
         if self.kind == "contragredient":
             return f"({self.base!r})^c"
-        tag = "V" if self.kind == "simple" else "M"
-        extra = "" if self.kind == "simple" else f";L={self.size - 1}"
-        return f"{tag}({self.highest_weight}{extra})"
+        return f"V({self.highest_weight})"
 
 
 def _ladder_matrices(lam: int, size: int) -> dict:
@@ -117,13 +99,6 @@ def make_simple(lam: int) -> WeightModule:
 
 
 @lru_cache(maxsize=None)
-def make_verma_truncated(lam: int, level: int) -> WeightModule:
-    if level < 0:
-        raise ValueError(f"truncation level must be >= 0, got {level}")
-    return WeightModule("verma", lam, level + 1, _ladder_matrices(lam, level + 1))
-
-
-@lru_cache(maxsize=None)
 def contragredient(module: WeightModule) -> WeightModule:
     if module.kind == "contragredient":
         return module.base
@@ -145,49 +120,3 @@ def simple_factors(lams: Sequence[int]) -> tuple[WeightModule, ...]:
 def dual_factors(lams: Sequence[int]) -> tuple[WeightModule, ...]:
     """The contragredients, carrying the dual monomial coordinates."""
     return tuple(contragredient(make_simple(x)) for x in lams)
-
-
-def apply_generator(module: WeightModule, word: Sequence,
-                    vec: linalg.Vector) -> linalg.Vector:
-    """Apply a word of generators right-to-left to an exact coordinate vector.
-
-    Word items are either a generator name or a pair ``(name, k)`` meaning the
-    divided power E^(k) = E^k/[k]! (likewise for F).
-    """
-    if vec.shape != (module.size, 1):
-        raise DimensionMismatchError(
-            f"vector of length {vec.shape[0]} on module of size {module.size}")
-    for item in reversed(word):
-        if isinstance(item, tuple):
-            gen, k = item
-            if gen not in (GEN_E, GEN_F) or k < 0:
-                raise ValueError(f"bad divided power {item!r}")
-            mat = module.matrix(gen)
-            for _ in range(k):
-                vec = linalg.matmul(mat, vec)
-            vec = linalg.mat_div(vec, quantum_factorial(k))
-        else:
-            vec = linalg.matmul(module.matrix(item), vec)
-    return vec
-
-
-def shapovalov_embed(lam: int, level: int) -> linalg.Matrix:
-    """The map V_lam -> (M_lam)^c fixed by sending the top vector to its dual.
-
-    Column m is F^(m) applied to the top dual functional in the contragredient
-    truncated Verma; the matrix has shape (level+1, lam+1).
-    """
-    if lam < 0:
-        raise NegativeWeightError(f"highest weight must be >= 0, got {lam}")
-    if level < lam:
-        raise TruncationTooSmallError(
-            f"need truncation level >= {lam}, got {level}")
-    dual = contragredient(make_verma_truncated(lam, level))
-    cols = []
-    vec = linalg.unit_vector(level + 1, 0)
-    fmat = dual.matrix(GEN_F)
-    for m in range(lam + 1):
-        cols.append(dict(linalg.mat_div(vec, quantum_factorial(m)).items()))
-        if m < lam:
-            vec = linalg.matmul(fmat, vec)
-    return linalg.Matrix((level + 1, lam + 1), cols)

@@ -409,6 +409,20 @@ class TestGuards:
         assert code == 0
         assert json.loads(out)["count"] == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("basis",), ("rmatrix", "--op", "theta_n"),
+        ("rmatrix", "--op", "tau_theta_n")], ids=" ".join)
+    def test_many_factors_n_fold_recursions(self, capsys, argv):
+        # 300 zero-weight factors: one vector, deeper than the recursion
+        # limit if the n-fold recursions took one frame per factor
+        code, out, _ = run(capsys, *argv, "--lambda", ",".join(["0"] * 300),
+                           "--level", "0")
+        assert code == 0
+        doc = json.loads(out)
+        entries = doc["basis"][0]["coeffs"] if "basis" in doc \
+            else doc["entries"]
+        assert [e["value"] for e in entries] == [[[0, "1"]]]
+
     def test_memory_error_exit_2(self, capsys, monkeypatch):
         import qcanon.canonical as canonical
 

@@ -16,7 +16,7 @@ STDOUT_SHA256 = {
     "01_laurent_scalars.py":
         "61d7c0eb724c1fa175e7d385d54b8b4c9fda9e0190cba6289c9485afb55230bc",
     "02_modules_and_weight_spaces.py":
-        "2d298bc02b07bef7eee85216bc262f8d57872db2e72385a78bb408f8e798dd48",
+        "8816fd5caa8eb919c106431e6f97ce18740f33ec6288faebbf2efb12685c9dce",
     "03_braiding.py":
         "f3e60ef3366663d647b9cb8d543b6cbbb630172ebc38ae0c3c3ba1d9c90ae3a7",
     "04_dual_canonical_basis.py":

@@ -6,7 +6,8 @@ from qcanon.diagrams import (ArcDiagram, InvalidDiagramError, NotInPError,
                              WeightMismatchError, ZeroBlockError, _crossing,
                              cable_diagram, diagram_of_index, enumerate_B,
                              filter_invariant, filter_singular,
-                             index_of_diagram, render, validate_diagram)
+                             index_of_diagram, render_ascii, render_svg_many,
+                             validate_diagram)
 from qcanon.tensor import enumerate_P
 from qcanon.verify import search_diagrams
 
@@ -221,17 +222,13 @@ class TestCabling:
 class TestRender:
     def test_ascii_stable_and_shaped(self):
         d = diag((1, 1), [(1, 2)])
-        text = render(d, "ascii")
-        assert text == render(d, "ascii")
+        text = render_ascii(d)
+        assert text == render_ascii(d)
         assert "z1" in text and "z2" in text and "*" in text
 
     def test_svg_nested(self):
         d = diag((1, 1), [(0, 1), (0, 2)])
-        svg = render(d, "svg")
+        svg = render_svg_many([d])
         assert svg.count("<path") == 2
         assert svg.count('fill="#c00"') == 2  # one marked point per arc
-        assert svg == render(d, "svg")
-
-    def test_bad_format(self):
-        with pytest.raises(ValueError):
-            render(diag((1,), [(0, 1)]), "png")
+        assert svg == render_svg_many([d])

@@ -7,18 +7,14 @@ from hypothesis import strategies as st
 
 from qcanon.qring import (ONE, ZERO, BarAsymmetryError, InexactDivisionError,
                           OddExponentError, QScalar, addmul, exact_div,
-                          in_qinv_ideal, quantum_binomial, quantum_factorial,
-                          quantum_int, solve_bar_equation)
+                          in_qinv_ideal, quantum_factorial, quantum_int,
+                          solve_bar_equation)
 
 q = QScalar.q_power
 v = QScalar.v_power
 
 scalars = st.dictionaries(st.integers(-8, 8), st.integers(-50, 50),
                           max_size=6).map(QScalar)
-
-
-def eval_at_one(p):
-    return sum(c for _, c in p._terms.items())
 
 
 class TestQuantumIntegers:
@@ -44,23 +40,6 @@ class TestQuantumIntegers:
         lhs = quantum_int(m + n)
         rhs = q(m) * quantum_int(n) + q(-n) * quantum_int(m)
         assert lhs == rhs
-
-    @pytest.mark.parametrize("n", range(1, 8))
-    def test_binomial_pascal_rule(self, n):
-        for k in range(n + 1):
-            rhs = ZERO
-            if k <= n - 1:
-                rhs = rhs + q(k) * quantum_binomial(n - 1, k)
-            if k >= 1:
-                rhs = rhs + q(k - n) * quantum_binomial(n - 1, k - 1)
-            assert quantum_binomial(n, k) == rhs
-
-    def test_binomial_counts_at_one(self):
-        from math import comb
-        for n in range(7):
-            for k in range(n + 1):
-                assert eval_at_one(quantum_binomial(n, k)) == comb(n, k)
-                assert quantum_binomial(n, k).bar() == quantum_binomial(n, k)
 
 
 class TestRing:
@@ -102,7 +81,7 @@ class TestRing:
     @settings(max_examples=200)
     @given(scalars)
     def test_serialization_round_trip(self, a):
-        assert QScalar.from_pairs(a.to_pairs()) == a
+        assert QScalar({e: int(c) for e, c in a.to_pairs()}) == a
 
     def test_constants_hash_like_their_integers(self):
         # equal values must hash alike, so sets and dicts do not split them

@@ -6,8 +6,8 @@ from qcanon import linalg
 from qcanon.common import slice_dim
 from qcanon.qring import ONE, Q_MINUS_QINV, QScalar
 from qcanon.tensor import coproduct_matrix, enumerate_P, weight_space
-from qcanon.weightmod import (GEN_E, GEN_F, GEN_QH, GEN_QH_INV, dual_factors,
-                              make_simple, make_verma_truncated,
+from qcanon.weightmod import (GEN_E, GEN_F, GEN_QH, GEN_QH_INV, WeightModule,
+                              _ladder_matrices, dual_factors, make_simple,
                               simple_factors)
 
 q = QScalar.q_power
@@ -131,11 +131,11 @@ class TestCoproduct:
             if ws.dim == 0:
                 continue
             e_up = coproduct_matrix(fs, l + 1, GEN_E) if l + 1 <= max_level \
-                else linalg.zeros(ws.dim, 0)
+                else linalg.Matrix((ws.dim, 0), [])
             f_here = coproduct_matrix(fs, l, GEN_F)
             e_here = coproduct_matrix(fs, l, GEN_E)
             f_down = coproduct_matrix(fs, l - 1, GEN_F) if l >= 1 \
-                else linalg.zeros(ws.dim, 0)
+                else linalg.Matrix((ws.dim, 0), [])
             ef = linalg.matmul(e_up, f_here)
             fe = linalg.matmul(f_down, e_here)
             qh = coproduct_matrix(fs, l, GEN_QH)
@@ -146,7 +146,8 @@ class TestCoproduct:
 
     def test_mixed_factor_kinds(self):
         # truncated Verma and contragredient factors share the machinery
-        fs = (make_verma_truncated(0, 2), make_simple(1))
+        verma = WeightModule("verma", 0, 3, _ladder_matrices(0, 3))
+        fs = (verma, make_simple(1))
         ws = weight_space(fs, 1)
         assert ws.indices == ((0, 1), (1, 0))
         dual = dual_factors([1, 1])

@@ -2,15 +2,20 @@ import pytest
 
 from qcanon import linalg
 from qcanon.qring import (ONE, ZERO, Q_MINUS_QINV, QScalar, exact_div,
-                          quantum_binomial, quantum_factorial, quantum_int)
-from qcanon.weightmod import (GEN_E, GEN_F, GEN_QH, GEN_QH_INV, GEN_QHALF,
-                              GEN_QHALF_INV, DimensionMismatchError,
-                              NegativeWeightError, TruncationTooSmallError,
-                              apply_generator, contragredient, make_simple,
-                              make_verma_truncated, shapovalov_embed)
+                          quantum_factorial, quantum_int)
+from qcanon.weightmod import (GEN_E, GEN_F, GEN_QH, GEN_QH_INV,
+                              NegativeWeightError, WeightModule,
+                              _ladder_matrices, contragredient, make_simple)
 
 q = QScalar.q_power
 v = QScalar.v_power
+
+
+def verma(lam, level):
+    """The Verma module of highest weight lam, truncated past slot `level`:
+    the ladder formulas that the lemma tests build factors from."""
+    return WeightModule("verma", lam, level + 1,
+                        _ladder_matrices(lam, level + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +49,7 @@ def test_simple_action_matches_commutation_oracle(lam):
 
 @pytest.mark.parametrize("lam,level", [(2, 4), (5, 3), (0, 2)])
 def test_verma_action_matches_commutation_oracle(lam, level):
-    mod = make_verma_truncated(lam, level)
+    mod = verma(lam, level)
     emat = mod.matrix(GEN_E)
     for m in range(1, level + 1):
         assert emat[m - 1, m] == oracle_e_action(lam, m)
@@ -72,20 +77,21 @@ def test_relations_on_simple(lam):
 @pytest.mark.parametrize("lam,level", [(3, 5), (1, 4)])
 def test_relations_on_verma_away_from_boundary(lam, level):
     # the boundary slot sees the truncated F and is excluded
-    commutator_check(make_verma_truncated(lam, level), level)
+    commutator_check(verma(lam, level), level)
 
 
 @pytest.mark.parametrize("lam", range(6))
 def test_divided_powers_match_plain_generator_route(lam):
-    # E^a F^b via the divided-power word must agree with the expansion in the
-    # plain generators: e = q^{-h/2} E, f = F q^{h/2}, and the power
+    # E^(a) F^(b) from the module matrices must agree with the expansion in
+    # the plain generators: e = q^{-h/2} E, f = F q^{h/2}, and the power
     # rewritings E^a = q^{a(a+1)/2} e^a q^{ah/2}, F^b = q^{b(b-1)/2} f^b
-    # q^{-bh/2}, followed by exact division by [a]! [b]!.
+    # q^{-bh/2}, followed by exact division by [a]! [b]!.  q^{+-h/2} acts on
+    # slot m by v^{+-(lam - 2m)}.
     mod = make_simple(lam)
-    e = linalg.matmul(mod.matrix(GEN_QHALF_INV), mod.matrix(GEN_E))
-    f = linalg.matmul(mod.matrix(GEN_F), mod.matrix(GEN_QHALF))
-    qh2 = mod.matrix(GEN_QHALF)
-    qh2_inv = mod.matrix(GEN_QHALF_INV)
+    qh2 = linalg.diagonal([v(lam - 2 * m) for m in range(mod.size)])
+    qh2_inv = linalg.diagonal([v(2 * m - lam) for m in range(mod.size)])
+    e = linalg.matmul(qh2_inv, mod.matrix(GEN_E))
+    f = linalg.matmul(mod.matrix(GEN_F), qh2)
 
     def power(mat, k):
         out = linalg.identity(mod.size)
@@ -101,13 +107,12 @@ def test_divided_powers_match_plain_generator_route(lam):
             big_f = linalg.mat_scale(
                 linalg.matmul(power(f, b), power(qh2_inv, b)),
                 q(b * (b - 1) // 2))
-            expected = linalg.mat_div(
-                linalg.matmul(big_e, big_f),
-                quantum_factorial(a) * quantum_factorial(b))
-            for m in range(mod.size):
-                x = linalg.unit_vector(mod.size, m)
-                got = apply_generator(mod, [(GEN_E, a), (GEN_F, b)], x)
-                assert linalg.mat_eq(got, expected.col(m))
+            fact = quantum_factorial(a) * quantum_factorial(b)
+            expected = linalg.mat_div(linalg.matmul(big_e, big_f), fact)
+            got = linalg.mat_div(
+                linalg.matmul(power(mod.matrix(GEN_E), a),
+                              power(mod.matrix(GEN_F), b)), fact)
+            assert linalg.mat_eq(got, expected)
 
 
 def test_simple_examples():
@@ -125,13 +130,13 @@ def test_negative_weight_rejected():
 
 
 def test_verma_examples():
-    m = make_verma_truncated(2, 2)
+    m = verma(2, 2)
     s = make_simple(2)
     for g in (GEN_E, GEN_F, GEN_QH):
         assert linalg.mat_eq(m.matrix(g), s.matrix(g))
-    m52 = make_verma_truncated(5, 2)
+    m52 = verma(5, 2)
     assert m52.matrix(GEN_E)[1, 2] == quantum_int(4)
-    m01 = make_verma_truncated(0, 1)
+    m01 = verma(0, 1)
     assert m01.matrix(GEN_E)[0, 1] == ZERO
 
 
@@ -152,69 +157,3 @@ class TestContragredient:
     def test_relations_hold(self):
         commutator_check(contragredient(make_simple(3)), 4)
 
-
-class TestApplyGenerator:
-    def test_empty_word(self):
-        mod = make_simple(2)
-        x = linalg.unit_vector(3, 1)
-        assert linalg.mat_eq(apply_generator(mod, [], x), x)
-
-    def test_commutator_at_weight_zero(self):
-        mod = make_simple(2)
-        x = linalg.unit_vector(3, 1)
-        ef = apply_generator(mod, [GEN_E, GEN_F], x)
-        fe = apply_generator(mod, [GEN_F, GEN_E], x)
-        assert linalg.is_zero(linalg.mat_add(ef, fe, -ONE))
-
-    def test_divided_power_normalization(self):
-        mod = make_simple(2)
-        x = linalg.unit_vector(3, 0)
-        y = apply_generator(mod, [(GEN_F, 2)], x)
-        assert y[2] == ONE and not y[0] and not y[1]
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            apply_generator(make_simple(2), [], linalg.unit_vector(2, 0))
-
-
-class TestShapovalov:
-    def test_lambda_one(self):
-        emb = shapovalov_embed(1, 1)
-        assert emb[0, 0] == ONE
-        assert emb[1, 1] == q(-1)
-        assert emb[0, 1] == ZERO and emb[1, 0] == ZERO
-
-    def test_top_slot_always_unit(self):
-        for lam in range(5):
-            assert shapovalov_embed(lam, lam + 1)[0, 0] == ONE
-
-    @pytest.mark.parametrize("lam", range(5))
-    def test_closed_form(self, lam):
-        # hand derivation: pairing <F^(m) v*, F^(m) v> accumulates
-        # q^{-lam+2j}[lam-j] over j < m, then is divided by [m]!
-        emb = shapovalov_embed(lam, lam)
-        for m in range(lam + 1):
-            expected = q(m * (m - 1 - lam)) * quantum_binomial(lam, m)
-            assert emb[m, m] == expected
-
-    @pytest.mark.parametrize("lam", range(1, 5))
-    def test_intertwines_e_and_f(self, lam):
-        level = lam
-        emb = shapovalov_embed(lam, level)
-        simple = make_simple(lam)
-        dual = contragredient(make_verma_truncated(lam, level))
-        for g in (GEN_E, GEN_F, GEN_QH, GEN_QHALF):
-            lhs = linalg.matmul(emb, simple.matrix(g))
-            rhs = linalg.matmul(dual.matrix(g), emb)
-            assert linalg.mat_eq(lhs, rhs)
-
-    def test_pairing_symmetric(self):
-        for lam in range(5):
-            emb = shapovalov_embed(lam, lam)
-            for m in range(lam + 1):
-                for k in range(lam + 1):
-                    assert emb[m, k] == emb[k, m]
-
-    def test_truncation_guard(self):
-        with pytest.raises(TruncationTooSmallError):
-            shapovalov_embed(3, 2)
