@@ -17,6 +17,16 @@ scalars = st.dictionaries(st.integers(-8, 8), st.integers(-50, 50),
                           max_size=6).map(QScalar)
 
 
+def eval_at_one(p):
+    return sum(c for _, c in p._terms.items())
+
+
+def binomial(n, k):
+    """[n choose k] = [n]! / ([k]! [n-k]!); exact_div raises on a remainder."""
+    return exact_div(quantum_factorial(n),
+                     quantum_factorial(k) * quantum_factorial(n - k))
+
+
 class TestQuantumIntegers:
     def test_zero_is_empty_sum(self):
         assert quantum_int(0) == ZERO
@@ -40,6 +50,23 @@ class TestQuantumIntegers:
         lhs = quantum_int(m + n)
         rhs = q(m) * quantum_int(n) + q(-n) * quantum_int(m)
         assert lhs == rhs
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_binomial_pascal_rule(self, n):
+        for k in range(n + 1):
+            rhs = ZERO
+            if k <= n - 1:
+                rhs = rhs + q(k) * binomial(n - 1, k)
+            if k >= 1:
+                rhs = rhs + q(k - n) * binomial(n - 1, k - 1)
+            assert binomial(n, k) == rhs
+
+    def test_binomial_counts_at_one(self):
+        from math import comb
+        for n in range(7):
+            for k in range(n + 1):
+                assert eval_at_one(binomial(n, k)) == comb(n, k)
+                assert binomial(n, k).bar() == binomial(n, k)
 
 
 class TestRing:

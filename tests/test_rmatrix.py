@@ -451,8 +451,10 @@ def test_empty_product_is_trivial_module(wrapper):
     assert wrapper((), 1).matrix.shape == (0, 0)
 
 
-@pytest.mark.parametrize("wrapper", [r_n_matrix, tau_theta_direct],
-                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("wrapper", [
+    theta_n_matrix, r_n_matrix, tau_theta_direct,
+    lambda fs, level: tau_theta_n(tuple(map(contragredient, fs)), level)],
+    ids=["theta_n_matrix", "r_n_matrix", "tau_theta_direct", "tau_theta_n"])
 def test_many_factors_need_no_deep_recursion(wrapper):
     # 300 factors, deeper than the recursion limit: the trivial module
     assert linalg.mat_eq(wrapper(factors(*[0] * 300), 0).matrix,

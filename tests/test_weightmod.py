@@ -157,3 +157,56 @@ class TestContragredient:
     def test_relations_hold(self):
         commutator_check(contragredient(make_simple(3)), 4)
 
+
+def shapovalov_embed(lam, level):
+    """The map V_lam -> (M_lam)^c that sends the top vector to its dual:
+    column m is F^(m) applied to the top dual functional."""
+    fmat = contragredient(verma(lam, level)).matrix(GEN_F)
+    vec, cols = linalg.Matrix((level + 1, 1), [{0: ONE}]), []
+    for m in range(lam + 1):
+        cols.append({i: exact_div(x, quantum_factorial(m))
+                     for i, x in vec.col(0).items()})
+        vec = linalg.matmul(fmat, vec)
+    return linalg.Matrix((level + 1, lam + 1), cols)
+
+
+class TestShapovalov:
+    # the contravariant form of V_lam, read off the contragredient's F
+    def test_lambda_one(self):
+        emb = shapovalov_embed(1, 1)
+        assert emb[0, 0] == ONE
+        assert emb[1, 1] == q(-1)
+        assert emb[0, 1] == ZERO and emb[1, 0] == ZERO
+
+    def test_top_slot_always_unit(self):
+        for lam in range(5):
+            assert shapovalov_embed(lam, lam + 1)[0, 0] == ONE
+
+    @pytest.mark.parametrize("lam", range(5))
+    def test_closed_form(self, lam):
+        # hand derivation: pairing <F^(m) v*, F^(m) v> accumulates
+        # q^{-lam+2j}[lam-j] over j < m, then is divided by [m]!, which
+        # gives q^{m(m-1-lam)} [lam choose m]
+        emb = shapovalov_embed(lam, lam)
+        for m in range(lam + 1):
+            expected = exact_div(
+                q(m * (m - 1 - lam)) * quantum_factorial(lam),
+                quantum_factorial(m) * quantum_factorial(lam - m))
+            assert emb[m, m] == expected
+
+    @pytest.mark.parametrize("lam", range(1, 5))
+    def test_intertwines_e_and_f(self, lam):
+        emb = shapovalov_embed(lam, lam)
+        simple = make_simple(lam)
+        dual = contragredient(verma(lam, lam))
+        for g in (GEN_E, GEN_F, GEN_QH, GEN_QH_INV):
+            lhs = linalg.matmul(emb, simple.matrix(g))
+            rhs = linalg.matmul(dual.matrix(g), emb)
+            assert linalg.mat_eq(lhs, rhs)
+
+    def test_pairing_symmetric(self):
+        for lam in range(5):
+            emb = shapovalov_embed(lam, lam)
+            for m in range(lam + 1):
+                for k in range(lam + 1):
+                    assert emb[m, k] == emb[k, m]
