@@ -61,6 +61,8 @@ def enumerate_P(lam: Sequence[int], l: int) -> list[tuple[int, ...]]:
 
     The prefixes grow one factor at a time, each entry at least what the
     later factors cannot hold, so every prefix kept has a completion."""
+    if l == 0:  # the one tuple, without a copy per factor
+        return [(0,) * len(lam)]
     rooms, room = [], 0  # sum(lam[i+1:]), for i from the last factor down
     for cap in reversed(lam):
         rooms.append(room)

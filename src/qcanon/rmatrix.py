@@ -14,15 +14,14 @@ Rcheck = P . C . Theta on factors (i, i+1) is one cached pair operator, lifted;
 along a reduced word of the order-reversing permutation these compose into
 the longest braiding Rcheck^(n), which is word-independent.
 
-Applying the antiautomorphism tau factorwise reverses products and swaps the
-legs of Theta (tau(E) = F q^h, tau(F) = q^-h E), giving a parallel recursion
-for tau(Theta^(n)).  On a contragredient product, tau(Theta^(n)) acts by the
-transpose of Theta^(n) downstairs, and that transpose is the one route by
-which `tau_theta_n` builds it.
+`weightmod.contragredient` makes each generator g act on V^c by the
+transpose of tau(g) on V, tau the antiautomorphism applied factorwise.  So
+on any product, of either module kind, tau(Theta^(n)) is the transpose of
+Theta^(n) on the contragredient factors (V^cc = V), and that transpose is
+the one route by which `tau_theta_n` builds it.
 
 The references that only `verify` and the tests call are R^(n) by its own
-recursion `_r_n`, tau(Theta^(n)) as an element (`tau_theta_direct`), and the
-braid-product identity
+recursion `_r_n` and the braid-product identity
 
     tau(Theta^(n)) = Rcheck^(n) (C^(n))^-1 sigma_0
 
@@ -31,11 +30,11 @@ diagonal of monomials v^e, so its inverse is its bar.
 
 `_lift` builds each block operator once per block level, per call.  A result
 is cached only if rebuilding it costs measurable ring work or other cache
-keys rest on its identity.  Eleven caches meet that rule: here
-`_coproduct_power`, `_theta_piece_first`, `_theta_n`, `_tau_theta_direct`,
-`_r_n`, `_pair_rcheck` and `_rcheck_longest`; `tensor.weight_space` and the
-two `weightmod` constructors, whose canonical instances key all the others
-(modules and slices hash by identity); and `qring.quantum_factorial`.
+keys rest on its identity.  Ten caches meet that rule: here
+`_coproduct_power`, `_theta_piece_first`, `_theta_n`, `_r_n`, `_pair_rcheck`
+and `_rcheck_longest`; `tensor.weight_space` and the two `weightmod`
+constructors, whose canonical instances key all the others (modules and
+slices hash by identity); and `qring.quantum_factorial`.
 
 Every Theta sum starts from the identity, its k = 0 term, and builds only
 the terms with k >= 1; only k >= 2 divides, since [0]! = [1]! = 1.  Every
@@ -53,7 +52,7 @@ from .common import NotReducedError
 from .qring import ONE, Q_MINUS_QINV, QScalar, quantum_factorial
 from .tensor import (WeightSpace, coproduct_matrix, coproduct_target_level,
                      weight_space)
-from .weightmod import GEN_E, GEN_F, GEN_QH, GEN_QH_INV
+from .weightmod import GEN_E, GEN_F, contragredient
 
 
 class BraidOperator(linalg.Frozen):
@@ -96,34 +95,23 @@ def _lift(factors, level, lo, hi, sub_fn, shift, out_block=None):
     return linalg.Matrix((tgt.dim, src.dim), cols)
 
 
-def _word_shift(word) -> int:
-    """The level change of one application of a generator word."""
-    return sum(coproduct_target_level(0, gen) for gen in word)
-
-
 @lru_cache(maxsize=None)
-def _coproduct_power(factors, level, word, k):
-    """(Delta^{n-1} w)^k for the generator word w = (g_1, ..., g_r), read as
-    the product g_1 ... g_r, as a chain of adjacent-slice matrices: the legs
-    of every Theta sum.  The words (F, qh) and (qh_inv, E) give
-    tau(E) = F q^h and tau(F) = q^-h E.
-    """
+def _coproduct_power(factors, level, gen, k):
+    """(Delta^{n-1} g)^k for the generator g, as a chain of adjacent-slice
+    matrices: the legs of every Theta sum."""
     if k == 0:
         return linalg.identity(weight_space(factors, level).dim)
-    mat = _coproduct_power(factors, level, word, k - 1)
-    cur = level + (k - 1) * _word_shift(word)
-    for gen in reversed(word):
-        mat = linalg.matmul(coproduct_matrix(factors, cur, gen), mat)
-        cur = coproduct_target_level(cur, gen)
-    return mat
+    mat = _coproduct_power(factors, level, gen, k - 1)
+    cur = level + (k - 1) * coproduct_target_level(0, gen)
+    return linalg.matmul(coproduct_matrix(factors, cur, gen), mat)
 
 
-def _leg(factors, level, lo, hi, word, k):
-    """The k-th coproduct power of `word` on factors[lo:hi], lifted."""
+def _leg(factors, level, lo, hi, gen, k):
+    """The k-th coproduct power of `gen` on factors[lo:hi], lifted."""
     block = factors[lo:hi]
     return _lift(factors, level, lo, hi,
-                 lambda b: _coproduct_power(block, b, word, k),
-                 k * _word_shift(word))
+                 lambda b: _coproduct_power(block, b, gen, k),
+                 k * coproduct_target_level(0, gen))
 
 
 def _theta_coefficient(k: int) -> QScalar:
@@ -133,19 +121,19 @@ def _theta_coefficient(k: int) -> QScalar:
 def _theta_sum(factors, level, kmax, term):
     """sum_{k <= kmax} q^{k(k-1)/2} (q - q^-1)^k / [k]!  Y^k X^k on a slice.
 
-    `term` = (X, Y) gives the two legs as (lo, hi, word): the generator word
+    `term` = (X, Y) gives the two legs as (lo, hi, gen): the generator
     coproducted over the block factors[lo:hi], identity elsewhere.  X acts
     first and Y brings the level back.
     """
-    (lo_x, hi_x, word_x), (lo_y, hi_y, word_y) = term
+    (lo_x, hi_x, gen_x), (lo_y, hi_y, gen_y) = term
     # k = 0 is the identity: coefficient 1, [0]! = 1, both legs identity
     out = linalg.identity(weight_space(factors, level).dim)
     for k in range(1, kmax + 1):
-        mid = level + k * _word_shift(word_x)
+        mid = level + k * coproduct_target_level(0, gen_x)
         if weight_space(factors, mid).dim == 0:
             continue
-        x = _leg(factors, level, lo_x, hi_x, word_x, k)
-        y = _leg(factors, mid, lo_y, hi_y, word_y, k)
+        x = _leg(factors, level, lo_x, hi_x, gen_x, k)
+        y = _leg(factors, mid, lo_y, hi_y, gen_y, k)
         piece = linalg.matmul(y, x)
         if k >= 2:  # [1]! = 1
             piece = linalg.mat_div(piece, quantum_factorial(k))
@@ -168,7 +156,7 @@ def _cartan_diagonal(factors, level, exponent):
 def _theta_piece_first(factors, level):
     """(1 x Delta^{n-2})(Theta): E^k on factor 0, coproducted F^k on the rest."""
     return _theta_sum(factors, level, min(level, factors[0].size - 1),
-                      ((0, 1, (GEN_E,)), (1, len(factors), (GEN_F,))))
+                      ((0, 1, GEN_E), (1, len(factors), GEN_F)))
 
 
 @lru_cache(maxsize=None)
@@ -181,23 +169,6 @@ def _theta_n(factors, level):
     return linalg.matmul(
         _lift(factors, level, 1, n, lambda b: _theta_n(rest, b), 0),
         _theta_piece_first(factors, level))
-
-
-@lru_cache(maxsize=None)
-def _tau_theta_direct(factors, level):
-    """tau(Theta^(n)) evaluated as an element, by the reversed recursion
-
-    tau(Theta^(n)) = (1 x Delta^{n-2})(tau Theta) . (1 x tau(Theta^(n-1)))
-    with tau(Theta) = sum_k c_k (F q^h)^k x (q^-h E)^k.
-    """
-    n = len(factors)
-    if n <= 1:
-        return linalg.identity(weight_space(factors, level).dim)
-    rest = factors[1:]
-    piece = _theta_sum(factors, level, min(level, factors[0].size - 1),
-                       ((0, 1, (GEN_F, GEN_QH)), (1, n, (GEN_QH_INV, GEN_E))))
-    sub = _lift(factors, level, 1, n, lambda b: _tau_theta_direct(rest, b), 0)
-    return linalg.matmul(piece, sub)
 
 
 def _suffixes_first(factors, level, fn):
@@ -312,13 +283,11 @@ def _rcheck_longest(factors, level, word):
     return ops[0]
 
 
-def _tau_theta_n_dual(dual_factors, level):
-    """tau(Theta^(n)) on a contragredient slice: Theta^(n)'s transpose."""
-    for f in dual_factors:
-        if f.kind != "contragredient":
-            raise ValueError(f"expected contragredient factors, got {f!r}")
+def _tau_theta_n_dual(factors, level):
+    """tau(Theta^(n)) on a slice of either kind: Theta^(n)'s transpose on the
+    contragredient slice, the dual side of `factors`."""
     return linalg.transpose(_suffixes_first(
-        tuple(f.base for f in dual_factors), level, _theta_n))
+        tuple(map(contragredient, factors)), level, _theta_n))
 
 
 # ---------------------------------------------------------------------------
@@ -374,15 +343,10 @@ def rcheck_longest(factors, level, word=None) -> BraidOperator:
                      _reduced_word(word, len(factors)), target=factors[::-1])
 
 
-def tau_theta_direct(factors, level) -> BraidOperator:
-    """tau(Theta^(n)) acting on the given product, evaluated as an element."""
-    return _operator(_suffixes_first, factors, level, _tau_theta_direct)
-
-
 def tau_theta_braid(factors, level) -> BraidOperator:
     """Reference: tau(Theta^(n)) = Rcheck^(n) (C^(n))^-1 sigma_0, built from
     the given factor matrices.  Uncached; `verify` and the tests compare it
-    with `tau_theta_direct` and `tau_theta_n`."""
+    with `tau_theta_n` on plain and contragredient factors."""
     factors = tuple(factors)
     rev = factors[::-1]
     space = weight_space(factors, level)
@@ -392,7 +356,8 @@ def tau_theta_braid(factors, level) -> BraidOperator:
                       _sigma0(factors, level))))
 
 
-def tau_theta_n(dual_factors, level) -> BraidOperator:
-    """tau(Theta^(n)) on a contragredient slice, by its one route: the
-    transpose of Theta^(n) downstairs.  `tau_theta_braid` is the reference."""
-    return _operator(_tau_theta_n_dual, dual_factors, level)
+def tau_theta_n(factors, level) -> BraidOperator:
+    """tau(Theta^(n)) on a slice of either module kind, by its one route:
+    the transpose of Theta^(n) on the contragredients.  `tau_theta_braid`
+    is the reference."""
+    return _operator(_tau_theta_n_dual, factors, level)

@@ -11,10 +11,9 @@ Generator actions are the iterated comultiplication
     E |-> sum_i  1 x ... x E_i x q^h x ... x q^h
     F |-> sum_i  q^-h x ... x q^-h x F_i x 1 x ... x 1
 
-where each q^h flank is the scalar v^(2 w) on a factor of weight w.  A Cartan
-generator acts on a whole slice by one scalar, v^(c * weight) with c its
-exponent per unit of weight.  E maps level l to l-1 and F to l+1, so their
-matrices are rectangular between adjacent slices.
+where each q^h flank is the scalar v^(2 w) on a factor of weight w.  E maps
+level l to l-1 and F to l+1, so their matrices are rectangular between
+adjacent slices.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from types import MappingProxyType
 from . import linalg
 from .common import enumerate_P
 from .qring import QScalar
-from .weightmod import CARTAN_EXPONENT, GEN_E, GEN_F, WeightModule
+from .weightmod import GEN_E, WeightModule
 
 
 class WeightSpace(linalg.Frozen):
@@ -61,25 +60,17 @@ def weight_space(factors: tuple[WeightModule, ...], level: int) -> WeightSpace:
 
 
 def coproduct_target_level(level: int, gen: str) -> int:
-    if gen == GEN_E:
-        return level - 1
-    if gen == GEN_F:
-        return level + 1
-    return level
+    return level - 1 if gen == GEN_E else level + 1
 
 
 def coproduct_matrix(factors: tuple[WeightModule, ...], level: int,
                      gen: str) -> linalg.Matrix:
-    """Matrix of the iterated coproduct of a generator on one weight slice.
+    """Matrix of the iterated coproduct of E or F on one weight slice.
 
-    Rows are indexed by the target slice (level-1 for E, level+1 for F, the
-    same slice for Cartan generators).
+    Rows are indexed by the target slice (level-1 for E, level+1 for F).
     """
     src = weight_space(factors, level)
     tgt = weight_space(factors, coproduct_target_level(level, gen))
-    if gen in CARTAN_EXPONENT:
-        scalar = QScalar.v_power(CARTAN_EXPONENT[gen] * src.weight)
-        return linalg.diagonal([scalar] * src.dim)
     cols = [{} for _ in range(src.dim)]
     for j, m in enumerate(src.indices):
         w = src.factor_weights(m)

@@ -30,7 +30,7 @@ from .diagrams import (ArcDiagram, _crossing, diagram_of_index, enumerate_B,
                        validate_diagram)
 from .qring import ONE, QScalar, in_qinv_ideal
 from .rmatrix import (cartan_factor, r_n_matrix, rcheck_longest,
-                      sigma0_matrix, tau_theta_braid, tau_theta_direct,
+                      sigma0_matrix, tau_theta_braid, tau_theta_n,
                       theta_n_matrix)
 from .weightmod import dual_factors, simple_factors
 
@@ -176,7 +176,8 @@ def check_yang_baxter(max_sum: int) -> str:
 
 def check_braid_factorizations(max_sum: int) -> str:
     """Word independence, sigma0-factorization, Cartan-theta factorization
-    and the tau-twist braid product, on every slice up to the bound."""
+    and the tau-twist braid product (`tau_theta_n` on the plain factors
+    against `tau_theta_braid`), on every slice up to the bound."""
     cases = 0
     for lams, l in weight_slices(max_sum):
         fs = simple_factors(lams)
@@ -195,7 +196,7 @@ def check_braid_factorizations(max_sum: int) -> str:
             rn, linalg.matmul(cartan_factor(fs, l).matrix,
                               theta_n_matrix(fs, l).matrix)),
             "R != C Theta on {} level {}", lams, l)
-        _require(linalg.mat_eq(tau_theta_direct(fs, l).matrix,
+        _require(linalg.mat_eq(tau_theta_n(fs, l).matrix,
                                tau_theta_braid(fs, l).matrix),
                  "tau-twist braid product fails on {} level {}", lams, l)
         cases += 3

@@ -74,13 +74,13 @@ class WeightModule(linalg.Frozen):
         return f"V({self.highest_weight})"
 
 
-def _ladder_matrices(lam: int, size: int) -> dict:
+def _ladder_matrices(lam: int) -> dict:
+    size = lam + 1
     e = [{} for _ in range(size)]
     f = [{} for _ in range(size)]
     for m in range(size):
         if m >= 1:
-            e[m][m - 1] = quantum_int(lam - m + 1) if lam - m + 1 >= 0 \
-                else -quantum_int(m - 1 - lam)
+            e[m][m - 1] = quantum_int(lam - m + 1)
         if m + 1 < size:
             f[m][m + 1] = quantum_int(m + 1)
     mats = {gen: linalg.diagonal([QScalar.v_power(c * (lam - 2 * m))
@@ -95,7 +95,7 @@ def _ladder_matrices(lam: int, size: int) -> dict:
 def make_simple(lam: int) -> WeightModule:
     if lam < 0:
         raise NegativeWeightError(f"highest weight must be >= 0, got {lam}")
-    return WeightModule("simple", lam, lam + 1, _ladder_matrices(lam, lam + 1))
+    return WeightModule("simple", lam, lam + 1, _ladder_matrices(lam))
 
 
 @lru_cache(maxsize=None)

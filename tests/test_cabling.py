@@ -131,7 +131,7 @@ def test_entry_is_q_to_minus_inv_of_the_f_chain():
             a = sum(t)
             inv = sum(1 for j, i in itertools.combinations(range(x), 2)
                       if (t[j], t[i]) == (0, 1))
-            col = _coproduct_power(units, 0, (GEN_F,), a).col(0)
+            col = _coproduct_power(units, 0, GEN_F, a).col(0)
             ref = exact_div(col[weight_space(units, a).pos[t]],
                             quantum_factorial(a))
             assert ref == q(-inv), t

@@ -412,12 +412,11 @@ class TestLemmaDimensionIdentity:
         # contragredient copy of the trivial Verma enlarges the slice but
         # its singular part keeps the original dimension.
         from qcanon.tensor import coproduct_matrix
-        from qcanon.weightmod import (GEN_E, WeightModule, _ladder_matrices,
-                                      contragredient, make_simple)
+        from qcanon.weightmod import GEN_E, contragredient, make_simple
+        from test_weightmod import verma
         for lams, l in [((1, 1), 1), ((2, 1), 2), ((1, 1, 1), 1)]:
             v_dim = len(enumerate_P(lams, l))
-            size = sum(lams) + 1  # M_0 truncated past level sum(lams)
-            m0 = WeightModule("verma", 0, size, _ladder_matrices(0, size))
+            m0 = verma(0, sum(lams))  # M_0 truncated past level sum(lams)
             factors = (contragredient(m0),) \
                 + tuple(contragredient(make_simple(x)) for x in lams)
             e = coproduct_matrix(factors, l, GEN_E)

@@ -409,14 +409,19 @@ class TestGuards:
         assert code == 0
         assert json.loads(out)["count"] == 1
 
-    @pytest.mark.parametrize("argv", [
-        ("basis",), ("rmatrix", "--op", "theta_n"),
-        ("rmatrix", "--op", "tau_theta_n")], ids=" ".join)
-    def test_many_factors_n_fold_recursions(self, capsys, argv):
-        # 300 zero-weight factors: one vector, deeper than the recursion
-        # limit if the n-fold recursions took one frame per factor
-        code, out, _ = run(capsys, *argv, "--lambda", ",".join(["0"] * 300),
-                           "--level", "0")
+    @pytest.mark.parametrize("argv, weights", [
+        pytest.param(argv, weights, id=" ".join(argv) + suffix)
+        for weights, suffix in ((["0"] * 300, ""),
+                                (["1"] * 1500, " 1500 unit factors"))
+        for argv in (("basis",), ("rmatrix", "--op", "theta_n"),
+                     ("rmatrix", "--op", "tau_theta_n"))])
+    def test_many_factors_n_fold_recursions(self, capsys, argv, weights):
+        # 300 zero-weight factors, or 1500 unit factors at level 0: one
+        # vector, deeper than the recursion limit if the n-fold recursions
+        # took one frame per factor; the unit factors also list each suffix
+        # slice, which must not cost a copy per factor
+        code, out, _ = run(capsys, *argv, "--lambda", ",".join(weights),
+                           "--level", "0", "--max-sum", "2000")
         assert code == 0
         doc = json.loads(out)
         entries = doc["basis"][0]["coeffs"] if "basis" in doc \

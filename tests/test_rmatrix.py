@@ -1,5 +1,6 @@
 import copy
 import importlib
+import itertools
 import os
 import pickle
 import pkgutil
@@ -11,16 +12,18 @@ import pytest
 
 import qcanon
 from qcanon import linalg
-from qcanon.qring import ONE, Q_MINUS_QINV, QScalar
+from qcanon.qring import (ONE, Q_MINUS_QINV, QScalar, exact_div,
+                          quantum_factorial)
 from qcanon.qring import InexactDivisionError
 from qcanon.rmatrix import (NotReducedError, _lift, _rcheck_longest,
                             _theta_sum, cartan_factor, default_longest_word,
                             r_n_matrix, rcheck_longest, rcheck_matrix,
-                            sigma0_matrix, tau_theta_braid, tau_theta_direct,
-                            tau_theta_n, theta_matrix, theta_n_matrix)
+                            sigma0_matrix, tau_theta_braid, tau_theta_n,
+                            theta_matrix, theta_n_matrix)
 from qcanon.canonical import dual_canonical_basis, psi_c
 from qcanon.tensor import coproduct_matrix, weight_space
-from qcanon.weightmod import GEN_E, GEN_F, contragredient, make_simple
+from qcanon.weightmod import (GEN_E, GEN_F, GEN_QH, GEN_QH_INV,
+                              contragredient, make_simple)
 
 q = QScalar.q_power
 v = QScalar.v_power
@@ -51,7 +54,7 @@ class TestTheta:
 
 
 class TestThetaSum:
-    TERM = ((0, 1, (GEN_E,)), (1, 2, (GEN_F,)))
+    TERM = ((0, 1, GEN_E), (1, 2, GEN_F))
 
     def test_kmax_zero_is_identity(self):
         fs = factors(2, 2)
@@ -131,7 +134,7 @@ def _theta_piece_last(fs, level):
     last."""
     n = len(fs)
     return _theta_sum(fs, level, min(level, fs[-1].size - 1),
-                      ((n - 1, n, (GEN_F,)), (0, n - 1, (GEN_E,))))
+                      ((n - 1, n, GEN_F), (0, n - 1, GEN_E)))
 
 
 def _theta_n_right(fs, level):
@@ -307,12 +310,13 @@ class TestBraidFactorizationIdentities:
                                 theta_n_matrix(fs, l).matrix)
             assert linalg.mat_eq(lhs, rhs)
 
-    @pytest.mark.parametrize("lams", [(1, 1), (1, 1, 1), (2, 1)])
+    @pytest.mark.parametrize("lams", [(1, 1), (1, 1, 1), (2, 1), (0, 2),
+                                      (2, 0, 1)])
     def test_tau_theta_braid_product(self, lams):
         # tau(Theta^(n)) = Rcheck^(n) (C^(n))^-1 sigma_0 on the plain product
         fs = factors(*lams)
         for l in range(sum(lams) + 1):
-            assert linalg.mat_eq(tau_theta_direct(fs, l).matrix,
+            assert linalg.mat_eq(tau_theta_n(fs, l).matrix,
                                  tau_theta_braid(fs, l).matrix)
 
 
@@ -360,9 +364,32 @@ class TestTauThetaOnDuals:
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["1", "0", "0", "0"]
 
-    def test_requires_dual_factors(self):
-        with pytest.raises(ValueError):
-            tau_theta_n(factors(1, 1), 1)
+    @pytest.mark.parametrize("lams", [(1, 1), (2, 1), (1, 2), (2, 2), (0, 2)])
+    def test_plain_factors_evaluate_the_element(self, lams):
+        # on a plain two-factor product, tau(Theta) = sum_k q^{k(k-1)/2}
+        # (q - q^-1)^k / [k]!  (F q^h)^k x (q^-h E)^k, read off the module
+        # matrices one pair of slots at a time
+        fs = factors(*lams)
+        x = linalg.matmul(fs[0].matrix(GEN_F), fs[0].matrix(GEN_QH))
+        y = linalg.matmul(fs[1].matrix(GEN_QH_INV), fs[1].matrix(GEN_E))
+        xk, yk = linalg.identity(fs[0].size), linalg.identity(fs[1].size)
+        element = {}  # (row tuple, column tuple) -> coefficient
+        for k in range(min(lams) + 1):
+            c = q(k * (k - 1) // 2) * Q_MINUS_QINV ** k
+            for m in itertools.product(range(fs[0].size), range(fs[1].size)):
+                for t0, a in xk.col(m[0]).items():
+                    for t1, b in yk.col(m[1]).items():
+                        term = exact_div(c * a * b, quantum_factorial(k))
+                        element[(t0, t1), m] = \
+                            element.get(((t0, t1), m), QScalar()) + term
+            xk, yk = linalg.matmul(x, xk), linalg.matmul(y, yk)
+        for l in range(sum(lams) + 1):
+            op = tau_theta_n(fs, l)
+            space = op.source
+            for j, m in enumerate(space.indices):
+                for i, t in enumerate(space.indices):
+                    assert op.matrix[i, j] == \
+                        element.get((t, m), QScalar()), (l, t, m)
 
 
 def test_cached_operator_is_immutable():
@@ -436,7 +463,7 @@ def test_cache_inventory():
                    and f.__module__ == module.__name__}
     assert cached == {
         "rmatrix._coproduct_power", "rmatrix._theta_piece_first",
-        "rmatrix._theta_n", "rmatrix._tau_theta_direct", "rmatrix._r_n",
+        "rmatrix._theta_n", "rmatrix._r_n",
         "rmatrix._pair_rcheck", "rmatrix._rcheck_longest",
         "weightmod.make_simple", "weightmod.contragredient", "qring.quantum_factorial",
         "tensor.weight_space"}
@@ -444,7 +471,7 @@ def test_cache_inventory():
 
 @pytest.mark.parametrize("wrapper", [
     cartan_factor, theta_n_matrix, r_n_matrix, sigma0_matrix, rcheck_longest,
-    tau_theta_direct, tau_theta_braid, tau_theta_n], ids=lambda f: f.__name__)
+    tau_theta_braid, tau_theta_n], ids=lambda f: f.__name__)
 def test_empty_product_is_trivial_module(wrapper):
     # no factors: the trivial module, one vector at level 0 and none above
     assert linalg.mat_eq(wrapper((), 0).matrix, linalg.identity(1))
@@ -452,9 +479,9 @@ def test_empty_product_is_trivial_module(wrapper):
 
 
 @pytest.mark.parametrize("wrapper", [
-    theta_n_matrix, r_n_matrix, tau_theta_direct,
+    theta_n_matrix, r_n_matrix, tau_theta_n,
     lambda fs, level: tau_theta_n(tuple(map(contragredient, fs)), level)],
-    ids=["theta_n_matrix", "r_n_matrix", "tau_theta_direct", "tau_theta_n"])
+    ids=["theta_n_matrix", "r_n_matrix", "tau_theta_n_simple", "tau_theta_n"])
 def test_many_factors_need_no_deep_recursion(wrapper):
     # 300 factors, deeper than the recursion limit: the trivial module
     assert linalg.mat_eq(wrapper(factors(*[0] * 300), 0).matrix,

@@ -6,11 +6,12 @@ from qcanon import linalg
 from qcanon.common import slice_dim
 from qcanon.qring import ONE, Q_MINUS_QINV, QScalar
 from qcanon.tensor import coproduct_matrix, enumerate_P, weight_space
-from qcanon.weightmod import (GEN_E, GEN_F, GEN_QH, GEN_QH_INV, WeightModule,
-                              _ladder_matrices, dual_factors, make_simple,
-                              simple_factors)
+from qcanon.weightmod import (GEN_E, GEN_F, GEN_QH_INV, dual_factors,
+                              make_simple, simple_factors)
+from test_weightmod import verma
 
 q = QScalar.q_power
+v = QScalar.v_power
 
 
 def weight_multiset_dimension(lams, l):
@@ -111,17 +112,6 @@ class TestCoproduct:
         assert f[tgt.pos[(1, 0)], 0] == ONE
         assert f[tgt.pos[(0, 1)], 0] == q(-1)
 
-    def test_qh_diagonal(self):
-        fs = simple_factors([2, 1])
-        for l in range(sum([2, 1]) + 1):
-            ws = weight_space(fs, l)
-            mat = coproduct_matrix(fs, l, GEN_QH)
-            for j in range(ws.dim):
-                assert mat[j, j] == q(ws.weight)
-                for i in range(ws.dim):
-                    if i != j:
-                        assert not mat[i, j]
-
     @pytest.mark.parametrize("lams", [(1, 1), (2, 1), (1, 1, 1), (2, 1, 1)])
     def test_relations_on_tensor(self, lams):
         fs = simple_factors(lams)
@@ -138,16 +128,16 @@ class TestCoproduct:
                 else linalg.Matrix((ws.dim, 0), [])
             ef = linalg.matmul(e_up, f_here)
             fe = linalg.matmul(f_down, e_here)
-            qh = coproduct_matrix(fs, l, GEN_QH)
-            qh_inv = coproduct_matrix(fs, l, GEN_QH_INV)
+            # q^{+-h} acts on the whole slice by v^{+-2 weight}
+            qh = linalg.diagonal([v(2 * ws.weight)] * ws.dim)
+            qh_inv = linalg.diagonal([v(-2 * ws.weight)] * ws.dim)
             rhs = linalg.mat_div(linalg.mat_add(qh, qh_inv, -ONE),
                                  Q_MINUS_QINV)
             assert linalg.mat_eq(linalg.mat_add(ef, fe, -ONE), rhs)
 
     def test_mixed_factor_kinds(self):
         # truncated Verma and contragredient factors share the machinery
-        verma = WeightModule("verma", 0, 3, _ladder_matrices(0, 3))
-        fs = (verma, make_simple(1))
+        fs = (verma(0, 2), make_simple(1))
         ws = weight_space(fs, 1)
         assert ws.indices == ((0, 1), (1, 0))
         dual = dual_factors([1, 1])

@@ -1,11 +1,14 @@
+import ast
+from pathlib import Path
+
 import pytest
 
 from qcanon import linalg
 from qcanon.qring import (ONE, ZERO, Q_MINUS_QINV, QScalar, exact_div,
                           quantum_factorial, quantum_int)
-from qcanon.weightmod import (GEN_E, GEN_F, GEN_QH, GEN_QH_INV,
-                              NegativeWeightError, WeightModule,
-                              _ladder_matrices, contragredient, make_simple)
+from qcanon.weightmod import (CARTAN_EXPONENT, GEN_E, GEN_F, GEN_QH,
+                              GEN_QH_INV, NegativeWeightError, WeightModule,
+                              contragredient, make_simple)
 
 q = QScalar.q_power
 v = QScalar.v_power
@@ -13,9 +16,23 @@ v = QScalar.v_power
 
 def verma(lam, level):
     """The Verma module of highest weight lam, truncated past slot `level`:
-    the ladder formulas that the lemma tests build factors from."""
-    return WeightModule("verma", lam, level + 1,
-                        _ladder_matrices(lam, level + 1))
+    the simple module's ladder formulas on every slot, with E . slot m =
+    -[m - 1 - lam] slot (m-1) once lam - m + 1 < 0.  The lemma tests in
+    `test_tensor` and `test_canonical` build their factors from it too."""
+    size = level + 1
+    e = [{} for _ in range(size)]
+    f = [{} for _ in range(size)]
+    for m in range(size):
+        if m >= 1:
+            e[m][m - 1] = quantum_int(lam - m + 1) if lam - m + 1 >= 0 \
+                else -quantum_int(m - 1 - lam)
+        if m + 1 < size:
+            f[m][m + 1] = quantum_int(m + 1)
+    mats = {gen: linalg.diagonal([v(c * (lam - 2 * m)) for m in range(size)])
+            for gen, c in CARTAN_EXPONENT.items()}
+    mats[GEN_E] = linalg.Matrix((size, size), e)
+    mats[GEN_F] = linalg.Matrix((size, size), f)
+    return WeightModule("verma", lam, size, mats)
 
 
 # ---------------------------------------------------------------------------
@@ -210,3 +227,19 @@ class TestShapovalov:
             for m in range(lam + 1):
                 for k in range(lam + 1):
                     assert emb[m, k] == emb[k, m]
+
+
+def test_only_weightmod_reads_the_cartan_generators():
+    # the q^{+-h} matrices build the contragredient twist and nothing else:
+    # every other module acts by E and F and reads weights off the slice
+    cartan = {"GEN_QH", "GEN_QH_INV", "CARTAN_EXPONENT"}
+    src = Path(__file__).resolve().parents[1] / "src" / "qcanon"
+    readers = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            if names & cartan:
+                readers.add(path.stem)
+    assert readers == {"weightmod"}
