@@ -30,17 +30,19 @@ diagonal of monomials v^e, so its inverse is its bar.
 
 `_lift` builds each block operator once per block level, per call.  A result
 is cached only if rebuilding it costs measurable ring work or other cache
-keys rest on its identity.  Ten caches meet that rule: here
-`_coproduct_power`, `_theta_piece_first`, `_theta_n`, `_r_n`, `_pair_rcheck`
-and `_rcheck_longest`; `tensor.weight_space` and the two `weightmod`
+keys rest on its identity.  Nine caches meet that rule: here
+`_theta_piece_first`, `_theta_n`, `_r_n`, `_pair_rcheck` and
+`_rcheck_longest`; `tensor.weight_space` and the two `weightmod`
 constructors, whose canonical instances key all the others (modules and
 slices hash by identity); and `qring.quantum_factorial`.
 
-Every Theta sum starts from the identity, its k = 0 term, and builds only
-the terms with k >= 1; only k >= 2 divides, since [0]! = [1]! = 1.  Every
-division by [k]! is exact on monomial bases (the entries carry the matching
-quantum-binomial numerators); `exact_div` raising would indicate a genuine
-bug, not a rounding concern.
+E on factor 0 and Delta^{n-2}(F) on the rest act on different legs, so
+E^k x Delta^{n-2}(F)^k = T^k for the one square matrix T = E x
+Delta^{n-2}(F) on the slice, and each piece (1 x Delta^{n-2})(Theta) is a
+power series in T.  Only its terms k >= 2 divide, since [0]! = [1]! = 1.
+Every division by [k]! is exact on monomial bases (the entries carry the
+matching quantum-binomial numerators); `exact_div` raising would indicate
+a genuine bug, not a rounding concern.
 """
 
 from __future__ import annotations
@@ -50,8 +52,7 @@ from functools import lru_cache
 from . import linalg
 from .common import NotReducedError
 from .qring import ONE, Q_MINUS_QINV, QScalar, quantum_factorial
-from .tensor import (WeightSpace, coproduct_matrix, coproduct_target_level,
-                     weight_space)
+from .tensor import WeightSpace, coproduct_matrix, weight_space
 from .weightmod import GEN_E, GEN_F, contragredient
 
 
@@ -66,7 +67,7 @@ class BraidOperator(linalg.Frozen):
 
 
 # ---------------------------------------------------------------------------
-# the shared building blocks: lift, coproduct power, Theta sum, Cartan diagonal
+# the shared building blocks: lift and Cartan diagonal
 # ---------------------------------------------------------------------------
 
 def _lift(factors, level, lo, hi, sub_fn, shift, out_block=None):
@@ -95,52 +96,6 @@ def _lift(factors, level, lo, hi, sub_fn, shift, out_block=None):
     return linalg.Matrix((tgt.dim, src.dim), cols)
 
 
-@lru_cache(maxsize=None)
-def _coproduct_power(factors, level, gen, k):
-    """(Delta^{n-1} g)^k for the generator g, as a chain of adjacent-slice
-    matrices: the legs of every Theta sum."""
-    if k == 0:
-        return linalg.identity(weight_space(factors, level).dim)
-    mat = _coproduct_power(factors, level, gen, k - 1)
-    cur = level + (k - 1) * coproduct_target_level(0, gen)
-    return linalg.matmul(coproduct_matrix(factors, cur, gen), mat)
-
-
-def _leg(factors, level, lo, hi, gen, k):
-    """The k-th coproduct power of `gen` on factors[lo:hi], lifted."""
-    block = factors[lo:hi]
-    return _lift(factors, level, lo, hi,
-                 lambda b: _coproduct_power(block, b, gen, k),
-                 k * coproduct_target_level(0, gen))
-
-
-def _theta_coefficient(k: int) -> QScalar:
-    return QScalar.q_power(k * (k - 1) // 2) * Q_MINUS_QINV ** k
-
-
-def _theta_sum(factors, level, kmax, term):
-    """sum_{k <= kmax} q^{k(k-1)/2} (q - q^-1)^k / [k]!  Y^k X^k on a slice.
-
-    `term` = (X, Y) gives the two legs as (lo, hi, gen): the generator
-    coproducted over the block factors[lo:hi], identity elsewhere.  X acts
-    first and Y brings the level back.
-    """
-    (lo_x, hi_x, gen_x), (lo_y, hi_y, gen_y) = term
-    # k = 0 is the identity: coefficient 1, [0]! = 1, both legs identity
-    out = linalg.identity(weight_space(factors, level).dim)
-    for k in range(1, kmax + 1):
-        mid = level + k * coproduct_target_level(0, gen_x)
-        if weight_space(factors, mid).dim == 0:
-            continue
-        x = _leg(factors, level, lo_x, hi_x, gen_x, k)
-        y = _leg(factors, mid, lo_y, hi_y, gen_y, k)
-        piece = linalg.matmul(y, x)
-        if k >= 2:  # [1]! = 1
-            piece = linalg.mat_div(piece, quantum_factorial(k))
-        out = linalg.mat_add(out, piece, _theta_coefficient(k))
-    return out
-
-
 def _cartan_diagonal(factors, level, exponent):
     """The diagonal v^exponent(w) on a slice, w the tuple of factor weights."""
     src = weight_space(factors, level)
@@ -154,9 +109,26 @@ def _cartan_diagonal(factors, level, exponent):
 
 @lru_cache(maxsize=None)
 def _theta_piece_first(factors, level):
-    """(1 x Delta^{n-2})(Theta): E^k on factor 0, coproducted F^k on the rest."""
-    return _theta_sum(factors, level, min(level, factors[0].size - 1),
-                      ((0, 1, GEN_E), (1, len(factors), GEN_F)))
+    """(1 x Delta^{n-2})(Theta) = sum_k q^{k(k-1)/2} (q - q^-1)^k T^k / [k]!,
+    T = E x Delta^{n-2}(F): E on factor 0, the coproducted F on the rest."""
+    out = linalg.identity(weight_space(factors, level).dim)  # k = 0
+    kmax = min(level, factors[0].size - 1)
+    if kmax == 0:
+        return out
+    head, rest = factors[:1], factors[1:]
+    e = _lift(factors, level, 0, 1,
+              lambda b: coproduct_matrix(head, b, GEN_E), -1)
+    f = _lift(factors, level - 1, 1, len(factors),
+              lambda b: coproduct_matrix(rest, b, GEN_F), 1)
+    t = linalg.matmul(f, e)
+    power = piece = t  # the k = 1 term: [1]! = 1
+    for k in range(1, kmax + 1):
+        if k >= 2:
+            power = linalg.matmul(t, power)
+            piece = linalg.mat_div(power, quantum_factorial(k))
+        out = linalg.mat_add(out, piece, QScalar.q_power(k * (k - 1) // 2)
+                             * Q_MINUS_QINV ** k)
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -80,8 +80,7 @@ def coproduct_matrix(factors: tuple[WeightModule, ...], level: int,
             # the factors before it.
             flank = QScalar.v_power(2 * sum(w[i + 1:]) if gen == GEN_E
                                     else -2 * sum(w[:i]))
+            # the term for slot i changes only m[i]: no two share a row
             for t, c in factors[i].matrix(gen).col(m[i]).items():
-                c = c * flank
-                p = tgt.pos[m[:i] + (t,) + m[i + 1:]]
-                out[p] = out[p] + c if p in out else c
+                out[tgt.pos[m[:i] + (t,) + m[i + 1:]]] = c * flank
     return linalg.Matrix((tgt.dim, src.dim), cols)

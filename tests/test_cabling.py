@@ -7,7 +7,7 @@ from qcanon.cabling import (CablingOutcome, ZeroBlockError, block_map,
                             dual_cabling_matrix, is_monomial_unit,
                             cabling_report)
 from qcanon.qring import ONE, QScalar, exact_div, quantum_factorial
-from qcanon.rmatrix import BraidOperator, _coproduct_power
+from qcanon.rmatrix import BraidOperator
 from qcanon.tensor import (coproduct_matrix, coproduct_target_level,
                            enumerate_P, weight_space)
 from qcanon.verify import weight_slices
@@ -127,12 +127,15 @@ def test_entry_is_q_to_minus_inv_of_the_f_chain():
     tuples = 0
     for x in range(1, 8):
         units = simple_factors((1,) * x)
+        chain = [linalg.Vector(1, {0: ONE})]  # F^a on the top vector
+        for b in range(x):
+            chain.append(linalg.matmul(coproduct_matrix(units, b, GEN_F),
+                                       chain[-1]))
         for t in itertools.product((0, 1), repeat=x):
             a = sum(t)
             inv = sum(1 for j, i in itertools.combinations(range(x), 2)
                       if (t[j], t[i]) == (0, 1))
-            col = _coproduct_power(units, 0, GEN_F, a).col(0)
-            ref = exact_div(col[weight_space(units, a).pos[t]],
+            ref = exact_div(chain[a][weight_space(units, a).pos[t]],
                             quantum_factorial(a))
             assert ref == q(-inv), t
             dcm = dual_cabling_matrix((x,), a)

@@ -16,7 +16,7 @@ from qcanon.qring import (ONE, Q_MINUS_QINV, QScalar, exact_div,
                           quantum_factorial)
 from qcanon.qring import InexactDivisionError
 from qcanon.rmatrix import (NotReducedError, _lift, _rcheck_longest,
-                            _theta_sum, cartan_factor, default_longest_word,
+                            cartan_factor, default_longest_word,
                             r_n_matrix, rcheck_longest, rcheck_matrix,
                             sigma0_matrix, tau_theta_braid, tau_theta_n,
                             theta_matrix, theta_n_matrix)
@@ -54,23 +54,29 @@ class TestTheta:
 
 
 class TestThetaSum:
-    TERM = ((0, 1, GEN_E), (1, 2, GEN_F))
-
-    def test_kmax_zero_is_identity(self):
-        fs = factors(2, 2)
-        for l in range(5):
+    def test_kmax_zero_is_identity(self, monkeypatch):
+        # level 0 or a zero-weight head: the k = 0 term alone, built without
+        # a generator matrix
+        import qcanon.rmatrix as rmatrix
+        rmatrix._theta_piece_first.cache_clear()
+        monkeypatch.setattr(rmatrix, "coproduct_matrix", None)
+        cases = [(factors(2, 2), 0), (factors(3, 1, 2), 0)]
+        cases += [(factors(0, 2), l) for l in range(3)]
+        cases += [(factors(0, 1, 1), l) for l in range(3)]
+        for fs, l in cases:
             dim = weight_space(fs, l).dim
-            assert linalg.mat_eq(_theta_sum(fs, l, 0, self.TERM),
+            assert linalg.mat_eq(rmatrix._theta_piece_first(fs, l),
                                  linalg.identity(dim))
 
     def test_division_by_factorial_stays_exact(self, monkeypatch):
         # a divisor the k = 2 numerators do not carry must raise
         import qcanon.rmatrix as rmatrix
+        rmatrix._theta_piece_first.cache_clear()
         real = rmatrix.quantum_factorial
         monkeypatch.setattr(rmatrix, "quantum_factorial",
                             lambda k: 3 * real(k))
         with pytest.raises(InexactDivisionError):
-            _theta_sum(factors(2, 2), 2, 2, self.TERM)
+            rmatrix._theta_piece_first(factors(2, 2), 2)
 
     def test_divides_only_from_k_two(self):
         # in a fresh process, so that psi_c builds every Theta sum anew
@@ -130,11 +136,22 @@ class TestLift:
 
 
 def _theta_piece_last(fs, level):
-    """(Delta^{n-2} x 1)(Theta): coproducted E^k on the front, F^k on the
-    last."""
+    """(Delta^{n-2} x 1)(Theta) = sum_k q^{k(k-1)/2} (q - q^-1)^k T'^k / [k]!,
+    T' = Delta^{n-2}(E) x F: F on the last factor first, then the
+    coproducted E on the front."""
     n = len(fs)
-    return _theta_sum(fs, level, min(level, fs[-1].size - 1),
-                      ((n - 1, n, GEN_F), (0, n - 1, GEN_E)))
+    init, last = fs[:-1], fs[-1:]
+    f = _lift(fs, level, n - 1, n,
+              lambda b: coproduct_matrix(last, b, GEN_F), 1)
+    e = _lift(fs, level + 1, 0, n - 1,
+              lambda b: coproduct_matrix(init, b, GEN_E), -1)
+    t = linalg.matmul(e, f)
+    out = power = linalg.identity(weight_space(fs, level).dim)
+    for k in range(1, min(level, fs[-1].size - 1) + 1):
+        power = linalg.matmul(t, power)
+        out = linalg.mat_add(out, linalg.mat_div(power, quantum_factorial(k)),
+                             q(k * (k - 1) // 2) * Q_MINUS_QINV ** k)
+    return out
 
 
 def _theta_n_right(fs, level):
@@ -364,7 +381,8 @@ class TestTauThetaOnDuals:
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["1", "0", "0", "0"]
 
-    @pytest.mark.parametrize("lams", [(1, 1), (2, 1), (1, 2), (2, 2), (0, 2)])
+    @pytest.mark.parametrize("lams", [(1, 1), (2, 1), (1, 2), (2, 2), (0, 2),
+                                      (3, 3), (4, 2), (5, 5)])
     def test_plain_factors_evaluate_the_element(self, lams):
         # on a plain two-factor product, tau(Theta) = sum_k q^{k(k-1)/2}
         # (q - q^-1)^k / [k]!  (F q^h)^k x (q^-h E)^k, read off the module
@@ -462,7 +480,7 @@ def test_cache_inventory():
                    if hasattr(f, "cache_info")
                    and f.__module__ == module.__name__}
     assert cached == {
-        "rmatrix._coproduct_power", "rmatrix._theta_piece_first",
+        "rmatrix._theta_piece_first",
         "rmatrix._theta_n", "rmatrix._r_n",
         "rmatrix._pair_rcheck", "rmatrix._rcheck_longest",
         "weightmod.make_simple", "weightmod.contragredient", "qring.quantum_factorial",
