@@ -34,7 +34,9 @@ keys rest on its identity.  Nine caches meet that rule: here
 `_theta_piece_first`, `_theta_n`, `_r_n`, `_pair_rcheck` and
 `_rcheck_longest`; `tensor.weight_space` and the two `weightmod`
 constructors, whose canonical instances key all the others (modules and
-slices hash by identity); and `qring.quantum_factorial`.
+slices hash by identity); and `qring.quantum_factorial`.  All nine stay;
+`_r_n` and `_rcheck_longest` serve only the references, and `verify`
+empties them after each check (`_REFERENCE_CACHES`).
 
 E on factor 0 and Delta^{n-2}(F) on the rest act on different legs, so
 E^k x Delta^{n-2}(F)^k = T^k for the one square matrix T = E x
@@ -253,6 +255,12 @@ def _rcheck_longest(factors, level, word):
         ops = [linalg.matmul(ops[j + 1], ops[j]) if j + 1 < len(ops)
                else ops[j] for j in range(0, len(ops), 2)]
     return ops[0]
+
+
+#: The caches that only the references fill; `verify` empties them after each
+#: check.  A tuple, built at import, so that it still reaches the caches when
+#: a profiler (perfbench's tracer) rebinds the module names to wrappers.
+_REFERENCE_CACHES = (_r_n, _rcheck_longest)
 
 
 def _tau_theta_n_dual(factors, level):

@@ -3,14 +3,15 @@
 Each check `check_<name>(max_sum)` sweeps a family of desk-scale cases,
 bounded by the sum of the highest weights; it raises on the first failure and
 otherwise returns a one-line detail.  `run_suite` runs the checks a suite
-names, times each call and records its outcome as a `CheckResult`; the
-checks read dual canonical bases through one memo that the run owns, so a
-run solves each slice once.  The checks are deliberately redundant with
-independent machinery on each side: dimension counts come from convolving
-weight multisets, singular counts from the integer rank of E at q = 1, braid
-products are compared against coproduct recursions, diagram listings against
-an exhaustive chord search, and the diagram model against the fixed-point
-solver.
+names, times each call and records its outcome as a `CheckResult`.  The run
+owns two kinds of state: the memo through which the checks read dual
+canonical bases, so a run solves each slice once, and the caches of the
+braid references `_r_n` and `_rcheck_longest`, which it empties after every
+check.  The checks are deliberately redundant with independent machinery on
+each side: dimension counts come from convolving weight multisets, singular
+counts from the integer rank of E at q = 1, braid products are compared
+against coproduct recursions, diagram listings against an exhaustive chord
+search, and the diagram model against the fixed-point solver.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from .diagrams import (ArcDiagram, _crossing, diagram_of_index, enumerate_B,
                        filter_invariant, filter_singular, index_of_diagram,
                        validate_diagram)
 from .qring import ONE, QScalar, in_qinv_ideal
-from .rmatrix import (cartan_factor, r_n_matrix, rcheck_longest,
-                      sigma0_matrix, tau_theta_braid, tau_theta_n,
-                      theta_n_matrix)
+from .rmatrix import (_REFERENCE_CACHES, cartan_factor, r_n_matrix,
+                      rcheck_longest, sigma0_matrix, tau_theta_braid,
+                      tau_theta_n, theta_n_matrix)
 from .weightmod import dual_factors, simple_factors
 
 
@@ -349,6 +350,14 @@ ALL_CHECKS: dict[str, Callable[[int], str]] = {
 BOUND_CAPS = {"cabling": 5, "duality": 5}
 
 
+def _clear_reference_caches() -> None:
+    """Empty the caches that only the braid references fill.  No check reads
+    an entry an earlier check built, save a few small slices cheap to
+    rebuild, and no subcommand reads them at all."""
+    for cached in _REFERENCE_CACHES:
+        cached.cache_clear()
+
+
 def run_suite(suite: str = "all", max_weight_sum: int = 6) -> list[CheckResult]:
     """Run each check the suite names at its bound, capped by `BOUND_CAPS`,
     and record its time, detail and any exception it raised."""
@@ -383,6 +392,8 @@ def run_suite(suite: str = "all", max_weight_sum: int = 6) -> list[CheckResult]:
             keep = max(bounds[i + 1:], default=-1)
             for key in [k for k in _run_bases if sum(k[0]) > keep]:
                 del _run_bases[key]
+            _clear_reference_caches()
     finally:
         _run_bases = None
+        _clear_reference_caches()
     return out

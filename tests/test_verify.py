@@ -1,12 +1,22 @@
-"""`run_suite` solves each dual slice once per run and keeps nothing after."""
+"""`run_suite` solves each dual slice once per run and keeps nothing after;
+the braid-reference caches live for one check."""
 
+import functools
 from collections import Counter
 
 import pytest
 
-from qcanon import verify
+from qcanon import rmatrix, verify
 from qcanon.cabling import cabling_report
+from qcanon.rmatrix import r_n_matrix, rcheck_longest
 from qcanon.verify import run_suite, weight_slices
+from qcanon.weightmod import simple_factors
+
+REFERENCE_CACHES = (rmatrix._r_n, rmatrix._rcheck_longest)
+
+
+def _reference_sizes():
+    return tuple(f.cache_info().currsize for f in REFERENCE_CACHES)
 
 
 def test_one_solve_per_slice_per_run(monkeypatch):
@@ -47,6 +57,55 @@ def test_memo_empty_after_check_raises(monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         run_suite("catalan", 4)
     assert not verify._run_bases
+
+
+def test_reference_caches_live_for_one_check(monkeypatch):
+    sizes = []
+
+    def starting(check):
+        def wrapped(max_sum):
+            sizes.append(_reference_sizes())
+            return check(max_sum)
+        return wrapped
+
+    for name, check in list(verify.ALL_CHECKS.items()):
+        monkeypatch.setitem(verify.ALL_CHECKS, name, starting(check))
+    assert all(r.passed for r in run_suite("all", 4))
+    assert len(sizes) == len(verify.ALL_CHECKS)
+    assert set(sizes[1:]) == {(0, 0)}
+    assert _reference_sizes() == (0, 0)
+
+
+@pytest.mark.parametrize("error", [ValueError("boom"), KeyboardInterrupt()],
+                         ids=["raises", "interrupted"])
+def test_reference_caches_empty_after_check_raises(monkeypatch, error):
+    def failing(max_sum):
+        fs = simple_factors((1, 2, 1))
+        r_n_matrix(fs, 2)
+        rcheck_longest(fs, 2)
+        assert all(_reference_sizes())
+        raise error
+
+    monkeypatch.setitem(verify.ALL_CHECKS, "catalan", failing)
+    if isinstance(error, KeyboardInterrupt):
+        with pytest.raises(KeyboardInterrupt):
+            run_suite("catalan", 4)
+    else:
+        [result] = run_suite("catalan", 4)
+        assert result.failure["error_type"] == "ValueError"
+    assert _reference_sizes() == (0, 0)
+
+
+def test_reference_caches_cleared_behind_wrappers(monkeypatch):
+    # a profiler may rebind the cached functions to plain wrappers, which
+    # carry no cache_clear
+    def traced(fn):
+        return functools.wraps(fn)(lambda *args: fn(*args))
+
+    for cached in REFERENCE_CACHES:
+        monkeypatch.setattr(rmatrix, cached.__name__, traced(cached))
+    assert all(r.passed for r in run_suite("braiding", 3))
+    assert _reference_sizes() == (0, 0)
 
 
 def test_memo_shares_tuples(monkeypatch):
