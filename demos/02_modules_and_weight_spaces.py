@@ -3,25 +3,32 @@
 A simple module V_lam has basis slots 0..lam (slot m = divided power F^(m)
 applied to the top vector, weight lam - 2m).  Tensor products are never
 materialized: each weight slice carries its own index list and exact
-generator matrices through the iterated coproduct.
+generator matrices through the iterated coproduct.  A module stores no
+matrix: `ladder(gen, m)` gives column m of E or F from a closed formula.
 """
 
 from qcanon.common import enumerate_P
+from qcanon.qring import ZERO
 from qcanon.tensor import coproduct_matrix, weight_space
 from qcanon.weightmod import (GEN_E, GEN_F, contragredient, make_simple,
                               simple_factors)
 
+
+
+def entry(module, gen, row, slot):
+    """Row `row` of the ladder column that `gen` sends `slot` to."""
+    return str(module.ladder(gen, slot).get(row, ZERO))
+
+
 v2 = make_simple(2)
 print("V_2 ladder matrices (columns act on slots 0, 1, 2):")
-print("  E:", [[str(v2.matrix(GEN_E)[i, j]) for j in range(3)]
-               for i in range(3)])
-print("  F:", [[str(v2.matrix(GEN_F)[i, j]) for j in range(3)]
-               for i in range(3)])
+print("  E:", [[entry(v2, GEN_E, i, j) for j in range(3)] for i in range(3)])
+print("  F:", [[entry(v2, GEN_F, i, j) for j in range(3)] for i in range(3)])
 
 dual = contragredient(v2)
 print("\nthe contragredient twists the action through tau (e <-> f):")
 print("  E on (V_2)^c lifts dual slots:",
-      str(dual.matrix(GEN_E)[0, 1]), ",", str(dual.matrix(GEN_E)[1, 2]))
+      entry(dual, GEN_E, 0, 1), ",", entry(dual, GEN_E, 1, 2))
 
 lams = (2, 1)
 fs = simple_factors(lams)

@@ -81,6 +81,6 @@ def coproduct_matrix(factors: tuple[WeightModule, ...], level: int,
             flank = QScalar.v_power(2 * sum(w[i + 1:]) if gen == GEN_E
                                     else -2 * sum(w[:i]))
             # the term for slot i changes only m[i]: no two share a row
-            for t, c in factors[i].matrix(gen).col(m[i]).items():
+            for t, c in factors[i].ladder(gen, m[i]).items():
                 out[tgt.pos[m[:i] + (t,) + m[i + 1:]]] = c * flank
     return linalg.Matrix((tgt.dim, src.dim), cols)

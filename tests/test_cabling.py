@@ -6,6 +6,8 @@ from qcanon import linalg
 from qcanon.cabling import (CablingOutcome, ZeroBlockError, block_map,
                             dual_cabling_matrix, is_monomial_unit,
                             cabling_report)
+from qcanon.canonical import dual_canonical_basis
+from qcanon.diagrams import diagram_of_index
 from qcanon.qring import ONE, QScalar, exact_div, quantum_factorial
 from qcanon.rmatrix import BraidOperator
 from qcanon.tensor import (coproduct_matrix, coproduct_target_level,
@@ -142,6 +144,50 @@ def test_entry_is_q_to_minus_inv_of_the_f_chain():
             assert dcm.matrix[0, dcm.source.pos[t]] == q(-inv), t
             tuples += 1
     assert tuples == 254
+
+
+def closed_form(lam, a):
+    """b_a by the closed diagram formula: lift a to the left-packed unit
+    tuple (in block i, the first a_i units are 1), take the cups (i, j),
+    i >= 1, of its unit diagram, and sum (-q^-1)^|S| e_{a_S} over the
+    subsets S of cups, a_S moving the unit of each cup in S from z_j to z_i.
+    Each unit term collapses on its own onto the row of its block sums, with
+    the factor q^-inv of `dual_cabling_matrix`; empty blocks are allowed."""
+    blocks = [b for b, size in enumerate(lam) for _ in range(size)]
+    unit = [x for ai, size in zip(a, lam)
+            for x in [1] * ai + [0] * (size - ai)]
+    cups = [c for c in diagram_of_index((1,) * len(unit), unit).chords
+            if c[0] >= 1]
+    out = {}
+    for k in range(len(cups) + 1):
+        for subset in itertools.combinations(cups, k):
+            t = list(unit)
+            for i, j in subset:
+                t[i - 1], t[j - 1] = 1, 0
+            row, tops, inv = [0] * len(lam), [0] * len(lam), 0
+            for b, x in zip(blocks, t):
+                row[b] += x
+                inv += x * tops[b]
+                tops[b] += 1 - x
+            row = tuple(row)
+            out[row] = out.get(row, QScalar()) + QScalar(
+                {-2 * (inv + k): (-1) ** k})
+    return {r: c for r, c in out.items() if c}
+
+
+def test_closed_form_is_the_dual_canonical_basis():
+    # the third model, against the solver, on every slice of the sweep and
+    # on two-factor slices with a zero weight
+    slices = list(weight_slices(6)) + [
+        (lam, l) for x in range(5) for lam in {(0, x), (x, 0)}
+        for l in range(x + 1)]
+    elements = 0
+    for lam, l in slices:
+        for b in dual_canonical_basis(lam, l):
+            want = {b.space.indices[i]: x for i, x in b.coords.items()}
+            assert closed_form(lam, b.index) == want, (lam, l, b.index)
+            elements += 1
+    assert elements == 1351 + 29  # 29 zero-weight slices, each of dim 1
 
 
 def test_outcome_defaults():

@@ -413,11 +413,11 @@ class TestLemmaDimensionIdentity:
         # its singular part keeps the original dimension.
         from qcanon.tensor import coproduct_matrix
         from qcanon.weightmod import GEN_E, contragredient, make_simple
-        from test_weightmod import verma
+        from test_weightmod import transpose_dual, verma
         for lams, l in [((1, 1), 1), ((2, 1), 2), ((1, 1, 1), 1)]:
             v_dim = len(enumerate_P(lams, l))
             m0 = verma(0, sum(lams))  # M_0 truncated past level sum(lams)
-            factors = (contragredient(m0),) \
+            factors = (transpose_dual(m0),) \
                 + tuple(contragredient(make_simple(x)) for x in lams)
             e = coproduct_matrix(factors, l, GEN_E)
             assert e.shape[1] - linalg.rank_at_q1(e) == v_dim

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -427,6 +428,36 @@ class TestGuards:
         entries = doc["basis"][0]["coeffs"] if "basis" in doc \
             else doc["entries"]
         assert [e["value"] for e in entries] == [[[0, "1"]]]
+
+    @pytest.mark.parametrize("argv", [
+        ("basis", "--lambda", str(10**14)),
+        ("canonical2", "--lambda", f"{10**14},{10**14}"),
+        ("rmatrix", "--op", "theta_n", "--lambda", f"{10**14},{10**14}")],
+        ids=["basis", "canonical2", "rmatrix-theta_n"])
+    def test_huge_weights_at_level_zero_answer(self, argv):
+        # a module stores nothing per slot, so level 0 of V(10^14) is one
+        # vector at any highest weight.  Run in a child with its address
+        # space capped at 1 GiB, so that a regression fails fast with a
+        # MemoryError instead of filling the machine's memory.
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        env.pop("QCANON_MAX_DIM", None)
+        done = subprocess.run(
+            [sys.executable, "-m", "qcanon.cli", *argv, "--level", "0",
+             "--max-sum", str(2 * 10**14)],
+            env=env, capture_output=True, text=True, timeout=60,
+            preexec_fn=cap_memory)
+        assert done.returncode == 0, done.stderr
+        doc = json.loads(done.stdout)
+        if "basis" in doc:
+            [b] = doc["basis"]
+            assert b["coeffs"] == [{"index": b["index"], "value": [[0, "1"]]}]
+        else:
+            assert doc["source_index"] == doc["target_index"] == [[0, 0]]
+            assert [e["value"] for e in doc["entries"]] == [[[0, "1"]]]
 
     def test_memory_error_exit_2(self, capsys, monkeypatch):
         import qcanon.canonical as canonical

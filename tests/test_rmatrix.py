@@ -22,8 +22,8 @@ from qcanon.rmatrix import (NotReducedError, _lift, _rcheck_longest,
                             theta_matrix, theta_n_matrix)
 from qcanon.canonical import dual_canonical_basis, psi_c
 from qcanon.tensor import coproduct_matrix, weight_space
-from qcanon.weightmod import (GEN_E, GEN_F, GEN_QH, GEN_QH_INV,
-                              contragredient, make_simple)
+from qcanon.weightmod import GEN_E, GEN_F, contragredient, make_simple
+from test_weightmod import GEN_QH, GEN_QH_INV, with_matrices
 
 q = QScalar.q_power
 v = QScalar.v_power
@@ -388,8 +388,9 @@ class TestTauThetaOnDuals:
         # (q - q^-1)^k / [k]!  (F q^h)^k x (q^-h E)^k, read off the module
         # matrices one pair of slots at a time
         fs = factors(*lams)
-        x = linalg.matmul(fs[0].matrix(GEN_F), fs[0].matrix(GEN_QH))
-        y = linalg.matmul(fs[1].matrix(GEN_QH_INV), fs[1].matrix(GEN_E))
+        m0, m1 = with_matrices(fs[0]), with_matrices(fs[1])
+        x = linalg.matmul(m0.matrix(GEN_F), m0.matrix(GEN_QH))
+        y = linalg.matmul(m1.matrix(GEN_QH_INV), m1.matrix(GEN_E))
         xk, yk = linalg.identity(fs[0].size), linalg.identity(fs[1].size)
         element = {}  # (row tuple, column tuple) -> coefficient
         for k in range(min(lams) + 1):

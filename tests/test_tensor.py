@@ -6,9 +6,9 @@ from qcanon import linalg
 from qcanon.common import slice_dim
 from qcanon.qring import ONE, Q_MINUS_QINV, QScalar
 from qcanon.tensor import coproduct_matrix, enumerate_P, weight_space
-from qcanon.weightmod import (GEN_E, GEN_F, GEN_QH_INV, dual_factors,
-                              make_simple, simple_factors)
-from test_weightmod import verma
+from qcanon.weightmod import (GEN_E, GEN_F, dual_factors, make_simple,
+                              simple_factors)
+from test_weightmod import GEN_QH_INV, verma, with_matrices
 
 q = QScalar.q_power
 v = QScalar.v_power
@@ -64,7 +64,7 @@ class TestWeightSpace:
             e = coproduct_matrix(fs, l, GEN_E)
             assert e.shape == ((1, 1) if l > 0 else (0, 1))
             if l > 0:
-                assert e[0, 0] == make_simple(3).matrix(GEN_E)[l - 1, l]
+                assert e[0, 0] == make_simple(3).ladder(GEN_E, l)[l - 1]
 
     def test_v1v1_dimensions(self):
         fs = simple_factors([1, 1])
@@ -157,7 +157,7 @@ class TestDualSide:
         fs = simple_factors([2, 1])
         f = coproduct_matrix(fs, 0, GEN_F)
         tgt = weight_space(fs, 1)
-        m2, m1 = make_simple(2), make_simple(1)
+        m2, m1 = with_matrices(make_simple(2)), with_matrices(make_simple(1))
         by_hand = {
             (1, 0): m2.matrix(GEN_F)[1, 0],
             (0, 1): m2.matrix(GEN_QH_INV)[0, 0] * m1.matrix(GEN_F)[1, 0],
