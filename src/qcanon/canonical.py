@@ -6,12 +6,41 @@ On a contragredient slice the involution is
 
 where bar acts coefficientwise on dual monomial coordinates (the dual
 monomials are bar-fixed because divided powers have bar-invariant
-coefficients).  The matrix of tau(Theta^(n)) is unipotent lower triangular in
-ascending lexicographic index order, so psi_c(e_m) = e_m + (terms at k > m).
+coefficients).  Write A for the matrix of psi_c.  It is unipotent lower
+triangular in ascending lexicographic index order, so psi_c(e_m) = e_m +
+(terms at k > m).  The dual canonical basis is the unique family b_m = e_m +
+sum_{r>m} c_r e_r fixed by psi_c with every off-lead coefficient in
+q^-1 Z[q^-1]: if two such families differed, the first differing
+coefficient would be bar-invariant and in q^-1 Z[q^-1], so zero.
 
-The dual canonical basis is the unique family b_m = e_m + sum_{r>m} c_r e_r
-fixed by psi_c with every off-lead coefficient in q^-1 Z[q^-1].  Write A for
-the matrix of psi_c.  Row r of A bar(b_m) = b_m reads
+`dual_canonical_basis` has one production route, and it never forms A:
+
+* each b_m comes from the closed diagram formula of the source paper
+  (`_closed_form`), evaluated on the unit-weight lift of m and collapsed
+  onto the slice per cup bundle, with Gaussian-binomial weights, so it
+  never lists the subsets of cups;
+* `_certify` then proves it: A = P_0^T P_1^T ... P_{n-2}^T for the pieces
+  P_i of Theta^(n) on the simple factors (`rmatrix.theta_n_pieces`); each
+  P_i^T must be unit lower triangular, b_m must have lead 1 and its other
+  coefficients in q^-1 Z[q^-1] at indices after m, and A bar(b_m) = b_m
+  must hold, applied piece by piece.  By uniqueness that is the dual
+  canonical element.  A failure raises (TriangularityViolationError, or
+  AssertionError for a coefficient outside the ideal); there is no second
+  route to fall back on.
+
+The fixed-point products run on Kronecker-packed ints (`_pack`): each
+Laurent polynomial is evaluated at q = 2^B and shifted so that no exponent
+is negative.  Evaluation at 2^B is a ring map, so packed sums and products
+are the packed images of the true ones, and balanced base-2^B digits
+recover a polynomial exactly when every coefficient has |c| < 2^(B-1).
+Every entry of A is a polynomial in q and q^-1 (the Theta coefficients, the
+quantum integers and the q^{+-h} flanks are all integer powers of q), and a
+half-integer q-power raises OddExponentError.
+
+The reference is the forward substitution `_solve_triangular`, which
+`verify` and the tests compare with production on every slice they sweep,
+and which still produces the canonical basis of `canonical_basis_pair`.
+Row r of A bar(b_m) = b_m reads
 
     c_r - bar(c_r) = rho_r,   rho_r = sum_{m <= k < r} A[r, k] bar(c_k),
 
@@ -20,28 +49,14 @@ rows r > m in ascending order.  A row with rho_r = 0 has c_r = 0 and is
 skipped; otherwise c_r = solve_bar_equation(rho_r) (the unique ideal element
 with that difference, raising unless rho_r is bar-antisymmetric with integer
 q-powers), and bar(c_r) A[:, r] is added into the running sums of the later
-rows.  The checks are independent of that recursion: A must be unit lower
-triangular before anything is solved, every b_m must satisfy psi_c(b_m) = b_m
-by a fresh product, and every c_r must lie in q^-1 Z[q^-1].  A convention
-error therefore surfaces as a loud failure, never as silent garbage.
-
-The substitution and the fixed-point product run on Kronecker-packed ints
-(`_pack`): each entry of A is evaluated once at q = 2^B and shifted so that
-no exponent is negative, each running sum is a row -> int dict, and only the
-rho_r that the substitution reads are decoded.  Every entry of A is a
-polynomial in q and q^-1 (the Theta coefficients, the quantum integers and
-the q^{+-h} flanks are all integer powers of q), and a half-integer q-power
-raises OddExponentError before anything is packed.  Evaluation at 2^B is a
-ring map, so the packed sums and products are the packed images of the true
-ones, and balanced base-2^B digits recover a polynomial exactly when every
-coefficient has |c| < 2^(B-1).  Every value decoded or compared is a sum of
-products A[r, k] bar(c_k), so its coefficients are at most
-l1(A) (1 + sum_k L1(c_k)), with l1(A) the largest L1 norm of an entry of A.
-B starts a few bits above the bit length of l1(A), and a vector whose bound
-reaches 2^(B-1) is redone with B doubled before anything is decoded past
-it.  The fixed-point product A bar(b_m) is recomputed from the packed
-columns and compared with packed b_m as ints, which under the same bound is
-equality of polynomials.
+rows.  A must be unit lower triangular before anything is solved, every b_m
+must satisfy psi_c(b_m) = b_m by a fresh product, and every c_r must lie in
+q^-1 Z[q^-1].  The substitution runs on the packed entries of A, each
+evaluated once; every value decoded or compared is a sum of products
+A[r, k] bar(c_k), so its coefficients are at most l1(A) (1 + sum_k
+L1(c_k)), with l1(A) the largest L1 norm of an entry of A.  B starts a few
+bits above the bit length of l1(A), and a vector whose bound reaches
+2^(B-1) is redone with B doubled before anything is decoded past it.
 
 On the plain (non-dual) side of a two-factor product the same construction
 with psi(x) = bar(Theta) . bar(x) produces the canonical basis; there A is
@@ -58,14 +73,16 @@ disagreement is a falsification signal and raises.
 
 from __future__ import annotations
 
+import itertools
+from functools import lru_cache
 from typing import Sequence
 
 from . import linalg
-from .qring import (ONE, OddExponentError, QScalar, in_qinv_ideal,
+from .qring import (ONE, OddExponentError, QScalar, addmul, in_qinv_ideal,
                     solve_bar_equation)
-from .rmatrix import BraidOperator, tau_theta_n, theta_matrix
-from .tensor import WeightSpace, coproduct_matrix
-from .weightmod import GEN_E, dual_factors, simple_factors
+from .rmatrix import BraidOperator, tau_theta_n, theta_matrix, theta_n_pieces
+from .tensor import WeightSpace, coproduct_matrix, weight_space
+from .weightmod import GEN_E, contragredient, dual_factors, simple_factors
 
 
 class TriangularityViolationError(AssertionError):
@@ -200,6 +217,31 @@ def _pack_layout(a: linalg.Matrix) -> tuple[int, int]:
     return l1, -(min(exps, default=0) // 2)
 
 
+def _transposed_layout(a: linalg.Matrix, space: WeightSpace
+                       ) -> tuple[list[dict], int, int]:
+    """(cols, l1, off) for a block `a` of a piece of Theta^(n) on `space`:
+    the columns of its transpose, checked unit lower triangular (else
+    TriangularityViolationError), their largest L1 norm (the sum of the
+    entries' L1 norms), and the least offset in q-units for packing every
+    entry."""
+    dim = space.dim
+    cols, norms, low = [{} for _ in range(dim)], [0] * dim, 0
+    for p in range(dim):
+        for r, x in a.col(p).items():
+            if r > p:
+                raise TriangularityViolationError(
+                    f"defect of {space.indices[r]} touches "
+                    f"{space.indices[p]} on {space!r}")
+            cols[r][p] = x
+            norms[r] += _l1_norm(x)
+            low = min(low, *x._terms)
+    for p, col in enumerate(cols):
+        if col.get(p) != ONE:
+            raise TriangularityViolationError(
+                f"diagonal entry of {space.indices[p]} is not 1 on {space!r}")
+    return cols, max(norms, default=1), -(low // 2)
+
+
 def _solve_triangular(op: BraidOperator, upward: bool) -> list[BasisVector]:
     """The fixed points b_m = e_m + sum_r c_r e_r, each by one forward
     substitution that scans the rows after m in ascending order (`upward`,
@@ -277,9 +319,202 @@ def dual_canonical_basis(lams: Sequence[int], level: int) -> list[BasisVector]:
     Returned in ascending lexicographic index order.  Every off-lead
     coefficient lies in q^-1 Z[q^-1] and the support of b_m sits at indices
     >= m (with the factor bounds of the simple modules respected by
-    construction).
+    construction).  Each b_m comes from the closed diagram formula
+    (`_closed_form`) and is certified through the factors of Theta^(n)
+    (`_certify`); nothing is solved.
     """
-    return _solve_triangular(psi_c(lams, level), upward=True)
+    space = weight_space(dual_factors(lams), level)
+    coords = [_closed_form(space, a) for a in space.indices]
+    _certify(space, coords)
+    return [BasisVector(a, space, linalg.Vector._wrap((space.dim, 1), (c,)))
+            for a, c in zip(space.indices, coords)]
+
+
+def _cup_bundles(lam: Sequence[int], a: Sequence[int]) -> list[tuple]:
+    """The cups of the diagram of index a, bundled: (i, j, c) for the c
+    parallel chords from block i to block j (0-based, i < j), in the order
+    the stack pass of `diagrams.diagram_of_index` closes them.  The pass
+    pops a whole run of free units at a time, so its cost does not grow
+    with the weights."""
+    free, out = [], []  # (block, free units) runs; the origin lies below
+    for j, (aj, cap) in enumerate(zip(a, lam)):
+        need = aj
+        while need and free:
+            i, units = free.pop()
+            c = min(need, units)
+            out.append((i, j, c))
+            need -= c
+            if units > c:
+                free.append((i, units - c))
+        if cap > aj:
+            free.append((j, cap - aj))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _gaussian_binomial(c: int, k: int) -> QScalar:
+    """[c choose k] in q^-2: the sum, over the k-subsets S of c places, of
+    q^-2 to the number of pairs r < r' with r in S and r' not in S.
+    Cached: the q-Pascal recursion reads each smaller binomial many times.
+    Its depth is c, never more than that of the `quantum_factorial` the
+    same slice's Theta pieces compute, since a bundle of c cups needs
+    level and weights of at least c."""
+    if k in (0, c):
+        return ONE
+    return (_gaussian_binomial(c - 1, k - 1)
+            + QScalar.q_power(-2 * k) * _gaussian_binomial(c - 1, k))
+
+
+def _closed_form(space: WeightSpace, a: tuple[int, ...]) -> dict:
+    """The coordinates {position: coefficient} of b_a by the closed diagram
+    formula, collapsed per cup bundle.
+
+    Lift a to the unit weights, left-packed (in block i the first a_i units
+    are 1), and sum (-q^-1)^|S| q^-inv over the subsets S of the cups of the
+    unit diagram: S moves the unit of each of its cups from the right end
+    to the left one, and the term lands on the row of its block sums with
+    the q^-inv of `cabling.dual_cabling_matrix` (inv counts the pairs of a
+    0 before a 1 in one block).  The c unit cups of a bundle run nested
+    between two blocks, so moving k of them lands on one row whatever the
+    k, and a moved cup inside an unmoved one adds two inversions: the k
+    outermost give the least inv, and the k-subsets together give
+    [c choose k] in q^-2.  So one term per choice of k for each bundle.
+
+    With the outermost cups moved, a block reads, left to right: per bundle
+    ending there 1^(c-k) 0^k, then the units closed on the origin, then the
+    free units, then per bundle starting there, last opened first, 1^k
+    0^(c-k).  Every run length is affine in one k, so inv is a quadratic
+    form in the k's, with no constant term (at k = 0 every block is 1s then
+    0s); it is set up once per element and evaluated per term.
+    """
+    lam = [f.highest_weight for f in space.factors]
+    bundles = _cup_bundles(lam, a)
+    if not bundles:  # every arc ends on the origin: b_a = e_a
+        return {space.pos[a]: ONE}
+    ones, zeros = list(a), [x - y for x, y in zip(lam, a)]
+    heads = [[] for _ in lam]  # block -> runs (is_one, const, bundle, sign)
+    tails = [[] for _ in lam]  # block -> its bundle-opening runs, right first
+    for u, (i, j, c) in enumerate(bundles):
+        heads[j] += [(True, c, u, -1), (False, 0, u, 1)]
+        ones[j] -= c
+        tails[i] += [(False, c, u, -1), (True, 0, u, 1)]
+        zeros[i] -= c
+    lin, quad = [0] * len(bundles), {}  # inv = lin . k + sum quad k_u k_w
+    for b in range(len(lam)):
+        if not (heads[b] or tails[b]):
+            continue
+        before_c, before = 0, {}  # the 0s so far: before_c + before . k
+        for is_one, const, u, sign in (
+                heads[b] + [(True, ones[b], 0, 0), (False, zeros[b], 0, 0)]
+                + tails[b][::-1]):
+            if not is_one:
+                before_c += const
+                if sign:
+                    before[u] = before.get(u, 0) + sign
+                continue
+            for w, z in before.items():
+                lin[w] += z * const
+                if sign:
+                    key = (w, u) if w < u else (u, w)
+                    quad[key] = quad.get(key, 0) + z * sign
+            lin[u] += before_c * sign
+    quad = [(u, w, z) for (u, w), z in quad.items() if z]
+    pos, acc = space.pos, {}
+    for ks in itertools.product(*[range(c + 1) for _, _, c in bundles]):
+        row, moved, inv, weight = list(a), 0, 0, ONE
+        for (i, j, c), k, x in zip(bundles, ks, lin):
+            if k:
+                row[i] += k
+                row[j] -= k
+                moved += k
+                inv += x * k
+                if k < c:
+                    weight = weight * _gaussian_binomial(c, k)
+        for u, w, z in quad:
+            inv += z * ks[u] * ks[w]
+        term = QScalar._raw({-2 * (inv + moved): -1 if moved & 1 else 1})
+        addmul(acc.setdefault(pos[tuple(row)], {}), term, weight)
+    return {p: QScalar._raw(t) for p, t in acc.items() if t}
+
+
+def _certify(space: WeightSpace, coords: list[dict]) -> None:
+    """Prove that coords[m] is the dual canonical element b_m of `space`,
+    or raise.
+
+    Each piece P_i of Theta^(n) on the simple factors (`theta_n_pieces`)
+    must have a unit lower triangular transpose, so A = tau(Theta^(n)) =
+    P_0^T ... P_{n-2}^T is unit lower triangular; each b_m must have lead
+    coefficient 1 and every other coefficient in q^-1 Z[q^-1] at an index
+    after m; and A bar(b_m) = b_m, applied piece by piece.  The fixed point
+    with those properties is unique, so together they prove b_m.  A piece
+    is block diagonal, so it is checked, laid out and packed block by block,
+    once per distinct block.
+
+    The fixed-point products run on Kronecker-packed ints (`_pack`), each
+    piece packed at its own offset, so that the offsets add piece by piece.
+    Every coefficient of A bar(b_m) is at most L1(b_m) times the product of
+    the pieces' largest column L1 norms (the norm is submultiplicative), and
+    so is every coefficient of b_m; B is taken above that bound, so the
+    final packed ints are equal exactly when the polynomials are.  Only the
+    final ints are compared, so intermediate sizes do not matter.
+    """
+    bound = 1
+    for m, coeffs in enumerate(coords):
+        if coeffs.get(m) != ONE:
+            raise TriangularityViolationError(
+                f"lead coefficient of {space.indices[m]} is not 1 on "
+                f"{space!r}")
+        for r, c in coeffs.items():
+            if r < m:
+                raise TriangularityViolationError(
+                    f"support of {space.indices[m]} reaches "
+                    f"{space.indices[r]} on {space!r}")
+            if r != m and not in_qinv_ideal(c):
+                raise AssertionError(f"coefficient {c} of {space.indices[r]} "
+                                     f"outside q^-1 Z[q^-1] on {space!r}")
+        bound = max(bound, sum(map(_l1_norm, coeffs.values())))
+    pieces, layouts = [], {}  # layouts: block matrix -> (cols, l1, off)
+    for blocks in theta_n_pieces(tuple(map(contragredient, space.factors)),
+                                 space.level):
+        for _, op in blocks:
+            if op.matrix not in layouts:  # matrices hash by identity
+                layouts[op.matrix] = _transposed_layout(op.matrix, op.source)
+        bound *= max((layouts[op.matrix][1] for _, op in blocks), default=1)
+        pieces.append((blocks, max((layouts[op.matrix][2] for _, op in blocks),
+                                   default=0)))
+    bits = bound.bit_length() + 1
+    packed = []  # per piece: position -> (base, packed column)
+    for blocks, off in pieces:
+        cols, done = [], {}
+        for base, op in blocks:
+            if op.matrix not in done:
+                try:
+                    done[op.matrix] = [{i: _pack(x, bits, off)
+                                        for i, x in col.items()}
+                                       for col in layouts[op.matrix][0]]
+                except ValueError:  # no exponent is below -off: a half power
+                    raise OddExponentError(
+                        f"half-integer q-powers in a piece on {op.source!r}")
+            cols.extend((base, col) for col in done[op.matrix])
+        packed.append(cols)
+    total = sum(off for _, off in pieces)
+    for m, coeffs in enumerate(coords):
+        x = {r: _pack(c.bar(), bits, 0) for r, c in coeffs.items()}
+        for cols in reversed(packed):  # P_{n-2}^T first
+            y = {}
+            for r, xr in x.items():
+                base, col = cols[r]
+                for p, v in col.items():
+                    p += base
+                    y[p] = y.get(p, 0) + v * xr
+            x = y
+        try:
+            want = {r: _pack(c, bits, total) for r, c in coeffs.items()}
+        except ValueError:  # a term of b_m below every term of A bar(b_m)
+            want = None
+        if {p: v for p, v in x.items() if v} != want:
+            raise TriangularityViolationError(
+                f"fixed-point defect at {space.indices[m]} on {space!r}")
 
 
 def canonical_basis_pair(lams: Sequence[int], level: int) -> list[BasisVector]:

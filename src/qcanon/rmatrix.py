@@ -14,6 +14,12 @@ Rcheck = P . C . Theta on factors (i, i+1) is one cached pair operator, lifted;
 along a reduced word of the order-reversing permutation these compose into
 the longest braiding Rcheck^(n), which is word-independent.
 
+Unrolled, the recursion is a product of pieces, Theta^(n) = P_{n-2} ...
+P_1 P_0, with P_i the lift of (1 x Delta^{n-i-2})(Theta) on factors[i:]
+(`theta_n_pieces`).  The dual canonical basis reads Theta^(n) only through
+these pieces and never multiplies them out; the product serves
+`tau_theta_n` and `theta_n_matrix`.
+
 `weightmod.contragredient` makes each generator g act on V^c by the
 transpose of tau(g) on V, tau the antiautomorphism applied factorwise.  So
 on any product, of either module kind, tau(Theta^(n)) is the transpose of
@@ -30,11 +36,12 @@ diagonal of monomials v^e, so its inverse is its bar.
 
 `_lift` builds each block operator once per block level, per call.  A result
 is cached only if rebuilding it costs measurable ring work or other cache
-keys rest on its identity.  Nine caches meet that rule: here
+keys rest on its identity.  Ten caches meet that rule: here
 `_theta_piece_first`, `_theta_n`, `_r_n`, `_pair_rcheck` and
 `_rcheck_longest`; `tensor.weight_space` and the two `weightmod`
 constructors, whose canonical instances key all the others (modules and
-slices hash by identity); and `qring.quantum_factorial`.  All nine stay;
+slices hash by identity); `qring.quantum_factorial`; and
+`canonical._gaussian_binomial`.  All ten stay;
 `_r_n` and `_rcheck_longest` serve only the references, and `verify`
 empties them after each check (`_REFERENCE_CACHES`).
 
@@ -298,6 +305,28 @@ def cartan_factor(factors, level) -> BraidOperator:
 
 def theta_n_matrix(factors, level) -> BraidOperator:
     return _operator(_suffixes_first, factors, level, _theta_n)
+
+
+def theta_n_pieces(factors, level) -> list[list[tuple[int, BraidOperator]]]:
+    """The factors P_0, ..., P_{n-2} of Theta^(n) = P_{n-2} ... P_1 P_0,
+    unrolled from its recursion: P_i is (1 x Delta^{n-i-2})(Theta) on
+    factors[i:], lifted.  The slice lists its indices in lex order, so the
+    indices that share a head m[:i] are consecutive and run through the
+    slice of factors[i:] at the level the head leaves, in its order: P_i is
+    block diagonal.  Each P_i is given as its blocks (base, piece): the
+    piece acts on the positions base, base + 1, ... of the head's run."""
+    factors = tuple(factors)
+    space = weight_space(factors, level)
+    pieces = []
+    for i in range(len(factors) - 1):
+        rest, blocks, base = factors[i:], [], 0
+        while base < space.dim:
+            sub = weight_space(rest, level - sum(space.indices[base][:i]))
+            blocks.append((base, BraidOperator(sub, sub, _theta_piece_first(
+                rest, sub.level))))
+            base += sub.dim
+        pieces.append(blocks)
+    return pieces
 
 
 def r_n_matrix(factors, level) -> BraidOperator:

@@ -5,13 +5,14 @@ bounded by the sum of the highest weights; it raises on the first failure and
 otherwise returns a one-line detail.  `run_suite` runs the checks a suite
 names, times each call and records its outcome as a `CheckResult`.  The run
 owns two kinds of state: the memo through which the checks read dual
-canonical bases, so a run solves each slice once, and the caches of the
+canonical bases, so a run computes each slice once, and the caches of the
 braid references `_r_n` and `_rcheck_longest`, which it empties after every
 check.  The checks are deliberately redundant with independent machinery on
 each side: dimension counts come from convolving weight multisets, singular
 counts from the integer rank of E at q = 1, braid products are compared
 against coproduct recursions, diagram listings against an exhaustive chord
-search, and the diagram model against the fixed-point solver.
+search, and the closed-form dual canonical basis against the fixed-point
+solver.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ import time
 from typing import Callable, Sequence
 
 from . import linalg
-from .canonical import (BasisVector, apply_antilinear, canonical_basis_pair,
-                        dual_canonical_basis, is_involution, psi_c,
-                        psi_tensor2, singular_subset)
+from .canonical import (BasisVector, _solve_triangular, apply_antilinear,
+                        canonical_basis_pair, dual_canonical_basis,
+                        is_involution, psi_c, psi_tensor2, singular_subset)
 from .cabling import cabling_report
 from .common import MAX_WEIGHT_SUM, SUITE_ALIASES, enumerate_P
 from .diagrams import (ArcDiagram, _crossing, diagram_of_index, enumerate_B,
@@ -124,8 +125,8 @@ def search_diagrams(lam: Sequence[int], l: int) -> list[ArcDiagram]:
     return sorted(out, key=lambda d: d.chords)
 
 
-#: The dual canonical bases solved during the current `run_suite` call, keyed
-#: by (lams, level), so that each slice is solved once per run.  A slice goes
+#: The dual canonical bases computed during the current `run_suite` call, keyed
+#: by (lams, level), so that each slice is computed once per run.  A slice goes
 #: once no check still to run has a bound as high as its weight sum, and all
 #: go when the run ends: None outside a run.
 _run_bases: dict[tuple[tuple[int, ...], int],
@@ -230,14 +231,19 @@ def check_involutions(max_sum: int) -> str:
 
 def check_solver_contract(max_sum: int) -> str:
     """Existence, lex-unipotence, coefficient-ring membership and uniqueness
-    of the dual canonical basis; the two-factor support shape on the plain
-    side."""
+    of the dual canonical basis; the production basis (the closed form)
+    equals the forward substitution on psi_c, element by element; the
+    two-factor support shape on the plain side."""
     q = QScalar.q_power
     vectors = 0
     for lams, l in weight_slices(max_sum):
         basis = _dual_basis(lams, l)
         _require([b.index for b in basis] == enumerate_P(lams, l))
-        for b in basis:
+        reference = _solve_triangular(psi_c(lams, l), upward=True)
+        for b, ref in zip(basis, reference):
+            _require(linalg.mat_eq(b.coords, ref.coords),
+                     "closed form != solver at {} on {} level {}",
+                     b.index, lams, l)
             _require(b.coeff(b.index) == ONE)
             for k in b.support():
                 _require(k >= b.index,

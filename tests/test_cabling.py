@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import pytest
@@ -6,7 +7,8 @@ from qcanon import linalg
 from qcanon.cabling import (CablingOutcome, ZeroBlockError, block_map,
                             dual_cabling_matrix, is_monomial_unit,
                             cabling_report)
-from qcanon.canonical import dual_canonical_basis
+from qcanon.canonical import (_closed_form, _cup_bundles, _solve_triangular,
+                              dual_canonical_basis, psi_c)
 from qcanon.diagrams import diagram_of_index
 from qcanon.qring import ONE, QScalar, exact_div, quantum_factorial
 from qcanon.rmatrix import BraidOperator
@@ -147,47 +149,101 @@ def test_entry_is_q_to_minus_inv_of_the_f_chain():
 
 
 def closed_form(lam, a):
-    """b_a by the closed diagram formula: lift a to the left-packed unit
-    tuple (in block i, the first a_i units are 1), take the cups (i, j),
-    i >= 1, of its unit diagram, and sum (-q^-1)^|S| e_{a_S} over the
-    subsets S of cups, a_S moving the unit of each cup in S from z_j to z_i.
-    Each unit term collapses on its own onto the row of its block sums, with
-    the factor q^-inv of `dual_cabling_matrix`; empty blocks are allowed."""
+    """b_a by the closed diagram formula, one subset at a time: lift a to
+    the left-packed unit tuple (in block i, the first a_i units are 1),
+    take the cups (i, j), i >= 1, of its unit diagram, and sum
+    (-q^-1)^|S| e_{a_S} over the subsets S of cups, a_S moving the unit of
+    each cup in S from z_j to z_i.  Each unit term collapses on its own
+    onto the row of its block sums, with the factor q^-inv of
+    `dual_cabling_matrix`; empty blocks are allowed.
+
+    The subsets are listed by include/exclude, and the unit tuple is never
+    copied: in a block whose 1s sit at offsets p_1 < ... < p_r, the 1 at
+    p_s has p_s - (s - 1) 0s before it, so inv = sum(p) - C(r, 2), and a
+    move changes one offset sum and one count in each of its two blocks."""
     blocks = [b for b, size in enumerate(lam) for _ in range(size)]
+    offsets = [p for size in lam for p in range(size)]
     unit = [x for ai, size in zip(a, lam)
             for x in [1] * ai + [0] * (size - ai)]
     cups = [c for c in diagram_of_index((1,) * len(unit), unit).chords
             if c[0] >= 1]
+    moves = [(blocks[i - 1], offsets[i - 1], blocks[j - 1], offsets[j - 1])
+             for i, j in cups]
+    row = list(a)  # the block sums; inv starts at 0 on the packed lift
+    count = {}  # (row, inv + |S|) -> signed number of subsets
+
+    def visit(u, sign, e):  # the subsets of the cups from u on; e = inv + |S|
+        if u == len(moves):
+            key = (tuple(row), e)
+            count[key] = count.get(key, 0) + sign
+            return
+        visit(u + 1, sign, e)
+        bi, pi, bj, pj = moves[u]
+        e += (pi - row[bi]) + (row[bj] - 1 - pj) + 1
+        row[bi] += 1
+        row[bj] -= 1
+        visit(u + 1, -sign, e)
+        row[bi] -= 1
+        row[bj] += 1
+
+    visit(0, 1, 0)
     out = {}
-    for k in range(len(cups) + 1):
-        for subset in itertools.combinations(cups, k):
-            t = list(unit)
-            for i, j in subset:
-                t[i - 1], t[j - 1] = 1, 0
-            row, tops, inv = [0] * len(lam), [0] * len(lam), 0
-            for b, x in zip(blocks, t):
-                row[b] += x
-                inv += x * tops[b]
-                tops[b] += 1 - x
-            row = tuple(row)
-            out[row] = out.get(row, QScalar()) + QScalar(
-                {-2 * (inv + k): (-1) ** k})
+    for (r, e), c in count.items():
+        out[r] = out.get(r, QScalar()) + QScalar({-2 * e: c})
     return {r: c for r, c in out.items() if c}
 
 
+def _reference_basis(lam, l):
+    """The forward substitution on psi_c: the reference the production
+    closed form is checked against."""
+    return _solve_triangular(psi_c(lam, l), upward=True)
+
+
 def test_closed_form_is_the_dual_canonical_basis():
-    # the third model, against the solver, on every slice of the sweep and
-    # on two-factor slices with a zero weight
+    # production (the bundled closed form, certified) against the solver,
+    # on every slice of the sweep and on two-factor slices with a zero weight
     slices = list(weight_slices(6)) + [
         (lam, l) for x in range(5) for lam in {(0, x), (x, 0)}
         for l in range(x + 1)]
     elements = 0
     for lam, l in slices:
-        for b in dual_canonical_basis(lam, l):
-            want = {b.space.indices[i]: x for i, x in b.coords.items()}
-            assert closed_form(lam, b.index) == want, (lam, l, b.index)
+        got = dual_canonical_basis(lam, l)
+        want = _reference_basis(lam, l)
+        assert [b.index for b in got] == [b.index for b in want]
+        for b, ref in zip(got, want):
+            assert linalg.mat_eq(b.coords, ref.coords), (lam, l, b.index)
             elements += 1
     assert elements == 1351 + 29  # 29 zero-weight slices, each of dim 1
+
+
+def test_bundled_collapse_matches_the_subset_sum():
+    # the subset-listing oracle against the production collapse per cup
+    # bundle, on every element of the bound-7 sweep and on two slices whose
+    # bundles carry several cups; each bundle's multiplicity is the number
+    # of unit cups that run between its two blocks
+    slices = list(weight_slices(7)) + [((20, 20), 20), ((5, 3, 4), 6)]
+    elements = multiple = 0
+    for lam, l in slices:
+        space = weight_space(dual_factors(lam), l)
+        blocks = [b for b, size in enumerate(lam) for _ in range(size)]
+        for a in space.indices:
+            got = _closed_form(space, a)
+            assert {space.indices[p]: x for p, x in got.items()} \
+                == closed_form(lam, a), (lam, l, a)
+            bundles = _cup_bundles(lam, a)
+            chords = diagram_of_index(lam, a).chords
+            assert sorted((i, j) for i, j, _ in bundles) == sorted(
+                {(i - 1, j - 1) for i, j in chords if i >= 1})
+            unit = [x for ai, size in zip(a, lam)
+                    for x in [1] * ai + [0] * (size - ai)]
+            cups = collections.Counter(
+                (blocks[i - 1], blocks[j - 1]) for i, j in diagram_of_index(
+                    (1,) * len(unit), unit).chords if i >= 1)
+            assert cups == {(i, j): c for i, j, c in bundles}
+            multiple += any(c > 1 for _, _, c in bundles)
+            elements += 1
+    assert elements == 4615 + 21 + 18
+    assert multiple == 321
 
 
 def test_outcome_defaults():

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import given
@@ -95,6 +96,10 @@ class TestDualCanonicalBasis:
             assert len(basis) == 1
             assert basis[0].coeff(tuple(0 for _ in lams)) == ONE
             assert len(basis[0].support()) == 1
+
+    def test_levels_outside_the_slice_are_empty(self):
+        for lams, level in [((1, 1), 5), ((2,), 3), ((), 1), ((0, 0), 1)]:
+            assert dual_canonical_basis(lams, level) == []
 
     def test_single_factor_monomials(self):
         for lam in range(4):
@@ -210,7 +215,7 @@ class TestPackedSolver:
         monkeypatch.setattr(canonical, "solve_bar_equation", perturbed)
         with pytest.raises(TriangularityViolationError,
                            match="fixed-point defect"):
-            dual_canonical_basis(lams, 1)
+            _solve_triangular(psi_c(lams, 1), upward=True)
 
     def test_every_vector_is_a_fixed_point_on_the_scalar_route(self):
         # psi . bar on QScalar entries, independent of the packed kernel
@@ -225,6 +230,100 @@ class TestPackedSolver:
                     assert linalg.mat_eq(apply_antilinear(anti, b.coords),
                                          b.coords), \
                         (lams, l, b.index)
+
+
+def _cli_basis(capsys, lams, level):
+    """Run `qcanon basis` in process: (exit code, parsed stdout, stderr)."""
+    from qcanon.cli import main
+    code = main(["basis", "--lambda", ",".join(map(str, lams)),
+                 "--level", str(level)])
+    out, err = capsys.readouterr()
+    return code, json.loads(out), err
+
+
+class TestCertificate:
+    """Each defect the certificate of the closed form is there to catch
+    raises, and `qcanon basis` reports it as a failed check: exit 1, one
+    JSON record, nothing on stderr."""
+
+    LAMS, LEVEL = (2, 1, 1), 2  # dim 4
+
+    def _edit_closed_form(self, monkeypatch, edit):
+        """Production with the coordinates of the first element, (0, 1, 1),
+        replaced by edit(coords)."""
+        real = canonical._closed_form
+
+        def edited(space, a):
+            coords = real(space, a)
+            return edit(dict(coords)) if a == space.indices[0] else coords
+
+        monkeypatch.setattr(canonical, "_closed_form", edited)
+
+    def _refused(self, capsys, error, match):
+        with pytest.raises(error, match=match):
+            dual_canonical_basis(self.LAMS, self.LEVEL)
+        code, record, err = _cli_basis(capsys, self.LAMS, self.LEVEL)
+        assert code == 1 and err == ""
+        assert record["failure"] and record["error_type"] == error.__name__
+
+    def test_intact_route_passes(self, capsys):
+        code, doc, err = _cli_basis(capsys, self.LAMS, self.LEVEL)
+        assert code == 0 and err == "" and len(doc["basis"]) == 4
+
+    def test_ideal_multiple_of_a_later_element(self, monkeypatch, capsys):
+        # still lead 1 and every other coefficient in q^-1 Z[q^-1]: only
+        # the fixed-point product can tell
+        later = canonical._closed_form(
+            weight_space(dual_factors(self.LAMS), self.LEVEL), (1, 0, 1))
+
+        def edit(coords):
+            for r, c in later.items():
+                coords[r] = coords.get(r, ZERO) + q(-1) * c
+            return coords
+
+        self._edit_closed_form(monkeypatch, edit)
+        self._refused(capsys, TriangularityViolationError,
+                      "fixed-point defect at \\(0, 1, 1\\)")
+
+    @pytest.mark.parametrize("term, error, match", [
+        (q(1), AssertionError, "outside q\\^-1 Z\\[q\\^-1\\]"),
+        # in the ideal, but below anything A bar(b_m) reaches: b_m no
+        # longer packs at the product's offset
+        (7 * q(-100), TriangularityViolationError, "fixed-point defect"),
+        # d and bar(d) = 8 q^3 - 65 q^2 + 8 q both vanish at q = 8: at 3
+        # bits the packed products could not see d, so the width must come
+        # from the coefficient bound
+        (8 * q(-3) - 65 * q(-2) + 8 * q(-1), TriangularityViolationError,
+         "fixed-point defect")],
+        ids=["outside_the_ideal", "below_every_exponent",
+             "zero_at_a_narrow_width"])
+    def test_term_added_to_the_last_coefficient(self, monkeypatch, capsys,
+                                                term, error, match):
+        def edit(coords):
+            r = max(coords)
+            coords[r] = coords[r] + term
+            return coords
+
+        self._edit_closed_form(monkeypatch, edit)
+        self._refused(capsys, error, match)
+
+    def test_piece_entry_on_the_wrong_side(self, monkeypatch, capsys):
+        # P_0 with an entry below its diagonal: its transpose is no longer
+        # lower triangular
+        real = canonical.theta_n_pieces
+
+        def defective(factors, level):
+            pieces = real(factors, level)
+            (base, op), *rest = pieces[0]
+            cols = [dict(op.matrix.col(p).items())
+                    for p in range(op.source.dim)]
+            cols[0][1] = ONE
+            bad = BraidOperator(op.source, op.target, linalg.Matrix(
+                op.matrix.shape, cols))
+            return [[(base, bad), *rest], *pieces[1:]]
+
+        monkeypatch.setattr(canonical, "theta_n_pieces", defective)
+        self._refused(capsys, TriangularityViolationError, "defect of")
 
 
 def q_polys(exps, coeffs, max_size):

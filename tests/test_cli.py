@@ -226,6 +226,39 @@ class TestVerifyCommand:
         assert record["check"] == "catalan"
         assert record["error_type"] == "AssertionError"
 
+    def test_basis_suite_compares_production_with_the_solver(self, capsys,
+                                                             monkeypatch):
+        # a production basis that still looks like one (lead 1, later
+        # corrections in q^-1 Z[q^-1]) but is not the solver's: only the
+        # comparison with the reference can tell
+        import qcanon.verify as v
+        from qcanon import linalg
+        from qcanon.canonical import BasisVector
+        from qcanon.qring import QScalar
+        real = v.dual_canonical_basis
+
+        def perturbed(lams, level):
+            basis = real(lams, level)
+            if tuple(lams) != (1, 1, 1) or level != 1:
+                return basis
+            first, later = basis[0], basis[1]
+            coords = linalg.mat_add(first.coords, later.coords,
+                                    QScalar.q_power(-1))
+            return [BasisVector(first.index, first.space, coords), *basis[1:]]
+
+        monkeypatch.setattr(v, "dual_canonical_basis", perturbed)
+        code, out, _ = run(capsys, "verify", "--suite", "basis",
+                           "--max-weight-sum", "3")
+        assert code == 1
+        lines = out.splitlines()
+        assert [line.split()[:2] for line in lines[:4]] == [
+            ["PASS", "golden_dual_basis"], ["PASS", "involutions"],
+            ["FAIL", "solver_contract"], ["PASS", "duality"]]
+        assert "closed form != solver at (0, 0, 1) on (1, 1, 1) level 1" \
+            in lines[2]
+        record = json.loads(lines[-1])
+        assert record["check"] == "solver_contract"
+
     @pytest.mark.parametrize("requested", [6, 5, 3])
     def test_clamped_bound_reported_on_stderr(self, capsys, monkeypatch,
                                              requested):

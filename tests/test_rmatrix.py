@@ -19,7 +19,7 @@ from qcanon.rmatrix import (NotReducedError, _lift, _rcheck_longest,
                             cartan_factor, default_longest_word,
                             r_n_matrix, rcheck_longest, rcheck_matrix,
                             sigma0_matrix, tau_theta_braid, tau_theta_n,
-                            theta_matrix, theta_n_matrix)
+                            theta_matrix, theta_n_matrix, theta_n_pieces)
 from qcanon.canonical import dual_canonical_basis, psi_c
 from qcanon.tensor import coproduct_matrix, weight_space
 from qcanon.weightmod import GEN_E, GEN_F, contragredient, make_simple
@@ -183,6 +183,35 @@ class TestThetaN:
         a = theta_n_matrix(factors(*lams), l).matrix
         b = _theta_n_right(factors(*lams), l)
         assert linalg.mat_eq(a, b)
+
+    def test_pieces_multiply_to_theta_n(self):
+        # each piece is block diagonal, its blocks unit upper triangular,
+        # and P_{n-2} ... P_1 P_0 is Theta^(n), on both module kinds
+        from qcanon.verify import weight_slices
+        pieces = 0
+        for lams, l in weight_slices(4):
+            for fs in (factors(*lams), dual_factors(*lams)):
+                space = weight_space(fs, l)
+                product = linalg.identity(space.dim)
+                for blocks in theta_n_pieces(fs, l):
+                    cols = []
+                    for base, op in blocks:
+                        tail = len(op.source.factors)
+                        assert [space.indices[base + p][-tail:]
+                                for p in range(op.source.dim)] \
+                            == list(op.source.indices)
+                        for p in range(op.source.dim):
+                            col = op.matrix.col(p)
+                            assert col[p] == ONE
+                            assert all(r <= p for r, _ in col.items())
+                            cols.append({base + r: x for r, x in col.items()})
+                    assert len(cols) == space.dim
+                    product = linalg.matmul(linalg.Matrix(
+                        (space.dim, space.dim), cols), product)
+                    pieces += 1
+                assert linalg.mat_eq(product, theta_n_matrix(fs, l).matrix), \
+                    (lams, l)
+        assert pieces == 158
 
 
 class TestRcheck:
@@ -361,13 +390,17 @@ class TestTauThetaOnDuals:
             assert linalg.mat_eq(tau_theta_n(fs, l).matrix,
                                  tau_theta_braid(fs, l).matrix)
 
-    def test_basis_runs_the_transpose_route_only(self):
-        # in a fresh process: psi_c builds tau(Theta^(n)) from the cached
-        # Theta^(n) downstairs, without Rcheck
+    def test_basis_forms_no_theta_n_and_psi_c_runs_the_transpose_route(self):
+        # in a fresh process: the dual canonical basis reads the pieces of
+        # Theta^(n) and never their product; psi_c then builds
+        # tau(Theta^(n)) from the cached Theta^(n) downstairs, without Rcheck
         code = ("from qcanon import rmatrix\n"
-                "from qcanon.canonical import dual_canonical_basis\n"
+                "from qcanon.canonical import dual_canonical_basis, psi_c\n"
                 "from qcanon.weightmod import simple_factors\n"
                 "dual_canonical_basis((1, 1, 1, 1), 2)\n"
+                "print(rmatrix._theta_n.cache_info().currsize,\n"
+                "      rmatrix._theta_piece_first.cache_info().currsize > 0)\n"
+                "psi_c((1, 1, 1, 1), 2)\n"
                 "seen = rmatrix._theta_n.cache_info()\n"
                 "rmatrix._theta_n(simple_factors((1, 1, 1, 1)), 2)\n"
                 "now = rmatrix._theta_n.cache_info()\n"
@@ -379,7 +412,7 @@ class TestTauThetaOnDuals:
                               env={**os.environ, "PYTHONPATH": src},
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["1", "0", "0", "0"]
+        assert done.stdout.split() == ["0", "True", "1", "0", "0", "0"]
 
     @pytest.mark.parametrize("lams", [(1, 1), (2, 1), (1, 2), (2, 2), (0, 2),
                                       (3, 3), (4, 2), (5, 5)])
@@ -485,7 +518,9 @@ def test_cache_inventory():
         "rmatrix._theta_n", "rmatrix._r_n",
         "rmatrix._pair_rcheck", "rmatrix._rcheck_longest",
         "weightmod.make_simple", "weightmod.contragredient", "qring.quantum_factorial",
-        "tensor.weight_space"}
+        "tensor.weight_space",
+        # the q-Pascal recursion of the closed form's bundle weights
+        "canonical._gaussian_binomial"}
 
 
 @pytest.mark.parametrize("wrapper", [
