@@ -34,10 +34,11 @@ recursion `_r_n` and the braid-product identity
 evaluated with the given factor matrices (`tau_theta_braid`); C^(n) is a
 diagonal of monomials v^e, so its inverse is its bar.
 
-`_lift` builds each block operator once per block level, per call.  A result
-is cached only if rebuilding it costs measurable ring work or other cache
-keys rest on its identity.  Ten caches meet that rule: here
-`_theta_piece_first`, `_theta_n`, `_r_n`, `_pair_rcheck` and
+`_lift` builds the block operators only: the lifted tails of `_theta_n`
+and `_r_n` and the lifted pair operators of `_rcheck`, each block level
+once per call.  A result is cached only if rebuilding it costs measurable
+ring work or other cache keys rest on its identity.  Ten caches meet that
+rule: here `_theta_piece_first`, `_theta_n`, `_r_n`, `_pair_rcheck` and
 `_rcheck_longest`; `tensor.weight_space` and the two `weightmod`
 constructors, whose canonical instances key all the others (modules and
 slices hash by identity); `qring.quantum_factorial`; and
@@ -48,7 +49,9 @@ empties them after each check (`_REFERENCE_CACHES`).
 E on factor 0 and Delta^{n-2}(F) on the rest act on different legs, so
 E^k x Delta^{n-2}(F)^k = T^k for the one square matrix T = E x
 Delta^{n-2}(F) on the slice, and each piece (1 x Delta^{n-2})(Theta) is a
-power series in T.  Only its terms k >= 2 divide, since [0]! = [1]! = 1.
+power series in T.  `_t_matrix` writes T in one pass over the slice from
+the ladder formulas, with no lifted generator matrix and no product.  Only
+the series' terms k >= 2 divide, since [0]! = [1]! = 1.
 Every division by [k]! is exact on monomial bases (the entries carry the
 matching quantum-binomial numerators); `exact_div` raising would indicate
 a genuine bug, not a rounding concern.
@@ -61,7 +64,7 @@ from functools import lru_cache
 from . import linalg
 from .common import NotReducedError
 from .qring import ONE, Q_MINUS_QINV, QScalar, quantum_factorial
-from .tensor import WeightSpace, coproduct_matrix, weight_space
+from .tensor import WeightSpace, weight_space
 from .weightmod import GEN_E, GEN_F, contragredient
 
 
@@ -116,20 +119,37 @@ def _cartan_diagonal(factors, level, exponent):
 # Theta, C and their n-fold recursions
 # ---------------------------------------------------------------------------
 
+def _t_matrix(factors, level):
+    """T = E x Delta^{n-2}(F) on a slice, in one pass over its columns.
+
+    E lowers slot 0 and Delta^{n-2}(F) raises one later slot j, under the
+    q^-h flank v^(-2 w_i) of each slot 1 <= i < j; E touches none of those,
+    so column m holds one entry per such j."""
+    space = weight_space(factors, level)
+    head, rest = factors[0], factors[1:]
+    cols = []
+    for m in space.indices:
+        col = {}
+        for top, e in head.ladder(GEN_E, m[0]).items():
+            flank = 0
+            for j, f in enumerate(rest, 1):
+                for raised, c in f.ladder(GEN_F, m[j]).items():
+                    row = (top,) + m[1:j] + (raised,) + m[j + 1:]
+                    col[space.pos[row]] = e * c * QScalar.v_power(flank)
+                flank -= 2 * f.weight(m[j])
+        cols.append(col)
+    return linalg.Matrix((space.dim, space.dim), cols)
+
+
 @lru_cache(maxsize=None)
 def _theta_piece_first(factors, level):
     """(1 x Delta^{n-2})(Theta) = sum_k q^{k(k-1)/2} (q - q^-1)^k T^k / [k]!,
-    T = E x Delta^{n-2}(F): E on factor 0, the coproducted F on the rest."""
+    T = E x Delta^{n-2}(F) (`_t_matrix`)."""
     out = linalg.identity(weight_space(factors, level).dim)  # k = 0
     kmax = min(level, factors[0].size - 1)
     if kmax == 0:
         return out
-    head, rest = factors[:1], factors[1:]
-    e = _lift(factors, level, 0, 1,
-              lambda b: coproduct_matrix(head, b, GEN_E), -1)
-    f = _lift(factors, level - 1, 1, len(factors),
-              lambda b: coproduct_matrix(rest, b, GEN_F), 1)
-    t = linalg.matmul(f, e)
+    t = _t_matrix(factors, level)
     power = piece = t  # the k = 1 term: [1]! = 1
     for k in range(1, kmax + 1):
         if k >= 2:

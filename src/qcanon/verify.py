@@ -3,7 +3,8 @@
 Each check `check_<name>(max_sum)` sweeps a family of desk-scale cases,
 bounded by the sum of the highest weights; it raises on the first failure and
 otherwise returns a one-line detail.  `run_suite` runs the checks a suite
-names, times each call and records its outcome as a `CheckResult`.  The run
+names, times each call and records its outcome as a `CheckResult`; a
+failure on a weight slice carries that slice as `lambda` and `level`.  The run
 owns two kinds of state: the memo through which the checks read dual
 canonical bases, so a run computes each slice once, and the caches of the
 braid references `_r_n` and `_rcheck_longest`, which it empties after every
@@ -142,11 +143,15 @@ def _dual_basis(lams: Sequence[int], level: int) -> tuple[BasisVector, ...]:
     return memo[key]
 
 
-def _require(cond: bool, template: str = "", *args) -> None:
+def _require(cond: bool, template: str = "", *args, at=None) -> None:
     """A check that `python -O` keeps: raise AssertionError with the message
-    `template.format(*args)`, built only on failure."""
+    `template.format(*args)`, built only on failure.  `at` is the slice
+    (lams, level) the check failed on; it rides on the exception as
+    `weight_slice`, for the failure record."""
     if not cond:
-        raise AssertionError(template.format(*args))
+        exc = AssertionError(template.format(*args))
+        exc.weight_slice = at
+        raise exc
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +163,10 @@ def check_golden_dual_basis(max_sum: int) -> str:
     q = QScalar.q_power
     basis = {b.index: b for b in _dual_basis((1, 1), 1)}
     b10, b01 = basis[(1, 0)], basis[(0, 1)]
-    _require(b10.coeff((1, 0)) == ONE and not b10.coeff((0, 1)))
-    _require(b01.coeff((0, 1)) == ONE and b01.coeff((1, 0)) == -q(-1))
+    _require(b10.coeff((1, 0)) == ONE and not b10.coeff((0, 1)),
+             at=((1, 1), 1))
+    _require(b01.coeff((0, 1)) == ONE and b01.coeff((1, 0)) == -q(-1),
+             at=((1, 1), 1))
     return "dual basis of (V1 x V1)[0] matches the frozen coefficients"
 
 
@@ -171,7 +178,8 @@ def check_yang_baxter(max_sum: int) -> str:
         for l in range(sum(lams) + 1):
             a = rcheck_longest(fs, l, word=(0, 1, 0)).matrix
             b = rcheck_longest(fs, l, word=(1, 0, 1)).matrix
-            _require(linalg.mat_eq(a, b), "YBE fails on {} level {}", lams, l)
+            _require(linalg.mat_eq(a, b), "YBE fails on {} level {}", lams, l,
+                     at=(lams, l))
             cases += 1
     return f"braid relation exact on {cases} weight slices"
 
@@ -187,20 +195,23 @@ def check_braid_factorizations(max_sum: int) -> str:
             _require(linalg.mat_eq(
                 rcheck_longest(fs, l, word=(0, 1, 0)).matrix,
                 rcheck_longest(fs, l, word=(1, 0, 1)).matrix),
-                     "reduced words disagree on {} level {}", lams, l)
+                     "reduced words disagree on {} level {}", lams, l,
+                     at=(lams, l))
             cases += 1
         rn = r_n_matrix(fs, l).matrix
         _require(linalg.mat_eq(
             rcheck_longest(fs, l).matrix,
             linalg.matmul(sigma0_matrix(fs, l).matrix, rn)),
-                 "longest braiding is not sigma0 R on {} level {}", lams, l)
+                 "longest braiding is not sigma0 R on {} level {}", lams, l,
+                 at=(lams, l))
         _require(linalg.mat_eq(
             rn, linalg.matmul(cartan_factor(fs, l).matrix,
                               theta_n_matrix(fs, l).matrix)),
-            "R != C Theta on {} level {}", lams, l)
+            "R != C Theta on {} level {}", lams, l, at=(lams, l))
         _require(linalg.mat_eq(tau_theta_n(fs, l).matrix,
                                tau_theta_braid(fs, l).matrix),
-                 "tau-twist braid product fails on {} level {}", lams, l)
+                 "tau-twist braid product fails on {} level {}", lams, l,
+                 at=(lams, l))
         cases += 3
     return f"{cases} exact operator identities verified"
 
@@ -210,7 +221,8 @@ def _require_braid_route(lams, l) -> None:
     braid product on the contragredient factors."""
     _require(linalg.mat_eq(psi_c(lams, l).matrix,
                            tau_theta_braid(dual_factors(lams), l).matrix),
-             "tau(Theta^(n)) != braid product on {} level {}", lams, l)
+             "tau(Theta^(n)) != braid product on {} level {}", lams, l,
+             at=(lams, l))
 
 
 def check_involutions(max_sum: int) -> str:
@@ -219,12 +231,14 @@ def check_involutions(max_sum: int) -> str:
     cases = 0
     for lams, l in weight_slices(max_sum):
         _require(is_involution(psi_c(lams, l)),
-                 "psi_c not involutive on {} level {}", lams, l)
+                 "psi_c not involutive on {} level {}", lams, l,
+                 at=(lams, l))
         _require_braid_route(lams, l)
         cases += 1
         if len(lams) == 2:
             _require(is_involution(psi_tensor2(lams, l)),
-                     "psi not involutive on {} level {}", lams, l)
+                     "psi not involutive on {} level {}", lams, l,
+                     at=(lams, l))
             cases += 1
     return f"{cases} involution identities verified"
 
@@ -238,21 +252,22 @@ def check_solver_contract(max_sum: int) -> str:
     vectors = 0
     for lams, l in weight_slices(max_sum):
         basis = _dual_basis(lams, l)
-        _require([b.index for b in basis] == enumerate_P(lams, l))
+        _require([b.index for b in basis] == enumerate_P(lams, l),
+                 at=(lams, l))
         reference = _solve_triangular(psi_c(lams, l), upward=True)
         for b, ref in zip(basis, reference):
             _require(linalg.mat_eq(b.coords, ref.coords),
                      "closed form != solver at {} on {} level {}",
-                     b.index, lams, l)
-            _require(b.coeff(b.index) == ONE)
+                     b.index, lams, l, at=(lams, l))
+            _require(b.coeff(b.index) == ONE, at=(lams, l))
             for k in b.support():
                 _require(k >= b.index,
                          "support below the lead index on {} level {}",
-                         lams, l)
+                         lams, l, at=(lams, l))
                 if k != b.index:
                     _require(in_qinv_ideal(b.coeff(k)),
                              "coefficient outside q^-1 Z[q^-1] "
-                             "on {} level {}", lams, l)
+                             "on {} level {}", lams, l, at=(lams, l))
             vectors += 1
         if len(lams) == 2:
             canonical_basis_pair(lams, l)  # support shape checked inside
@@ -264,7 +279,7 @@ def check_solver_contract(max_sum: int) -> str:
         for other in basis[i + 1:]:
             perturbed = linalg.mat_add(b.coords, other.coords, q(-1))
             _require(not linalg.mat_eq(apply_antilinear(psi, perturbed),
-                                     perturbed))
+                                       perturbed), at=((2, 2), 2))
     return f"{vectors} basis vectors pass the full contract"
 
 
@@ -275,15 +290,18 @@ def check_bijection_counts(max_sum: int) -> str:
     for lams, l in weight_slices(max_sum):
         diagrams = enumerate_B(lams, l)
         _require(diagrams == search_diagrams(lams, l),
-                 "listing != exhaustive search on {} level {}", lams, l)
+                 "listing != exhaustive search on {} level {}", lams, l,
+                 at=(lams, l))
         indices = [index_of_diagram(d) for d in diagrams]
         _require(sorted(indices) == enumerate_P(lams, l),
-                 "index image mismatch on {} level {}", lams, l)
+                 "index image mismatch on {} level {}", lams, l,
+                 at=(lams, l))
         _require(len(diagrams) == independent_dimension(lams, l),
-                 "diagram count != dimension on {} level {}", lams, l)
+                 "diagram count != dimension on {} level {}", lams, l,
+                 at=(lams, l))
         for d, a in zip(diagrams, indices):
             _require(diagram_of_index(lams, a) == d,
-                     "round trip fails at {} on {}", a, lams)
+                     "round trip fails at {} on {}", a, lams, at=(lams, l))
         cases += len(diagrams)
     return f"{cases} diagrams matched to indices and dimensions"
 
@@ -298,7 +316,8 @@ def check_singular_bases(max_sum: int) -> str:
         diagram_indices = {index_of_diagram(d)
                            for d in filter_singular(enumerate_B(lams, l))}
         _require(kernel_indices == diagram_indices,
-                 "singular sets disagree on {} level {}", lams, l)
+                 "singular sets disagree on {} level {}", lams, l,
+                 at=(lams, l))
         cases += len(kernel_indices)
     return f"{cases} singular basis elements matched both ways"
 
@@ -321,8 +340,9 @@ def check_cabling(max_sum: int) -> str:
                 key = str(o.scalar)
                 scalars[key] = scalars.get(key, 0) + 1
     golden = cabling_report((2,), 1, _dual_basis)
-    _require(golden.all_scalars_one)
-    _require([o.killed for o in golden.outcomes] == [True, False])
+    _require(golden.all_scalars_one, at=((2,), 1))
+    _require([o.killed for o in golden.outcomes] == [True, False],
+             at=((2,), 1))
     return f"kill patterns agree; scalar multiset {scalars}"
 
 
@@ -343,7 +363,7 @@ def check_duality(max_sum: int) -> str:
                         want = ONE if db.index == cb.index else QScalar()
                         _require(pair == want,
                                  "pairing off at {}/{} on {} level {}",
-                                 db.index, cb.index, lams, l)
+                                 db.index, cb.index, lams, l, at=(lams, l))
                         cases += 1
     return f"{cases} pairings equal the identity pattern"
 
@@ -392,6 +412,9 @@ def run_suite(suite: str = "all", max_weight_sum: int = 6) -> list[CheckResult]:
                 detail = f"{type(exc).__name__}: {exc}"
                 failure = {"check": name, "error_type": type(exc).__name__,
                            "error": str(exc)}
+                at = getattr(exc, "weight_slice", None)
+                if at is not None:
+                    failure.update({"lambda": list(at[0]), "level": at[1]})
             out.append(CheckResult(name, detail, time.perf_counter() - start,
                                    bound, failure))
             # drop the slices above the bound of every check still to run

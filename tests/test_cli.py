@@ -225,6 +225,8 @@ class TestVerifyCommand:
         record = json.loads(out.strip().splitlines()[-1])
         assert record["check"] == "catalan"
         assert record["error_type"] == "AssertionError"
+        # raised on no slice: the record names none
+        assert set(record) == {"check", "error_type", "error"}
 
     def test_basis_suite_compares_production_with_the_solver(self, capsys,
                                                              monkeypatch):
@@ -258,6 +260,9 @@ class TestVerifyCommand:
             in lines[2]
         record = json.loads(lines[-1])
         assert record["check"] == "solver_contract"
+        assert record["lambda"] == [1, 1, 1] and record["level"] == 1
+        assert record["error"] == ("closed form != solver at (0, 0, 1) on "
+                                   "(1, 1, 1) level 1")
 
     @pytest.mark.parametrize("requested", [6, 5, 3])
     def test_clamped_bound_reported_on_stderr(self, capsys, monkeypatch,

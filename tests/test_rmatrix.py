@@ -59,7 +59,7 @@ class TestThetaSum:
         # a generator matrix
         import qcanon.rmatrix as rmatrix
         rmatrix._theta_piece_first.cache_clear()
-        monkeypatch.setattr(rmatrix, "coproduct_matrix", None)
+        monkeypatch.setattr(rmatrix, "_t_matrix", None)
         cases = [(factors(2, 2), 0), (factors(3, 1, 2), 0)]
         cases += [(factors(0, 2), l) for l in range(3)]
         cases += [(factors(0, 1, 1), l) for l in range(3)]
@@ -67,6 +67,22 @@ class TestThetaSum:
             dim = weight_space(fs, l).dim
             assert linalg.mat_eq(rmatrix._theta_piece_first(fs, l),
                                  linalg.identity(dim))
+
+    def test_first_power_needs_no_lift_and_no_product(self, monkeypatch):
+        # T is written from the ladder formulas, and the k = 1 term is T
+        # itself: a piece with kmax = 1 lifts nothing and multiplies nothing
+        import qcanon.rmatrix as rmatrix
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called while building a k <= 1 piece")
+
+        monkeypatch.setattr(rmatrix, "_lift", forbidden)
+        monkeypatch.setattr(linalg, "matmul", forbidden)
+        rmatrix._theta_piece_first.cache_clear()
+        for fs, l in [(factors(1, 1), 1), (factors(1, 2, 1), 2),
+                      (dual_factors(1, 0, 3), 3), (factors(5, 2), 1)]:
+            piece = rmatrix._theta_piece_first(fs, l)
+            assert piece.shape == (weight_space(fs, l).dim,) * 2
 
     def test_division_by_factorial_stays_exact(self, monkeypatch):
         # a divisor the k = 2 numerators do not carry must raise
@@ -135,6 +151,27 @@ class TestLift:
         assert linalg.mat_eq(lifted, linalg.identity(3))
 
 
+def _theta_series(t, kmax):
+    """sum_{k <= kmax} q^{k(k-1)/2} (q - q^-1)^k t^k / [k]!, term by term."""
+    out = power = linalg.identity(t.shape[0])
+    for k in range(1, kmax + 1):
+        power = linalg.matmul(t, power)
+        out = linalg.mat_add(out, linalg.mat_div(power, quantum_factorial(k)),
+                             q(k * (k - 1) // 2) * Q_MINUS_QINV ** k)
+    return out
+
+
+def _t_by_lifts(fs, level):
+    """T = E x Delta^{n-2}(F) as the product of two lifted coproduct
+    matrices: E on factor 0, then the coproducted F on the rest."""
+    head, rest = fs[:1], fs[1:]
+    e = _lift(fs, level, 0, 1,
+              lambda b: coproduct_matrix(head, b, GEN_E), -1)
+    f = _lift(fs, level - 1, 1, len(fs),
+              lambda b: coproduct_matrix(rest, b, GEN_F), 1)
+    return linalg.matmul(f, e)
+
+
 def _theta_piece_last(fs, level):
     """(Delta^{n-2} x 1)(Theta) = sum_k q^{k(k-1)/2} (q - q^-1)^k T'^k / [k]!,
     T' = Delta^{n-2}(E) x F: F on the last factor first, then the
@@ -145,13 +182,45 @@ def _theta_piece_last(fs, level):
               lambda b: coproduct_matrix(last, b, GEN_F), 1)
     e = _lift(fs, level + 1, 0, n - 1,
               lambda b: coproduct_matrix(init, b, GEN_E), -1)
-    t = linalg.matmul(e, f)
-    out = power = linalg.identity(weight_space(fs, level).dim)
-    for k in range(1, min(level, fs[-1].size - 1) + 1):
-        power = linalg.matmul(t, power)
-        out = linalg.mat_add(out, linalg.mat_div(power, quantum_factorial(k)),
-                             q(k * (k - 1) // 2) * Q_MINUS_QINV ** k)
-    return out
+    return _theta_series(linalg.matmul(e, f), min(level, fs[-1].size - 1))
+
+
+class TestTMatrix:
+    """The one-pass T against the lift-and-multiply construction."""
+
+    @staticmethod
+    def _slices():
+        from qcanon.verify import weight_slices
+        yield from weight_slices(7)
+        for lams in ((0, 2, 1), (2, 0, 0, 1), (0, 0, 3), (1, 0), (3, 0, 2)):
+            for l in range(sum(lams) + 1):
+                yield lams, l
+
+    def test_equals_the_lifted_product_and_gives_the_same_piece(self):
+        import qcanon.rmatrix as rmatrix
+        checked = 0
+        for lams, l in self._slices():
+            for fs in (factors(*lams), dual_factors(*lams)):
+                if len(fs) < 2 or l == 0:
+                    continue
+                kmax = min(l, fs[0].size - 1)  # 0 on a zero-weight head
+                oracle = _t_by_lifts(fs, l)
+                assert linalg.mat_eq(rmatrix._t_matrix(fs, l), oracle), \
+                    (fs, l)
+                assert linalg.mat_eq(rmatrix._theta_piece_first(fs, l),
+                                     _theta_series(oracle, kmax)), (fs, l)
+                checked += 1
+        assert checked == 1512
+
+    def test_column_entries_follow_the_ladder_formulas(self):
+        # V1 x V1 x V1 at level 1, column (1, 0, 0): E lowers slot 0, F
+        # raises slot 1 bare and slot 2 under the flank v^-2 of slot 1
+        import qcanon.rmatrix as rmatrix
+        fs = factors(1, 1, 1)
+        ws = weight_space(fs, 1)
+        col = rmatrix._t_matrix(fs, 1).col(ws.pos[(1, 0, 0)])
+        assert dict(col.items()) == {ws.pos[(0, 1, 0)]: ONE,
+                                     ws.pos[(0, 0, 1)]: v(-2)}
 
 
 def _theta_n_right(fs, level):

@@ -156,3 +156,20 @@ def test_suite_table_matches_the_checks():
     assert verify.SUITE_ALIASES["all"] == tuple(verify.ALL_CHECKS)
     for names in verify.SUITE_ALIASES.values():
         assert set(names) <= set(verify.ALL_CHECKS)
+
+
+def test_failure_on_a_slice_names_it(monkeypatch):
+    # the listing drops one diagram on (1, 2) level 1 only: the record
+    # carries that slice as fields, the message text stays as it was
+    real = verify.enumerate_B
+
+    def short(lams, level):
+        out = real(lams, level)
+        return out[1:] if (tuple(lams), level) == ((1, 2), 1) else out
+
+    monkeypatch.setattr(verify, "enumerate_B", short)
+    [result] = run_suite("bijection_counts", 3)
+    assert result.failure == {
+        "check": "bijection_counts", "error_type": "AssertionError",
+        "error": "listing != exhaustive search on (1, 2) level 1",
+        "lambda": [1, 2], "level": 1}
