@@ -4,9 +4,9 @@ The involution psi_c = tau(Theta^(n)) . bar is unipotent triangular on dual
 monomials, so each basis vector is the monomial plus corrections at larger
 indices, with every correction coefficient in q^-1 Z[q^-1].  The dual basis
 comes from the closed diagram formula and is certified as that fixed point
-through the factors of Theta^(n); the canonical basis on the plain side
-comes from the solver, which scans the rows before the lead in descending
-order and solves one bar-equation per correction.
+through the factors of Theta^(n).  The canonical basis on the plain side is
+dual to it: the inverse transpose of the dual basis, one descending scan
+per element, certified as the fixed point of bar(Theta) . bar.
 """
 
 from qcanon.canonical import (canonical_basis_pair, dual_canonical_basis,

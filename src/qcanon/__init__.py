@@ -5,8 +5,8 @@ The package computes, entirely in Z[v, v^-1] with q = v^2:
 * simple and contragredient weight modules (`weightmod`),
 * weight slices of tensor products with coproduct matrices (`tensor`),
 * quasi-R-matrices, Cartan factors and longest-element braidings (`rmatrix`),
-* the bar-involution fixed-point solver for canonical and dual canonical
-  bases, plus singular-vector extraction (`canonical`),
+* the certified dual canonical basis, the canonical basis as its inverse
+  transpose, and singular-vector extraction (`canonical`),
 * the non-crossing arc-diagram model with its index bijection (`diagrams`),
 * the unit-weight cabling comparison between the two models (`cabling`),
 * a property/acceptance suite (`verify`) and a JSON/SVG command line (`cli`),

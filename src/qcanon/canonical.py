@@ -28,40 +28,35 @@ coefficient would be bar-invariant and in q^-1 Z[q^-1], so zero.
   AssertionError for a coefficient outside the ideal); there is no second
   route to fall back on.
 
-The fixed-point products run on Kronecker-packed ints (`_pack`): each
+The certificate's products run on Kronecker-packed ints (`_pack`): each
 Laurent polynomial is evaluated at q = 2^B and shifted so that no exponent
 is negative.  Evaluation at 2^B is a ring map, so packed sums and products
-are the packed images of the true ones, and balanced base-2^B digits
-recover a polynomial exactly when every coefficient has |c| < 2^(B-1).
+are the packed images of the true ones, and two polynomials whose
+coefficients all have |c| < 2^(B-1) are equal exactly when their packed
+images are.
 Every entry of A is a polynomial in q and q^-1 (the Theta coefficients, the
 quantum integers and the q^{+-h} flanks are all integer powers of q), and a
 half-integer q-power raises OddExponentError.
 
-The reference is the forward substitution `_solve_triangular`, which
-`verify` and the tests compare with production on every slice they sweep,
-and which still produces the canonical basis of `canonical_basis_pair`.
-Row r of A bar(b_m) = b_m reads
+On the plain side of a two-factor product, psi(x) = bar(Theta) . bar(x)
+fixes the canonical basis c_m = e_m + (terms at k < m, in q^-1 Z[q^-1]).
+It is dual to the dual canonical basis: the c_m are the columns of D^-T,
+for D the unit lower triangular matrix whose columns are the b_m (the dual
+side's Theta^T bar(D) = D inverts to bar(Theta) bar(D^-T) = D^-T).
+`canonical_basis_pair` has one production route: D from the certified
+`dual_canonical_basis`, one descending scan per column of D^-T
+(`_inverse_transpose`), and a certificate that guards the inversion.
+
+The reference is the forward substitution `_solve_triangular`, which only
+`verify` and the tests call, to compare production with it on every slice
+they sweep.  Row r of A bar(b_m) = b_m reads
 
     c_r - bar(c_r) = rho_r,   rho_r = sum_{m <= k < r} A[r, k] bar(c_k),
 
-so each b_m is one forward substitution: start from c_m = 1 and scan the
-rows r > m in ascending order.  A row with rho_r = 0 has c_r = 0 and is
-skipped; otherwise c_r = solve_bar_equation(rho_r) (the unique ideal element
-with that difference, raising unless rho_r is bar-antisymmetric with integer
-q-powers), and bar(c_r) A[:, r] is added into the running sums of the later
-rows.  A must be unit lower triangular before anything is solved, every b_m
-must satisfy psi_c(b_m) = b_m by a fresh product, and every c_r must lie in
-q^-1 Z[q^-1].  The substitution runs on the packed entries of A, each
-evaluated once; every value decoded or compared is a sum of products
-A[r, k] bar(c_k), so its coefficients are at most l1(A) (1 + sum_k
-L1(c_k)), with l1(A) the largest L1 norm of an entry of A.  B starts a few
-bits above the bit length of l1(A), and a vector whose bound reaches
-2^(B-1) is redone with B doubled before anything is decoded past it.
-
-On the plain (non-dual) side of a two-factor product the same construction
-with psi(x) = bar(Theta) . bar(x) produces the canonical basis; there A is
-unit upper triangular and the corrections run toward lexicographically
-smaller indices, so the rows are scanned in descending order instead.
+so from c_m = 1 the rows r > m are scanned in ascending order, each c_r =
+solve_bar_equation(rho_r) in plain QScalar arithmetic.  A must be unit
+lower triangular, every c_r must lie in q^-1 Z[q^-1], and every b_m must
+satisfy psi_c(b_m) = b_m by a fresh product.
 
 Each involution is the `BraidOperator` A that acts after bar: `psi_c` is
 tau(Theta^(n)) itself and `psi_tensor2` is bar(Theta).
@@ -144,24 +139,18 @@ def is_involution(op: BraidOperator) -> bool:
     return linalg.mat_eq(composed, linalg.identity(op.source.dim))
 
 
-def _require_unitriangular(op: BraidOperator, upward: bool) -> None:
-    """Raise unless the matrix has unit diagonal and no entry on the wrong
-    side of it: below the diagonal row if `upward`, above it otherwise."""
+def _require_unitriangular(op: BraidOperator) -> None:
+    """Raise unless the matrix has unit diagonal and no entry above it."""
     space = op.source
     for p in range(space.dim):
         col = op.matrix.col(p)
-        wrong = [k for k, _ in col.items() if (k < p if upward else k > p)]
+        wrong = [k for k, _ in col.items() if k < p]
         if col[p] != ONE:
             wrong.append(p)
         if wrong:
             raise TriangularityViolationError(
                 f"defect of {space.indices[p]} touches "
                 f"{space.indices[min(wrong)]} on {space!r}")
-
-
-#: Bits above the largest L1 norm of an entry of A in the first packing
-#: width: room for the coefficients a solve adds before the width must grow.
-_HEADROOM = 8
 
 
 def _pack(x: QScalar, bits: int, off: int) -> int:
@@ -181,40 +170,9 @@ def _pack(x: QScalar, bits: int, off: int) -> int:
     return n
 
 
-def _unpack(n: int, bits: int, off: int) -> QScalar:
-    """The inverse of `_pack`, read as balanced base-2^bits digits: exact for
-    every polynomial whose coefficients all have |c| < 2^(bits-1)."""
-    terms = {}
-    full, half = 1 << bits, 1 << (bits - 1)
-    k = -off
-    while n:
-        d = n & (full - 1)
-        if d >= half:
-            d -= full
-        if d:
-            terms[2 * k] = d
-        n = (n - d) >> bits
-        k += 1
-    return QScalar._raw(terms)
-
-
 def _l1_norm(x: QScalar) -> int:
     """The sum of the absolute values of the coefficients."""
     return sum(map(abs, x._terms.values()))
-
-
-def _pack_layout(a: linalg.Matrix) -> tuple[int, int]:
-    """(l1, off) for packing every entry of `a`: the largest L1 norm of an
-    entry, and the least offset in q-units.  Raises OddExponentError on a
-    half-integer q-power."""
-    l1, exps = 0, set()
-    for p in range(a.shape[1]):
-        for _, x in a.col(p).items():
-            exps.update(x._terms)
-            l1 = max(l1, _l1_norm(x))
-    if any(e & 1 for e in exps):
-        raise OddExponentError(f"half-integer q-powers in {a!r}")
-    return l1, -(min(exps, default=0) // 2)
 
 
 def _transposed_layout(a: linalg.Matrix, space: WeightSpace
@@ -242,75 +200,36 @@ def _transposed_layout(a: linalg.Matrix, space: WeightSpace
     return cols, max(norms, default=1), -(low // 2)
 
 
-def _solve_triangular(op: BraidOperator, upward: bool) -> list[BasisVector]:
-    """The fixed points b_m = e_m + sum_r c_r e_r, each by one forward
-    substitution that scans the rows after m in ascending order (`upward`,
-    the dual basis) or the rows before m in descending order (the canonical
-    one), skipping each row whose running sum rho_r is zero.  The arithmetic
-    runs on the Kronecker-packed entries of A (`_pack`); a vector whose
-    coefficient bound outgrows the packing width is redone wider."""
-    _require_unitriangular(op, upward)
-    space = op.source
-    dim = space.dim
-    l1, off = _pack_layout(op.matrix)
-    bits = l1.bit_length() + _HEADROOM
-    cols = _pack_columns(op.matrix, bits, off)
+def _solve_triangular(op: BraidOperator) -> list[BasisVector]:
+    """The fixed points b_m = e_m + sum_{r>m} c_r e_r of x -> op . bar(x),
+    each by one forward substitution that scans the rows after m in
+    ascending order, skipping each row whose running sum rho_r is zero, and
+    each checked by a fresh product."""
+    _require_unitriangular(op)
+    space, a = op.source, op.matrix
     basis = []
-    for m in range(dim):
-        rows = range(m + 1, dim) if upward else range(m - 1, -1, -1)
-        while (coeffs := _fixed_point(space, cols, m, rows, l1, bits,
-                                      off)) is None:
-            bits *= 2
-            cols = _pack_columns(op.matrix, bits, off)
-        basis.append(BasisVector(space.indices[m], space,
-                                 linalg.Vector(dim, coeffs)))
+    for m in range(space.dim):
+        coeffs = {m: ONE}
+        rho = {i: dict(x._terms) for i, x in a.col(m).items()}  # row -> terms
+        for r in range(m + 1, space.dim):
+            terms = rho.pop(r, None)
+            if not terms:  # c_r = 0
+                continue
+            c = solve_bar_equation(QScalar._raw(terms))
+            if not in_qinv_ideal(c):
+                raise AssertionError(f"coefficient {c} of {space.indices[r]} "
+                                     f"outside q^-1 Z[q^-1] on {space!r}")
+            coeffs[r] = c
+            bar_c = c.bar()
+            for i, x in a.col(r).items():
+                if i > r:
+                    addmul(rho.setdefault(i, {}), x, bar_c)
+        vec = linalg.Vector(space.dim, coeffs)
+        if not linalg.mat_eq(apply_antilinear(op, vec), vec):
+            raise TriangularityViolationError(
+                f"fixed-point defect at {space.indices[m]} on {space!r}")
+        basis.append(BasisVector(space.indices[m], space, vec))
     return basis
-
-
-def _pack_columns(a: linalg.Matrix, bits: int, off: int) -> list[dict]:
-    return [{i: _pack(x, bits, off) for i, x in a.col(p).items()}
-            for p in range(a.shape[1])]
-
-
-def _fixed_point(space: WeightSpace, cols: list[dict], m: int, rows,
-                 l1: int, bits: int, off: int) -> dict | None:
-    """The coefficients of b_m, found on packed columns and certified by a
-    fresh packed product A . bar(b_m) = b_m; None as soon as the proven
-    coefficient bound l1 * (1 + sum L1(c_r)) of everything still to be
-    decoded or compared reaches 2^(bits-1)."""
-    half = 1 << (bits - 1)
-    coeffs = {m: ONE}
-    terms = [(m, 1)]  # (k, packed bar(c_k)), at offset 0
-    bound = l1
-    rho = dict(cols[m])  # row -> packed running sum, at offset `off`
-    for r in rows:
-        rho_r = rho.get(r)
-        if not rho_r:  # c_r = 0
-            continue
-        c = solve_bar_equation(_unpack(rho_r, bits, off))
-        if not in_qinv_ideal(c):
-            raise AssertionError(f"coefficient {c} of {space.indices[r]} "
-                                 f"outside q^-1 Z[q^-1] on {space!r}")
-        coeffs[r] = c
-        bound += l1 * _l1_norm(c)
-        if bound >= half:
-            return None
-        bar_c = _pack(c.bar(), bits, 0)
-        terms.append((r, bar_c))
-        for i, x in cols[r].items():
-            rho[i] = rho.get(i, 0) + x * bar_c
-    fresh = {}
-    for k, bar_c in terms:
-        for i, x in cols[k].items():
-            fresh[i] = fresh.get(i, 0) + x * bar_c
-    try:
-        packed = {k: _pack(c, bits, off) for k, c in coeffs.items()}
-    except ValueError:  # a term of b_m below every term of A . bar(b_m)
-        packed = None
-    if {i: x for i, x in fresh.items() if x} != packed:
-        raise TriangularityViolationError(
-            f"fixed-point defect at {space.indices[m]} on {space!r}")
-    return coeffs
 
 
 def dual_canonical_basis(lams: Sequence[int], level: int) -> list[BasisVector]:
@@ -518,23 +437,61 @@ def _certify(space: WeightSpace, coords: list[dict]) -> None:
 
 
 def canonical_basis_pair(lams: Sequence[int], level: int) -> list[BasisVector]:
-    """The psi-fixed basis of a two-factor product of simple modules.
+    """The psi-fixed basis of a two-factor product of simple modules: the
+    columns c_m of D^-T, for D the certified dual canonical basis
+    (`_inverse_transpose`).
 
     Corrections to the leading monomial run toward lexicographically smaller
     indices, which for two factors means the anti-diagonal shifts
-    (i, j) -> (i - k, j + k) with k > 0 only.
+    (i, j) -> (i - k, j + k) with k > 0 only.  Each c_m is certified by its
+    lead 1, its support on that family, its other coefficients in
+    q^-1 Z[q^-1], and psi(c_m) = c_m by a fresh product.
     """
-    basis = _solve_triangular(psi_tensor2(lams, level), upward=False)
-    for b in basis:
-        i, j = b.index
-        for k in b.support():
-            if k == b.index:
-                continue
-            shift = b.index[0] - k[0]
-            if shift <= 0 or k != (i - shift, j + shift):
+    psi = psi_tensor2(lams, level)
+    space = psi.source
+    basis = []
+    for m, coeffs in enumerate(
+            _inverse_transpose(dual_canonical_basis(lams, level))):
+        index = space.indices[m]
+        if coeffs.get(m) != ONE:
+            raise TriangularityViolationError(
+                f"lead coefficient of {index} is not 1 on {space!r}")
+        for r, c in coeffs.items():
+            k = space.indices[r]
+            if r != m and not (k[0] < index[0] and sum(k) == sum(index)):
                 raise TriangularityViolationError(
-                    f"support {k} of {b.index} outside the k>0 shift family")
+                    f"support {k} of {index} outside the k>0 shift family")
+            if r != m and not in_qinv_ideal(c):
+                raise AssertionError(f"coefficient {c} of {k} outside "
+                                     f"q^-1 Z[q^-1] on {space!r}")
+        vec = linalg.Vector(space.dim, coeffs)
+        if not linalg.mat_eq(apply_antilinear(psi, vec), vec):
+            raise TriangularityViolationError(
+                f"fixed-point defect at {index} on {space!r}")
+        basis.append(BasisVector(index, space, vec))
     return basis
+
+
+def _inverse_transpose(dual: list[BasisVector]) -> list[dict]:
+    """The columns {position: coefficient} of D^-T, for D the unit lower
+    triangular matrix whose columns are the coordinates of `dual`.  Column m
+    is unit upper triangular, by one descending scan:
+
+        c_m[k] = - sum_{k < r <= m} c_m[r] D[r, k].
+    """
+    cols = [dict(b.coords.items()) for b in dual]
+    out = []
+    for m in range(len(cols)):
+        coeffs = {m: ONE}
+        for k in range(m - 1, -1, -1):
+            acc = {}
+            for r, x in cols[k].items():
+                if r in coeffs:
+                    addmul(acc, coeffs[r], x)
+            if acc:
+                coeffs[k] = -QScalar._raw(acc)
+        out.append(coeffs)
+    return out
 
 
 def singular_subset(basis: list[BasisVector]) -> list[BasisVector]:

@@ -4,16 +4,17 @@ Each check `check_<name>(max_sum)` sweeps a family of desk-scale cases,
 bounded by the sum of the highest weights; it raises on the first failure and
 otherwise returns a one-line detail.  `run_suite` runs the checks a suite
 names, times each call and records its outcome as a `CheckResult`; a
-failure on a weight slice carries that slice as `lambda` and `level`.  The run
-owns two kinds of state: the memo through which the checks read dual
-canonical bases, so a run computes each slice once, and the caches of the
-braid references `_r_n` and `_rcheck_longest`, which it empties after every
-check.  The checks are deliberately redundant with independent machinery on
-each side: dimension counts come from convolving weight multisets, singular
-counts from the integer rank of E at q = 1, braid products are compared
-against coproduct recursions, diagram listings against an exhaustive chord
-search, and the closed-form dual canonical basis against the fixed-point
-solver.
+failure on a weight slice, whatever raised it, carries that slice as
+`lambda` and `level`.  The run owns two kinds of state: the memo through
+which the checks read dual canonical bases, so a run computes each slice
+once, and the caches of the braid references `_r_n` and `_rcheck_longest`,
+which it empties after every check.  The checks are deliberately redundant
+with independent machinery on each side: dimension counts come from
+convolving weight multisets, singular counts from the integer rank of E at
+q = 1, braid products are compared against coproduct recursions, diagram
+listings against an exhaustive chord search, and the closed-form dual
+canonical basis, and the canonical basis inverted from it, against the
+forward substitution on psi_c.
 """
 
 from __future__ import annotations
@@ -143,11 +144,26 @@ def _dual_basis(lams: Sequence[int], level: int) -> tuple[BasisVector, ...]:
     return memo[key]
 
 
+#: The slice (lams, level) a check's sweep is on, for the failure record of
+#: any exception raised there; None once the sweep ends.
+_swept: tuple[tuple[int, ...], int] | None = None
+
+
+def _sweep(slices):
+    """Yield the slices (lams, level) of a check's sweep, each held in
+    `_swept` while the check works on it."""
+    global _swept
+    for at in slices:
+        _swept = at
+        yield at
+    _swept = None
+
+
 def _require(cond: bool, template: str = "", *args, at=None) -> None:
     """A check that `python -O` keeps: raise AssertionError with the message
     `template.format(*args)`, built only on failure.  `at` is the slice
-    (lams, level) the check failed on; it rides on the exception as
-    `weight_slice`, for the failure record."""
+    (lams, level) of a check made outside a sweep; it rides on the exception
+    as `weight_slice`, for the failure record."""
     if not cond:
         exc = AssertionError(template.format(*args))
         exc.weight_slice = at
@@ -173,14 +189,13 @@ def check_golden_dual_basis(max_sum: int) -> str:
 def check_yang_baxter(max_sum: int) -> str:
     """Braid relation on (1,1,1) and (1,2,1), both bracketings, every slice."""
     cases = 0
-    for lams in ((1, 1, 1), (1, 2, 1)):
+    for lams, l in _sweep((lams, l) for lams in ((1, 1, 1), (1, 2, 1))
+                          for l in range(sum(lams) + 1)):
         fs = simple_factors(lams)
-        for l in range(sum(lams) + 1):
-            a = rcheck_longest(fs, l, word=(0, 1, 0)).matrix
-            b = rcheck_longest(fs, l, word=(1, 0, 1)).matrix
-            _require(linalg.mat_eq(a, b), "YBE fails on {} level {}", lams, l,
-                     at=(lams, l))
-            cases += 1
+        a = rcheck_longest(fs, l, word=(0, 1, 0)).matrix
+        b = rcheck_longest(fs, l, word=(1, 0, 1)).matrix
+        _require(linalg.mat_eq(a, b), "YBE fails on {} level {}", lams, l)
+        cases += 1
     return f"braid relation exact on {cases} weight slices"
 
 
@@ -189,29 +204,26 @@ def check_braid_factorizations(max_sum: int) -> str:
     and the tau-twist braid product (`tau_theta_n` on the plain factors
     against `tau_theta_braid`), on every slice up to the bound."""
     cases = 0
-    for lams, l in weight_slices(max_sum):
+    for lams, l in _sweep(weight_slices(max_sum)):
         fs = simple_factors(lams)
         if len(lams) == 3:
             _require(linalg.mat_eq(
                 rcheck_longest(fs, l, word=(0, 1, 0)).matrix,
                 rcheck_longest(fs, l, word=(1, 0, 1)).matrix),
-                     "reduced words disagree on {} level {}", lams, l,
-                     at=(lams, l))
+                     "reduced words disagree on {} level {}", lams, l)
             cases += 1
         rn = r_n_matrix(fs, l).matrix
         _require(linalg.mat_eq(
             rcheck_longest(fs, l).matrix,
             linalg.matmul(sigma0_matrix(fs, l).matrix, rn)),
-                 "longest braiding is not sigma0 R on {} level {}", lams, l,
-                 at=(lams, l))
+                 "longest braiding is not sigma0 R on {} level {}", lams, l)
         _require(linalg.mat_eq(
             rn, linalg.matmul(cartan_factor(fs, l).matrix,
                               theta_n_matrix(fs, l).matrix)),
-            "R != C Theta on {} level {}", lams, l, at=(lams, l))
+            "R != C Theta on {} level {}", lams, l)
         _require(linalg.mat_eq(tau_theta_n(fs, l).matrix,
                                tau_theta_braid(fs, l).matrix),
-                 "tau-twist braid product fails on {} level {}", lams, l,
-                 at=(lams, l))
+                 "tau-twist braid product fails on {} level {}", lams, l)
         cases += 3
     return f"{cases} exact operator identities verified"
 
@@ -221,24 +233,21 @@ def _require_braid_route(lams, l) -> None:
     braid product on the contragredient factors."""
     _require(linalg.mat_eq(psi_c(lams, l).matrix,
                            tau_theta_braid(dual_factors(lams), l).matrix),
-             "tau(Theta^(n)) != braid product on {} level {}", lams, l,
-             at=(lams, l))
+             "tau(Theta^(n)) != braid product on {} level {}", lams, l)
 
 
 def check_involutions(max_sum: int) -> str:
     """psi_c (any factor count) and psi (two factors) square to the identity;
     psi_c's matrix equals the braid product on every slice."""
     cases = 0
-    for lams, l in weight_slices(max_sum):
+    for lams, l in _sweep(weight_slices(max_sum)):
         _require(is_involution(psi_c(lams, l)),
-                 "psi_c not involutive on {} level {}", lams, l,
-                 at=(lams, l))
+                 "psi_c not involutive on {} level {}", lams, l)
         _require_braid_route(lams, l)
         cases += 1
         if len(lams) == 2:
             _require(is_involution(psi_tensor2(lams, l)),
-                     "psi not involutive on {} level {}", lams, l,
-                     at=(lams, l))
+                     "psi not involutive on {} level {}", lams, l)
             cases += 1
     return f"{cases} involution identities verified"
 
@@ -250,24 +259,23 @@ def check_solver_contract(max_sum: int) -> str:
     two-factor support shape on the plain side."""
     q = QScalar.q_power
     vectors = 0
-    for lams, l in weight_slices(max_sum):
+    for lams, l in _sweep(weight_slices(max_sum)):
         basis = _dual_basis(lams, l)
-        _require([b.index for b in basis] == enumerate_P(lams, l),
-                 at=(lams, l))
-        reference = _solve_triangular(psi_c(lams, l), upward=True)
+        _require([b.index for b in basis] == enumerate_P(lams, l))
+        reference = _solve_triangular(psi_c(lams, l))
         for b, ref in zip(basis, reference):
             _require(linalg.mat_eq(b.coords, ref.coords),
                      "closed form != solver at {} on {} level {}",
-                     b.index, lams, l, at=(lams, l))
-            _require(b.coeff(b.index) == ONE, at=(lams, l))
+                     b.index, lams, l)
+            _require(b.coeff(b.index) == ONE)
             for k in b.support():
                 _require(k >= b.index,
                          "support below the lead index on {} level {}",
-                         lams, l, at=(lams, l))
+                         lams, l)
                 if k != b.index:
                     _require(in_qinv_ideal(b.coeff(k)),
                              "coefficient outside q^-1 Z[q^-1] "
-                             "on {} level {}", lams, l, at=(lams, l))
+                             "on {} level {}", lams, l)
             vectors += 1
         if len(lams) == 2:
             canonical_basis_pair(lams, l)  # support shape checked inside
@@ -287,21 +295,18 @@ def check_bijection_counts(max_sum: int) -> str:
     """The bijection listing equals the exhaustive search; diagram count =
     index count = slice dimension; the index map is a round-trip bijection."""
     cases = 0
-    for lams, l in weight_slices(max_sum):
+    for lams, l in _sweep(weight_slices(max_sum)):
         diagrams = enumerate_B(lams, l)
         _require(diagrams == search_diagrams(lams, l),
-                 "listing != exhaustive search on {} level {}", lams, l,
-                 at=(lams, l))
+                 "listing != exhaustive search on {} level {}", lams, l)
         indices = [index_of_diagram(d) for d in diagrams]
         _require(sorted(indices) == enumerate_P(lams, l),
-                 "index image mismatch on {} level {}", lams, l,
-                 at=(lams, l))
+                 "index image mismatch on {} level {}", lams, l)
         _require(len(diagrams) == independent_dimension(lams, l),
-                 "diagram count != dimension on {} level {}", lams, l,
-                 at=(lams, l))
+                 "diagram count != dimension on {} level {}", lams, l)
         for d, a in zip(diagrams, indices):
             _require(diagram_of_index(lams, a) == d,
-                     "round trip fails at {} on {}", a, lams, at=(lams, l))
+                     "round trip fails at {} on {}", a, lams)
         cases += len(diagrams)
     return f"{cases} diagrams matched to indices and dimensions"
 
@@ -310,14 +315,13 @@ def check_singular_bases(max_sum: int) -> str:
     """Origin-avoiding diagrams index exactly the E-kernel members of the
     dual canonical basis, with the count certified by the rank at q = 1."""
     cases = 0
-    for lams, l in weight_slices(max_sum):
+    for lams, l in _sweep(weight_slices(max_sum)):
         basis = _dual_basis(lams, l)
         kernel_indices = {b.index for b in singular_subset(basis)}
         diagram_indices = {index_of_diagram(d)
                            for d in filter_singular(enumerate_B(lams, l))}
         _require(kernel_indices == diagram_indices,
-                 "singular sets disagree on {} level {}", lams, l,
-                 at=(lams, l))
+                 "singular sets disagree on {} level {}", lams, l)
         cases += len(kernel_indices)
     return f"{cases} singular basis elements matched both ways"
 
@@ -334,7 +338,7 @@ def check_cabling(max_sum: int) -> str:
     """Algebraic and diagrammatic collapses agree everywhere; the surviving
     scalars are all exactly 1 at desk scale."""
     scalars = {}
-    for lams, l in weight_slices(max_sum):
+    for lams, l in _sweep(weight_slices(max_sum)):
         for o in cabling_report(lams, l, _dual_basis).outcomes:
             if not o.killed:
                 key = str(o.scalar)
@@ -347,24 +351,23 @@ def check_cabling(max_sum: int) -> str:
 
 
 def check_duality(max_sum: int) -> str:
-    """The canonical and dual canonical bases pair to the identity matrix;
-    psi_c's matrix equals the braid product on each slice, zero weights too."""
+    """Production's canonical basis and the reference dual canonical basis
+    (the forward substitution on psi_c) pair to the identity matrix; psi_c's
+    matrix equals the braid product on each slice, zero weights too."""
     cases = 0
-    for l1 in range(max_sum + 1):
-        for l2 in range(max_sum + 1 - l1):
-            lams = (l1, l2)
-            for l in range(sum(lams) + 1):
-                can = canonical_basis_pair(lams, l)
-                dual = _dual_basis(lams, l)
-                _require_braid_route(lams, l)
-                for db in dual:
-                    for cb in can:
-                        pair = linalg.dot(db.coords, cb.coords)
-                        want = ONE if db.index == cb.index else QScalar()
-                        _require(pair == want,
-                                 "pairing off at {}/{} on {} level {}",
-                                 db.index, cb.index, lams, l, at=(lams, l))
-                        cases += 1
+    for lams, l in _sweep(((l1, l2), l) for l1 in range(max_sum + 1)
+                          for l2 in range(max_sum + 1 - l1)
+                          for l in range(l1 + l2 + 1)):
+        can = canonical_basis_pair(lams, l)
+        dual = _solve_triangular(psi_c(lams, l))
+        _require_braid_route(lams, l)
+        for db in dual:
+            for cb in can:
+                pair = linalg.dot(db.coords, cb.coords)
+                want = ONE if db.index == cb.index else QScalar()
+                _require(pair == want, "pairing off at {}/{} on {} level {}",
+                         db.index, cb.index, lams, l)
+                cases += 1
     return f"{cases} pairings equal the identity pattern"
 
 
@@ -399,12 +402,12 @@ def run_suite(suite: str = "all", max_weight_sum: int = 6) -> list[CheckResult]:
                          f"limit {MAX_WEIGHT_SUM}")
     bounds = [min(max_weight_sum, BOUND_CAPS.get(name, max_weight_sum))
               for name in names]
-    global _run_bases
+    global _run_bases, _swept
     out = []
     _run_bases = {}
     try:
         for i, (name, bound) in enumerate(zip(names, bounds)):
-            failure = None
+            failure, _swept = None, None
             start = time.perf_counter()
             try:
                 detail = ALL_CHECKS[name](bound)
@@ -412,7 +415,7 @@ def run_suite(suite: str = "all", max_weight_sum: int = 6) -> list[CheckResult]:
                 detail = f"{type(exc).__name__}: {exc}"
                 failure = {"check": name, "error_type": type(exc).__name__,
                            "error": str(exc)}
-                at = getattr(exc, "weight_slice", None)
+                at = getattr(exc, "weight_slice", None) or _swept
                 if at is not None:
                     failure.update({"lambda": list(at[0]), "level": at[1]})
             out.append(CheckResult(name, detail, time.perf_counter() - start,
@@ -423,6 +426,6 @@ def run_suite(suite: str = "all", max_weight_sum: int = 6) -> list[CheckResult]:
                 del _run_bases[key]
             _clear_reference_caches()
     finally:
-        _run_bases = None
+        _run_bases = _swept = None
         _clear_reference_caches()
     return out

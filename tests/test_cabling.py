@@ -196,7 +196,7 @@ def closed_form(lam, a):
 def _reference_basis(lam, l):
     """The forward substitution on psi_c: the reference the production
     closed form is checked against."""
-    return _solve_triangular(psi_c(lam, l), upward=True)
+    return _solve_triangular(psi_c(lam, l))
 
 
 def test_closed_form_is_the_dual_canonical_basis():

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -7,13 +9,13 @@ from hypothesis import strategies as st
 
 from qcanon import canonical, linalg
 from qcanon.canonical import (BasisVector, CountMismatchError,
-                              TriangularityViolationError, _l1_norm, _pack,
-                              _pack_layout, _solve_triangular, _unpack,
-                              apply_antilinear, canonical_basis_pair,
-                              dual_canonical_basis, is_involution, psi_c,
-                              psi_tensor2, singular_subset)
+                              TriangularityViolationError, _pack,
+                              _solve_triangular, apply_antilinear,
+                              canonical_basis_pair, dual_canonical_basis,
+                              is_involution, psi_c, psi_tensor2,
+                              singular_subset)
 from qcanon.qring import (ONE, ZERO, BarAsymmetryError, OddExponentError,
-                          QScalar, in_qinv_ideal)
+                          QScalar, in_qinv_ideal, solve_bar_equation)
 from qcanon.rmatrix import BraidOperator, tau_theta_n
 from qcanon.tensor import coproduct_matrix, enumerate_P, weight_space
 from qcanon.verify import weight_slices
@@ -135,17 +137,14 @@ class TestDualCanonicalBasis:
                                          perturbed)
 
 
-def _defective(anti, upward, defect):
+def _defective(anti, defect):
     """A copy of `anti` with one defect the solver must refuse."""
     dim = anti.source.dim
     cols = [dict(anti.matrix.col(j).items()) for j in range(dim)]
     if defect == "diagonal":
         cols[0][0] = q(2)
     elif defect == "wrong_side":  # a row before the column in solving order
-        if upward:
-            cols[1][0] = ONE
-        else:
-            cols[0][1] = ONE
+        cols[1][0] = ONE
     else:  # the first off-diagonal entry, shifted by q^-1 or v^-1
         p, k = next((p, k) for p in range(dim) for k in sorted(cols[p])
                     if k != p)
@@ -156,41 +155,29 @@ def _defective(anti, upward, defect):
 
 
 class TestSolverGuards:
-    @pytest.mark.parametrize("upward", [True, False],
-                             ids=["dual", "canonical"])
     @pytest.mark.parametrize("defect, error", [
         ("diagonal", TriangularityViolationError),
         ("wrong_side", TriangularityViolationError),
         ("shifted", BarAsymmetryError),
         ("odd", OddExponentError)])
-    def test_defective_map_raises(self, upward, defect, error):
-        anti = psi_c((1, 1, 1), 1) if upward else psi_tensor2((2, 1), 1)
-        assert _solve_triangular(anti, upward)  # the intact map solves
+    def test_defective_map_raises(self, defect, error):
+        anti = psi_c((1, 1, 1), 1)
+        assert _solve_triangular(anti)  # the intact map solves
         with pytest.raises(error):
-            _solve_triangular(_defective(anti, upward, defect), upward)
+            _solve_triangular(_defective(anti, defect))
 
 
-class TestPackedSolver:
-    def test_widens_on_large_coefficients(self, monkeypatch):
+class TestReferenceSolver:
+    def test_exact_on_large_coefficients(self):
         # A = [[1, 0, 0], [a, 1, 0], [b, a, 1]] with a = n (q - q^-1) and
-        # b = n^2 (2 q^2 - 1 - q^-2): the coefficients outgrow the first
-        # packing width, and the exact solution is known by hand
+        # b = n^2 (2 q^2 - 1 - q^-2): the exact solution is known by hand
         n = 2**40 + 3
         a = n * (q(1) - q(-1))
         b = n * n * (2 * q(2) - ONE - q(-2))
         space = psi_c((1, 1, 1), 1).source
         anti = BraidOperator(space, space, linalg.Matrix(
             (3, 3), [{0: ONE, 1: a, 2: b}, {1: ONE, 2: a}, {2: ONE}]))
-        widths = set()
-        real = canonical._unpack
-
-        def unpack(x, bits, off):
-            widths.add(bits)
-            return real(x, bits, off)
-
-        monkeypatch.setattr(canonical, "_unpack", unpack)
-        basis = _solve_triangular(anti, upward=True)
-        assert len(widths) > 1
+        basis = _solve_triangular(anti)
         want = [{0: ONE, 1: -n * q(-1), 2: -n * n * q(-2)},
                 {1: ONE, 2: -n * q(-1)}, {2: ONE}]
         assert [dict(b.coords.items()) for b in basis] == want
@@ -202,8 +189,7 @@ class TestPackedSolver:
     def test_perturbed_answer_fails_the_fixed_point_check(self, lams,
                                                           monkeypatch):
         # an ideal term added to the first answer: the solve goes on, and
-        # the packed product must refuse the vector (on (1, 1) the term
-        # also lies below every exponent of A, on (2, 1) it does not)
+        # the fresh product must refuse the vector
         real = canonical.solve_bar_equation
         calls = []
 
@@ -215,10 +201,10 @@ class TestPackedSolver:
         monkeypatch.setattr(canonical, "solve_bar_equation", perturbed)
         with pytest.raises(TriangularityViolationError,
                            match="fixed-point defect"):
-            _solve_triangular(psi_c(lams, 1), upward=True)
+            _solve_triangular(psi_c(lams, 1))
 
     def test_every_vector_is_a_fixed_point_on_the_scalar_route(self):
-        # psi . bar on QScalar entries, independent of the packed kernel
+        # psi . bar on QScalar entries, for both production routes
         for lams, l in weight_slices(5):
             cases = [(psi_c(lams, l), dual_canonical_basis(lams, l))]
             if len(lams) == 2:
@@ -332,16 +318,6 @@ def q_polys(exps, coeffs, max_size):
         lambda t: QScalar({2 * k: c for k, c in t.items()}))
 
 
-@given(q_polys(st.integers(-6, 6), st.integers(-2**70, 2**70), 5),
-       st.integers(0, 4))
-def test_pack_round_trip(x, extra):
-    bits = _l1_norm(x).bit_length() + 1  # every |c| < 2^(bits-1)
-    off = 6 + extra
-    n = _pack(x, bits, off)
-    assert _unpack(n, bits, off) == x
-    assert (n == 0) == (x == ZERO)
-
-
 small_q_polys = q_polys(st.integers(-3, 3), st.integers(-3, 3), 3)
 
 
@@ -351,7 +327,6 @@ def test_pack_is_a_ring_map(a, b, extra):
     pa, pb = (_pack(x, bits, off) for x in (a, b))
     assert pa + pb == _pack(a + b, bits, off)
     assert pa * pb == _pack(a * b, bits, 2 * off)
-    assert _unpack(pa * pb, bits, 2 * off) == a * b
 
 
 def test_pack_rejects_what_does_not_fit():
@@ -361,16 +336,90 @@ def test_pack_rejects_what_does_not_fit():
         _pack(QScalar.v_power(1), 8, 0)  # a half q-power
 
 
-def test_pack_layout():
-    # psi_c on (V1 x V1)^c at level 1: entries 1 and q - q^-1
-    assert _pack_layout(psi_c((1, 1), 1).matrix) == (2, 1)
-    odd = linalg.diagonal([QScalar.v_power(-3), 3 * ONE])
-    with pytest.raises(OddExponentError):
-        _pack_layout(odd)
-    assert _pack_layout(linalg.Matrix((0, 0), [])) == (0, 0)
+def _canonical_by_substitution(lams, l):
+    """The fixed points c_m = e_m + sum_{k<m} c_k e_k of psi = bar(Theta) .
+    bar on a plain two-factor slice, each by one forward substitution that
+    scans the rows before m in descending order: the oracle for
+    `canonical_basis_pair`, independent of the dual basis."""
+    psi = psi_tensor2(lams, l)
+    cols = [dict(psi.matrix.col(p).items()) for p in range(psi.source.dim)]
+    out = []
+    for m in range(len(cols)):
+        coeffs = {m: ONE}
+        for r in range(m - 1, -1, -1):
+            # row r of psi(c) = c: c_r - bar(c_r) = sum_{k>r} A[r, k] bar(c_k)
+            rho = sum((cols[k].get(r, ZERO) * c.bar()
+                       for k, c in coeffs.items()), ZERO)
+            if rho:
+                coeffs[r] = solve_bar_equation(rho)
+        out.append(coeffs)
+    return out
+
+
+def _edit_inversion(monkeypatch, edit):
+    """Production with the columns of D^-T passed through edit(cols)."""
+    real = canonical._inverse_transpose
+    monkeypatch.setattr(canonical, "_inverse_transpose",
+                        lambda dual: edit(real(dual)))
 
 
 class TestCanonicalPair:
+    def test_matches_the_substitution_oracle(self):
+        # every two-factor slice with weight sum <= 14, zero weights included
+        slices = [((a, s - a), l) for s in range(15) for a in range(s + 1)
+                  for l in range(s + 1)]
+        assert len(slices) == 1240
+        for lams, l in slices:
+            got = canonical_basis_pair(lams, l)
+            assert [dict(b.coords.items()) for b in got] \
+                == _canonical_by_substitution(lams, l), (lams, l)
+
+    def test_answers_without_the_solver(self, monkeypatch, capsys):
+        # canonical2 reads only the dual basis: every recorded request
+        # answers byte for byte with the reference solver gone
+        from qcanon.cli import main
+
+        def gone(op):
+            raise AssertionError("the reference solver ran")
+
+        monkeypatch.setattr(canonical, "_solve_triangular", gone)
+        cases = [c for c in json.loads(
+            (Path(__file__).parent / "cli_golden.json").read_text())
+            if c["argv"][0] == "canonical2"]
+        assert cases
+        for case in cases:
+            assert main(case["argv"]) == 0
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
+
+    def test_perturbed_inversion_coefficient_raises(self, monkeypatch):
+        # an ideal term added to one off-lead coefficient: lead, support and
+        # ideal all still hold, so only the fresh product can refuse it
+        def edit(cols):
+            m = next(m for m, c in enumerate(cols) if len(c) > 1)
+            k = min(cols[m])
+            cols[m][k] = cols[m][k] + q(-1)
+            return cols
+
+        _edit_inversion(monkeypatch, edit)
+        with pytest.raises(TriangularityViolationError,
+                           match="fixed-point defect at \\(1, 1\\)"):
+            canonical_basis_pair((2, 2), 2)
+
+    @pytest.mark.parametrize("edit, error, match", [
+        (lambda c: {**c, min(c): q(1)}, AssertionError,
+         "outside q\\^-1 Z\\[q\\^-1\\]"),
+        (lambda c: {**c, max(c): 2 * ONE}, TriangularityViolationError,
+         "lead coefficient"),
+        (lambda c: {**c, max(c) + 1: q(-1)}, TriangularityViolationError,
+         "outside the k>0 shift family")],
+        ids=["outside_the_ideal", "lead", "support_after_the_lead"])
+    def test_certificate_refuses(self, monkeypatch, edit, error, match):
+        _edit_inversion(monkeypatch, lambda cols: [
+            cols[0], edit(cols[1]), *cols[2:]])
+        with pytest.raises(error, match=match):
+            canonical_basis_pair((2, 2), 2)
+
     def test_v1v1_level1(self):
         basis = canonical_basis_pair((1, 1), 1)
         by_index = {b.index: b for b in basis}

@@ -6,8 +6,9 @@ from collections import Counter
 
 import pytest
 
-from qcanon import rmatrix, verify
+from qcanon import linalg, rmatrix, verify
 from qcanon.cabling import cabling_report
+from qcanon.qring import QScalar
 from qcanon.rmatrix import r_n_matrix, rcheck_longest
 from qcanon.verify import run_suite, weight_slices
 from qcanon.weightmod import simple_factors
@@ -173,3 +174,57 @@ def test_failure_on_a_slice_names_it(monkeypatch):
         "check": "bijection_counts", "error_type": "AssertionError",
         "error": "listing != exhaustive search on (1, 2) level 1",
         "lambda": [1, 2], "level": 1}
+
+
+def test_duality_pairs_production_with_the_reference(monkeypatch):
+    # one coefficient of the reference dual basis perturbed, on the first
+    # slice of dimension 2, (1, 1) level 1: the pairing with production's
+    # canonical basis must fail there
+    real = verify._solve_triangular
+    perturbed = []
+
+    def solve(op):
+        basis = real(op)
+        if len(basis) == 2 and not perturbed:
+            b = basis[0]
+            lead = b.space.pos[b.index]
+            coords = dict(b.coords.items())
+            coords[lead] = coords[lead] + QScalar.q_power(-1)
+            basis[0] = verify.BasisVector(b.index, b.space, linalg.Vector(
+                b.coords.dim, coords))
+            perturbed.append(op.source)
+        return basis
+
+    monkeypatch.setattr(verify, "_solve_triangular", solve)
+    [result] = run_suite("duality", 3)
+    assert perturbed and result.failure == {
+        "check": "duality", "error_type": "AssertionError",
+        "error": "pairing off at (0, 1)/(0, 1) on (1, 1) level 1",
+        "lambda": [1, 1], "level": 1}
+
+
+@pytest.fixture
+def fresh_rmatrix_caches():
+    """Empty every cache of `rmatrix` before and after the test, so that no
+    operator built with a patched helper outlives it."""
+    def clear():
+        for fn in vars(rmatrix).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+    clear()
+    yield
+    clear()
+
+
+def test_library_exception_names_its_slice(monkeypatch,
+                                           fresh_rmatrix_caches):
+    # a wrong [k]! makes a division inside the library raise, not a
+    # `_require`: the record still carries the slice the sweep was on
+    real = rmatrix.quantum_factorial
+    monkeypatch.setattr(rmatrix, "quantum_factorial",
+                        lambda k: 3 * real(k))
+    [result] = run_suite("involutions", 4)
+    assert result.failure == {
+        "check": "involutions", "error_type": "InexactDivisionError",
+        "error": "inexact division: q^-2 + 2 + q^2 / 3q^-1 + 3q",
+        "lambda": [2, 2], "level": 2}
