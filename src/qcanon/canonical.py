@@ -33,7 +33,10 @@ Laurent polynomial is evaluated at q = 2^B and shifted so that no exponent
 is negative.  Evaluation at 2^B is a ring map, so packed sums and products
 are the packed images of the true ones, and two polynomials whose
 coefficients all have |c| < 2^(B-1) are equal exactly when their packed
-images are.
+images are.  Between pieces the vector keeps only its nonzero entries,
+and the power of q common to them is divided out (`_through_pieces`), so
+neither structural zeros nor the pieces' growing packing offsets ride
+along to the next piece.
 Every entry of A is a polynomial in q and q^-1 (the Theta coefficients, the
 quantum integers and the q^{+-h} flanks are all integer powers of q), and a
 half-integer q-power raises OddExponentError.
@@ -69,7 +72,8 @@ disagreement is a falsification signal and raises.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 from typing import Sequence
 
 from . import linalg
@@ -370,12 +374,16 @@ def _certify(space: WeightSpace, coords: list[dict]) -> None:
     once per distinct block.
 
     The fixed-point products run on Kronecker-packed ints (`_pack`), each
-    piece packed at its own offset, so that the offsets add piece by piece.
-    Every coefficient of A bar(b_m) is at most L1(b_m) times the product of
-    the pieces' largest column L1 norms (the norm is submultiplicative), and
-    so is every coefficient of b_m; B is taken above that bound, so the
-    final packed ints are equal exactly when the polynomials are.  Only the
-    final ints are compared, so intermediate sizes do not matter.
+    piece packed at its own offset, so that the offsets add piece by piece
+    (`_through_pieces`).  Every coefficient of A bar(b_m) is at most
+    L1(b_m) times the product of the pieces' largest column L1 norms (the
+    norm is submultiplicative), and so is every coefficient of b_m; B is
+    taken above that bound, so the final packed ints are equal exactly when
+    the polynomials are.  Each piece has unit diagonal, so each of those
+    norms is at least 1, and every partial product P_i^T ... P_{n-2}^T
+    bar(b_m) obeys the same bound: its packed entries determine their
+    polynomials, and the common power of q that `_through_pieces` divides
+    out of them is exact.
     """
     bound = 1
     for m, coeffs in enumerate(coords):
@@ -418,22 +426,45 @@ def _certify(space: WeightSpace, coords: list[dict]) -> None:
         packed.append(cols)
     total = sum(off for _, off in pieces)
     for m, coeffs in enumerate(coords):
-        x = {r: _pack(c.bar(), bits, 0) for r, c in coeffs.items()}
-        for cols in reversed(packed):  # P_{n-2}^T first
-            y = {}
-            for r, xr in x.items():
-                base, col = cols[r]
-                for p, v in col.items():
-                    p += base
-                    y[p] = y.get(p, 0) + v * xr
-            x = y
+        x, shift = _through_pieces(
+            packed, {r: _pack(c.bar(), bits, 0) for r, c in coeffs.items()},
+            bits)
         try:
-            want = {r: _pack(c, bits, total) for r, c in coeffs.items()}
+            want = {r: _pack(c, bits, total - shift)
+                    for r, c in coeffs.items()}
         except ValueError:  # a term of b_m below every term of A bar(b_m)
             want = None
-        if {p: v for p, v in x.items() if v} != want:
+        if x != want:
             raise TriangularityViolationError(
                 f"fixed-point defect at {space.indices[m]} on {space!r}")
+
+
+def _through_pieces(packed: list[list], x: dict, bits: int
+                    ) -> tuple[dict, int]:
+    """(y, shift): y = q^-shift P_0^T ... P_{n-2}^T x on packed ints, the
+    pieces given as `packed` (per piece, position -> (base, packed column)).
+
+    After each piece only the nonzero entries stay, and the common power of
+    q is divided out: s = min over the entries of floor(tz / bits), tz the
+    number of trailing zero bits (the least tz is that of the entries'
+    bitwise or).  While every coefficient is below 2^(bits-1) in absolute
+    value, floor(tz / bits) of an entry is its lowest q-exponent plus the
+    packing offset, so the division is exact and leaves the entries packed
+    at the offset less s.  `shift` sums the s.
+    """
+    shift = 0
+    for cols in reversed(packed):  # P_{n-2}^T first
+        y = {}
+        for r, xr in x.items():
+            base, col = cols[r]
+            for p, v in col.items():
+                p += base
+                y[p] = y.get(p, 0) + v * xr
+        low = reduce(or_, y.values(), 0)  # its lowest set bit: min tz
+        s = ((low & -low).bit_length() - 1) // bits if low else 0
+        x = {p: v >> bits * s for p, v in y.items() if v}
+        shift += s
+    return x, shift
 
 
 def canonical_basis_pair(lams: Sequence[int], level: int) -> list[BasisVector]:

@@ -26,25 +26,40 @@ on any product, of either module kind, tau(Theta^(n)) is the transpose of
 Theta^(n) on the contragredient factors (V^cc = V), and that transpose is
 the one route by which `tau_theta_n` builds it.
 
+The longest braiding along the default word has a recursion of its own:
+that word is the default word of the first n - 1 factors followed by
+n - 2, ..., 0, and those last letters bubble the last factor to the front,
+
+    Rcheck^(n)(F) = B(G) . (Rcheck^(n-1)(F[:-1]) x 1),
+    G = F[:-1] reversed, then F[-1],
+
+with the bubble B(G) = Rcheck_0 . (1 x B(G[1:])) (`_bubble`).  Both are
+cached, so each (n-1)-factor product and each bubble is built once and
+read by every longer product; any other word multiplies its pair
+operators out.
+
 The references that only `verify` and the tests call are R^(n) by its own
 recursion `_r_n` and the braid-product identity
 
     tau(Theta^(n)) = Rcheck^(n) (C^(n))^-1 sigma_0
 
 evaluated with the given factor matrices (`tau_theta_braid`); C^(n) is a
-diagonal of monomials v^e, so its inverse is its bar.
+diagonal of monomials v^e, so its inverse is its bar, and (C^(n))^-1
+sigma_0 is applied as a relabelling of Rcheck^(n)'s columns, each shifted
+by one monomial.
 
-`_lift` builds the block operators only: the lifted tails of `_theta_n`
-and `_r_n` and the lifted pair operators of `_rcheck`, each block level
-once per call.  A result is cached only if rebuilding it costs measurable
-ring work or other cache keys rest on its identity.  Ten caches meet that
-rule: here `_theta_piece_first`, `_theta_n`, `_r_n`, `_pair_rcheck` and
-`_rcheck_longest`; `tensor.weight_space` and the two `weightmod`
-constructors, whose canonical instances key all the others (modules and
-slices hash by identity); `qring.quantum_factorial`; and
-`canonical._gaussian_binomial`.  All ten stay;
-`_r_n` and `_rcheck_longest` serve only the references, and `verify`
-empties them after each check (`_REFERENCE_CACHES`).
+`_lift` builds the block operators only: the lifted tails of `_theta_n`,
+`_r_n`, `_rcheck_longest` and `_bubble` and the lifted pair operators of
+`_rcheck`, each block level once per call.  A result is cached only if
+rebuilding it costs measurable ring work or other cache keys rest on its
+identity.  Eleven caches meet that rule: here `_theta_piece_first`,
+`_theta_n`, `_r_n`, `_pair_rcheck`, `_rcheck_longest` and `_bubble`;
+`tensor.weight_space` and the two `weightmod` constructors, whose
+canonical instances key all the others (modules and slices hash by
+identity); `qring.quantum_factorial`; and `canonical._gaussian_binomial`.
+All eleven stay; `_r_n`, `_rcheck_longest` and `_bubble` serve only the
+references, and `verify` empties them after each check
+(`_REFERENCE_CACHES`).
 
 E on factor 0 and Delta^{n-2}(F) on the rest act on different legs, so
 E^k x Delta^{n-2}(F)^k = T^k for the one square matrix T = E x
@@ -246,10 +261,13 @@ def default_longest_word(n: int) -> tuple[int, ...]:
     return tuple(word)
 
 
-def _reduced_word(word, n) -> tuple[int, ...]:
-    """`word` (by default `default_longest_word(n)`) as a tuple, checked to
-    be a reduced expression of the order-reversing permutation."""
-    word = default_longest_word(n) if word is None else tuple(word)
+def _reduced_word(word, n) -> tuple[int, ...] | None:
+    """`word` as a tuple, checked to be a reduced expression of the
+    order-reversing permutation; None for `default_longest_word(n)`, given
+    or by default, which `_rcheck_longest` keys as None."""
+    if word is None:
+        return None
+    word = tuple(word)
     if len(word) != n * (n - 1) // 2:
         raise NotReducedError(
             f"word of length {len(word)}, expected {n * (n - 1) // 2}")
@@ -260,20 +278,34 @@ def _reduced_word(word, n) -> tuple[int, ...]:
         perm[i], perm[i + 1] = perm[i + 1], perm[i]
     if perm != list(range(n))[::-1]:
         raise NotReducedError(f"word {word} does not reverse the factors")
-    return word
+    return None if word == default_longest_word(n) else word
 
 
 @lru_cache(maxsize=None)
 def _rcheck_longest(factors, level, word):
-    """Rcheck_{i_L} ... Rcheck_{i_1} along the reduced word (i_1, ..., i_L).
+    """Rcheck_{i_L} ... Rcheck_{i_1} along the reduced word (i_1, ..., i_L),
+    None standing for `default_longest_word(n)`.
 
-    The pair operators are multiplied in balanced rounds, neighbours first:
-    a product of a few lifted pair operators stays sparse, where a running
+    The default word of n >= 3 factors is the default word of the first
+    n - 1 followed by n - 2, ..., 0, which bubble the last factor to the
+    front: the product is the bubble (`_bubble`) times the lifted
+    (n-1)-factor product, read from the cache.  A word given as a tuple
+    multiplies its pair operators in balanced rounds, neighbours first: a
+    product of a few lifted pair operators stays sparse, where a running
     left-to-right product turns dense after a handful of factors.  The
-    arithmetic is exact, so the bracketing does not change the result.
+    arithmetic is exact, so neither the recursion nor the bracketing
+    changes the result.
     """
+    n = len(factors)
+    if word is None and n >= 3:
+        head = factors[:-1]
+        return linalg.matmul(
+            _suffixes_first(head[::-1] + factors[-1:], level, _bubble),
+            _lift(factors, level, 0, n - 1,
+                  lambda b: _rcheck_longest(head, b, None), 0,
+                  out_block=head[::-1]))
     ops = []
-    for i in word:
+    for i in default_longest_word(n) if word is None else word:
         ops.append(_rcheck(factors, level, i))
         factors = _swapped(factors, i)
     if not ops:
@@ -284,10 +316,26 @@ def _rcheck_longest(factors, level, word):
     return ops[0]
 
 
+@lru_cache(maxsize=None)
+def _bubble(factors, level):
+    """Rcheck_0 ... Rcheck_{n-2} on n factors: moves the last factor to the
+    front, by the bubble of factors[1:] and then Rcheck_0."""
+    n = len(factors)
+    if n <= 2:  # one factor is already in front
+        return (_rcheck(factors, level, 0) if n == 2
+                else linalg.identity(weight_space(factors, level).dim))
+    rest = factors[1:]
+    moved = rest[-1:] + rest[:-1]
+    return linalg.matmul(
+        _rcheck(factors[:1] + moved, level, 0),
+        _lift(factors, level, 1, n, lambda b: _bubble(rest, b), 0,
+              out_block=moved))
+
+
 #: The caches that only the references fill; `verify` empties them after each
 #: check.  A tuple, built at import, so that it still reaches the caches when
 #: a profiler (perfbench's tracer) rebinds the module names to wrappers.
-_REFERENCE_CACHES = (_r_n, _rcheck_longest)
+_REFERENCE_CACHES = (_r_n, _rcheck_longest, _bubble)
 
 
 def _tau_theta_n_dual(factors, level):
@@ -368,21 +416,36 @@ def rcheck_matrix(factors, level, i) -> BraidOperator:
 def rcheck_longest(factors, level, word=None) -> BraidOperator:
     """The longest braiding along `word` (default: `default_longest_word`)."""
     factors = tuple(factors)
-    return _operator(_rcheck_longest, factors, level,
-                     _reduced_word(word, len(factors)), target=factors[::-1])
+    word = _reduced_word(word, len(factors))
+    if word is None:  # each proper prefix first: the reversal's suffixes
+        _suffixes_first(factors[::-1], level, lambda rev, b:
+                        _rcheck_longest(rev[::-1], b, None))
+    return _operator(_rcheck_longest, factors, level, word,
+                     target=factors[::-1])
 
 
 def tau_theta_braid(factors, level) -> BraidOperator:
     """Reference: tau(Theta^(n)) = Rcheck^(n) (C^(n))^-1 sigma_0, built from
-    the given factor matrices.  Uncached; `verify` and the tests compare it
-    with `tau_theta_n` on plain and contragredient factors."""
+    the given factor matrices.  (C^(n))^-1 sigma_0 relabels columns: column
+    m is column m[::-1] of Rcheck^(n) on the reversed factors, times
+    v^(-sum_{i<k} w_i w_k), w the factor weights; that sum is
+    (W^2 - sum_i w_i^2) / 2 for the slice weight W.  Uncached; `verify` and
+    the tests compare it with `tau_theta_n` on plain and contragredient
+    factors."""
     factors = tuple(factors)
     rev = factors[::-1]
     space = weight_space(factors, level)
-    return BraidOperator(space, space, linalg.matmul(
-        rcheck_longest(rev, level).matrix,
-        linalg.matmul(linalg.mat_bar(_cartan(rev, level)),
-                      _sigma0(factors, level))))
+    rcheck = rcheck_longest(rev, level).matrix
+    pos = weight_space(rev, level).pos
+    cols = []
+    for m in space.indices:
+        shift = (sum(w * w for w in space.factor_weights(m))
+                 - space.weight ** 2) // 2
+        cols.append({i: QScalar._raw({e + shift: c
+                                      for e, c in x._terms.items()})
+                     for i, x in rcheck.col(pos[m[::-1]]).items()})
+    return BraidOperator(space, space, linalg.Matrix._wrap(
+        (space.dim, space.dim), tuple(cols)))
 
 
 def tau_theta_n(factors, level) -> BraidOperator:

@@ -7,14 +7,15 @@ names, times each call and records its outcome as a `CheckResult`; a
 failure on a weight slice, whatever raised it, carries that slice as
 `lambda` and `level`.  The run owns two kinds of state: the memo through
 which the checks read dual canonical bases, so a run computes each slice
-once, and the caches of the braid references `_r_n` and `_rcheck_longest`,
-which it empties after every check.  The checks are deliberately redundant
-with independent machinery on each side: dimension counts come from
-convolving weight multisets, singular counts from the integer rank of E at
-q = 1, braid products are compared against coproduct recursions, diagram
-listings against an exhaustive chord search, and the closed-form dual
-canonical basis, and the canonical basis inverted from it, against the
-forward substitution on psi_c.
+once, and the caches of the braid references `_r_n`, `_rcheck_longest`
+and `_bubble`, which it empties after every check.  The checks are
+deliberately redundant with independent machinery on each side: dimension
+counts come from convolving weight multisets, singular counts from the
+integer rank of E at q = 1, braid products are compared against coproduct
+recursions (and the default word's recursion against other words'
+multiplied-out products), diagram listings against an exhaustive chord
+search, and the closed-form dual canonical basis, and the canonical basis
+inverted from it, against the forward substitution on psi_c.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ from .canonical import (BasisVector, _solve_triangular, apply_antilinear,
                         canonical_basis_pair, dual_canonical_basis,
                         is_involution, psi_c, psi_tensor2, singular_subset)
 from .cabling import cabling_report
-from .common import MAX_WEIGHT_SUM, SUITE_ALIASES, enumerate_P
+from .common import (MAX_WEIGHT_SUM, SUITE_ALIASES, InvalidDiagramError,
+                     enumerate_P)
 from .diagrams import (ArcDiagram, _crossing, diagram_of_index, enumerate_B,
-                       filter_invariant, filter_singular, index_of_diagram,
-                       validate_diagram)
+                       filter_invariant, filter_singular, index_of_diagram)
 from .qring import ONE, QScalar, in_qinv_ideal
 from .rmatrix import (_REFERENCE_CACHES, cartan_factor, r_n_matrix,
                       rcheck_longest, sigma0_matrix, tau_theta_braid,
@@ -87,12 +88,16 @@ def search_diagrams(lam: Sequence[int], l: int) -> list[ArcDiagram]:
     the reference `enumerate_B` is checked against.
 
     Recursive multiset choice over the chord alphabet with early capacity and
-    crossing pruning; the pass-over condition depends on final degrees and is
-    checked on complete candidates.
+    crossing pruning: each chord's crossings are a bitmask over the
+    alphabet, and the recursion carries the union of the chosen chords'
+    masks.  The pass-over condition depends on final degrees; the
+    `ArcDiagram` constructor checks it on complete candidates.
     """
     lam = tuple(lam)
     n = len(lam)
     alphabet = [(i, j) for i in range(n + 1) for j in range(i + 1, n + 1)]
+    crossed = [sum(1 << b for b, d in enumerate(alphabet) if _crossing(c, d))
+               for c in alphabet]
     out = []
     degrees = [0] * (n + 1)
 
@@ -103,27 +108,28 @@ def search_diagrams(lam: Sequence[int], l: int) -> list[ArcDiagram]:
             cap = min(cap, lam[i - 1] - degrees[i])
         return cap
 
-    def rec(pos: int, remaining: int, chosen: list):
+    def rec(pos: int, remaining: int, chosen: list, blocked: int):
         if remaining == 0:
-            if validate_diagram(lam, chosen) is None:
-                out.append(ArcDiagram(lam, tuple(chosen)))
+            try:
+                out.append(ArcDiagram(lam, chosen))
+            except InvalidDiagramError:  # an arc over an unsaturated point
+                pass
             return
         if pos == len(alphabet):
             return
         c = alphabet[pos]
-        crosses = any(_crossing(c, other) for other in chosen)
-        top = 0 if crosses else min(remaining, chord_cap(c))
-        rec(pos + 1, remaining, chosen)
+        top = 0 if blocked >> pos & 1 else min(remaining, chord_cap(c))
+        rec(pos + 1, remaining, chosen, blocked)
         for mult in range(1, top + 1):
             chosen.extend([c] * mult)
             degrees[c[0]] += mult
             degrees[c[1]] += mult
-            rec(pos + 1, remaining - mult, chosen)
+            rec(pos + 1, remaining - mult, chosen, blocked | crossed[pos])
             degrees[c[0]] -= mult
             degrees[c[1]] -= mult
             del chosen[len(chosen) - mult:]
 
-    rec(0, l, [])
+    rec(0, l, [], 0)
     return sorted(out, key=lambda d: d.chords)
 
 

@@ -227,10 +227,47 @@ def _cli_basis(capsys, lams, level):
     return code, json.loads(out), err
 
 
+def through_pieces_all_terms(packed, x, bits):
+    """The certificate's product loop before it kept only live terms: the
+    structural zeros ride along, no common power of q is divided out, and
+    only the final entries are filtered."""
+    for cols in reversed(packed):
+        y = {}
+        for r, xr in x.items():
+            base, col = cols[r]
+            for p, v in col.items():
+                p += base
+                y[p] = y.get(p, 0) + v * xr
+        x = y
+    return {p: v for p, v in x.items() if v}, 0
+
+
+@pytest.fixture(params=["live_terms", "all_terms"])
+def product_loop(request, monkeypatch):
+    """Run a test with the production product loop and again with the
+    all-terms loop in its place."""
+    if request.param == "all_terms":
+        monkeypatch.setattr(canonical, "_through_pieces",
+                            through_pieces_all_terms)
+    return request.param
+
+
+@pytest.mark.parametrize("lams, level", [
+    ((1,) * 8, 4), ((2,) * 4, 4), ((3, 1, 2), 3), ((1, 0, 2, 1), 2)])
+def test_product_loops_accept_the_same_bases(monkeypatch, lams, level):
+    def coords(basis):
+        return [(b.index, sorted(b.coords.items())) for b in basis]
+
+    live = coords(dual_canonical_basis(lams, level))
+    monkeypatch.setattr(canonical, "_through_pieces", through_pieces_all_terms)
+    assert coords(dual_canonical_basis(lams, level)) == live
+
+
+@pytest.mark.usefixtures("product_loop")
 class TestCertificate:
     """Each defect the certificate of the closed form is there to catch
     raises, and `qcanon basis` reports it as a failed check: exit 1, one
-    JSON record, nothing on stderr."""
+    JSON record, nothing on stderr; with either product loop."""
 
     LAMS, LEVEL = (2, 1, 1), 2  # dim 4
 

@@ -9,7 +9,7 @@ from qcanon.diagrams import (ArcDiagram, InvalidDiagramError, NotInPError,
                              index_of_diagram, render_ascii, render_svg_many,
                              validate_diagram)
 from qcanon.tensor import enumerate_P
-from qcanon.verify import search_diagrams
+from qcanon.verify import search_diagrams, weight_slices
 
 
 def diag(lam, chords):
@@ -122,6 +122,55 @@ class TestEnumerate:
             for l in range(sum(lam) + 1):
                 assert len(search_diagrams(lam, l)) == \
                     len(enumerate_P(lam, l))
+
+
+def search_by_pairwise_crossings(lam, l):
+    """The chord search as it was before the crossing bitmasks: every node
+    tests the next chord against each chosen one, and each complete
+    candidate is validated, then built."""
+    lam = tuple(lam)
+    n = len(lam)
+    alphabet = [(i, j) for i in range(n + 1) for j in range(i + 1, n + 1)]
+    out = []
+    degrees = [0] * (n + 1)
+
+    def chord_cap(c):
+        i, j = c
+        cap = lam[j - 1] - degrees[j]
+        if i >= 1:
+            cap = min(cap, lam[i - 1] - degrees[i])
+        return cap
+
+    def rec(pos, remaining, chosen):
+        if remaining == 0:
+            if validate_diagram(lam, chosen) is None:
+                out.append(ArcDiagram(lam, tuple(chosen)))
+            return
+        if pos == len(alphabet):
+            return
+        c = alphabet[pos]
+        crosses = any(_crossing(c, other) for other in chosen)
+        top = 0 if crosses else min(remaining, chord_cap(c))
+        rec(pos + 1, remaining, chosen)
+        for mult in range(1, top + 1):
+            chosen.extend([c] * mult)
+            degrees[c[0]] += mult
+            degrees[c[1]] += mult
+            rec(pos + 1, remaining - mult, chosen)
+            degrees[c[0]] -= mult
+            degrees[c[1]] -= mult
+            del chosen[len(chosen) - mult:]
+
+    rec(0, l, [])
+    return sorted(out, key=lambda d: d.chords)
+
+
+def test_search_matches_pairwise_crossing_search():
+    for lam, l in itertools.chain(
+            weight_slices(6),
+            ((lam, l) for lam in capacities_with_zeros()
+             for l in range(sum(lam) + 1))):
+        assert search_diagrams(lam, l) == search_by_pairwise_crossings(lam, l)
 
 
 class TestIndexBijection:

@@ -21,6 +21,7 @@ from qcanon.rmatrix import (NotReducedError, _lift, _rcheck_longest,
                             sigma0_matrix, tau_theta_braid, tau_theta_n,
                             theta_matrix, theta_n_matrix, theta_n_pieces)
 from qcanon.canonical import dual_canonical_basis, psi_c
+from qcanon.verify import weight_slices
 from qcanon.tensor import coproduct_matrix, weight_space
 from qcanon.weightmod import GEN_E, GEN_F, contragredient, make_simple
 from test_weightmod import GEN_QH, GEN_QH_INV, with_matrices
@@ -398,12 +399,45 @@ class TestRcheckLongestBracketing:
                                  left_to_right_chain(fs, l, word))
 
     def test_one_cache_entry_per_product(self):
+        # the recursion caches its prefixes too; every spelling of the
+        # default word then reads the one entry of the whole product
         fs = factors(1, 1, 2)
         _rcheck_longest.cache_clear()
-        for word in (None, (0, 1, 0), [0, 1, 0]):
-            rcheck_longest(fs, 2, word=word)
         rcheck_longest(fs, 2)
-        assert _rcheck_longest.cache_info().currsize == 1
+        first = _rcheck_longest.cache_info()
+        for word in ((0, 1, 0), [0, 1, 0], None):
+            rcheck_longest(fs, 2, word=word)
+        later = _rcheck_longest.cache_info()
+        assert later.misses == first.misses
+        assert later.currsize == first.currsize
+        assert later.hits > first.hits
+
+
+@pytest.mark.parametrize("n", range(7))
+@pytest.mark.parametrize("kind", [factors, dual_factors],
+                         ids=["simple", "contragredient"])
+def test_default_word_recursion_matches_chain(kind, n):
+    # the prefix-and-bubble recursion, zero weights included
+    fs = kind(1, 0, 2, 1, 0, 1)[:n]
+    word = default_longest_word(n)
+    _rcheck_longest.cache_clear()
+    for l in range(sum(x.size - 1 for x in fs) + 1):
+        assert linalg.mat_eq(rcheck_longest(fs, l).matrix,
+                             left_to_right_chain(fs, l, word))
+
+
+@pytest.mark.parametrize("kind", [factors, dual_factors],
+                         ids=["simple", "contragredient"])
+def test_tau_theta_braid_matches_two_products(kind):
+    # (C^(n))^-1 sigma_0 applied as two products, not as a column relabel
+    for lams, l in weight_slices(5):
+        fs = kind(*lams)
+        rev = fs[::-1]
+        want = linalg.matmul(
+            rcheck_longest(rev, l).matrix,
+            linalg.matmul(linalg.mat_bar(cartan_factor(rev, l).matrix),
+                          sigma0_matrix(fs, l).matrix))
+        assert linalg.mat_eq(tau_theta_braid(fs, l).matrix, want)
 
 
 class TestBraidFactorizationIdentities:
@@ -586,6 +620,9 @@ def test_cache_inventory():
         "rmatrix._theta_piece_first",
         "rmatrix._theta_n", "rmatrix._r_n",
         "rmatrix._pair_rcheck", "rmatrix._rcheck_longest",
+        # the last factor moved to the front: the longest braiding's
+        # recursion reads it once per prefix and level
+        "rmatrix._bubble",
         "weightmod.make_simple", "weightmod.contragredient", "qring.quantum_factorial",
         "tensor.weight_space",
         # the q-Pascal recursion of the closed form's bundle weights
