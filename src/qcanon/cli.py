@@ -10,8 +10,14 @@ Subcommands:
     verify      run the property suites
 
 Exit codes: 0 success, 1 a property check failed (a machine-readable JSON
-record is printed), 2 bad flags, a request outside the configured bounds, or
-one that runs out of memory or recursion depth.
+record is printed), 2 bad flags, a request outside the configured bounds,
+one that runs out of memory or recursion depth, or a closed stdout (a reader
+that left early: one stderr line, no traceback).
+The process entry run() flushes stdout and stderr after main() and ends with
+os._exit.  What that skips is interpreter teardown, which frees every module
+and operator cache one object at a time: 12-14 ms after a six-factor `basis`
+request, a tenth of a large one, and 50-100 ms after `verify --suite all`,
+against 1-5 ms without it.
 All JSON is emitted with sorted keys and canonical scalar serialization, so
 identical requests produce byte-identical output.  The CLI writes it with its
 own writer, byte for byte equal to json.dumps(sort_keys=True, indent=2).
@@ -73,7 +79,14 @@ def _emit(text: str, output: str | None) -> None:
         except OSError as exc:  # exit 2: a bad request, not a failed check
             raise ValueError(f"cannot write {output}: {exc.strerror}") from exc
     else:
+        _stdout(text)
+
+
+def _stdout(text: str) -> None:
+    try:
         sys.stdout.write(text)
+    except OSError as exc:  # a closed pipe: exit 2, as for an unwritable -o
+        raise ValueError(f"cannot write stdout: {exc.strerror}") from exc
 
 
 _SCALARS = frozenset((int, str))
@@ -277,15 +290,15 @@ def cmd_verify(args, parser) -> int:
     failed = [r for r in results if not r.passed]
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        sys.stdout.write(f"{status} {r.name} ({r.elapsed:.2f}s): {r.detail}\n")
+        _stdout(f"{status} {r.name} ({r.elapsed:.2f}s): {r.detail}\n")
         if r.max_sum < args.max_weight_sum:
             sys.stderr.write(f"qcanon: {r.name} ran at --max-weight-sum "
                              f"{r.max_sum}, not {args.max_weight_sum}\n")
     total = sum(r.elapsed for r in results)
-    sys.stdout.write(f"{len(results) - len(failed)}/{len(results)} checks "
-                     f"passed in {total:.2f}s\n")
+    _stdout(f"{len(results) - len(failed)}/{len(results)} checks "
+            f"passed in {total:.2f}s\n")
     for r in failed:
-        sys.stdout.write(json.dumps(r.failure, sort_keys=True) + "\n")
+        _stdout(json.dumps(r.failure, sort_keys=True) + "\n")
     return 1 if failed else 0
 
 
@@ -350,13 +363,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
-    except _PROPERTY_FAILURE as exc:
-        sys.stdout.write(json.dumps(
-            {"schema": SCHEMA, "failure": True,
-             "error_type": type(exc).__name__, "error": str(exc)},
-            sort_keys=True) + "\n")
-        return 1
+        try:  # nested, so that a record stdout refuses is an exit 2
+            return args.func(args, parser)
+        except _PROPERTY_FAILURE as exc:
+            _stdout(json.dumps(
+                {"schema": SCHEMA, "failure": True,
+                 "error_type": type(exc).__name__, "error": str(exc)},
+                sort_keys=True) + "\n")
+            return 1
     except _BAD_REQUEST as exc:
         sys.stderr.write(f"qcanon: {exc}\n")
         return 2
@@ -366,5 +380,21 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> None:
+    """The `qcanon` process: main() on the command line, then a flushed
+    os._exit in place of interpreter teardown (see the module docstring).
+    A final flush that fails is exit 2 with one stderr line.  argparse's
+    SystemExit and unexpected exceptions leave by the usual path."""
+    code = main(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        if code != 2:  # an exit 2 has already written its stderr line
+            sys.stderr.write(f"qcanon: cannot write stdout: {exc.strerror}\n")
+            code = 2
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

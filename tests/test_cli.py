@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import errno
 import io
 import json
 import os
@@ -752,3 +753,154 @@ def test_fuzzed_argv_ends_in_exit_0_1_or_2(request):
                 assert code == 2, argv
     assert code in (0, 1, 2), argv
     assert "Traceback" not in sink.getvalue()
+
+
+# The process entry, `python -m qcanon.cli` and the `qcanon` script: run()
+# flushes stdout and stderr and ends with os._exit, without interpreter
+# teardown.  The children run with buffered stdout unless a test sets
+# PYTHONUNBUFFERED, so that the final flush has something to write.
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+LARGE = ("basis", "--lambda", "1,1,1,1,1,1,1,1,1", "--level", "4")
+SMALL = ("basis", "--lambda", "1,1", "--level", "1")
+EPIPE_LINE = f"qcanon: cannot write stdout: {os.strerror(errno.EPIPE)}\n"
+
+
+def _child_env(**extra):
+    env = {**os.environ, "PYTHONPATH": SRC}
+    env.pop("QCANON_MAX_DIM", None)
+    env.pop("PYTHONUNBUFFERED", None)
+    return {**env, **extra}
+
+
+def _entry(argv, stdout=subprocess.PIPE, **extra):
+    return subprocess.run([sys.executable, "-m", "qcanon.cli", *argv],
+                          stdout=stdout, stderr=subprocess.PIPE,
+                          env=_child_env(**extra), timeout=120)
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("unbuffered", [None, "1"],
+                             ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [SMALL, LARGE,
+                                      ("verify", "--suite", "catalan")],
+                             ids=["small", "large", "verify"])
+    def test_closed_pipe_exits_2(self, argv, unbuffered):
+        # the read end is closed before the child starts, so every write
+        # to the pipe fails with EPIPE, whatever the timing
+        extra = {} if unbuffered is None else {"PYTHONUNBUFFERED": unbuffered}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = _entry(argv, stdout=write_end, **extra)
+        finally:
+            os.close(write_end)
+        assert done.returncode == 2
+        assert done.stderr.decode() == EPIPE_LINE
+
+    @pytest.mark.parametrize("argv", [SMALL, ("verify", "--suite", "catalan"),
+                                      ("diagrams", "--lambda", "1,1",
+                                       "--level", "1")],
+                             ids=["basis", "verify", "failure-record"])
+    def test_write_error_in_process_exits_2(self, capsys, monkeypatch, argv):
+        import qcanon.diagrams as diagrams
+
+        def explode(lams, level):
+            raise AssertionError("synthetic")
+
+        if argv[0] == "diagrams":  # exit 1, but its record cannot be written
+            monkeypatch.setattr(diagrams, "enumerate_B", explode)
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        assert main(list(argv)) == 2
+        assert capsys.readouterr().err == EPIPE_LINE
+
+    @pytest.mark.parametrize("output", [None, "directory"])
+    def test_failed_final_flush_is_one_line_and_exit_2(
+            self, capsys, monkeypatch, tmp_path, output):
+        class Exited(Exception):
+            pass
+
+        def fake_exit(code):
+            raise Exited(code)
+
+        class UnflushablePipe(io.StringIO):
+            def flush(self):
+                raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+        argv = ["qcanon", *SMALL]
+        if output:  # an exit 2 that has already said why
+            argv += ["-o", str(tmp_path)]
+        monkeypatch.setattr(sys, "argv", argv)
+        monkeypatch.setattr(sys, "stdout", UnflushablePipe())
+        monkeypatch.setattr(os, "_exit", fake_exit)
+        with pytest.raises(Exited) as exc:
+            cli.run()
+        assert exc.value.args == (2,)
+        err = capsys.readouterr().err
+        if output:
+            assert err.startswith(f"qcanon: cannot write {tmp_path}: ")
+            assert len(err.splitlines()) == 1
+        else:
+            assert err == EPIPE_LINE
+
+
+class TestFastExitLosesNothing:
+    @pytest.mark.parametrize("argv", [SMALL, LARGE], ids=["small", "large"])
+    def test_output_to_pipe_file_and_o(self, capsys, tmp_path, argv):
+        # a small output is still in stdout's buffer when main() returns;
+        # a large one is more than a pipe buffer holds
+        assert main(list(argv)) == 0
+        expected = capsys.readouterr().out.encode()
+        assert (len(expected) > 64 * 1024) == (argv is LARGE)
+        piped = _entry(argv)
+        assert piped.returncode == 0 and piped.stderr == b""
+        assert piped.stdout == expected
+        with open(tmp_path / "stdout", "wb") as fh:
+            to_file = _entry(argv, stdout=fh)
+        assert to_file.returncode == 0 and to_file.stderr == b""
+        assert (tmp_path / "stdout").read_bytes() == expected
+        path = tmp_path / "out.json"
+        by_o = _entry([*argv, "-o", str(path)])
+        assert by_o.returncode == 0 and by_o.stdout == by_o.stderr == b""
+        assert path.read_bytes() == expected
+
+    def test_verify_keeps_its_stderr_lines(self):
+        done = _entry(["verify", "--suite", "all", "--max-weight-sum", "6"])
+        assert done.returncode == 0
+        assert done.stderr.decode().splitlines() == [
+            f"qcanon: {name} ran at --max-weight-sum 5, not 6"
+            for name in ("cabling", "duality")]
+        lines = done.stdout.decode().splitlines()
+        passed = lines[-1].split()[0].split("/")
+        assert passed[0] == passed[1] == str(len(lines) - 1)
+
+    def test_dimension_cap_exits_2(self):
+        done = _entry(SMALL, QCANON_MAX_DIM="1")
+        assert done.returncode == 2 and done.stdout == b""
+        err = done.stderr.decode()
+        assert err.endswith("error: weight slice dimension 2 exceeds "
+                            "QCANON_MAX_DIM=1\n")
+        assert "Traceback" not in err
+
+    def test_failed_check_exits_1_with_record(self):
+        code = ("import sys, qcanon.verify as v\n"
+                "def broken(max_sum):\n"
+                "    raise AssertionError('synthetic failure')\n"
+                "v.ALL_CHECKS['catalan'] = broken\n"
+                "sys.argv = ['qcanon', 'verify', '--suite', 'catalan']\n"
+                "from qcanon.cli import run\n"
+                "run()\n")
+        done = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, env=_child_env(),
+                              timeout=120)
+        assert done.returncode == 1, done.stderr
+        lines = done.stdout.decode().splitlines()
+        assert lines[0].startswith("FAIL catalan (")
+        assert json.loads(lines[-1]) == {
+            "check": "catalan", "error_type": "AssertionError",
+            "error": "synthetic failure"}
