@@ -19,8 +19,15 @@ and operator cache one object at a time: 12-14 ms after a six-factor `basis`
 request, a tenth of a large one, and 50-100 ms after `verify --suite all`,
 against 1-5 ms without it.
 All JSON is emitted with sorted keys and canonical scalar serialization, so
-identical requests produce byte-identical output.  The CLI writes it with its
-own writer, byte for byte equal to json.dumps(sort_keys=True, indent=2).
+identical requests produce byte-identical output, byte for byte equal to
+json.dumps(sort_keys=True, indent=2).  The basis, canonical2, diagrams and
+rmatrix documents have one renderer each, which writes the document one
+element at a time, to stdout or -o, as soon as that element is rendered.
+The whole answer is computed and certified before the first byte goes out,
+so a failed check still prints only its failure record.  The small cable
+report goes through a general writer, _json_text.  `json` is imported only
+there, for its string escaping, and for failure records: the renderers write
+only ints and the CLI's own strings, which need no escaping.
 QCANON_MAX_DIM, when set, is a nonnegative integer that caps the dimension of
 any weight slice a command touches; the guard computes that dimension without
 listing the slice.  verify does not read it and is bounded by
@@ -33,10 +40,9 @@ request compiles and loads only what its subcommand needs.
 from __future__ import annotations
 
 import argparse
-import json
+import errno
 import os
 import sys
-from json.encoder import encode_basestring_ascii
 
 from .common import (MAX_WEIGHT_SUM, SUITE_ALIASES, BarAsymmetryError,
                      InexactDivisionError, InvalidDiagramError,
@@ -71,20 +77,26 @@ def _nonneg(text: str) -> int:
     return value
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        try:
-            with open(output, "w") as fh:
-                fh.write(text)
-        except OSError as exc:  # exit 2: a bad request, not a failed check
-            raise ValueError(f"cannot write {output}: {exc.strerror}") from exc
-    else:
-        _stdout(text)
+def _dump(chunks, output: str | None) -> None:
+    """Write a document to -o or stdout one chunk at a time, each as soon as
+    it is rendered."""
+    if not output:
+        for chunk in chunks:
+            _stdout(chunk)
+        return
+    try:
+        with open(output, "w") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:  # exit 2: a bad request, not a failed check
+        raise ValueError(f"cannot write {output}: {exc.strerror}") from exc
 
 
 def _stdout(text: str) -> None:
+    out = sys.stdout
+    if out is None:  # fd 1 was closed when the process started
+        raise ValueError(f"cannot write stdout: {os.strerror(errno.EBADF)}")
     try:
-        sys.stdout.write(text)
+        out.write(text)
     except OSError as exc:  # a closed pipe: exit 2, as for an unwritable -o
         raise ValueError(f"cannot write stdout: {exc.strerror}") from exc
 
@@ -101,6 +113,7 @@ def _json_text(obj) -> str:
     writer escapes strings with the same C function.  Index tuples, chords
     and coefficient pairs repeat all through a document, so a list of ints
     and strings is rendered once per call for each contents and depth."""
+    from json.encoder import encode_basestring_ascii
     memo = {}
 
     def text(o, pad):  # pad: the newline and indent before o's closer
@@ -138,8 +151,118 @@ def _json_text(obj) -> str:
     return text(obj, "\n")
 
 
-def _dump(obj: dict, output: str | None) -> None:
-    _emit(_json_text(obj) + "\n", output)
+# The renderers below write the basis, canonical2, diagrams and rmatrix
+# documents one element at a time, in the bytes of json.dumps(doc,
+# sort_keys=True, indent=2) + "\n".  A `pad` is the newline and indent of
+# the line that holds a list's closer; the items sit two spaces deeper.  They
+# write ints, str(int) and the CLI's own constant strings, none of which JSON
+# escapes.
+
+class _Memo(dict):
+    """A dict that fills a missing key with render(key)."""
+
+    def __init__(self, render):
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, key):
+        text = self[key] = self.render(key)
+        return text
+
+
+def _list(texts: list[str], pad: str) -> str:
+    if not texts:
+        return "[]"
+    inner = pad + "  "
+    return "[" + inner + ("," + inner).join(texts) + pad + "]"
+
+
+def _ints(xs, pad: str) -> str:
+    return _list([str(x) for x in xs], pad)
+
+
+def _values(pad: str):
+    """QScalar -> the text of its to_pairs() list, closed at pad; rendered
+    once for each distinct scalar."""
+    inner, deep = pad + "  ", pad + "    "
+    memo = _Memo(lambda terms: _list(
+        [f'[{deep}{e},{deep}"{c}"{inner}]' for e, c in sorted(terms)], pad))
+    return lambda x: memo[tuple(x._terms.items())]
+
+
+def _document(fields: dict, key: str, items):
+    """The chunks of a top-level object: `fields` maps keys to rendered
+    values, and `key` to the list of the rendered `items` (each closed at
+    the four-space indent), one chunk per item.  Keys are in sorted order."""
+    keys = sorted(fields)
+    head = "{" + "".join(f'\n  "{k}": {fields[k]},' for k in keys if k < key)
+    head += f'\n  "{key}": '
+    tail = "".join(f',\n  "{k}": {fields[k]}' for k in keys if k > key)
+    sep = head + "[\n    "
+    for text in items:
+        yield sep + text
+        sep = ",\n    "
+    yield ("\n  ]" if sep == ",\n    " else head + "[]") + tail + "\n}\n"
+
+
+def _basis_doc(lams, level, basis, kind):
+    indices = basis[0].space.indices if basis else ()  # one slice for all
+    value = _values("\n          ")
+    heads = _Memo(lambda i: '{\n          "index": ' + _ints(
+        indices[i], "\n          ") + ',\n          "value": ')
+
+    def element(b) -> str:
+        coeffs = [heads[i] + value(x) + "\n        }"
+                  for i, x in sorted(b.coords.items())]
+        return ('{\n      "coeffs": ' + _list(coeffs, "\n      ")
+                + ',\n      "index": ' + _ints(b.index, "\n      ")
+                + "\n    }")
+
+    return _document({"kind": f'"{kind}"', "lambda": _ints(lams, "\n  "),
+                      "level": str(level), "order": '"lex"',
+                      "schema": f'"{SCHEMA}"',
+                      "weight": str(sum(lams) - 2 * level)},
+                     "basis", map(element, basis))
+
+
+def _diagrams_doc(lams, level, filter_name, diagrams):
+    chords = _Memo(lambda c: _ints(c, "\n        "))
+    around = _Memo(lambda caps: (  # a diagram's text before and after chords
+        '{\n      "capacities": ' + _ints(caps, "\n      ")
+        + ',\n      "chords": ', f',\n      "points": {len(caps)}\n    }}'))
+
+    def element(d) -> str:
+        head, tail = around[d.capacities]
+        return head + _list([chords[c] for c in d.chords], "\n      ") + tail
+
+    return _document({"count": str(len(diagrams)),
+                      "filter": "null" if filter_name is None
+                      else f'"{filter_name}"',
+                      "lambda": _ints(lams, "\n  "), "level": str(level),
+                      "schema": f'"{SCHEMA}"'},
+                     "diagrams", map(element, diagrams))
+
+
+def _operator_doc(op, lams, level, name, position):
+    value = _values("\n      ")
+    rows = _Memo(lambda i: _ints(op.target.indices[i], "\n      ")
+                 + ',\n      "value": ')
+
+    def column(j, col) -> str:  # the column's entries, rows ascending
+        head = '{\n      "col": ' + _ints(col, "\n      ") + ',\n      "row": '
+        return ",\n    ".join([head + rows[i] + value(x) + "\n    }"
+                                for i, x in sorted(op.matrix.col(j).items())])
+
+    fields = {"lambda": _ints(lams, "\n  "), "level": str(level),
+              "op": f'"{name}"', "schema": f'"{SCHEMA}"'}
+    for key, space in (("source_index", op.source),
+                       ("target_index", op.target)):
+        fields[key] = _list([_ints(m, "\n    ") for m in space.indices],
+                            "\n  ")
+    if position is not None:
+        fields["position"] = str(position)
+    columns = map(column, range(len(op.source.indices)), op.source.indices)
+    return _document(fields, "entries", filter(None, columns))
 
 
 def _guard(args, parser, *more_lams) -> None:
@@ -162,48 +285,11 @@ def _guard(args, parser, *more_lams) -> None:
                          f"QCANON_MAX_DIM={cap}")
 
 
-def _basis_json(lams, level, basis, kind) -> dict:
-    return {
-        "schema": SCHEMA,
-        "kind": kind,
-        "lambda": list(lams),
-        "level": level,
-        "weight": sum(lams) - 2 * level,
-        "order": "lex",
-        "basis": [{
-            "index": list(b.index),
-            "coeffs": [{"index": list(b.space.indices[i]),
-                        "value": x.to_pairs()}
-                       for i, x in sorted(b.coords.items())],
-        } for b in basis],
-    }
-
-
-def _operator_json(op, lams, level, name, position=None) -> dict:
-    rows, entries = op.target.indices, []
-    for j, col in enumerate(op.source.indices):
-        for i, x in sorted(op.matrix.col(j).items()):
-            entries.append({"row": list(rows[i]), "col": list(col),
-                            "value": x.to_pairs()})
-    out = {
-        "schema": SCHEMA,
-        "op": name,
-        "lambda": list(lams),
-        "level": level,
-        "source_index": [list(m) for m in op.source.indices],
-        "target_index": [list(m) for m in op.target.indices],
-        "entries": entries,
-    }
-    if position is not None:
-        out["position"] = position
-    return out
-
-
 def cmd_basis(args, parser) -> int:
     from .canonical import dual_canonical_basis
     _guard(args, parser)
     basis = dual_canonical_basis(args.lam, args.level)
-    _dump(_basis_json(args.lam, args.level, basis, "dual_canonical"),
+    _dump(_basis_doc(args.lam, args.level, basis, "dual_canonical"),
           args.output)
     return 0
 
@@ -214,7 +300,7 @@ def cmd_canonical2(args, parser) -> int:
     if len(args.lam) != 2:
         parser.error("canonical2 needs exactly two weights")
     basis = canonical_basis_pair(args.lam, args.level)
-    _dump(_basis_json(args.lam, args.level, basis, "canonical"), args.output)
+    _dump(_basis_doc(args.lam, args.level, basis, "canonical"), args.output)
     return 0
 
 
@@ -231,20 +317,14 @@ def cmd_diagrams(args, parser) -> int:
     elif args.filter == "invariant":
         diagrams = filter_invariant(diagrams)
     if args.render == "ascii":
-        _emit("\n".join(render_ascii(d) for d in diagrams) or "no diagrams\n",
-              args.output)
+        _dump(["\n".join(render_ascii(d) for d in diagrams)
+               or "no diagrams\n"], args.output)
         return 0
     if args.render == "svg":
-        _emit(render_svg_many(diagrams), args.output)
+        _dump([render_svg_many(diagrams)], args.output)
         return 0
-    _dump({
-        "schema": SCHEMA,
-        "lambda": list(args.lam),
-        "level": args.level,
-        "filter": args.filter,
-        "count": len(diagrams),
-        "diagrams": [d.to_json_dict() for d in diagrams],
-    }, args.output)
+    _dump(_diagrams_doc(args.lam, args.level, args.filter, diagrams),
+          args.output)
     return 0
 
 
@@ -272,7 +352,7 @@ def cmd_rmatrix(args, parser) -> int:
                      f"0 <= pos < {len(lams) - 1} for {len(lams)} factors")
     else:
         op = rcheck_matrix(simple_factors(lams), level, args.pos)
-    _dump(_operator_json(op, lams, level, args.op, args.pos), args.output)
+    _dump(_operator_doc(op, lams, level, args.op, args.pos), args.output)
     return 0
 
 
@@ -280,7 +360,8 @@ def cmd_cable(args, parser) -> int:
     from .cabling import cabling_report
     _guard(args, parser, (1,) * sum(args.lam))  # and the unit slice it cables
     report = cabling_report(args.lam, args.level)
-    _dump({"schema": SCHEMA, **report.to_json_dict()}, args.output)
+    _dump([_json_text({"schema": SCHEMA, **report.to_json_dict()}) + "\n"],
+          args.output)
     return 0
 
 
@@ -297,8 +378,10 @@ def cmd_verify(args, parser) -> int:
     total = sum(r.elapsed for r in results)
     _stdout(f"{len(results) - len(failed)}/{len(results)} checks "
             f"passed in {total:.2f}s\n")
-    for r in failed:
-        _stdout(json.dumps(r.failure, sort_keys=True) + "\n")
+    if failed:
+        import json
+        for r in failed:
+            _stdout(json.dumps(r.failure, sort_keys=True) + "\n")
     return 1 if failed else 0
 
 
@@ -366,6 +449,7 @@ def main(argv=None) -> int:
         try:  # nested, so that a record stdout refuses is an exit 2
             return args.func(args, parser)
         except _PROPERTY_FAILURE as exc:
+            import json
             _stdout(json.dumps(
                 {"schema": SCHEMA, "failure": True,
                  "error_type": type(exc).__name__, "error": str(exc)},
@@ -383,11 +467,16 @@ def main(argv=None) -> int:
 def run() -> None:
     """The `qcanon` process: main() on the command line, then a flushed
     os._exit in place of interpreter teardown (see the module docstring).
-    A final flush that fails is exit 2 with one stderr line.  argparse's
-    SystemExit and unexpected exceptions leave by the usual path."""
-    code = main(sys.argv[1:])
+    argparse's SystemExit (help, or bad flags) takes the same path.  A final
+    flush that fails is exit 2 with one stderr line.  Unexpected exceptions
+    leave by the usual path."""
     try:
-        sys.stdout.flush()
+        code = main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+    try:
+        if sys.stdout is not None:  # None: fd 1 was closed at start
+            sys.stdout.flush()
     except OSError as exc:
         if code != 2:  # an exit 2 has already written its stderr line
             sys.stderr.write(f"qcanon: cannot write stdout: {exc.strerror}\n")

@@ -87,10 +87,6 @@ class ArcDiagram(Frozen):
     def degree(self, p: int) -> int:
         return sum((i == p) + (j == p) for i, j in self.chords)
 
-    def to_json_dict(self) -> dict:
-        return {"points": self.n, "capacities": list(self.capacities),
-                "chords": [list(c) for c in self.chords]}
-
     def __repr__(self):
         return f"ArcDiagram(caps={self.capacities}, chords={list(self.chords)})"
 

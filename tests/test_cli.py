@@ -616,6 +616,157 @@ class TestJsonWriter:
             cli._json_text(doc)
 
 
+# The documents as plain dicts: json.dumps of each is the byte-identity
+# oracle for the CLI's renderers.
+
+def basis_dict(lams, level, basis, kind) -> dict:
+    return {
+        "schema": "qcanon/1",
+        "kind": kind,
+        "lambda": list(lams),
+        "level": level,
+        "weight": sum(lams) - 2 * level,
+        "order": "lex",
+        "basis": [{
+            "index": list(b.index),
+            "coeffs": [{"index": list(b.space.indices[i]),
+                        "value": x.to_pairs()}
+                       for i, x in sorted(b.coords.items())],
+        } for b in basis],
+    }
+
+
+def diagrams_dict(lams, level, filter_name, diagrams) -> dict:
+    return {
+        "schema": "qcanon/1",
+        "lambda": list(lams),
+        "level": level,
+        "filter": filter_name,
+        "count": len(diagrams),
+        "diagrams": [{"points": d.n, "capacities": list(d.capacities),
+                      "chords": [list(c) for c in d.chords]}
+                     for d in diagrams],
+    }
+
+
+def operator_dict(op, lams, level, name, position=None) -> dict:
+    rows, entries = op.target.indices, []
+    for j, col in enumerate(op.source.indices):
+        for i, x in sorted(op.matrix.col(j).items()):
+            entries.append({"row": list(rows[i]), "col": list(col),
+                            "value": x.to_pairs()})
+    out = {
+        "schema": "qcanon/1",
+        "op": name,
+        "lambda": list(lams),
+        "level": level,
+        "source_index": [list(m) for m in op.source.indices],
+        "target_index": [list(m) for m in op.target.indices],
+        "entries": entries,
+    }
+    if position is not None:
+        out["position"] = position
+    return out
+
+
+def _as_json(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+# slices with zero weights, level 0 and levels past the top (empty slices)
+_SLICES = st.tuples(st.lists(st.integers(0, 3), min_size=1, max_size=4)
+                    .filter(lambda xs: sum(xs) <= 7).map(tuple),
+                    st.integers(0, 5))
+
+
+class TestRenderers:
+    """Each renderer writes the bytes of json.dumps(sort_keys=True,
+    indent=2) of the dict the CLI used to build."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_SLICES)
+    def test_basis(self, piece):
+        from qcanon.canonical import canonical_basis_pair, dual_canonical_basis
+        lams, level = piece
+        basis = dual_canonical_basis(lams, level)
+        assert "".join(cli._basis_doc(lams, level, basis, "dual_canonical")) \
+            == _as_json(basis_dict(lams, level, basis, "dual_canonical"))
+        if len(lams) == 2:
+            basis = canonical_basis_pair(lams, level)
+            assert "".join(cli._basis_doc(lams, level, basis, "canonical")) \
+                == _as_json(basis_dict(lams, level, basis, "canonical"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_SLICES, st.sampled_from((None, "singular", "invariant")))
+    def test_diagrams(self, piece, filter_name):
+        from qcanon.diagrams import (enumerate_B, filter_invariant,
+                                     filter_singular)
+        lams, level = piece
+        if filter_name == "invariant":  # needs weight zero
+            lams += (1,) * (sum(lams) % 2)
+            level = sum(lams) // 2
+        diagrams = enumerate_B(lams, level)
+        if filter_name == "singular":
+            diagrams = filter_singular(diagrams)
+        elif filter_name == "invariant":
+            diagrams = filter_invariant(diagrams)
+        assert "".join(cli._diagrams_doc(lams, level, filter_name, diagrams)) \
+            == _as_json(diagrams_dict(lams, level, filter_name, diagrams))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_SLICES, st.sampled_from(("theta", "theta_n", "tau_theta_n",
+                                     "rcheck", "rcheck-pos")), st.data())
+    def test_operators(self, piece, name, data):
+        from qcanon.rmatrix import (rcheck_longest, rcheck_matrix,
+                                    tau_theta_n, theta_matrix, theta_n_matrix)
+        from qcanon.weightmod import dual_factors, simple_factors
+        lams, level = piece
+        position = None
+        if name == "theta":
+            lams = (lams * 2)[:2]
+            op = theta_matrix(simple_factors(lams), level)
+        elif name == "theta_n":
+            op = theta_n_matrix(simple_factors(lams), level)
+        elif name == "tau_theta_n":
+            op = tau_theta_n(dual_factors(lams), level)
+        elif name == "rcheck" or len(lams) == 1:
+            name = "rcheck"
+            op = rcheck_longest(simple_factors(lams), level)
+        else:
+            name = "rcheck"
+            position = data.draw(st.integers(0, len(lams) - 2))
+            op = rcheck_matrix(simple_factors(lams), level, position)
+        assert "".join(cli._operator_doc(op, lams, level, name, position)) \
+            == _as_json(operator_dict(op, lams, level, name, position))
+
+    @pytest.mark.parametrize("argv", [
+        ["basis", "--lambda", "1,1", "--level", "3"],
+        ["canonical2", "--lambda", "0,0", "--level", "0"],
+        ["diagrams", "--lambda", "1,1", "--level", "2", "--filter",
+         "singular"],
+        ["rmatrix", "--lambda", "1,1", "--level", "3", "--op", "theta"]],
+        ids=["basis", "canonical2-level-0", "diagrams", "rmatrix"])
+    def test_empty_and_trivial_documents(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == json.dumps(json.loads(out), sort_keys=True,
+                                 indent=2) + "\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(st.integers(-40, 40),
+                           st.integers(-2**70, 2**70).filter(bool)),
+           st.sampled_from(("\n", "\n      ", "\n          ")))
+    def test_scalar_values(self, terms, pad):
+        from qcanon.qring import QScalar
+        value = cli._values(pad)
+        x = QScalar(terms)
+        reverse = QScalar(dict(reversed(terms.items())))
+        expected = json.dumps(x.to_pairs(), indent=2).replace(
+            "\n", pad)
+        assert value(x) == expected
+        assert value(reverse) == expected  # the memo sees terms unsorted
+
+
 def test_import_leaves_numpy_out():
     code = ("import sys, qcanon.cli, qcanon.verify; "
             "sys.exit('numpy' in sys.modules)")
@@ -686,6 +837,29 @@ def test_request_loads_only_what_it_runs(argv, max_dim, modules):
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert qcanon.cli.main({argv!r}) == 0")
     assert loaded == modules
+
+
+@pytest.mark.parametrize("argv", [
+    ["basis", "--lambda", "1,2", "--level", "1"],
+    ["canonical2", "--lambda", "1,2", "--level", "1"],
+    ["diagrams", "--lambda", "1,1,1,1", "--level", "2"],
+    ["rmatrix", "--lambda", "1,2,1", "--level", "2", "--op", "rcheck"]],
+    ids=["basis", "canonical2", "diagrams", "rmatrix"])
+def test_request_leaves_json_unloaded(argv):
+    # the renderers need no JSON escaping; only cable's writer and the
+    # failure records load json
+    code = ("import contextlib, io, sys, qcanon.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert qcanon.cli.main({argv!r}) == 0\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] == 'json'))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("QCANON_MAX_DIM", None)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 HELP = json.loads((Path(__file__).parent / "cli_help.json").read_text())
@@ -763,6 +937,15 @@ def test_fuzzed_argv_ends_in_exit_0_1_or_2(request):
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 LARGE = ("basis", "--lambda", "1,1,1,1,1,1,1,1,1", "--level", "4")
 SMALL = ("basis", "--lambda", "1,1", "--level", "1")
+UNITS_12 = "1,1,1,1,1,1,1,1,1,1,1,1"
+STREAMED = {  # documents written in many chunks, each over 64 KiB
+    "basis": LARGE,
+    "canonical2": ("canonical2", "--lambda", "14,14", "--level", "14",
+                   "--max-sum", "28"),
+    "diagrams": ("diagrams", "--lambda", UNITS_12, "--level", "6"),
+    "rmatrix": ("rmatrix", "--lambda", "1,1,1,1,1,1,1,1", "--level", "4",
+                "--op", "theta_n"),
+}
 EPIPE_LINE = f"qcanon: cannot write stdout: {os.strerror(errno.EPIPE)}\n"
 
 
@@ -802,6 +985,59 @@ class TestClosedStdout:
             os.close(write_end)
         assert done.returncode == 2
         assert done.stderr.decode() == EPIPE_LINE
+
+    @pytest.mark.parametrize("argv", STREAMED.values(), ids=STREAMED)
+    def test_reader_leaving_mid_stream_exits_2(self, argv):
+        # the reader takes one byte and leaves while the child still has
+        # more to write than the pipe holds
+        child = subprocess.Popen([sys.executable, "-m", "qcanon.cli", *argv],
+                                 stdout=subprocess.PIPE,
+                                 stderr=subprocess.PIPE, env=_child_env())
+        try:
+            assert child.stdout.read(1) == b"{"
+        finally:
+            child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        assert child.wait(timeout=120) == 2
+        assert err.decode() == EPIPE_LINE
+
+    @pytest.mark.parametrize("argv", [SMALL, ("verify", "--suite", "catalan")],
+                             ids=["basis", "verify"])
+    def test_stdout_closed_at_start_exits_2(self, argv):
+        # with fd 1 closed when the interpreter starts, sys.stdout is None
+        code = ("import os, sys; os.close(1); os.execv(sys.executable, "
+                "[sys.executable, '-m', 'qcanon.cli', *sys.argv[1:]])")
+        done = subprocess.run([sys.executable, "-c", code, *argv],
+                              stderr=subprocess.PIPE, env=_child_env(),
+                              timeout=120)
+        assert done.returncode == 2
+        assert done.stderr.decode() == \
+            f"qcanon: cannot write stdout: {os.strerror(errno.EBADF)}\n"
+
+    @pytest.mark.parametrize("command", ["", "basis"],
+                             ids=["qcanon", "basis"])
+    def test_help_into_closed_pipe_exits_2(self, command):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = _entry([command, "--help"] if command else ["--help"],
+                          stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert done.returncode == 2
+        assert done.stderr.decode() == EPIPE_LINE
+
+    @pytest.mark.parametrize("command", ["", "basis"],
+                             ids=["qcanon", "basis"])
+    def test_help_into_live_pipe_exits_0(self, command):
+        done = _entry([command, "--help"] if command else ["--help"],
+                      COLUMNS=str(HELP["columns"]))
+        assert done.returncode == 0 and done.stderr == b""
+        if "%d.%d" % sys.version_info[:2] == HELP["python"]:
+            assert done.stdout.decode() == HELP["help"][command]
+        else:  # argparse lays out help differently across versions
+            assert done.stdout.startswith(b"usage: qcanon")
 
     @pytest.mark.parametrize("argv", [SMALL, ("verify", "--suite", "catalan"),
                                       ("diagrams", "--lambda", "1,1",
@@ -850,13 +1086,14 @@ class TestClosedStdout:
 
 
 class TestFastExitLosesNothing:
-    @pytest.mark.parametrize("argv", [SMALL, LARGE], ids=["small", "large"])
+    @pytest.mark.parametrize("argv", [SMALL, *STREAMED.values()],
+                             ids=["small", *STREAMED])
     def test_output_to_pipe_file_and_o(self, capsys, tmp_path, argv):
         # a small output is still in stdout's buffer when main() returns;
-        # a large one is more than a pipe buffer holds
+        # a streamed one is more than a pipe buffer holds
         assert main(list(argv)) == 0
         expected = capsys.readouterr().out.encode()
-        assert (len(expected) > 64 * 1024) == (argv is LARGE)
+        assert (len(expected) > 64 * 1024) == (argv is not SMALL)
         piped = _entry(argv)
         assert piped.returncode == 0 and piped.stderr == b""
         assert piped.stdout == expected
