@@ -77,13 +77,6 @@ class CablingOutcome(linalg.Frozen):
                  scalar: QScalar | None = None):
         self._freeze(source=source, killed=killed, target=target, scalar=scalar)
 
-    def to_json_dict(self) -> dict:
-        if self.killed:
-            return {"source": list(self.source), "killed": True}
-        return {"source": list(self.source), "killed": False,
-                "target": list(self.target),
-                "scalar": self.scalar.to_pairs()}
-
 
 class CablingReport(linalg.Frozen):
     __slots__ = ("lam", "level", "outcomes", "all_unit_scalars",
@@ -95,15 +88,6 @@ class CablingReport(linalg.Frozen):
         self._freeze(lam=lam, level=level, outcomes=outcomes,
                      all_unit_scalars=all_unit_scalars,
                      all_scalars_one=all_scalars_one)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "lambda": list(self.lam),
-            "level": self.level,
-            "outcomes": [o.to_json_dict() for o in self.outcomes],
-            "all_unit_scalars": self.all_unit_scalars,
-            "all_scalars_one": self.all_scalars_one,
-        }
 
 
 def cabling_report(lam: Sequence[int], level: int,

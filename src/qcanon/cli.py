@@ -20,14 +20,14 @@ request, a tenth of a large one, and 50-100 ms after `verify --suite all`,
 against 1-5 ms without it.
 All JSON is emitted with sorted keys and canonical scalar serialization, so
 identical requests produce byte-identical output, byte for byte equal to
-json.dumps(sort_keys=True, indent=2).  The basis, canonical2, diagrams and
-rmatrix documents have one renderer each, which writes the document one
-element at a time, to stdout or -o, as soon as that element is rendered.
-The whole answer is computed and certified before the first byte goes out,
-so a failed check still prints only its failure record.  The small cable
-report goes through a general writer, _json_text.  `json` is imported only
-there, for its string escaping, and for failure records: the renderers write
-only ints and the CLI's own strings, which need no escaping.
+json.dumps(sort_keys=True, indent=2).  The basis, canonical2, diagrams,
+rmatrix and cable documents have one renderer each, which writes the
+document one element at a time, to stdout or -o, as soon as that element is
+rendered.  The whole answer is computed and certified before the first byte
+goes out, so a failed check still prints only its failure record.  `json` is
+imported only for failure records, whose messages are arbitrary text and
+need its string escaping: the renderers write only ints, booleans and the
+CLI's own strings, which need none.
 QCANON_MAX_DIM, when set, is a nonnegative integer that caps the dimension of
 any weight slice a command touches; the guard computes that dimension without
 listing the slice.  verify does not read it and is bounded by
@@ -101,62 +101,11 @@ def _stdout(text: str) -> None:
         raise ValueError(f"cannot write stdout: {exc.strerror}") from exc
 
 
-_SCALARS = frozenset((int, str))
-
-
-def _json_text(obj) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)``, for the types the CLI
-    emits: dicts with str keys, lists, str, int, bool and None.  Any other
-    type raises TypeError.
-
-    The stdlib runs its pure-Python encoder whenever ``indent`` is set; this
-    writer escapes strings with the same C function.  Index tuples, chords
-    and coefficient pairs repeat all through a document, so a list of ints
-    and strings is rendered once per call for each contents and depth."""
-    from json.encoder import encode_basestring_ascii
-    memo = {}
-
-    def text(o, pad):  # pad: the newline and indent before o's closer
-        t = type(o)
-        if t is str:
-            return encode_basestring_ascii(o)
-        if t is int:
-            return int.__repr__(o)
-        inner = pad + "  "
-        if t is list:
-            if not o:
-                return "[]"
-            if not _SCALARS.issuperset(map(type, o)):
-                return ("[" + inner + ("," + inner).join(
-                    [text(x, inner) for x in o]) + pad + "]")
-            key = (pad, *o)
-            out = memo.get(key)
-            if out is None:
-                out = memo[key] = "[" + inner + ("," + inner).join(
-                    [encode_basestring_ascii(x) if type(x) is str
-                     else int.__repr__(x) for x in o]) + pad + "]"
-            return out
-        if t is dict:
-            if not o:
-                return "{}"
-            return "{" + inner + ("," + inner).join(
-                [encode_basestring_ascii(k) + ": " + text(o[k], inner)
-                 for k in sorted(o)]) + pad + "}"
-        if o is None:
-            return "null"
-        if t is bool:
-            return "true" if o else "false"
-        raise TypeError(f"cannot write {t.__name__} as JSON")
-
-    return text(obj, "\n")
-
-
-# The renderers below write the basis, canonical2, diagrams and rmatrix
-# documents one element at a time, in the bytes of json.dumps(doc,
-# sort_keys=True, indent=2) + "\n".  A `pad` is the newline and indent of
-# the line that holds a list's closer; the items sit two spaces deeper.  They
-# write ints, str(int) and the CLI's own constant strings, none of which JSON
-# escapes.
+# The renderers below write each JSON document one element at a time, in
+# the bytes of json.dumps(doc, sort_keys=True, indent=2) + "\n".  A `pad` is
+# the newline and indent of the line that holds a list's closer; the items
+# sit two spaces deeper.  They write ints, str(int), true, false and the
+# CLI's own constant strings, none of which JSON escapes.
 
 class _Memo(dict):
     """A dict that fills a missing key with render(key)."""
@@ -182,8 +131,8 @@ def _ints(xs, pad: str) -> str:
 
 
 def _values(pad: str):
-    """QScalar -> the text of its to_pairs() list, closed at pad; rendered
-    once for each distinct scalar."""
+    """QScalar -> the text of its ascending [v-exponent, "coefficient"]
+    pairs, closed at pad; rendered once for each distinct scalar."""
     inner, deep = pad + "  ", pad + "    "
     memo = _Memo(lambda terms: _list(
         [f'[{deep}{e},{deep}"{c}"{inner}]' for e, c in sorted(terms)], pad))
@@ -263,6 +212,24 @@ def _operator_doc(op, lams, level, name, position):
         fields["position"] = str(position)
     columns = map(column, range(len(op.source.indices)), op.source.indices)
     return _document(fields, "entries", filter(None, columns))
+
+
+def _cable_doc(report):
+    value = _values("\n      ")
+
+    def outcome(o) -> str:
+        source = ',\n      "source": ' + _ints(o.source, "\n      ")
+        if o.killed:
+            return '{\n      "killed": true' + source + "\n    }"
+        return ('{\n      "killed": false,\n      "scalar": ' + value(o.scalar)
+                + source + ',\n      "target": '
+                + _ints(o.target, "\n      ") + "\n    }")
+
+    fields = {k: "true" if getattr(report, k) else "false"
+              for k in ("all_scalars_one", "all_unit_scalars")}
+    fields.update({"lambda": _ints(report.lam, "\n  "),
+                   "level": str(report.level), "schema": f'"{SCHEMA}"'})
+    return _document(fields, "outcomes", map(outcome, report.outcomes))
 
 
 def _guard(args, parser, *more_lams) -> None:
@@ -360,8 +327,7 @@ def cmd_cable(args, parser) -> int:
     from .cabling import cabling_report
     _guard(args, parser, (1,) * sum(args.lam))  # and the unit slice it cables
     report = cabling_report(args.lam, args.level)
-    _dump([_json_text({"schema": SCHEMA, **report.to_json_dict()}) + "\n"],
-          args.output)
+    _dump(_cable_doc(report), args.output)
     return 0
 
 

@@ -147,12 +147,6 @@ class QScalar:
         """The involution q -> q^-1 (negate every v-exponent)."""
         return QScalar._raw({-e: c for e, c in self._terms.items()})
 
-    # -- serialization -------------------------------------------------------
-
-    def to_pairs(self) -> list:
-        """Canonical form: ascending [v-exponent, coefficient-as-string] pairs."""
-        return [[e, str(self._terms[e])] for e in sorted(self._terms)]
-
     # -- printing ------------------------------------------------------------
 
     @staticmethod

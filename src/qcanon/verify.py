@@ -165,15 +165,11 @@ def _sweep(slices):
     _swept = None
 
 
-def _require(cond: bool, template: str = "", *args, at=None) -> None:
+def _require(cond: bool, template: str = "", *args) -> None:
     """A check that `python -O` keeps: raise AssertionError with the message
-    `template.format(*args)`, built only on failure.  `at` is the slice
-    (lams, level) of a check made outside a sweep; it rides on the exception
-    as `weight_slice`, for the failure record."""
+    `template.format(*args)`, built only on failure."""
     if not cond:
-        exc = AssertionError(template.format(*args))
-        exc.weight_slice = at
-        raise exc
+        raise AssertionError(template.format(*args))
 
 
 # ---------------------------------------------------------------------------
@@ -183,12 +179,11 @@ def _require(cond: bool, template: str = "", *args, at=None) -> None:
 def check_golden_dual_basis(max_sum: int) -> str:
     """Exact coefficients of the two-factor unit-weight dual basis."""
     q = QScalar.q_power
-    basis = {b.index: b for b in _dual_basis((1, 1), 1)}
-    b10, b01 = basis[(1, 0)], basis[(0, 1)]
-    _require(b10.coeff((1, 0)) == ONE and not b10.coeff((0, 1)),
-             at=((1, 1), 1))
-    _require(b01.coeff((0, 1)) == ONE and b01.coeff((1, 0)) == -q(-1),
-             at=((1, 1), 1))
+    for lams, l in _sweep([((1, 1), 1)]):
+        basis = {b.index: b for b in _dual_basis(lams, l)}
+        b10, b01 = basis[(1, 0)], basis[(0, 1)]
+        _require(b10.coeff((1, 0)) == ONE and not b10.coeff((0, 1)))
+        _require(b01.coeff((0, 1)) == ONE and b01.coeff((1, 0)) == -q(-1))
     return "dual basis of (V1 x V1)[0] matches the frozen coefficients"
 
 
@@ -287,13 +282,14 @@ def check_solver_contract(max_sum: int) -> str:
             canonical_basis_pair(lams, l)  # support shape checked inside
     # uniqueness: perturbing by an ideal multiple of a later element
     # breaks the fixed point
-    basis = _dual_basis((2, 2), 2)
-    psi = psi_c((2, 2), 2)
-    for i, b in enumerate(basis):
-        for other in basis[i + 1:]:
-            perturbed = linalg.mat_add(b.coords, other.coords, q(-1))
-            _require(not linalg.mat_eq(apply_antilinear(psi, perturbed),
-                                       perturbed), at=((2, 2), 2))
+    for lams, l in _sweep([((2, 2), 2)]):
+        basis = _dual_basis(lams, l)
+        psi = psi_c(lams, l)
+        for i, b in enumerate(basis):
+            for other in basis[i + 1:]:
+                perturbed = linalg.mat_add(b.coords, other.coords, q(-1))
+                _require(not linalg.mat_eq(apply_antilinear(psi, perturbed),
+                                           perturbed))
     return f"{vectors} basis vectors pass the full contract"
 
 
@@ -349,10 +345,10 @@ def check_cabling(max_sum: int) -> str:
             if not o.killed:
                 key = str(o.scalar)
                 scalars[key] = scalars.get(key, 0) + 1
-    golden = cabling_report((2,), 1, _dual_basis)
-    _require(golden.all_scalars_one, at=((2,), 1))
-    _require([o.killed for o in golden.outcomes] == [True, False],
-             at=((2,), 1))
+    for lams, l in _sweep([((2,), 1)]):
+        golden = cabling_report(lams, l, _dual_basis)
+        _require(golden.all_scalars_one)
+        _require([o.killed for o in golden.outcomes] == [True, False])
     return f"kill patterns agree; scalar multiset {scalars}"
 
 
@@ -421,9 +417,9 @@ def run_suite(suite: str = "all", max_weight_sum: int = 6) -> list[CheckResult]:
                 detail = f"{type(exc).__name__}: {exc}"
                 failure = {"check": name, "error_type": type(exc).__name__,
                            "error": str(exc)}
-                at = getattr(exc, "weight_slice", None) or _swept
-                if at is not None:
-                    failure.update({"lambda": list(at[0]), "level": at[1]})
+                if _swept is not None:
+                    failure.update({"lambda": list(_swept[0]),
+                                    "level": _swept[1]})
             out.append(CheckResult(name, detail, time.perf_counter() - start,
                                    bound, failure))
             # drop the slices above the bound of every check still to run

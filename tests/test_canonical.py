@@ -562,7 +562,7 @@ def _structure_constants(slices, basis_of):
 
 
 def _nonnegative(c):
-    return all(int(k) > 0 for _, k in c.to_pairs())
+    return all(k > 0 for k in c._terms.values())
 
 
 def _negated_off_lead(lams, l):

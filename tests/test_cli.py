@@ -556,68 +556,13 @@ def test_exception_from_a_command_maps_to_exit_code(capsys, monkeypatch,
         assert out == "" and err == "qcanon: synthetic\n"
 
 
-# strings with quotes, backslashes, control and non-ASCII characters and
-# lone surrogates; small ints repeat, so the writer's memo is exercised
-_TEXT = st.text(st.one_of(st.characters(), st.sampled_from(
-    ['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u00e9", "\u2028",
-     "\U0001f600", "\ud800", "\udfff"])), max_size=6)
-_SCALAR = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
-                    st.integers(), st.integers(-2**80, 2**80), _TEXT)
-_DOCUMENT = st.recursive(
-    _SCALAR, lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(_TEXT, inner, max_size=4), max_leaves=30)
-
-
-class TestJsonWriter:
-    @staticmethod
-    def reference(obj):
-        return json.dumps(obj, sort_keys=True, indent=2)
-
-    @settings(max_examples=300, deadline=None)
-    @given(_DOCUMENT)
-    def test_bytes_match_json_dumps(self, doc):
-        assert cli._json_text(doc) == self.reference(doc)
-
-    def test_empty_containers_at_every_depth(self):
-        doc = {"": [], "a": {}, "b": [[], {}, [[]], {"c": {}}, [{}]]}
-        assert cli._json_text(doc) == self.reference(doc)
-
-    def test_bools_are_not_the_ints_they_equal(self):
-        # True == 1 and hash(True) == hash(1): the memo must tell them apart
-        doc = [[1, 0], [True, False], [1, 0], [False, True], [0, 1]]
-        assert cli._json_text(doc) == self.reference(doc)
-
-    def test_one_list_at_two_depths(self):
-        pair = [3, "4"]
-        doc = {"a": pair, "b": [pair, {"c": pair}], "d": pair}
-        text = cli._json_text(doc)
-        assert text == self.reference(doc)
-        assert '[\n    3,\n    "4"\n  ]' in text  # under "a"
-        assert '[\n      3,\n      "4"\n    ]' in text  # inside "b"
-
-    def test_calls_share_no_state(self):
-        items = [1, 2]
-        first = cli._json_text([items, items])
-        items[:] = [5, 6]
-        second = cli._json_text([items, items])
-        assert first == self.reference([[1, 2], [1, 2]])
-        assert second == self.reference([[5, 6], [5, 6]])
-        for n in range(20):  # fresh lists, whose ids may repeat
-            assert cli._json_text([[n, n + 1]]) == self.reference([[n, n + 1]])
-
-    @pytest.mark.parametrize("doc", [
-        1.5, [1, 0.0], (1, 2), [(1, 2)], {"a": (1,)}, {1: "x"}, {None: 1},
-        {"a": {2: 3}}, {"a": b"x"}, [{1, 2}]],
-        ids=["float", "float-in-list", "tuple", "tuple-in-list",
-             "tuple-in-dict", "int-key", "none-key", "nested-int-key",
-             "bytes", "set"])
-    def test_other_types_raise_type_error(self, doc):
-        with pytest.raises(TypeError):
-            cli._json_text(doc)
-
-
 # The documents as plain dicts: json.dumps of each is the byte-identity
 # oracle for the CLI's renderers.
+
+def pairs(x) -> list:
+    """A scalar as its ascending [v-exponent, coefficient-as-string] pairs."""
+    return [[e, str(c)] for e, c in sorted(x._terms.items())]
+
 
 def basis_dict(lams, level, basis, kind) -> dict:
     return {
@@ -630,7 +575,7 @@ def basis_dict(lams, level, basis, kind) -> dict:
         "basis": [{
             "index": list(b.index),
             "coeffs": [{"index": list(b.space.indices[i]),
-                        "value": x.to_pairs()}
+                        "value": pairs(x)}
                        for i, x in sorted(b.coords.items())],
         } for b in basis],
     }
@@ -654,7 +599,7 @@ def operator_dict(op, lams, level, name, position=None) -> dict:
     for j, col in enumerate(op.source.indices):
         for i, x in sorted(op.matrix.col(j).items()):
             entries.append({"row": list(rows[i]), "col": list(col),
-                            "value": x.to_pairs()})
+                            "value": pairs(x)})
     out = {
         "schema": "qcanon/1",
         "op": name,
@@ -667,6 +612,25 @@ def operator_dict(op, lams, level, name, position=None) -> dict:
     if position is not None:
         out["position"] = position
     return out
+
+
+def cable_dict(report) -> dict:
+    outcomes = []
+    for o in report.outcomes:
+        if o.killed:
+            outcomes.append({"source": list(o.source), "killed": True})
+        else:
+            outcomes.append({"source": list(o.source), "killed": False,
+                             "target": list(o.target),
+                             "scalar": pairs(o.scalar)})
+    return {
+        "schema": "qcanon/1",
+        "lambda": list(report.lam),
+        "level": report.level,
+        "outcomes": outcomes,
+        "all_unit_scalars": report.all_unit_scalars,
+        "all_scalars_one": report.all_scalars_one,
+    }
 
 
 def _as_json(doc: dict) -> str:
@@ -739,6 +703,31 @@ class TestRenderers:
         assert "".join(cli._operator_doc(op, lams, level, name, position)) \
             == _as_json(operator_dict(op, lams, level, name, position))
 
+    def test_cable_on_every_slice(self):
+        from qcanon.cabling import cabling_report
+        for lams, level in weight_slices(5):
+            report = cabling_report(lams, level)
+            assert "".join(cli._cable_doc(report)) \
+                == _as_json(cable_dict(report)), (lams, level)
+
+    def test_cable_synthetic(self):
+        # a killed outcome, scalars that are not units, both flags false or
+        # mixed, and no outcomes: reports the desk-scale sweep never makes
+        from qcanon.cabling import CablingOutcome, CablingReport
+        from qcanon.qring import QScalar
+        q = QScalar.q_power
+        outcomes = (
+            CablingOutcome((0, 1, 1), killed=True),
+            CablingOutcome((1, 0, 1), killed=False, target=(1, 1),
+                           scalar=-q(-1) + 2 * q(3)),
+            CablingOutcome((1, 1, 0), killed=False, target=(2, 0),
+                           scalar=QScalar({-3: 2**70, 1: -7})))
+        for report in (CablingReport((2, 1), 2, outcomes, False, False),
+                       CablingReport((2, 1), 2, outcomes[:2], True, False),
+                       CablingReport((1,), 2, (), False, True)):
+            assert "".join(cli._cable_doc(report)) \
+                == _as_json(cable_dict(report))
+
     @pytest.mark.parametrize("argv", [
         ["basis", "--lambda", "1,1", "--level", "3"],
         ["canonical2", "--lambda", "0,0", "--level", "0"],
@@ -761,8 +750,7 @@ class TestRenderers:
         value = cli._values(pad)
         x = QScalar(terms)
         reverse = QScalar(dict(reversed(terms.items())))
-        expected = json.dumps(x.to_pairs(), indent=2).replace(
-            "\n", pad)
+        expected = json.dumps(pairs(x), indent=2).replace("\n", pad)
         assert value(x) == expected
         assert value(reverse) == expected  # the memo sees terms unsorted
 
@@ -843,11 +831,12 @@ def test_request_loads_only_what_it_runs(argv, max_dim, modules):
     ["basis", "--lambda", "1,2", "--level", "1"],
     ["canonical2", "--lambda", "1,2", "--level", "1"],
     ["diagrams", "--lambda", "1,1,1,1", "--level", "2"],
-    ["rmatrix", "--lambda", "1,2,1", "--level", "2", "--op", "rcheck"]],
-    ids=["basis", "canonical2", "diagrams", "rmatrix"])
+    ["rmatrix", "--lambda", "1,2,1", "--level", "2", "--op", "rcheck"],
+    ["cable", "--lambda", "2,1,1", "--level", "3"]],
+    ids=["basis", "canonical2", "diagrams", "rmatrix", "cable"])
 def test_request_leaves_json_unloaded(argv):
-    # the renderers need no JSON escaping; only cable's writer and the
-    # failure records load json
+    # the renderers need no JSON escaping; only the failure records load
+    # json
     code = ("import contextlib, io, sys, qcanon.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert qcanon.cli.main({argv!r}) == 0\n"

@@ -212,13 +212,17 @@ def test_value_types_are_frozen(make):
 
 
 def _state(obj):
-    """What a copy of obj must reproduce, as plain comparable data."""
+    """What a copy of obj must reproduce, as plain comparable data; the
+    fields of a value without __eq__ (a cabling outcome or report) are
+    compared one by one."""
     if isinstance(obj, linalg.Matrix):
         return obj.shape, [sorted(obj.col(j).items())
                            for j in range(obj.shape[1])]
-    if hasattr(obj, "to_json_dict"):
-        return obj.to_json_dict()
-    return [getattr(obj, name) for name in type(obj).__slots__]
+    if isinstance(obj, tuple):
+        return [_state(x) for x in obj]
+    if isinstance(obj, linalg.Frozen):
+        return [_state(getattr(obj, name)) for name in type(obj).__slots__]
+    return obj
 
 
 # one instance of each kind that copy and pickle must reproduce
