@@ -18,7 +18,8 @@ coefficient would be bar-invariant and in q^-1 Z[q^-1], so zero.
 * each b_m comes from the closed diagram formula of the source paper
   (`_closed_form`), evaluated on the unit-weight lift of m and collapsed
   onto the slice per cup bundle, with Gaussian-binomial weights, so it
-  never lists the subsets of cups;
+  never lists the subsets of cups; the bundles come from the one stack
+  pass, `common.cup_bundles`, that also builds `diagrams.diagram_of_index`;
 * `_certify` then proves it: A = P_0^T P_1^T ... P_{n-2}^T for the pieces
   P_i of Theta^(n) on the simple factors (`rmatrix.theta_n_pieces`); each
   P_i^T must be unit lower triangular, b_m must have lead 1 and its other
@@ -77,6 +78,7 @@ from operator import or_
 from typing import Sequence
 
 from . import linalg
+from .common import cup_bundles
 from .qring import (ONE, OddExponentError, QScalar, addmul, in_qinv_ideal,
                     solve_bar_equation)
 from .rmatrix import BraidOperator, tau_theta_n, theta_matrix, theta_n_pieces
@@ -125,8 +127,6 @@ def psi_c(lams: Sequence[int], level: int) -> BraidOperator:
 
 def psi_tensor2(lams: Sequence[int], level: int) -> BraidOperator:
     """bar(Theta) on a plain two-factor slice; psi(x) = it . bar(x)."""
-    if len(lams) != 2:
-        raise ValueError("psi_tensor2 needs exactly two factors")
     theta = theta_matrix(simple_factors(lams), level)
     return BraidOperator(theta.source, theta.target,
                          linalg.mat_bar(theta.matrix))
@@ -253,27 +253,6 @@ def dual_canonical_basis(lams: Sequence[int], level: int) -> list[BasisVector]:
             for a, c in zip(space.indices, coords)]
 
 
-def _cup_bundles(lam: Sequence[int], a: Sequence[int]) -> list[tuple]:
-    """The cups of the diagram of index a, bundled: (i, j, c) for the c
-    parallel chords from block i to block j (0-based, i < j), in the order
-    the stack pass of `diagrams.diagram_of_index` closes them.  The pass
-    pops a whole run of free units at a time, so its cost does not grow
-    with the weights."""
-    free, out = [], []  # (block, free units) runs; the origin lies below
-    for j, (aj, cap) in enumerate(zip(a, lam)):
-        need = aj
-        while need and free:
-            i, units = free.pop()
-            c = min(need, units)
-            out.append((i, j, c))
-            need -= c
-            if units > c:
-                free.append((i, units - c))
-        if cap > aj:
-            free.append((j, cap - aj))
-    return out
-
-
 @lru_cache(maxsize=None)
 def _gaussian_binomial(c: int, k: int) -> QScalar:
     """[c choose k] in q^-2: the sum, over the k-subsets S of c places, of
@@ -290,7 +269,8 @@ def _gaussian_binomial(c: int, k: int) -> QScalar:
 
 def _closed_form(space: WeightSpace, a: tuple[int, ...]) -> dict:
     """The coordinates {position: coefficient} of b_a by the closed diagram
-    formula, collapsed per cup bundle.
+    formula, collapsed per cup bundle (`common.cup_bundles`, the arcs on the
+    origin left out).
 
     Lift a to the unit weights, left-packed (in block i the first a_i units
     are 1), and sum (-q^-1)^|S| q^-inv over the subsets S of the cups of the
@@ -311,7 +291,8 @@ def _closed_form(space: WeightSpace, a: tuple[int, ...]) -> dict:
     0s); it is set up once per element and evaluated per term.
     """
     lam = [f.highest_weight for f in space.factors]
-    bundles = _cup_bundles(lam, a)
+    bundles = [(i - 1, j - 1, c)  # 0-based blocks, origin arcs left out
+               for i, j, c in cup_bundles(lam, a) if i]
     if not bundles:  # every arc ends on the origin: b_a = e_a
         return {space.pos[a]: ONE}
     ones, zeros = list(a), [x - y for x, y in zip(lam, a)]
@@ -360,6 +341,27 @@ def _closed_form(space: WeightSpace, a: tuple[int, ...]) -> dict:
     return {p: QScalar._raw(t) for p, t in acc.items() if t}
 
 
+def _require_element(space: WeightSpace, m: int, coeffs: dict,
+                     later: bool) -> None:
+    """Raise unless the coordinates {position: coefficient} of the element
+    led by position m have lead coefficient 1, and every other coefficient
+    in q^-1 Z[q^-1] at a position after m (later) or before it (not
+    later)."""
+    if coeffs.get(m) != ONE:
+        raise TriangularityViolationError(
+            f"lead coefficient of {space.indices[m]} is not 1 on {space!r}")
+    for r, c in coeffs.items():
+        if r == m:
+            continue
+        if (r < m) == later:
+            raise TriangularityViolationError(
+                f"support of {space.indices[m]} reaches {space.indices[r]} "
+                f"on {space!r}")
+        if not in_qinv_ideal(c):
+            raise AssertionError(f"coefficient {c} of {space.indices[r]} "
+                                 f"outside q^-1 Z[q^-1] on {space!r}")
+
+
 def _certify(space: WeightSpace, coords: list[dict]) -> None:
     """Prove that coords[m] is the dual canonical element b_m of `space`,
     or raise.
@@ -387,18 +389,7 @@ def _certify(space: WeightSpace, coords: list[dict]) -> None:
     """
     bound = 1
     for m, coeffs in enumerate(coords):
-        if coeffs.get(m) != ONE:
-            raise TriangularityViolationError(
-                f"lead coefficient of {space.indices[m]} is not 1 on "
-                f"{space!r}")
-        for r, c in coeffs.items():
-            if r < m:
-                raise TriangularityViolationError(
-                    f"support of {space.indices[m]} reaches "
-                    f"{space.indices[r]} on {space!r}")
-            if r != m and not in_qinv_ideal(c):
-                raise AssertionError(f"coefficient {c} of {space.indices[r]} "
-                                     f"outside q^-1 Z[q^-1] on {space!r}")
+        _require_element(space, m, coeffs, later=True)
         bound = max(bound, sum(map(_l1_norm, coeffs.values())))
     pieces, layouts = [], {}  # layouts: block matrix -> (cols, l1, off)
     for blocks in theta_n_pieces(tuple(map(contragredient, space.factors)),
@@ -474,27 +465,18 @@ def canonical_basis_pair(lams: Sequence[int], level: int) -> list[BasisVector]:
 
     Corrections to the leading monomial run toward lexicographically smaller
     indices, which for two factors means the anti-diagonal shifts
-    (i, j) -> (i - k, j + k) with k > 0 only.  Each c_m is certified by its
-    lead 1, its support on that family, its other coefficients in
-    q^-1 Z[q^-1], and psi(c_m) = c_m by a fresh product.
+    (i, j) -> (i - k, j + k) with k > 0: every index of the slice has the
+    same sum, so these are the positions before m.  Each c_m is certified
+    by `_require_element` (lead 1, support before m, other coefficients in
+    q^-1 Z[q^-1]) and psi(c_m) = c_m by a fresh product.
     """
     psi = psi_tensor2(lams, level)
     space = psi.source
     basis = []
     for m, coeffs in enumerate(
             _inverse_transpose(dual_canonical_basis(lams, level))):
+        _require_element(space, m, coeffs, later=False)
         index = space.indices[m]
-        if coeffs.get(m) != ONE:
-            raise TriangularityViolationError(
-                f"lead coefficient of {index} is not 1 on {space!r}")
-        for r, c in coeffs.items():
-            k = space.indices[r]
-            if r != m and not (k[0] < index[0] and sum(k) == sum(index)):
-                raise TriangularityViolationError(
-                    f"support {k} of {index} outside the k>0 shift family")
-            if r != m and not in_qinv_ideal(c):
-                raise AssertionError(f"coefficient {c} of {k} outside "
-                                     f"q^-1 Z[q^-1] on {space!r}")
         vec = linalg.Vector(space.dim, coeffs)
         if not linalg.mat_eq(apply_antilinear(psi, vec), vec):
             raise TriangularityViolationError(

@@ -139,10 +139,13 @@ def _values(pad: str):
     return lambda x: memo[tuple(x._terms.items())]
 
 
-def _document(fields: dict, key: str, items):
-    """The chunks of a top-level object: `fields` maps keys to rendered
-    values, and `key` to the list of the rendered `items` (each closed at
-    the four-space indent), one chunk per item.  Keys are in sorted order."""
+def _document(lams, level, fields: dict, key: str, items):
+    """The chunks of a top-level object: the request's `lambda` and `level`
+    and the `schema`, `fields` mapping further keys to rendered values, and
+    `key` to the list of the rendered `items` (each closed at the four-space
+    indent), one chunk per item.  Keys are in sorted order."""
+    fields = {**fields, "lambda": _ints(lams, "\n  "), "level": str(level),
+              "schema": f'"{SCHEMA}"'}
     keys = sorted(fields)
     head = "{" + "".join(f'\n  "{k}": {fields[k]},' for k in keys if k < key)
     head += f'\n  "{key}": '
@@ -167,9 +170,8 @@ def _basis_doc(lams, level, basis, kind):
                 + ',\n      "index": ' + _ints(b.index, "\n      ")
                 + "\n    }")
 
-    return _document({"kind": f'"{kind}"', "lambda": _ints(lams, "\n  "),
-                      "level": str(level), "order": '"lex"',
-                      "schema": f'"{SCHEMA}"',
+    return _document(lams, level,
+                     {"kind": f'"{kind}"', "order": '"lex"',
                       "weight": str(sum(lams) - 2 * level)},
                      "basis", map(element, basis))
 
@@ -184,11 +186,10 @@ def _diagrams_doc(lams, level, filter_name, diagrams):
         head, tail = around[d.capacities]
         return head + _list([chords[c] for c in d.chords], "\n      ") + tail
 
-    return _document({"count": str(len(diagrams)),
+    return _document(lams, level,
+                     {"count": str(len(diagrams)),
                       "filter": "null" if filter_name is None
-                      else f'"{filter_name}"',
-                      "lambda": _ints(lams, "\n  "), "level": str(level),
-                      "schema": f'"{SCHEMA}"'},
+                      else f'"{filter_name}"'},
                      "diagrams", map(element, diagrams))
 
 
@@ -202,8 +203,7 @@ def _operator_doc(op, lams, level, name, position):
         return ",\n    ".join([head + rows[i] + value(x) + "\n    }"
                                 for i, x in sorted(op.matrix.col(j).items())])
 
-    fields = {"lambda": _ints(lams, "\n  "), "level": str(level),
-              "op": f'"{name}"', "schema": f'"{SCHEMA}"'}
+    fields = {"op": f'"{name}"'}
     for key, space in (("source_index", op.source),
                        ("target_index", op.target)):
         fields[key] = _list([_ints(m, "\n    ") for m in space.indices],
@@ -211,7 +211,7 @@ def _operator_doc(op, lams, level, name, position):
     if position is not None:
         fields["position"] = str(position)
     columns = map(column, range(len(op.source.indices)), op.source.indices)
-    return _document(fields, "entries", filter(None, columns))
+    return _document(lams, level, fields, "entries", filter(None, columns))
 
 
 def _cable_doc(report):
@@ -227,9 +227,8 @@ def _cable_doc(report):
 
     fields = {k: "true" if getattr(report, k) else "false"
               for k in ("all_scalars_one", "all_unit_scalars")}
-    fields.update({"lambda": _ints(report.lam, "\n  "),
-                   "level": str(report.level), "schema": f'"{SCHEMA}"'})
-    return _document(fields, "outcomes", map(outcome, report.outcomes))
+    return _document(report.lam, report.level, fields, "outcomes",
+                     map(outcome, report.outcomes))
 
 
 def _guard(args, parser, *more_lams) -> None:

@@ -2,8 +2,9 @@
 
 This module imports nothing from qcanon, so the front end and `diagrams` can
 use it without loading the ring code.  It holds the immutable base class,
-the index tuples of a weight slice and their count, the exceptions the
-command line maps to exit code 1, and the suite names and bound that
+the index tuples of a weight slice and their count, the one stack pass that
+reads the chords of a diagram off its index (`cup_bundles`), the exceptions
+the command line maps to exit code 1, and the suite names and bound that
 `verify --help` shows.
 """
 
@@ -97,6 +98,33 @@ def slice_dim(lam: Sequence[int], l: int) -> int:
     return sum(c * comb(l - e + n - 1, n - 1) for e, c in numerator.items())
 
 
+def cup_bundles(lam: Sequence[int], a: Sequence[int]
+                ) -> list[tuple[int, int, int]]:
+    """The chords of the diagram of index a, bundled: (i, j, c) for the c
+    parallel chords from point i to point j (the origin is point 0, z_j is
+    point j), in the order the pass closes them.
+
+    One left-to-right pass over a stack of runs of free capacity units:
+    z_j closes its a_j arcs on the nearest runs, a whole run at a time, and
+    on the origin once none is left; then it pushes its lam_j - a_j free
+    units as one run.  So the cost does not grow with the weights."""
+    free, out = [], []  # (point, free units) runs, the nearest last
+    for j, (aj, cap) in enumerate(zip(a, lam), start=1):
+        need = aj
+        while need and free:
+            i, units = free.pop()
+            if units > need:
+                free.append((i, units - need))
+                units = need
+            out.append((i, j, units))
+            need -= units
+        if need:
+            out.append((0, j, need))
+        if cap > aj:
+            free.append((j, cap - aj))
+    return out
+
+
 #: The named suites of `verify`; "all" lists every check in run order, and
 #: `verify.ALL_CHECKS` maps each of its names to `check_<name>`.
 SUITE_ALIASES = {
@@ -108,7 +136,6 @@ SUITE_ALIASES = {
     "basis": ("golden_dual_basis", "involutions", "solver_contract",
               "duality"),
     "diagrams": ("bijection_counts", "singular_bases", "catalan"),
-    "cabling": ("cabling",),
 }
 
 #: The largest weight-sum bound a suite accepts: each step up costs about 4x.

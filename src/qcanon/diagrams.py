@@ -18,8 +18,8 @@ a with a_i <= lam_i and sum(a) = l, and the inverse is forced.  Sweep left
 to right: z_j must close its a_j arcs on the nearest points that still have
 free capacity, and only then on the origin; any other choice leaves an
 unsaturated point under an arc, and no later chord can fill it without
-crossing.  So one stack pass builds the diagram of an index, and a slice is
-listed as the image of its index tuples.
+crossing.  So one stack pass, `common.cup_bundles`, builds the diagram of an
+index, and a slice is listed as the image of its index tuples.
 
 Cabling refines every capacity into units: a diagram on sum(lam)
 unit-capacity points collapses blockwise onto the lam-capacity points, dying
@@ -35,10 +35,9 @@ function here may assume the diagram it is given is valid.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Sequence
 
-from .common import Frozen, InvalidDiagramError, enumerate_P
+from .common import Frozen, InvalidDiagramError, cup_bundles, enumerate_P
 
 
 class NotInPError(ValueError):
@@ -137,27 +136,17 @@ def index_of_diagram(d: ArcDiagram) -> tuple[int, ...]:
 
 
 def diagram_of_index(lam: Sequence[int], a: Sequence[int]) -> ArcDiagram:
-    """The unique valid diagram with the given index tuple.
-
-    One left-to-right pass over a stack of free capacity units: each of the
-    a_j arcs ending at z_j pops the nearest free unit, or starts at the origin
-    once none is left; then z_j pushes its lam_j - a_j free units as one run.
-    """
+    """The unique valid diagram with the given index tuple: the chord
+    bundles of the stack pass `common.cup_bundles`, each expanded into its
+    parallel copies."""
     lam = tuple(lam)
     a = tuple(a)
     if len(a) != len(lam) or any(x < 0 or x > c for x, c in zip(a, lam)):
         raise NotInPError(f"{a} is not an admissible index for {lam}")
-    free = [(0, math.inf)]  # (point, free units) runs; the origin never ends
     chords = []
-    for j, (aj, cap) in enumerate(zip(a, lam), start=1):
-        for _ in range(aj):
-            point, units = free.pop()
-            chords.append((point, j))
-            if units > 1:
-                free.append((point, units - 1))
-        if cap > aj:
-            free.append((j, cap - aj))
-    return ArcDiagram(lam, tuple(chords))
+    for i, j, c in cup_bundles(lam, a):
+        chords += [(i, j)] * c
+    return ArcDiagram(lam, chords)
 
 
 def filter_singular(diagrams: Iterable[ArcDiagram]) -> list[ArcDiagram]:

@@ -57,9 +57,9 @@ identity.  Eleven caches meet that rule: here `_theta_piece_first`,
 `tensor.weight_space` and the two `weightmod` constructors, whose
 canonical instances key all the others (modules and slices hash by
 identity); `qring.quantum_factorial`; and `canonical._gaussian_binomial`.
-All eleven stay; `_r_n`, `_rcheck_longest` and `_bubble` serve only the
-references, and `verify` empties them after each check
-(`_REFERENCE_CACHES`).
+All eleven stay.  `_r_n` serves only the references; `_rcheck_longest` and
+`_bubble` serve them and `rmatrix --op rcheck`.  No other subcommand reads
+the three, and `verify` empties them after each check (`_REFERENCE_CACHES`).
 
 E on factor 0 and Delta^{n-2}(F) on the rest act on different legs, so
 E^k x Delta^{n-2}(F)^k = T^k for the one square matrix T = E x
@@ -332,9 +332,10 @@ def _bubble(factors, level):
               out_block=moved))
 
 
-#: The caches that only the references fill; `verify` empties them after each
-#: check.  A tuple, built at import, so that it still reaches the caches when
-#: a profiler (perfbench's tracer) rebinds the module names to wrappers.
+#: The caches of R^(n) and of the longest braiding, which the references and
+#: `rmatrix --op rcheck` fill; `verify` empties them after each check.  A
+#: tuple, built at import, so that it still reaches the caches when a
+#: profiler (perfbench's tracer) rebinds the module names to wrappers.
 _REFERENCE_CACHES = (_r_n, _rcheck_longest, _bubble)
 
 

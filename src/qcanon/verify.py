@@ -7,15 +7,15 @@ names, times each call and records its outcome as a `CheckResult`; a
 failure on a weight slice, whatever raised it, carries that slice as
 `lambda` and `level`.  The run owns two kinds of state: the memo through
 which the checks read dual canonical bases, so a run computes each slice
-once, and the caches of the braid references `_r_n`, `_rcheck_longest`
-and `_bubble`, which it empties after every check.  The checks are
-deliberately redundant with independent machinery on each side: dimension
-counts come from convolving weight multisets, singular counts from the
-integer rank of E at q = 1, braid products are compared against coproduct
-recursions (and the default word's recursion against other words'
-multiplied-out products), diagram listings against an exhaustive chord
-search, and the closed-form dual canonical basis, and the canonical basis
-inverted from it, against the forward substitution on psi_c.
+once, and the caches `_r_n`, `_rcheck_longest` and `_bubble` of
+`rmatrix._REFERENCE_CACHES`, which it empties after every check.  The
+checks are deliberately redundant with independent machinery on each side:
+dimension counts come from convolving weight multisets, singular counts
+from the integer rank of E at q = 1, braid products are compared against
+coproduct recursions (and the default word's recursion against other
+words' multiplied-out products), diagram listings against an exhaustive
+chord search, and the closed-form dual canonical basis, and the canonical
+basis inverted from it, against the forward substitution on psi_c.
 """
 
 from __future__ import annotations
@@ -134,9 +134,8 @@ def search_diagrams(lam: Sequence[int], l: int) -> list[ArcDiagram]:
 
 
 #: The dual canonical bases computed during the current `run_suite` call, keyed
-#: by (lams, level), so that each slice is computed once per run.  A slice goes
-#: once no check still to run has a bound as high as its weight sum, and all
-#: go when the run ends: None outside a run.
+#: by (lams, level), so that each slice is computed once per run.  All go when
+#: the run ends: None outside a run.
 _run_bases: dict[tuple[tuple[int, ...], int],
                  tuple[BasisVector, ...]] | None = None
 
@@ -382,9 +381,8 @@ BOUND_CAPS = {"cabling": 5, "duality": 5}
 
 
 def _clear_reference_caches() -> None:
-    """Empty the caches that only the braid references fill.  No check reads
-    an entry an earlier check built, save a few small slices cheap to
-    rebuild, and no subcommand reads them at all."""
+    """Empty `rmatrix._REFERENCE_CACHES`.  No check reads an entry an
+    earlier check built, save a few small slices cheap to rebuild."""
     for cached in _REFERENCE_CACHES:
         cached.cache_clear()
 
@@ -402,13 +400,12 @@ def run_suite(suite: str = "all", max_weight_sum: int = 6) -> list[CheckResult]:
     if max_weight_sum > MAX_WEIGHT_SUM:
         raise ValueError(f"--max-weight-sum {max_weight_sum} exceeds the "
                          f"limit {MAX_WEIGHT_SUM}")
-    bounds = [min(max_weight_sum, BOUND_CAPS.get(name, max_weight_sum))
-              for name in names]
     global _run_bases, _swept
     out = []
     _run_bases = {}
     try:
-        for i, (name, bound) in enumerate(zip(names, bounds)):
+        for name in names:
+            bound = min(max_weight_sum, BOUND_CAPS.get(name, max_weight_sum))
             failure, _swept = None, None
             start = time.perf_counter()
             try:
@@ -422,10 +419,6 @@ def run_suite(suite: str = "all", max_weight_sum: int = 6) -> list[CheckResult]:
                                     "level": _swept[1]})
             out.append(CheckResult(name, detail, time.perf_counter() - start,
                                    bound, failure))
-            # drop the slices above the bound of every check still to run
-            keep = max(bounds[i + 1:], default=-1)
-            for key in [k for k in _run_bases if sum(k[0]) > keep]:
-                del _run_bases[key]
             _clear_reference_caches()
     finally:
         _run_bases = _swept = None

@@ -8,8 +8,9 @@ from qcanon import linalg
 from qcanon.cabling import (CablingOutcome, ZeroBlockError, block_map,
                             dual_cabling_matrix, is_monomial_unit,
                             cabling_report)
-from qcanon.canonical import (_closed_form, _cup_bundles, _solve_triangular,
+from qcanon.canonical import (_closed_form, _solve_triangular,
                               dual_canonical_basis, psi_c)
+from qcanon.common import cup_bundles
 from qcanon.diagrams import diagram_of_index
 from qcanon.qring import ONE, QScalar, exact_div, quantum_factorial
 from qcanon.rmatrix import BraidOperator
@@ -222,27 +223,25 @@ def test_bundled_collapse_matches_the_subset_sum():
     # the subset-listing oracle against the production collapse per cup
     # bundle, on every element of the bound-7 sweep and on two slices whose
     # bundles carry several cups; each bundle's multiplicity is the number
-    # of unit cups that run between its two blocks
+    # of unit chords that run between its two points, the origin included
     slices = list(weight_slices(7)) + [((20, 20), 20), ((5, 3, 4), 6)]
     elements = multiple = 0
     for lam, l in slices:
         space = weight_space(dual_factors(lam), l)
-        blocks = [b for b, size in enumerate(lam) for _ in range(size)]
+        points = [0] + [p for p, size in enumerate(lam, start=1)
+                        for _ in range(size)]  # unit point -> its point
         for a in space.indices:
             got = _closed_form(space, a)
             assert {space.indices[p]: x for p, x in got.items()} \
                 == closed_form(lam, a), (lam, l, a)
-            bundles = _cup_bundles(lam, a)
-            chords = diagram_of_index(lam, a).chords
-            assert sorted((i, j) for i, j, _ in bundles) == sorted(
-                {(i - 1, j - 1) for i, j in chords if i >= 1})
+            bundles = cup_bundles(lam, a)
             unit = [x for ai, size in zip(a, lam)
                     for x in [1] * ai + [0] * (size - ai)]
-            cups = collections.Counter(
-                (blocks[i - 1], blocks[j - 1]) for i, j in diagram_of_index(
-                    (1,) * len(unit), unit).chords if i >= 1)
-            assert cups == {(i, j): c for i, j, c in bundles}
-            multiple += any(c > 1 for _, _, c in bundles)
+            chords = collections.Counter(
+                (points[i], points[j]) for i, j in diagram_of_index(
+                    (1,) * len(unit), unit).chords)
+            assert chords == {(i, j): c for i, j, c in bundles}
+            multiple += any(c > 1 for i, _, c in bundles if i)
             elements += 1
     assert elements == 4615 + 21 + 18
     assert multiple == 321

@@ -271,14 +271,14 @@ class TestCertificate:
 
     LAMS, LEVEL = (2, 1, 1), 2  # dim 4
 
-    def _edit_closed_form(self, monkeypatch, edit):
-        """Production with the coordinates of the first element, (0, 1, 1),
-        replaced by edit(coords)."""
+    def _edit_closed_form(self, monkeypatch, edit, at=0):
+        """Production with the coordinates of the element at position `at`
+        (by default the first, (0, 1, 1)) replaced by edit(coords)."""
         real = canonical._closed_form
 
         def edited(space, a):
             coords = real(space, a)
-            return edit(dict(coords)) if a == space.indices[0] else coords
+            return edit(dict(coords)) if a == space.indices[at] else coords
 
         monkeypatch.setattr(canonical, "_closed_form", edited)
 
@@ -329,6 +329,16 @@ class TestCertificate:
 
         self._edit_closed_form(monkeypatch, edit)
         self._refused(capsys, error, match)
+
+    @pytest.mark.parametrize("at, edit, match", [
+        (0, lambda c: {**c, 0: 2 * ONE}, "lead coefficient of \\(0, 1, 1\\)"),
+        # position 0 is (0, 1, 1), before the lead of the last element
+        (-1, lambda c: {**c, 0: q(-1)},
+         "support of \\(2, 0, 0\\) reaches \\(0, 1, 1\\)")],
+        ids=["lead", "support_before_the_lead"])
+    def test_element_contract(self, monkeypatch, capsys, at, edit, match):
+        self._edit_closed_form(monkeypatch, edit, at)
+        self._refused(capsys, TriangularityViolationError, match)
 
     def test_piece_entry_on_the_wrong_side(self, monkeypatch, capsys):
         # P_0 with an entry below its diagonal: its transpose is no longer
@@ -449,7 +459,7 @@ class TestCanonicalPair:
         (lambda c: {**c, max(c): 2 * ONE}, TriangularityViolationError,
          "lead coefficient"),
         (lambda c: {**c, max(c) + 1: q(-1)}, TriangularityViolationError,
-         "outside the k>0 shift family")],
+         "reaches")],
         ids=["outside_the_ideal", "lead", "support_after_the_lead"])
     def test_certificate_refuses(self, monkeypatch, edit, error, match):
         _edit_inversion(monkeypatch, lambda cols: [

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from qcanon.common import cup_bundles
 from qcanon.diagrams import (ArcDiagram, InvalidDiagramError, NotInPError,
                              WeightMismatchError, ZeroBlockError, _crossing,
                              cable_diagram, diagram_of_index, enumerate_B,
@@ -191,6 +192,16 @@ class TestIndexBijection:
         d = diagram_of_index((big, 3, big), (0, 3, 2))
         assert d.chords == ((1, 2), (1, 2), (1, 2), (1, 3), (1, 3))
         assert index_of_diagram(d) == (0, 3, 2)
+
+    @pytest.mark.parametrize("lam, a, bundles", [
+        # one run split over two later points
+        ((10**15, 3, 10**15), (0, 3, 2), [(1, 2, 3), (1, 3, 2)]),
+        # no free unit anywhere: every arc closes on the origin, one bundle
+        # per point
+        ((1, 2), (1, 2), [(0, 1, 1), (0, 2, 2)])],
+        ids=["split_run", "origin_runs"])
+    def test_cup_bundles(self, lam, a, bundles):
+        assert cup_bundles(lam, a) == bundles
 
     def test_round_trip_and_bijectivity(self):
         for lam in itertools.chain(small_lams(6), capacities_with_zeros()):
