@@ -5,11 +5,20 @@ coefficients, exponents tracked in units of v so half-integer q-powers are
 just odd v-powers, and divisions that must be exact or raise.
 """
 
-from qcanon.qring import QScalar, exact_div, in_qinv_ideal, \
-    quantum_factorial, quantum_int, solve_bar_equation
+from qcanon.qring import ONE, QScalar, exact_div, in_qinv_ideal, \
+    quantum_int, solve_bar_equation
 
 q = QScalar.q_power
 v = QScalar.v_power
+
+
+def quantum_factorial(n):
+    """[n]! = [1] [2] ... [n]."""
+    out = ONE
+    for k in range(1, n + 1):
+        out = out * quantum_int(k)
+    return out
+
 
 print("quantum integers [n] = (q^n - q^-n)/(q - q^-1):")
 for n in range(5):

@@ -244,13 +244,21 @@ def dual_canonical_basis(lams: Sequence[int], level: int) -> list[BasisVector]:
     >= m (with the factor bounds of the simple modules respected by
     construction).  Each b_m comes from the closed diagram formula
     (`_closed_form`) and is certified through the factors of Theta^(n)
-    (`_certify`); nothing is solved.
+    (`_certify`); nothing is solved.  Cached per canonical slice
+    (`_certified_basis`); each call returns a fresh list of the frozen
+    vectors, so no caller can change a cached answer.
     """
-    space = weight_space(dual_factors(lams), level)
+    return list(_certified_basis(weight_space(dual_factors(lams), level)))
+
+
+@lru_cache(maxsize=None)
+def _certified_basis(space: WeightSpace) -> tuple[BasisVector, ...]:
+    """The certified dual canonical basis of a canonical dual slice."""
     coords = [_closed_form(space, a) for a in space.indices]
     _certify(space, coords)
-    return [BasisVector(a, space, linalg.Vector._wrap((space.dim, 1), (c,)))
-            for a, c in zip(space.indices, coords)]
+    return tuple(BasisVector(a, space,
+                             linalg.Vector._wrap((space.dim, 1), (c,)))
+                 for a, c in zip(space.indices, coords))
 
 
 @lru_cache(maxsize=None)
@@ -258,9 +266,8 @@ def _gaussian_binomial(c: int, k: int) -> QScalar:
     """[c choose k] in q^-2: the sum, over the k-subsets S of c places, of
     q^-2 to the number of pairs r < r' with r in S and r' not in S.
     Cached: the q-Pascal recursion reads each smaller binomial many times.
-    Its depth is c, never more than that of the `quantum_factorial` the
-    same slice's Theta pieces compute, since a bundle of c cups needs
-    level and weights of at least c."""
+    Its depth is c, at most the level and the weights the bundle joins,
+    since a bundle of c cups needs level and weights of at least c."""
     if k in (0, c):
         return ONE
     return (_gaussian_binomial(c - 1, k - 1)

@@ -370,18 +370,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("basis", help="dual canonical basis of a weight slice")
     common(p)
-    p.set_defaults(func=cmd_basis)
+    p.set_defaults(func=cmd_basis, parser=p)
 
     p = sub.add_parser("canonical2",
                        help="canonical basis of a two-factor product")
     common(p)
-    p.set_defaults(func=cmd_canonical2)
+    p.set_defaults(func=cmd_canonical2, parser=p)
 
     p = sub.add_parser("diagrams", help="list or render arc diagrams")
     common(p)
     p.add_argument("--filter", choices=("singular", "invariant"), default=None)
     p.add_argument("--render", choices=("ascii", "svg"), default=None)
-    p.set_defaults(func=cmd_diagrams)
+    p.set_defaults(func=cmd_diagrams, parser=p)
 
     p = sub.add_parser("rmatrix", help="braiding operator matrices")
     common(p)
@@ -390,11 +390,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pos", type=int, default=None,
                    help="adjacent position for --op rcheck (default: "
                         "the longest braiding)")
-    p.set_defaults(func=cmd_rmatrix)
+    p.set_defaults(func=cmd_rmatrix, parser=p)
 
     p = sub.add_parser("cable", help="unit-weight collapse report")
     common(p)
-    p.set_defaults(func=cmd_cable)
+    p.set_defaults(func=cmd_cable, parser=p)
 
     p = sub.add_parser("verify", help="run the property suites")
     p.add_argument("--suite", default="all",
@@ -403,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-weight-sum", type=_nonneg, default=6,
                    help=f"bound on sum(lambda) of the sweeps (default 6, "
                         f"at most {MAX_WEIGHT_SUM})")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, parser=p)
     return parser
 
 
@@ -412,7 +412,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         try:  # nested, so that a record stdout refuses is an exit 2
-            return args.func(args, parser)
+            # the subcommand's parser: its errors print that usage line
+            return args.func(args, args.parser)
         except _PROPERTY_FAILURE as exc:
             import json
             _stdout(json.dumps(

@@ -131,7 +131,6 @@ SUITE_ALIASES = {
     "all": ("golden_dual_basis", "yang_baxter", "braid_factorizations",
             "involutions", "solver_contract", "bijection_counts",
             "singular_bases", "catalan", "cabling", "duality"),
-    "ybe": ("yang_baxter",),
     "braiding": ("yang_baxter", "braid_factorizations"),
     "basis": ("golden_dual_basis", "involutions", "solver_contract",
               "duality"),

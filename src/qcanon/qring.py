@@ -4,19 +4,18 @@ Everything downstream is linear algebra over this ring.  A scalar is a finite
 sum of integer multiples of powers of v; we track exponents in units of v so
 that half-integer powers of q (which show up in Cartan factors q^{h@h/2} on
 odd weights) need no special casing.  Coefficients are Python ints, so all
-arithmetic is exact by construction.  Divisions (by quantum factorials, for
+arithmetic is exact by construction.  Divisions (by quantum integers, for
 divided powers) go through :func:`exact_div`, which raises instead of ever
 producing a non-integral result.  Products, sums and the sums of products
 in `linalg` share one coefficient loop, the multiply-accumulate `addmul`.
 
 The bar involution fixes v-degree-zero terms and negates exponents
-(q -> q^-1).  Quantum integers [n] = (q^n - q^-n)/(q - q^-1) and their
-factorials are bar-invariant with nonnegative integer coefficients.
+(q -> q^-1).  Quantum integers [n] = (q^n - q^-n)/(q - q^-1) are
+bar-invariant with nonnegative integer coefficients.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Mapping
 
 from .common import BarAsymmetryError, InexactDivisionError, OddExponentError
@@ -209,15 +208,6 @@ def quantum_int(n: int) -> QScalar:
     if n < 0:
         raise ValueError(f"quantum integer needs n >= 0, got {n}")
     return QScalar._raw({2 * (n - 1 - 2 * i): 1 for i in range(n)})
-
-
-@lru_cache(maxsize=None)
-def quantum_factorial(n: int) -> QScalar:
-    if n < 0:
-        raise ValueError(f"quantum factorial needs n >= 0, got {n}")
-    if n == 0:
-        return ONE
-    return quantum_factorial(n - 1) * quantum_int(n)
 
 
 def exact_div(num: QScalar, den: QScalar) -> QScalar:

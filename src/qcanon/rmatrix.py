@@ -56,20 +56,23 @@ identity.  Eleven caches meet that rule: here `_theta_piece_first`,
 `_theta_n`, `_r_n`, `_pair_rcheck`, `_rcheck_longest` and `_bubble`;
 `tensor.weight_space` and the two `weightmod` constructors, whose
 canonical instances key all the others (modules and slices hash by
-identity); `qring.quantum_factorial`; and `canonical._gaussian_binomial`.
-All eleven stay.  `_r_n` serves only the references; `_rcheck_longest` and
-`_bubble` serve them and `rmatrix --op rcheck`.  No other subcommand reads
-the three, and `verify` empties them after each check (`_REFERENCE_CACHES`).
+identity); and in `canonical` the certified dual canonical basis of each
+slice, `_certified_basis`, and `_gaussian_binomial`.  All eleven stay.
+`_r_n` serves only the references; `_rcheck_longest` and `_bubble` serve
+them and `rmatrix --op rcheck`.  No other subcommand reads the three, and
+`verify` empties them after each check (`_REFERENCE_CACHES`); it empties
+the basis cache when a run starts and when it ends.
 
 E on factor 0 and Delta^{n-2}(F) on the rest act on different legs, so
 E^k x Delta^{n-2}(F)^k = T^k for the one square matrix T = E x
 Delta^{n-2}(F) on the slice, and each piece (1 x Delta^{n-2})(Theta) is a
 power series in T.  `_t_matrix` writes T in one pass over the slice from
-the ladder formulas, with no lifted generator matrix and no product.  Only
-the series' terms k >= 2 divide, since [0]! = [1]! = 1.
-Every division by [k]! is exact on monomial bases (the entries carry the
-matching quantum-binomial numerators); `exact_div` raising would indicate
-a genuine bug, not a rounding concern.
+the ladder formulas, with no lifted generator matrix and no product.  The
+series is summed one term at a time: T^k / [k]! is T times the term before,
+divided by [k], so only the terms k >= 2 divide, since [1] = 1.  Every
+division is exact on monomial bases, because each T^k / [k]! is integral
+(the entries carry the matching quantum-binomial numerators); `exact_div`
+raising would indicate a genuine bug, not a rounding concern.
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ from functools import lru_cache
 
 from . import linalg
 from .common import NotReducedError
-from .qring import ONE, Q_MINUS_QINV, QScalar, quantum_factorial
+from .qring import ONE, Q_MINUS_QINV, QScalar, quantum_int
 from .tensor import WeightSpace, weight_space
 from .weightmod import GEN_E, GEN_F, contragredient
 
@@ -97,18 +100,17 @@ class BraidOperator(linalg.Frozen):
 # the shared building blocks: lift and Cartan diagonal
 # ---------------------------------------------------------------------------
 
-def _lift(factors, level, lo, hi, sub_fn, shift, out_block=None):
+def _lift(factors, level, lo, hi, sub_fn, out_block=None):
     """X on the block factors[lo:hi], identity on the other factors.
 
     sub_fn(b) is the matrix of X from the block's slice at level b to the
-    slice of out_block (default: the block) at level b + shift; the lift
-    lands on the factors with the block replaced by out_block, at level +
-    shift.
+    slice of out_block (default: the block) at level b; the lift lands on
+    the factors with the block replaced by out_block, at the same level.
     """
     block = factors[lo:hi]
     out_block = block if out_block is None else out_block
     src = weight_space(factors, level)
-    tgt = weight_space(factors[:lo] + out_block + factors[hi:], level + shift)
+    tgt = weight_space(factors[:lo] + out_block + factors[hi:], level)
     per_level = {}  # b -> (sub_fn(b), block pos, out-block indices)
     cols = []
     for m in src.indices:
@@ -116,7 +118,7 @@ def _lift(factors, level, lo, hi, sub_fn, shift, out_block=None):
         b = sum(part)
         if b not in per_level:
             per_level[b] = (sub_fn(b), weight_space(block, b).pos,
-                            weight_space(out_block, b + shift).indices)
+                            weight_space(out_block, b).indices)
         sub, pos, sub_indices = per_level[b]
         cols.append({tgt.pos[head + sub_indices[i] + tail]: x
                      for i, x in sub.col(pos[part]).items()})
@@ -159,17 +161,17 @@ def _t_matrix(factors, level):
 @lru_cache(maxsize=None)
 def _theta_piece_first(factors, level):
     """(1 x Delta^{n-2})(Theta) = sum_k q^{k(k-1)/2} (q - q^-1)^k T^k / [k]!,
-    T = E x Delta^{n-2}(F) (`_t_matrix`)."""
+    T = E x Delta^{n-2}(F) (`_t_matrix`), each T^k / [k]! as T times the
+    term before, divided by [k]."""
     out = linalg.identity(weight_space(factors, level).dim)  # k = 0
     kmax = min(level, factors[0].size - 1)
     if kmax == 0:
         return out
     t = _t_matrix(factors, level)
-    power = piece = t  # the k = 1 term: [1]! = 1
+    piece = t  # the k = 1 term: [1] = 1
     for k in range(1, kmax + 1):
         if k >= 2:
-            power = linalg.matmul(t, power)
-            piece = linalg.mat_div(power, quantum_factorial(k))
+            piece = linalg.mat_div(linalg.matmul(t, piece), quantum_int(k))
         out = linalg.mat_add(out, piece, QScalar.q_power(k * (k - 1) // 2)
                              * Q_MINUS_QINV ** k)
     return out
@@ -183,7 +185,7 @@ def _theta_n(factors, level):
         return linalg.identity(weight_space(factors, level).dim)
     rest = factors[1:]
     return linalg.matmul(
-        _lift(factors, level, 1, n, lambda b: _theta_n(rest, b), 0),
+        _lift(factors, level, 1, n, lambda b: _theta_n(rest, b)),
         _theta_piece_first(factors, level))
 
 
@@ -217,7 +219,7 @@ def _r_n(factors, level):
     # (1 x Delta^{n-2})(C) = q^{h_0 (h_1 + ... + h_{n-1}) / 2}
     cartan = _cartan_diagonal(factors, level, lambda w: w[0] * sum(w[1:]))
     piece = linalg.matmul(cartan, _theta_piece_first(factors, level))
-    sub = _lift(factors, level, 1, n, lambda b: _r_n(rest, b), 0)
+    sub = _lift(factors, level, 1, n, lambda b: _r_n(rest, b))
     return linalg.matmul(sub, piece)
 
 
@@ -248,7 +250,7 @@ def _pair_rcheck(pair, level):
 def _rcheck(factors, level, i):
     """The pair operator on factors (i, i+1): maps onto the swapped sequence."""
     pair = factors[i:i + 2]
-    return _lift(factors, level, i, i + 2, lambda b: _pair_rcheck(pair, b), 0,
+    return _lift(factors, level, i, i + 2, lambda b: _pair_rcheck(pair, b),
                  out_block=pair[::-1])
 
 
@@ -302,7 +304,7 @@ def _rcheck_longest(factors, level, word):
         return linalg.matmul(
             _suffixes_first(head[::-1] + factors[-1:], level, _bubble),
             _lift(factors, level, 0, n - 1,
-                  lambda b: _rcheck_longest(head, b, None), 0,
+                  lambda b: _rcheck_longest(head, b, None),
                   out_block=head[::-1]))
     ops = []
     for i in default_longest_word(n) if word is None else word:
@@ -328,7 +330,7 @@ def _bubble(factors, level):
     moved = rest[-1:] + rest[:-1]
     return linalg.matmul(
         _rcheck(factors[:1] + moved, level, 0),
-        _lift(factors, level, 1, n, lambda b: _bubble(rest, b), 0,
+        _lift(factors, level, 1, n, lambda b: _bubble(rest, b),
               out_block=moved))
 
 

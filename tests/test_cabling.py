@@ -12,12 +12,13 @@ from qcanon.canonical import (_closed_form, _solve_triangular,
                               dual_canonical_basis, psi_c)
 from qcanon.common import cup_bundles
 from qcanon.diagrams import diagram_of_index
-from qcanon.qring import ONE, QScalar, exact_div, quantum_factorial
+from qcanon.qring import ONE, QScalar, exact_div
 from qcanon.rmatrix import BraidOperator
 from qcanon.tensor import (coproduct_matrix, coproduct_target_level,
                            enumerate_P, weight_space)
 from qcanon.verify import weight_slices
 from qcanon.weightmod import GEN_E, GEN_F, dual_factors, simple_factors
+from test_qring import quantum_factorial
 
 q = QScalar.q_power
 

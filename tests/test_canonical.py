@@ -126,6 +126,19 @@ class TestDualCanonicalBasis:
                     if k != b.index:
                         assert in_qinv_ideal(b.coeff(k))
 
+    def test_each_call_returns_a_fresh_list(self):
+        # the basis is cached per slice: a caller that changes the list it
+        # got leaves the next call's answer as it was
+        first = dual_canonical_basis((2, 1, 1), 2)
+        kept = list(first)
+        first.reverse()
+        first.pop()
+        first.append(None)
+        again = dual_canonical_basis([2, 1, 1], 2)
+        assert again is not first and len(again) == len(kept) == 4
+        assert all(b is k for b, k in zip(again, kept))
+        assert [b.index for b in again] == enumerate_P((2, 1, 1), 2)
+
     def test_uniqueness_perturbation_breaks_fixedness(self):
         basis = dual_canonical_basis((2, 2), 2)
         psi = psi_c((2, 2), 2)
@@ -245,7 +258,8 @@ def through_pieces_all_terms(packed, x, bits):
 @pytest.fixture(params=["live_terms", "all_terms"])
 def product_loop(request, monkeypatch):
     """Run a test with the production product loop and again with the
-    all-terms loop in its place."""
+    all-terms loop in its place, each from an empty basis cache."""
+    canonical._certified_basis.cache_clear()
     if request.param == "all_terms":
         monkeypatch.setattr(canonical, "_through_pieces",
                             through_pieces_all_terms)
@@ -260,6 +274,7 @@ def test_product_loops_accept_the_same_bases(monkeypatch, lams, level):
 
     live = coords(dual_canonical_basis(lams, level))
     monkeypatch.setattr(canonical, "_through_pieces", through_pieces_all_terms)
+    canonical._certified_basis.cache_clear()
     assert coords(dual_canonical_basis(lams, level)) == live
 
 
@@ -273,7 +288,8 @@ class TestCertificate:
 
     def _edit_closed_form(self, monkeypatch, edit, at=0):
         """Production with the coordinates of the element at position `at`
-        (by default the first, (0, 1, 1)) replaced by edit(coords)."""
+        (by default the first, (0, 1, 1)) replaced by edit(coords), and no
+        basis cached from before the edit."""
         real = canonical._closed_form
 
         def edited(space, a):
@@ -281,6 +297,7 @@ class TestCertificate:
             return edit(dict(coords)) if a == space.indices[at] else coords
 
         monkeypatch.setattr(canonical, "_closed_form", edited)
+        canonical._certified_basis.cache_clear()
 
     def _refused(self, capsys, error, match):
         with pytest.raises(error, match=match):
@@ -339,6 +356,15 @@ class TestCertificate:
     def test_element_contract(self, monkeypatch, capsys, at, edit, match):
         self._edit_closed_form(monkeypatch, edit, at)
         self._refused(capsys, TriangularityViolationError, match)
+
+    def test_defect_after_a_cached_answer(self, monkeypatch, capsys):
+        # the intact basis is cached first: a defect injected afterwards is
+        # still refused, not hidden behind the certified answer
+        dual_canonical_basis(self.LAMS, self.LEVEL)
+        assert canonical._certified_basis.cache_info().currsize
+        self._edit_closed_form(monkeypatch, lambda c: {**c, 0: 2 * ONE})
+        self._refused(capsys, TriangularityViolationError,
+                      "lead coefficient of \\(0, 1, 1\\)")
 
     def test_piece_entry_on_the_wrong_side(self, monkeypatch, capsys):
         # P_0 with an entry below its diagonal: its transpose is no longer

@@ -27,6 +27,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_refused_by(err_text, command):
+    """A refusal from the subcommand's own parser, as argparse's own errors
+    print it: that command's usage line and error prefix, no traceback."""
+    assert err_text.startswith(f"usage: qcanon {command} [-h]"), err_text
+    assert f"\nqcanon {command}: error: " in err_text
+    assert "Traceback" not in err_text
+
+
 class TestBasisCommand:
     def test_golden_output(self, capsys):
         code, out, _ = run(capsys, "basis", "--lambda", "1,1", "--level", "1")
@@ -79,6 +87,10 @@ class TestCanonical2Command:
         with pytest.raises(SystemExit) as err:
             run(capsys, "canonical2", "--lambda", "1,1,1", "--level", "1")
         assert err.value.code == 2
+        err_text = capsys.readouterr().err
+        assert_refused_by(err_text, "canonical2")
+        assert err_text.endswith("error: canonical2 needs exactly two "
+                                 "weights\n")
 
 
 class TestDiagramsCommand:
@@ -159,7 +171,8 @@ class TestRmatrixCommand:
                 "--op", op, "--pos", pos)
         assert err.value.code == 2
         err_text = capsys.readouterr().err
-        assert "0 <= pos < 2" in err_text and "Traceback" not in err_text
+        assert_refused_by(err_text, "rmatrix")
+        assert "0 <= pos < 2" in err_text
 
     @pytest.mark.parametrize("lam", ["1", "1,1,1"])
     def test_theta_needs_two_weights(self, capsys, lam):
@@ -168,7 +181,7 @@ class TestRmatrixCommand:
                 "--op", "theta")
         assert err.value.code == 2
         err_text = capsys.readouterr().err
-        assert err_text.startswith("usage: qcanon")
+        assert_refused_by(err_text, "rmatrix")
         assert err_text.endswith(
             "error: --op theta needs exactly two weights\n")
 
@@ -192,7 +205,7 @@ class TestCableCommand:
 
 class TestVerifyCommand:
     def test_ybe_suite_passes(self, capsys):
-        code, out, _ = run(capsys, "verify", "--suite", "ybe")
+        code, out, _ = run(capsys, "verify", "--suite", "yang_baxter")
         assert code == 0
         assert out.startswith("PASS yang_baxter")
 
@@ -212,7 +225,7 @@ class TestVerifyCommand:
             "'bijection_counts', 'braid_factorizations', 'braiding', "
             "'cabling', 'catalan', 'diagrams', 'duality', 'golden_dual_basis', "
             "'involutions', 'singular_bases', 'solver_contract', "
-            "'yang_baxter', 'ybe']\n")
+            "'yang_baxter']\n")
 
     def test_failure_is_exit_1_with_record(self, capsys, monkeypatch):
         import qcanon.verify as v
@@ -351,6 +364,7 @@ class TestGuards:
         with pytest.raises(SystemExit) as err:
             run(capsys, "basis", "--lambda", "7,7", "--level", "1")
         assert err.value.code == 2
+        assert_refused_by(capsys.readouterr().err, "basis")
 
     def test_max_sum_override(self, capsys):
         code, _, _ = run(capsys, "basis", "--lambda", "7,7", "--level", "0",
@@ -362,6 +376,7 @@ class TestGuards:
         with pytest.raises(SystemExit) as err:
             run(capsys, "basis", "--lambda", "1,1", "--level", "1")
         assert err.value.code == 2
+        assert_refused_by(capsys.readouterr().err, "basis")
 
     def test_dimension_cap_covers_the_cabled_unit_slice(self, capsys,
                                                          monkeypatch):
@@ -371,22 +386,28 @@ class TestGuards:
         with pytest.raises(SystemExit) as err:
             run(capsys, "cable", "--lambda", "2,2", "--level", "2")
         assert err.value.code == 2
-        assert "QCANON_MAX_DIM=5" in capsys.readouterr().err
+        err_text = capsys.readouterr().err
+        assert_refused_by(err_text, "cable")
+        assert "QCANON_MAX_DIM=5" in err_text
 
     def test_dimension_cap_must_be_an_integer(self, capsys, monkeypatch):
         monkeypatch.setenv("QCANON_MAX_DIM", "abc")
         with pytest.raises(SystemExit) as err:
             run(capsys, "basis", "--lambda", "1,1", "--level", "1")
         assert err.value.code == 2
-        assert "QCANON_MAX_DIM" in capsys.readouterr().err
+        err_text = capsys.readouterr().err
+        assert_refused_by(err_text, "basis")
+        assert "QCANON_MAX_DIM" in err_text
 
     def test_dimension_cap_must_be_nonnegative(self, capsys, monkeypatch):
         monkeypatch.setenv("QCANON_MAX_DIM", "-3")
         with pytest.raises(SystemExit) as err:
             run(capsys, "basis", "--lambda", "1", "--level", "0")
         assert err.value.code == 2
+        err_text = capsys.readouterr().err
+        assert_refused_by(err_text, "basis")
         assert ("QCANON_MAX_DIM must be a nonnegative integer, got '-3'"
-                in capsys.readouterr().err)
+                in err_text)
 
     def test_dimension_cap_counts_each_slice(self, monkeypatch):
         # the guard's count is the slice dimension, for the request and for
@@ -874,8 +895,8 @@ def cli_requests(draw):
                                     "rmatrix", "cable", "verify")))
     if command == "verify":
         argv = ["verify", "--suite",
-                draw(st.sampled_from(("ybe", "catalan", "diagrams", "cabling",
-                                      "duality", "nonsense"))),
+                draw(st.sampled_from(("yang_baxter", "catalan", "diagrams",
+                                      "cabling", "duality", "nonsense"))),
                 "--max-weight-sum", str(draw(st.integers(-1, 2)))]
     else:
         lam = draw(st.lists(st.integers(0, 4), min_size=1, max_size=4)
@@ -1109,9 +1130,9 @@ class TestFastExitLosesNothing:
         done = _entry(SMALL, QCANON_MAX_DIM="1")
         assert done.returncode == 2 and done.stdout == b""
         err = done.stderr.decode()
+        assert_refused_by(err, "basis")
         assert err.endswith("error: weight slice dimension 2 exceeds "
                             "QCANON_MAX_DIM=1\n")
-        assert "Traceback" not in err
 
     def test_failed_check_exits_1_with_record(self):
         code = ("import sys, qcanon.verify as v\n"

@@ -8,14 +8,22 @@ from hypothesis import strategies as st
 
 from qcanon.qring import (ONE, ZERO, BarAsymmetryError, InexactDivisionError,
                           OddExponentError, QScalar, addmul, exact_div,
-                          in_qinv_ideal, quantum_factorial, quantum_int,
-                          solve_bar_equation)
+                          in_qinv_ideal, quantum_int, solve_bar_equation)
 
 q = QScalar.q_power
 v = QScalar.v_power
 
 scalars = st.dictionaries(st.integers(-8, 8), st.integers(-50, 50),
                           max_size=6).map(QScalar)
+
+
+def quantum_factorial(n):
+    """[n]! = [1] [2] ... [n]: the tests' oracle for divided powers; the
+    library divides one [k] at a time."""
+    out = ONE
+    for k in range(1, n + 1):
+        out = out * quantum_int(k)
+    return out
 
 
 def eval_at_one(p):

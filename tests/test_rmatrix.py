@@ -12,8 +12,7 @@ import pytest
 
 import qcanon
 from qcanon import linalg
-from qcanon.qring import (ONE, Q_MINUS_QINV, QScalar, exact_div,
-                          quantum_factorial)
+from qcanon.qring import ONE, Q_MINUS_QINV, QScalar, exact_div
 from qcanon.qring import InexactDivisionError
 from qcanon.rmatrix import (NotReducedError, _lift, _rcheck_longest,
                             cartan_factor, default_longest_word,
@@ -24,6 +23,7 @@ from qcanon.canonical import dual_canonical_basis, psi_c
 from qcanon.verify import weight_slices
 from qcanon.tensor import coproduct_matrix, weight_space
 from qcanon.weightmod import GEN_E, GEN_F, contragredient, make_simple
+from test_qring import quantum_factorial
 from test_weightmod import GEN_QH, GEN_QH_INV, with_matrices
 
 q = QScalar.q_power
@@ -89,9 +89,8 @@ class TestThetaSum:
         # a divisor the k = 2 numerators do not carry must raise
         import qcanon.rmatrix as rmatrix
         rmatrix._theta_piece_first.cache_clear()
-        real = rmatrix.quantum_factorial
-        monkeypatch.setattr(rmatrix, "quantum_factorial",
-                            lambda k: 3 * real(k))
+        real = rmatrix.quantum_int
+        monkeypatch.setattr(rmatrix, "quantum_int", lambda k: 3 * real(k))
         with pytest.raises(InexactDivisionError):
             rmatrix._theta_piece_first(factors(2, 2), 2)
 
@@ -99,7 +98,7 @@ class TestThetaSum:
         # in a fresh process, so that psi_c builds every Theta sum anew
         code = ("from qcanon import linalg\n"
                 "from qcanon.canonical import psi_c\n"
-                "from qcanon.qring import ONE, quantum_factorial\n"
+                "from qcanon.qring import ONE, quantum_int\n"
                 "divisors = []\n"
                 "real = linalg.exact_div\n"
                 "def counting(x, d):\n"
@@ -110,7 +109,7 @@ class TestThetaSum:
                 "    divisors.clear()\n"
                 "    psi_c(lams, 3)\n"
                 "    print(divisors.count(ONE),\n"
-                "          divisors.count(quantum_factorial(2)))\n")
+                "          divisors.count(quantum_int(2)))\n")
         src = str(Path(__file__).resolve().parents[1] / "src")
         done = subprocess.run([sys.executable, "-c", code],
                               env={**os.environ, "PYTHONPATH": src},
@@ -147,7 +146,7 @@ class TestLift:
             calls.append(b)
             return linalg.identity(weight_space(fs[1:], b).dim)
 
-        lifted = _lift(fs, 1, 1, 3, sub, 0)
+        lifted = _lift(fs, 1, 1, 3, sub)
         assert calls == [1, 0]
         assert linalg.mat_eq(lifted, linalg.identity(3))
 
@@ -162,14 +161,33 @@ def _theta_series(t, kmax):
     return out
 
 
+def _generator_lift(fs, level, lo, hi, sub_fn, shift):
+    """X on the block fs[lo:hi], identity on the other factors, where
+    sub_fn(b) maps the block's slice at level b to its slice at level b +
+    shift: a lifted generator, which production never builds."""
+    src, tgt = weight_space(fs, level), weight_space(fs, level + shift)
+    per_level = {}  # b -> (sub_fn(b), block pos, block indices at b + shift)
+    cols = []
+    for m in src.indices:
+        part = m[lo:hi]
+        b = sum(part)
+        if b not in per_level:
+            per_level[b] = (sub_fn(b), weight_space(fs[lo:hi], b).pos,
+                            weight_space(fs[lo:hi], b + shift).indices)
+        sub, pos, rows = per_level[b]
+        cols.append({tgt.pos[m[:lo] + rows[i] + m[hi:]]: x
+                     for i, x in sub.col(pos[part]).items()})
+    return linalg.Matrix((tgt.dim, src.dim), cols)
+
+
 def _t_by_lifts(fs, level):
     """T = E x Delta^{n-2}(F) as the product of two lifted coproduct
     matrices: E on factor 0, then the coproducted F on the rest."""
     head, rest = fs[:1], fs[1:]
-    e = _lift(fs, level, 0, 1,
-              lambda b: coproduct_matrix(head, b, GEN_E), -1)
-    f = _lift(fs, level - 1, 1, len(fs),
-              lambda b: coproduct_matrix(rest, b, GEN_F), 1)
+    e = _generator_lift(fs, level, 0, 1,
+                        lambda b: coproduct_matrix(head, b, GEN_E), -1)
+    f = _generator_lift(fs, level - 1, 1, len(fs),
+                        lambda b: coproduct_matrix(rest, b, GEN_F), 1)
     return linalg.matmul(f, e)
 
 
@@ -179,10 +197,10 @@ def _theta_piece_last(fs, level):
     coproducted E on the front."""
     n = len(fs)
     init, last = fs[:-1], fs[-1:]
-    f = _lift(fs, level, n - 1, n,
-              lambda b: coproduct_matrix(last, b, GEN_F), 1)
-    e = _lift(fs, level + 1, 0, n - 1,
-              lambda b: coproduct_matrix(init, b, GEN_E), -1)
+    f = _generator_lift(fs, level, n - 1, n,
+                        lambda b: coproduct_matrix(last, b, GEN_F), 1)
+    e = _generator_lift(fs, level + 1, 0, n - 1,
+                        lambda b: coproduct_matrix(init, b, GEN_E), -1)
     return _theta_series(linalg.matmul(e, f), min(level, fs[-1].size - 1))
 
 
@@ -232,7 +250,7 @@ def _theta_n_right(fs, level):
         return linalg.identity(weight_space(fs, level).dim)
     init = fs[:-1]
     return linalg.matmul(
-        _lift(fs, level, 0, n - 1, lambda b: _theta_n_right(init, b), 0),
+        _lift(fs, level, 0, n - 1, lambda b: _theta_n_right(init, b)),
         _theta_piece_last(fs, level))
 
 
@@ -623,8 +641,11 @@ def test_cache_inventory():
         # the last factor moved to the front: the longest braiding's
         # recursion reads it once per prefix and level
         "rmatrix._bubble",
-        "weightmod.make_simple", "weightmod.contragredient", "qring.quantum_factorial",
+        "weightmod.make_simple", "weightmod.contragredient",
         "tensor.weight_space",
+        # the certified dual canonical basis of each slice: verify's checks
+        # and canonical_basis_pair read it again
+        "canonical._certified_basis",
         # the q-Pascal recursion of the closed form's bundle weights
         "canonical._gaussian_binomial"}
 

@@ -6,14 +6,16 @@ from collections import Counter
 
 import pytest
 
-from qcanon import linalg, rmatrix, verify
-from qcanon.cabling import cabling_report
+from qcanon import canonical, linalg, rmatrix, verify
+from qcanon.canonical import BasisVector, dual_canonical_basis
 from qcanon.qring import QScalar
 from qcanon.rmatrix import r_n_matrix, rcheck_longest
-from qcanon.verify import run_suite, weight_slices
-from qcanon.weightmod import simple_factors
+from qcanon.tensor import weight_space
+from qcanon.verify import run_suite
+from qcanon.weightmod import dual_factors, simple_factors
 
 REFERENCE_CACHES = (rmatrix._r_n, rmatrix._rcheck_longest)
+BASIS_CACHE = canonical._certified_basis
 
 
 def _reference_sizes():
@@ -21,43 +23,61 @@ def _reference_sizes():
 
 
 def test_one_solve_per_slice_per_run(monkeypatch):
-    solved = Counter()
-    real = verify.dual_canonical_basis
+    # every check reads production's basis cache: one certificate per dual
+    # slice per run
+    certified = Counter()
+    real = canonical._certify
 
-    def counting(lams, level):
-        solved[tuple(lams), level] += 1
-        return real(lams, level)
+    def counting(space, coords):
+        certified[space] += 1
+        return real(space, coords)
 
-    monkeypatch.setattr(verify, "dual_canonical_basis", counting)
+    monkeypatch.setattr(canonical, "_certify", counting)
     assert all(r.passed for r in run_suite("all", 4))
-    assert solved and set(solved.values()) == {1}
-    # the cabling check reads its unit slices through the same memo
-    assert ((1, 1, 1, 1), 2) in solved
+    assert certified and set(certified.values()) == {1}
+    # the cabling check's unit slices go through the same cache
+    assert weight_space(dual_factors((1, 1, 1, 1)), 2) in certified
 
 
 def test_memo_empty_after_run():
-    run_suite("basis", 3)
-    assert not verify._run_bases
+    dual_canonical_basis((2, 1), 1)
+    assert all(r.passed for r in run_suite("basis", 3))
+    assert BASIS_CACHE.cache_info().currsize == 0
 
 
 def test_memo_empty_after_check_raises(monkeypatch):
     def failing(max_sum):
-        verify._dual_basis((2, 1), 1)
+        dual_canonical_basis((2, 1), 1)
+        assert BASIS_CACHE.cache_info().currsize
         raise ValueError("boom")
 
     monkeypatch.setitem(verify.ALL_CHECKS, "catalan", failing)
     [result] = run_suite("catalan", 4)
-    assert not result.passed
-    assert not verify._run_bases
+    assert result.failure["error_type"] == "ValueError"
+    assert BASIS_CACHE.cache_info().currsize == 0
 
     def interrupted(max_sum):
-        verify._dual_basis((2, 1), 1)
+        dual_canonical_basis((2, 1), 1)
         raise KeyboardInterrupt
 
     monkeypatch.setitem(verify.ALL_CHECKS, "catalan", interrupted)
     with pytest.raises(KeyboardInterrupt):
         run_suite("catalan", 4)
-    assert not verify._run_bases
+    assert BASIS_CACHE.cache_info().currsize == 0
+
+
+def test_basis_cache_starts_empty(monkeypatch):
+    # a basis cached before the run is not read by it
+    dual_canonical_basis((2, 1), 1)
+    sizes = []
+
+    def reading(max_sum):
+        sizes.append(BASIS_CACHE.cache_info().currsize)
+        return "read"
+
+    monkeypatch.setitem(verify.ALL_CHECKS, "catalan", reading)
+    assert all(r.passed for r in run_suite("catalan", 4))
+    assert sizes == [0]
 
 
 def test_reference_caches_live_for_one_check(monkeypatch):
@@ -105,43 +125,12 @@ def test_reference_caches_cleared_behind_wrappers(monkeypatch):
 
     for cached in REFERENCE_CACHES:
         monkeypatch.setattr(rmatrix, cached.__name__, traced(cached))
+    for module in (canonical, verify):
+        monkeypatch.setattr(module, "_certified_basis", traced(BASIS_CACHE))
+    assert all(r.passed for r in run_suite("basis", 3))
     assert all(r.passed for r in run_suite("braiding", 3))
     assert _reference_sizes() == (0, 0)
-
-
-def test_memo_shares_tuples(monkeypatch):
-    seen = []
-
-    def reading(max_sum):
-        first = verify._dual_basis((2, 1), 1)
-        seen.append(first is verify._dual_basis([2, 1], 1))
-        seen.extend(type(b) is tuple for b in verify._run_bases.values())
-        return "read"
-
-    monkeypatch.setitem(verify.ALL_CHECKS, "catalan", reading)
-    [result] = run_suite("catalan", 4)
-    assert result.passed and seen and all(seen)
-
-
-def test_outside_a_run_nothing_is_kept():
-    basis = verify._dual_basis((2, 1), 1)
-    assert type(basis) is tuple
-    assert basis is not verify._dual_basis((2, 1), 1)
-    assert verify._run_bases is None
-
-
-def _report_state(report) -> tuple:
-    """A report as plain comparable data: outcomes have no __eq__."""
-    return (report.lam, report.level, report.all_unit_scalars,
-            report.all_scalars_one,
-            [(o.source, o.killed, o.target, o.scalar)
-             for o in report.outcomes])
-
-
-def test_cabling_report_with_a_given_solver():
-    for lams, l in weight_slices(4):
-        assert _report_state(cabling_report(lams, l, verify._dual_basis)) \
-            == _report_state(cabling_report(lams, l))
+    assert BASIS_CACHE.cache_info().currsize == 0
 
 
 def test_suite_table_matches_the_checks():
@@ -183,7 +172,7 @@ def test_duality_pairs_production_with_the_reference(monkeypatch):
             lead = b.space.pos[b.index]
             coords = dict(b.coords.items())
             coords[lead] = coords[lead] + QScalar.q_power(-1)
-            basis[0] = verify.BasisVector(b.index, b.space, linalg.Vector(
+            basis[0] = BasisVector(b.index, b.space, linalg.Vector(
                 b.coords.dim, coords))
             perturbed.append(op.source)
         return basis
@@ -204,15 +193,17 @@ def test_duality_pairs_production_with_the_reference(monkeypatch):
 def test_library_exception_off_the_sweep_names_its_slice(monkeypatch, check,
                                                          at):
     # a check made on one fixed slice, outside the swept family: an
-    # exception the library raises there still carries that slice
-    real = verify.dual_canonical_basis
+    # exception the library raises there still carries that slice (the
+    # run starts with an empty basis cache, so every slice is certified)
+    real = canonical._certify
+    broken_space = weight_space(dual_factors(at[0]), at[1])
 
-    def broken(lams, level):
-        if (tuple(lams), level) == at:
+    def broken(space, coords):
+        if space is broken_space:
             raise ZeroDivisionError("broken solver")
-        return real(lams, level)
+        return real(space, coords)
 
-    monkeypatch.setattr(verify, "dual_canonical_basis", broken)
+    monkeypatch.setattr(canonical, "_certify", broken)
     [result] = run_suite(check, 1)
     assert result.failure == {
         "check": check, "error_type": "ZeroDivisionError",
@@ -234,11 +225,10 @@ def fresh_rmatrix_caches():
 
 def test_library_exception_names_its_slice(monkeypatch,
                                            fresh_rmatrix_caches):
-    # a wrong [k]! makes a division inside the library raise, not a
+    # a wrong [k] makes a division inside the library raise, not a
     # `_require`: the record still carries the slice the sweep was on
-    real = rmatrix.quantum_factorial
-    monkeypatch.setattr(rmatrix, "quantum_factorial",
-                        lambda k: 3 * real(k))
+    real = rmatrix.quantum_int
+    monkeypatch.setattr(rmatrix, "quantum_int", lambda k: 3 * real(k))
     [result] = run_suite("involutions", 4)
     assert result.failure == {
         "check": "involutions", "error_type": "InexactDivisionError",

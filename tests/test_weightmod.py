@@ -5,9 +5,10 @@ import pytest
 
 from qcanon import linalg
 from qcanon.qring import (ONE, ZERO, Q_MINUS_QINV, QScalar, exact_div,
-                          quantum_factorial, quantum_int)
+                          quantum_int)
 from qcanon.weightmod import (GEN_E, GEN_F, NegativeWeightError,
                               contragredient, make_simple)
+from test_qring import quantum_factorial
 
 q = QScalar.q_power
 v = QScalar.v_power
