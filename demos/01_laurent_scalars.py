@@ -5,8 +5,8 @@ coefficients, exponents tracked in units of v so half-integer q-powers are
 just odd v-powers, and divisions that must be exact or raise.
 """
 
-from qcanon.qring import ONE, QScalar, exact_div, in_qinv_ideal, \
-    quantum_int, solve_bar_equation
+from qcanon.qring import ONE, QScalar, exact_div, in_qinv_ideal, quantum_int
+from qcanon.reference import solve_bar_equation
 
 q = QScalar.q_power
 v = QScalar.v_power

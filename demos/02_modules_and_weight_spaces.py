@@ -9,7 +9,8 @@ matrix: `ladder(gen, m)` gives column m of E or F from a closed formula.
 
 from qcanon.common import enumerate_P
 from qcanon.qring import ZERO
-from qcanon.tensor import coproduct_matrix, weight_space
+from qcanon.reference import coproduct_matrix
+from qcanon.tensor import weight_space
 from qcanon.weightmod import (GEN_E, GEN_F, contragredient, make_simple,
                               simple_factors)
 

@@ -7,8 +7,9 @@ longest braiding.
 """
 
 from qcanon import linalg
-from qcanon.rmatrix import (cartan_factor, r_n_matrix, rcheck_longest,
-                            rcheck_matrix, sigma0_matrix, theta_matrix,
+from qcanon.reference import (cartan_factor, r_n_matrix, rcheck_word,
+                              sigma0_matrix)
+from qcanon.rmatrix import (rcheck_longest, rcheck_matrix, theta_matrix,
                             theta_n_matrix)
 from qcanon.weightmod import make_simple
 
@@ -29,8 +30,8 @@ print("  Rcheck at level 2:", rcheck_matrix(fs, 2, 0).matrix[0, 0])
 fs3 = (make_simple(1), make_simple(1), make_simple(1))
 print("\nthe braid relation on V_1 x V_1 x V_1 (two reduced words):")
 for l in range(4):
-    a = rcheck_longest(fs3, l, word=(0, 1, 0)).matrix
-    b = rcheck_longest(fs3, l, word=(1, 0, 1)).matrix
+    a = rcheck_word(fs3, l, (0, 1, 0)).matrix
+    b = rcheck_word(fs3, l, (1, 0, 1)).matrix
     print(f"  level {l}: words (1,2,1) and (2,1,2) agree: {linalg.mat_eq(a, b)}")
 
 print("\nfactorizations of the longest braiding at level 2:")

@@ -9,8 +9,8 @@ dual to it: the inverse transpose of the dual basis, one descending scan
 per element, certified as the fixed point of bar(Theta) . bar.
 """
 
-from qcanon.canonical import (canonical_basis_pair, dual_canonical_basis,
-                              is_involution, psi_c, singular_subset)
+from qcanon.canonical import canonical_basis_pair, dual_canonical_basis
+from qcanon.reference import is_involution, psi_c, singular_subset
 
 print("dual canonical basis of (V_1 x V_1) at level 1:")
 for b in dual_canonical_basis((1, 1), 1):

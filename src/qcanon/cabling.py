@@ -22,8 +22,8 @@ from typing import Sequence
 
 from . import linalg
 from .canonical import dual_canonical_basis
-from .diagrams import (ZeroBlockError, block_map, cable_diagram,
-                       diagram_of_index, index_of_diagram)
+from .diagrams import (block_map, cable_diagram, diagram_of_index,
+                       index_of_diagram)
 from .qring import ONE, QScalar
 from .rmatrix import BraidOperator
 from .tensor import weight_space

@@ -49,25 +49,13 @@ for D the unit lower triangular matrix whose columns are the b_m (the dual
 side's Theta^T bar(D) = D inverts to bar(Theta) bar(D^-T) = D^-T).
 `canonical_basis_pair` has one production route: D from the certified
 `dual_canonical_basis`, one descending scan per column of D^-T
-(`_inverse_transpose`), and a certificate that guards the inversion.
+(`_inverse_transpose`), and a certificate that guards the inversion.  Its
+involution is the `BraidOperator` bar(Theta) that acts after bar
+(`psi_tensor2`, `apply_antilinear`).
 
-The reference is the forward substitution `_solve_triangular`, which only
-`verify` and the tests call, to compare production with it on every slice
-they sweep.  Row r of A bar(b_m) = b_m reads
-
-    c_r - bar(c_r) = rho_r,   rho_r = sum_{m <= k < r} A[r, k] bar(c_k),
-
-so from c_m = 1 the rows r > m are scanned in ascending order, each c_r =
-solve_bar_equation(rho_r) in plain QScalar arithmetic.  A must be unit
-lower triangular, every c_r must lie in q^-1 Z[q^-1], and every b_m must
-satisfy psi_c(b_m) = b_m by a fresh product.
-
-Each involution is the `BraidOperator` A that acts after bar: `psi_c` is
-tau(Theta^(n)) itself and `psi_tensor2` is bar(Theta).
-
-Singular vectors (killed by the coproduct E) are recognized exactly, and
-`singular_subset` certifies its count by the integer rank of E at q = 1 -- a
-disagreement is a falsification signal and raises.
+The references that `verify` compares production with, among them the
+forward substitution on psi_c and the singular vectors, live in
+`qcanon.reference`.
 """
 
 from __future__ import annotations
@@ -78,20 +66,15 @@ from operator import or_
 from typing import Sequence
 
 from . import linalg
-from .common import cup_bundles
-from .qring import (ONE, OddExponentError, QScalar, addmul, in_qinv_ideal,
-                    solve_bar_equation)
-from .rmatrix import BraidOperator, tau_theta_n, theta_matrix, theta_n_pieces
-from .tensor import WeightSpace, coproduct_matrix, weight_space
-from .weightmod import GEN_E, contragredient, dual_factors, simple_factors
+from .common import OddExponentError, cup_bundles
+from .qring import ONE, QScalar, addmul, in_qinv_ideal
+from .rmatrix import BraidOperator, theta_matrix, theta_n_pieces
+from .tensor import WeightSpace, weight_space
+from .weightmod import contragredient, dual_factors, simple_factors
 
 
 class TriangularityViolationError(AssertionError):
     """The involution is not unipotent triangular in the expected direction."""
-
-
-class CountMismatchError(AssertionError):
-    """A basis subset count disagrees with an independent rank bound."""
 
 
 class BasisVector(linalg.Frozen):
@@ -120,11 +103,6 @@ class BasisVector(linalg.Frozen):
         return f"b{self.index} = " + " + ".join(parts)
 
 
-def psi_c(lams: Sequence[int], level: int) -> BraidOperator:
-    """tau(Theta^(n)) on the contragredient slice; psi_c(x) = it . bar(x)."""
-    return tau_theta_n(dual_factors(lams), level)
-
-
 def psi_tensor2(lams: Sequence[int], level: int) -> BraidOperator:
     """bar(Theta) on a plain two-factor slice; psi(x) = it . bar(x)."""
     theta = theta_matrix(simple_factors(lams), level)
@@ -135,26 +113,6 @@ def psi_tensor2(lams: Sequence[int], level: int) -> BraidOperator:
 def apply_antilinear(op: BraidOperator, vec: linalg.Vector) -> linalg.Vector:
     """x -> op . bar(x), the involution that `op` stands for."""
     return linalg.matmul(op.matrix, linalg.mat_bar(vec))
-
-
-def is_involution(op: BraidOperator) -> bool:
-    """True iff x -> op . bar(x) squares to the identity."""
-    composed = linalg.matmul(op.matrix, linalg.mat_bar(op.matrix))
-    return linalg.mat_eq(composed, linalg.identity(op.source.dim))
-
-
-def _require_unitriangular(op: BraidOperator) -> None:
-    """Raise unless the matrix has unit diagonal and no entry above it."""
-    space = op.source
-    for p in range(space.dim):
-        col = op.matrix.col(p)
-        wrong = [k for k, _ in col.items() if k < p]
-        if col[p] != ONE:
-            wrong.append(p)
-        if wrong:
-            raise TriangularityViolationError(
-                f"defect of {space.indices[p]} touches "
-                f"{space.indices[min(wrong)]} on {space!r}")
 
 
 def _pack(x: QScalar, bits: int, off: int) -> int:
@@ -202,38 +160,6 @@ def _transposed_layout(a: linalg.Matrix, space: WeightSpace
             raise TriangularityViolationError(
                 f"diagonal entry of {space.indices[p]} is not 1 on {space!r}")
     return cols, max(norms, default=1), -(low // 2)
-
-
-def _solve_triangular(op: BraidOperator) -> list[BasisVector]:
-    """The fixed points b_m = e_m + sum_{r>m} c_r e_r of x -> op . bar(x),
-    each by one forward substitution that scans the rows after m in
-    ascending order, skipping each row whose running sum rho_r is zero, and
-    each checked by a fresh product."""
-    _require_unitriangular(op)
-    space, a = op.source, op.matrix
-    basis = []
-    for m in range(space.dim):
-        coeffs = {m: ONE}
-        rho = {i: dict(x._terms) for i, x in a.col(m).items()}  # row -> terms
-        for r in range(m + 1, space.dim):
-            terms = rho.pop(r, None)
-            if not terms:  # c_r = 0
-                continue
-            c = solve_bar_equation(QScalar._raw(terms))
-            if not in_qinv_ideal(c):
-                raise AssertionError(f"coefficient {c} of {space.indices[r]} "
-                                     f"outside q^-1 Z[q^-1] on {space!r}")
-            coeffs[r] = c
-            bar_c = c.bar()
-            for i, x in a.col(r).items():
-                if i > r:
-                    addmul(rho.setdefault(i, {}), x, bar_c)
-        vec = linalg.Vector(space.dim, coeffs)
-        if not linalg.mat_eq(apply_antilinear(op, vec), vec):
-            raise TriangularityViolationError(
-                f"fixed-point defect at {space.indices[m]} on {space!r}")
-        basis.append(BasisVector(space.indices[m], space, vec))
-    return basis
 
 
 def dual_canonical_basis(lams: Sequence[int], level: int) -> list[BasisVector]:
@@ -512,24 +438,3 @@ def _inverse_transpose(dual: list[BasisVector]) -> list[dict]:
                 coeffs[k] = -QScalar._raw(acc)
         out.append(coeffs)
     return out
-
-
-def singular_subset(basis: list[BasisVector]) -> list[BasisVector]:
-    """The members killed by the coproduct E, their count certified by the
-    rank of E at q = 1.  The counted vectors are independent and killed by E,
-    so count <= dim ker E.  v -> 1 is a ring map: a minor that vanishes over
-    Z[v, v^-1] vanishes at v = 1, so rank_at_q1(E) <= the generic rank and
-    dim - rank_at_q1(E) >= dim ker E.  Equality proves count = dim ker E, so a
-    wrong count never passes.  A lower count raises: it means a missed kernel
-    vector or a rank drop at q = 1, which the classical Clebsch-Gordan count
-    rules out for simple and contragredient factors; there is no retry."""
-    if not basis:
-        return []
-    space = basis[0].space
-    e = coproduct_matrix(space.factors, space.level, GEN_E)
-    subset = [b for b in basis if linalg.is_zero(linalg.matmul(e, b.coords))]
-    bound = space.dim - linalg.rank_at_q1(e)
-    if len(subset) != bound:
-        raise CountMismatchError(f"{len(subset)} singular elements, but E has "
-                                 f"corank {bound} at q = 1 on {space!r}")
-    return subset

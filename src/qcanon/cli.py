@@ -44,15 +44,14 @@ import errno
 import os
 import sys
 
-from .common import (MAX_WEIGHT_SUM, SUITE_ALIASES, BarAsymmetryError,
-                     InexactDivisionError, InvalidDiagramError,
-                     NotReducedError, OddExponentError, slice_dim)
+from .common import (MAX_WEIGHT_SUM, SUITE_ALIASES, InexactDivisionError,
+                     InvalidDiagramError, OddExponentError, slice_dim)
 
 SCHEMA = "qcanon/1"
 
 _BAD_REQUEST = (ValueError, KeyError)
-_PROPERTY_FAILURE = (NotReducedError, InvalidDiagramError, BarAsymmetryError,
-                     OddExponentError, InexactDivisionError, AssertionError)
+_PROPERTY_FAILURE = (InvalidDiagramError, OddExponentError,
+                     InexactDivisionError, AssertionError)
 
 
 def _parse_lambda(text: str) -> tuple[int, ...]:
@@ -299,10 +298,11 @@ def cmd_rmatrix(args, parser) -> int:
                           theta_matrix, theta_n_matrix)
     from .weightmod import dual_factors, simple_factors
     _guard(args, parser)
-    lams, level = args.lam, args.level
+    lams, level, n = args.lam, args.level, len(args.lam)
+    need = (f"0 <= pos < {n - 1} for {n} factors" if n > 1
+            else "at least two factors")
     if args.pos is not None and args.op != "rcheck":
-        parser.error(f"--pos is only for --op rcheck, where it needs "
-                     f"0 <= pos < {len(lams) - 1} for {len(lams)} factors")
+        parser.error(f"--pos is only for --op rcheck, where it needs {need}")
     if args.op == "theta":
         if len(lams) != 2:
             parser.error("--op theta needs exactly two weights")
@@ -313,9 +313,8 @@ def cmd_rmatrix(args, parser) -> int:
         op = tau_theta_n(dual_factors(lams), level)
     elif args.pos is None:  # rcheck, the only other choice
         op = rcheck_longest(simple_factors(lams), level)
-    elif not 0 <= args.pos < len(lams) - 1:
-        parser.error(f"--pos {args.pos} is out of range: need "
-                     f"0 <= pos < {len(lams) - 1} for {len(lams)} factors")
+    elif not 0 <= args.pos < n - 1:
+        parser.error(f"--pos {args.pos} is out of range: need {need}")
     else:
         op = rcheck_matrix(simple_factors(lams), level, args.pos)
     _dump(_operator_doc(op, lams, level, args.op, args.pos), args.output)

@@ -4,8 +4,8 @@ This module imports nothing from qcanon, so the front end and `diagrams` can
 use it without loading the ring code.  It holds the immutable base class,
 the index tuples of a weight slice and their count, the one stack pass that
 reads the chords of a diagram off its index (`cup_bundles`), the exceptions
-the command line maps to exit code 1, and the suite names and bound that
-`verify --help` shows.
+a request can raise that the command line maps to exit code 1, and the
+suite names and bound that `verify --help` shows.
 """
 
 from __future__ import annotations
@@ -18,16 +18,8 @@ class InexactDivisionError(ArithmeticError):
     """A division that was expected to be exact left a remainder."""
 
 
-class BarAsymmetryError(ValueError):
-    """Input to the bar-equation solver is not bar-antisymmetric."""
-
-
 class OddExponentError(ValueError):
     """Input has half-integer q-powers where only integer powers are legal."""
-
-
-class NotReducedError(ValueError):
-    """The supplied word is not a reduced expression of the reversal."""
 
 
 class InvalidDiagramError(ValueError):

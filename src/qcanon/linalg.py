@@ -18,8 +18,7 @@ indices sort them (`Vector.support`).
 from __future__ import annotations
 
 from .common import Frozen
-from .qring import (ONE, ZERO, InexactDivisionError, QScalar, addmul,
-                    exact_div)
+from .qring import ONE, ZERO, QScalar, addmul, exact_div
 
 
 class Matrix(Frozen):
@@ -195,48 +194,9 @@ def mat_add(a: Matrix, b: Matrix, s: QScalar = ONE) -> Matrix:
     return type(a)._wrap(a.shape, tuple(cols))
 
 
-def dot(x: Vector, y: Vector) -> QScalar:
-    """sum_i x[i] * y[i]."""
-    acc: dict = {}  # handed to the result
-    ys = y._cols[0]
-    for i, xi in x._cols[0].items():
-        yi = ys.get(i)
-        if yi is not None:
-            addmul(acc, xi, yi)
-    return QScalar._raw(acc)
-
-
 def mat_eq(a: Matrix, b: Matrix) -> bool:
     return a.shape == b.shape and a._cols == b._cols
 
 
 def is_zero(a: Matrix) -> bool:
     return not any(a._cols)
-
-
-def rank_at_q1(a: Matrix) -> int:
-    """Rank at v = 1, where each entry is the sum of its coefficients, by
-    fraction-free (Bareiss) elimination over the integers; a division that
-    leaves a remainder raises.  v -> 1 is a ring map, so this is at most the
-    rank over the fraction field of Z[v, v^-1]."""
-    nr, nc = a.shape
-    m = [[0] * nc for _ in range(nr)]
-    for j, col in enumerate(a._cols):
-        for i, x in col.items():
-            m[i][j] = sum(x._terms.values())
-    rank, prev = 0, 1
-    for c in range(nc):
-        pivot_row = next((i for i in range(rank, nr) if m[i][c]), None)
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        top = m[rank]
-        for row in m[rank + 1:]:
-            for j in range(c + 1, nc):
-                row[j], rem = divmod(top[c] * row[j] - row[c] * top[j], prev)
-                if rem:
-                    raise InexactDivisionError(f"inexact division by {prev}")
-            row[c] = 0
-        prev = top[c]
-        rank += 1
-    return rank

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .common import BarAsymmetryError, InexactDivisionError, OddExponentError
+from .common import InexactDivisionError
 
 
 class QScalar:
@@ -246,17 +246,3 @@ def exact_div(num: QScalar, den: QScalar) -> QScalar:
 def in_qinv_ideal(p: QScalar) -> bool:
     """True iff p lies in q^-1 Z[q^-1]: all exponents even and <= -2 in v."""
     return all(e < 0 and e % 2 == 0 for e in p._terms)
-
-
-def solve_bar_equation(rho: QScalar) -> QScalar:
-    """The unique p in q^-1 Z[q^-1] with p - bar(p) = rho.
-
-    Requires rho bar-antisymmetric with integer q-powers only.  The solution
-    is the strictly-negative-exponent part of rho: antisymmetry kills the
-    constant term and forces the positive part to mirror the negative one.
-    """
-    if any(e % 2 for e in rho._terms):
-        raise OddExponentError(f"half-integer q-powers in {rho}")
-    if rho.bar() != -rho:
-        raise BarAsymmetryError(f"not bar-antisymmetric: {rho}")
-    return QScalar._raw({e: c for e, c in rho._terms.items() if e < 0})

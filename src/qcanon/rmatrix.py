@@ -12,7 +12,8 @@ The n-fold version has one production recursion,
 and C^(n) = q^{1/2 sum_{i<j} h_i h_j} stays diagonal.
 Rcheck = P . C . Theta on factors (i, i+1) is one cached pair operator, lifted;
 along a reduced word of the order-reversing permutation these compose into
-the longest braiding Rcheck^(n), which is word-independent.
+the longest braiding Rcheck^(n), which is word-independent, so production
+builds it along the default word only.
 
 Unrolled, the recursion is a product of pieces, Theta^(n) = P_{n-2} ...
 P_1 P_0, with P_i the lift of (1 x Delta^{n-i-2})(Theta) on factors[i:]
@@ -26,42 +27,35 @@ on any product, of either module kind, tau(Theta^(n)) is the transpose of
 Theta^(n) on the contragredient factors (V^cc = V), and that transpose is
 the one route by which `tau_theta_n` builds it.
 
-The longest braiding along the default word has a recursion of its own:
-that word is the default word of the first n - 1 factors followed by
-n - 2, ..., 0, and those last letters bubble the last factor to the front,
+The default word (0; 1, 0; 2, 1, 0; ...; n - 2, ..., 0) bubbles each
+factor to the front in turn, and the longest braiding along it has a
+recursion of its own: that word is the default word of the first n - 1
+factors followed by n - 2, ..., 0, which bubble the last factor to the
+front,
 
     Rcheck^(n)(F) = B(G) . (Rcheck^(n-1)(F[:-1]) x 1),
     G = F[:-1] reversed, then F[-1],
 
 with the bubble B(G) = Rcheck_0 . (1 x B(G[1:])) (`_bubble`).  Both are
 cached, so each (n-1)-factor product and each bubble is built once and
-read by every longer product; any other word multiplies its pair
-operators out.
-
-The references that only `verify` and the tests call are R^(n) by its own
-recursion `_r_n` and the braid-product identity
-
-    tau(Theta^(n)) = Rcheck^(n) (C^(n))^-1 sigma_0
-
-evaluated with the given factor matrices (`tau_theta_braid`); C^(n) is a
-diagonal of monomials v^e, so its inverse is its bar, and (C^(n))^-1
-sigma_0 is applied as a relabelling of Rcheck^(n)'s columns, each shifted
-by one monomial.
+read by every longer product.  The routes that cross-check these
+operators, among them the product along any other word, live in
+`qcanon.reference`.
 
 `_lift` builds the block operators only: the lifted tails of `_theta_n`,
-`_r_n`, `_rcheck_longest` and `_bubble` and the lifted pair operators of
-`_rcheck`, each block level once per call.  A result is cached only if
-rebuilding it costs measurable ring work or other cache keys rest on its
-identity.  Eleven caches meet that rule: here `_theta_piece_first`,
-`_theta_n`, `_r_n`, `_pair_rcheck`, `_rcheck_longest` and `_bubble`;
+`_rcheck_longest`, `_bubble` and `reference._r_n` and the lifted pair
+operators of `_rcheck`, each block level once per call.  A result is cached
+only if rebuilding it costs measurable ring work or other cache keys rest
+on its identity.  Eleven caches meet that rule: here `_theta_piece_first`,
+`_theta_n`, `_pair_rcheck`, `_rcheck_longest` and `_bubble`;
 `tensor.weight_space` and the two `weightmod` constructors, whose
 canonical instances key all the others (modules and slices hash by
-identity); and in `canonical` the certified dual canonical basis of each
-slice, `_certified_basis`, and `_gaussian_binomial`.  All eleven stay.
-`_r_n` serves only the references; `_rcheck_longest` and `_bubble` serve
-them and `rmatrix --op rcheck`.  No other subcommand reads the three, and
-`verify` empties them after each check (`_REFERENCE_CACHES`); it empties
-the basis cache when a run starts and when it ends.
+identity); in `canonical` the certified dual canonical basis of each
+slice, `_certified_basis`, and `_gaussian_binomial`; and `reference._r_n`.
+All eleven stay.  `_rcheck_longest` and `_bubble` serve `rmatrix --op
+rcheck` and the references; `verify` empties them after each check, with
+`_r_n` (`reference.CACHES`), and it empties the basis cache when a run
+starts and when it ends.
 
 E on factor 0 and Delta^{n-2}(F) on the rest act on different legs, so
 E^k x Delta^{n-2}(F)^k = T^k for the one square matrix T = E x
@@ -80,7 +74,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import linalg
-from .common import NotReducedError
 from .qring import ONE, Q_MINUS_QINV, QScalar, quantum_int
 from .tensor import WeightSpace, weight_space
 from .weightmod import GEN_E, GEN_F, contragredient
@@ -209,20 +202,6 @@ def _cartan(factors, level):
         w[i] * w[k] for i in range(n) for k in range(i + 1, n)))
 
 
-@lru_cache(maxsize=None)
-def _r_n(factors, level):
-    """R^(n) by its own recursion, independent of the C^(n) Theta^(n) product."""
-    n = len(factors)
-    if n <= 1:
-        return linalg.identity(weight_space(factors, level).dim)
-    rest = factors[1:]
-    # (1 x Delta^{n-2})(C) = q^{h_0 (h_1 + ... + h_{n-1}) / 2}
-    cartan = _cartan_diagonal(factors, level, lambda w: w[0] * sum(w[1:]))
-    piece = linalg.matmul(cartan, _theta_piece_first(factors, level))
-    sub = _lift(factors, level, 1, n, lambda b: _r_n(rest, b))
-    return linalg.matmul(sub, piece)
-
-
 # ---------------------------------------------------------------------------
 # permutations and the commutativity isomorphisms
 # ---------------------------------------------------------------------------
@@ -254,68 +233,25 @@ def _rcheck(factors, level, i):
                  out_block=pair[::-1])
 
 
-def default_longest_word(n: int) -> tuple[int, ...]:
-    """A reduced expression of the order-reversing permutation: bubble each
-    factor to the front in turn."""
-    word = []
-    for a in range(1, n):
-        word.extend(range(a - 1, -1, -1))
-    return tuple(word)
-
-
-def _reduced_word(word, n) -> tuple[int, ...] | None:
-    """`word` as a tuple, checked to be a reduced expression of the
-    order-reversing permutation; None for `default_longest_word(n)`, given
-    or by default, which `_rcheck_longest` keys as None."""
-    if word is None:
-        return None
-    word = tuple(word)
-    if len(word) != n * (n - 1) // 2:
-        raise NotReducedError(
-            f"word of length {len(word)}, expected {n * (n - 1) // 2}")
-    perm = list(range(n))
-    for i in word:
-        if not 0 <= i < n - 1:
-            raise NotReducedError(f"position {i} out of range for {n} factors")
-        perm[i], perm[i + 1] = perm[i + 1], perm[i]
-    if perm != list(range(n))[::-1]:
-        raise NotReducedError(f"word {word} does not reverse the factors")
-    return None if word == default_longest_word(n) else word
-
-
 @lru_cache(maxsize=None)
-def _rcheck_longest(factors, level, word):
-    """Rcheck_{i_L} ... Rcheck_{i_1} along the reduced word (i_1, ..., i_L),
-    None standing for `default_longest_word(n)`.
+def _rcheck_longest(factors, level):
+    """Rcheck_{i_L} ... Rcheck_{i_1} along the default word (i_1, ...,
+    i_L) of n factors.
 
-    The default word of n >= 3 factors is the default word of the first
-    n - 1 followed by n - 2, ..., 0, which bubble the last factor to the
-    front: the product is the bubble (`_bubble`) times the lifted
-    (n-1)-factor product, read from the cache.  A word given as a tuple
-    multiplies its pair operators in balanced rounds, neighbours first: a
-    product of a few lifted pair operators stays sparse, where a running
-    left-to-right product turns dense after a handful of factors.  The
-    arithmetic is exact, so neither the recursion nor the bracketing
-    changes the result.
+    On at most two factors that is the bubble (`_bubble`).  The default
+    word of n >= 3 factors is the default word of the first n - 1 followed
+    by n - 2, ..., 0, which bubble the last factor to the front: the
+    product is the bubble times the lifted (n-1)-factor product, read from
+    the cache.
     """
     n = len(factors)
-    if word is None and n >= 3:
-        head = factors[:-1]
-        return linalg.matmul(
-            _suffixes_first(head[::-1] + factors[-1:], level, _bubble),
-            _lift(factors, level, 0, n - 1,
-                  lambda b: _rcheck_longest(head, b, None),
-                  out_block=head[::-1]))
-    ops = []
-    for i in default_longest_word(n) if word is None else word:
-        ops.append(_rcheck(factors, level, i))
-        factors = _swapped(factors, i)
-    if not ops:
-        return linalg.identity(weight_space(factors, level).dim)
-    while len(ops) > 1:
-        ops = [linalg.matmul(ops[j + 1], ops[j]) if j + 1 < len(ops)
-               else ops[j] for j in range(0, len(ops), 2)]
-    return ops[0]
+    if n <= 2:
+        return _bubble(factors, level)
+    head = factors[:-1]
+    return linalg.matmul(
+        _suffixes_first(head[::-1] + factors[-1:], level, _bubble),
+        _lift(factors, level, 0, n - 1, lambda b: _rcheck_longest(head, b),
+              out_block=head[::-1]))
 
 
 @lru_cache(maxsize=None)
@@ -332,13 +268,6 @@ def _bubble(factors, level):
         _rcheck(factors[:1] + moved, level, 0),
         _lift(factors, level, 1, n, lambda b: _bubble(rest, b),
               out_block=moved))
-
-
-#: The caches of R^(n) and of the longest braiding, which the references and
-#: `rmatrix --op rcheck` fill; `verify` empties them after each check.  A
-#: tuple, built at import, so that it still reaches the caches when a
-#: profiler (perfbench's tracer) rebinds the module names to wrappers.
-_REFERENCE_CACHES = (_r_n, _rcheck_longest, _bubble)
 
 
 def _tau_theta_n_dual(factors, level):
@@ -369,11 +298,6 @@ def theta_matrix(factors, level) -> BraidOperator:
     return _operator(_theta_piece_first, factors, level)
 
 
-def cartan_factor(factors, level) -> BraidOperator:
-    """Diagonal multiplier v^(sum_{i<j} mu_i mu_j) on factor weights."""
-    return _operator(_cartan, factors, level)
-
-
 def theta_n_matrix(factors, level) -> BraidOperator:
     return _operator(_suffixes_first, factors, level, _theta_n)
 
@@ -400,59 +324,27 @@ def theta_n_pieces(factors, level) -> list[list[tuple[int, BraidOperator]]]:
     return pieces
 
 
-def r_n_matrix(factors, level) -> BraidOperator:
-    return _operator(_suffixes_first, factors, level, _r_n)
-
-
-def sigma0_matrix(factors, level) -> BraidOperator:
-    return _operator(_sigma0, factors, level, target=tuple(factors)[::-1])
-
-
 def rcheck_matrix(factors, level, i) -> BraidOperator:
     factors = tuple(factors)
-    if not 0 <= i < len(factors) - 1:
-        raise ValueError(f"position {i} out of range: need 0 <= pos < "
-                         f"{len(factors) - 1} for {len(factors)} factors")
+    n = len(factors)
+    if not 0 <= i < n - 1:
+        need = (f"0 <= pos < {n - 1} for {n} factors" if n > 1
+                else "at least two factors")
+        raise ValueError(f"position {i} out of range: need {need}")
     return _operator(_rcheck, factors, level, i, target=_swapped(factors, i))
 
 
-def rcheck_longest(factors, level, word=None) -> BraidOperator:
-    """The longest braiding along `word` (default: `default_longest_word`)."""
+def rcheck_longest(factors, level) -> BraidOperator:
+    """The longest braiding along the default word (module docstring)."""
     factors = tuple(factors)
-    word = _reduced_word(word, len(factors))
-    if word is None:  # each proper prefix first: the reversal's suffixes
-        _suffixes_first(factors[::-1], level, lambda rev, b:
-                        _rcheck_longest(rev[::-1], b, None))
-    return _operator(_rcheck_longest, factors, level, word,
-                     target=factors[::-1])
-
-
-def tau_theta_braid(factors, level) -> BraidOperator:
-    """Reference: tau(Theta^(n)) = Rcheck^(n) (C^(n))^-1 sigma_0, built from
-    the given factor matrices.  (C^(n))^-1 sigma_0 relabels columns: column
-    m is column m[::-1] of Rcheck^(n) on the reversed factors, times
-    v^(-sum_{i<k} w_i w_k), w the factor weights; that sum is
-    (W^2 - sum_i w_i^2) / 2 for the slice weight W.  Uncached; `verify` and
-    the tests compare it with `tau_theta_n` on plain and contragredient
-    factors."""
-    factors = tuple(factors)
-    rev = factors[::-1]
-    space = weight_space(factors, level)
-    rcheck = rcheck_longest(rev, level).matrix
-    pos = weight_space(rev, level).pos
-    cols = []
-    for m in space.indices:
-        shift = (sum(w * w for w in space.factor_weights(m))
-                 - space.weight ** 2) // 2
-        cols.append({i: QScalar._raw({e + shift: c
-                                      for e, c in x._terms.items()})
-                     for i, x in rcheck.col(pos[m[::-1]]).items()})
-    return BraidOperator(space, space, linalg.Matrix._wrap(
-        (space.dim, space.dim), tuple(cols)))
+    # each proper prefix first: the reversal's suffixes
+    _suffixes_first(factors[::-1], level,
+                    lambda rev, b: _rcheck_longest(rev[::-1], b))
+    return _operator(_rcheck_longest, factors, level, target=factors[::-1])
 
 
 def tau_theta_n(factors, level) -> BraidOperator:
     """tau(Theta^(n)) on a slice of either module kind, by its one route:
-    the transpose of Theta^(n) on the contragredients.  `tau_theta_braid`
-    is the reference."""
+    the transpose of Theta^(n) on the contragredients.
+    `reference.tau_theta_braid` is the reference."""
     return _operator(_tau_theta_n_dual, factors, level)

@@ -9,16 +9,16 @@ failure on a weight slice, whatever raised it, carries that slice as
 emptied through references taken at import: the dual canonical bases that
 `canonical.dual_canonical_basis` caches per slice and the checks read
 directly, so a run certifies each slice once, which it empties when it
-starts and when it ends; and the caches `_r_n`, `_rcheck_longest` and
-`_bubble` of `rmatrix._REFERENCE_CACHES`, which it empties after every
-check.  The checks are deliberately redundant with independent machinery
-on each side: dimension counts come from convolving weight multisets,
-singular counts from the integer rank of E at q = 1, braid products are
-compared against coproduct recursions (and the default word's recursion
-against other words' multiplied-out products), diagram listings against an
-exhaustive chord search, and the closed-form dual canonical basis, and the
-canonical basis inverted from it, against the forward substitution on
-psi_c.
+starts and when it ends; and the caches of `reference.CACHES`, which it
+empties after every check.  The checks are deliberately redundant, with
+production on one side and a route of `qcanon.reference` or an
+independent count on the other: dimension counts come from convolving
+weight multisets, singular counts from the integer rank of E at q = 1,
+braid products are compared against coproduct recursions (and the default
+word's recursion against another word's multiplied-out product), diagram
+listings against an exhaustive chord search, and the closed-form dual
+canonical basis, and the canonical basis inverted from it, against the
+forward substitution on psi_c.
 """
 
 from __future__ import annotations
@@ -28,19 +28,19 @@ import time
 from typing import Callable, Sequence
 
 from . import linalg
-from .canonical import (_certified_basis, _solve_triangular,
-                        apply_antilinear, canonical_basis_pair,
-                        dual_canonical_basis, is_involution, psi_c,
-                        psi_tensor2, singular_subset)
+from .canonical import (_certified_basis, apply_antilinear,
+                        canonical_basis_pair, dual_canonical_basis,
+                        psi_tensor2)
 from .cabling import cabling_report
 from .common import (MAX_WEIGHT_SUM, SUITE_ALIASES, InvalidDiagramError,
                      enumerate_P)
 from .diagrams import (ArcDiagram, _crossing, diagram_of_index, enumerate_B,
                        filter_invariant, filter_singular, index_of_diagram)
 from .qring import ONE, QScalar, in_qinv_ideal
-from .rmatrix import (_REFERENCE_CACHES, cartan_factor, r_n_matrix,
-                      rcheck_longest, sigma0_matrix, tau_theta_braid,
-                      tau_theta_n, theta_n_matrix)
+from .reference import (CACHES, _solve_triangular, cartan_factor, dot,
+                        is_involution, psi_c, r_n_matrix, rcheck_word,
+                        sigma0_matrix, singular_subset, tau_theta_braid)
+from .rmatrix import rcheck_longest, tau_theta_n, theta_n_matrix
 from .weightmod import dual_factors, simple_factors
 
 
@@ -180,8 +180,8 @@ def check_yang_baxter(max_sum: int) -> str:
     for lams, l in _sweep((lams, l) for lams in ((1, 1, 1), (1, 2, 1))
                           for l in range(sum(lams) + 1)):
         fs = simple_factors(lams)
-        a = rcheck_longest(fs, l, word=(0, 1, 0)).matrix
-        b = rcheck_longest(fs, l, word=(1, 0, 1)).matrix
+        a = rcheck_longest(fs, l).matrix  # along the default word (0, 1, 0)
+        b = rcheck_word(fs, l, (1, 0, 1)).matrix
         _require(linalg.mat_eq(a, b), "YBE fails on {} level {}", lams, l)
         cases += 1
     return f"braid relation exact on {cases} weight slices"
@@ -196,8 +196,8 @@ def check_braid_factorizations(max_sum: int) -> str:
         fs = simple_factors(lams)
         if len(lams) == 3:
             _require(linalg.mat_eq(
-                rcheck_longest(fs, l, word=(0, 1, 0)).matrix,
-                rcheck_longest(fs, l, word=(1, 0, 1)).matrix),
+                rcheck_longest(fs, l).matrix,  # the default word (0, 1, 0)
+                rcheck_word(fs, l, (1, 0, 1)).matrix),
                      "reduced words disagree on {} level {}", lams, l)
             cases += 1
         rn = r_n_matrix(fs, l).matrix
@@ -352,7 +352,7 @@ def check_duality(max_sum: int) -> str:
         _require_braid_route(lams, l)
         for db in dual:
             for cb in can:
-                pair = linalg.dot(db.coords, cb.coords)
+                pair = dot(db.coords, cb.coords)
                 want = ONE if db.index == cb.index else QScalar()
                 _require(pair == want, "pairing off at {}/{} on {} level {}",
                          db.index, cb.index, lams, l)
@@ -375,9 +375,9 @@ _clear_bases = _certified_basis.cache_clear
 
 
 def _clear_reference_caches() -> None:
-    """Empty `rmatrix._REFERENCE_CACHES`.  No check reads an entry an
-    earlier check built, save a few small slices cheap to rebuild."""
-    for cached in _REFERENCE_CACHES:
+    """Empty `reference.CACHES`.  No check reads an entry an earlier check
+    built, save a few small slices cheap to rebuild."""
+    for cached in CACHES:
         cached.cache_clear()
 
 

@@ -5,17 +5,16 @@ import json
 import pytest
 
 from qcanon import linalg
-from qcanon.cabling import (CablingOutcome, ZeroBlockError, block_map,
-                            dual_cabling_matrix, is_monomial_unit,
-                            cabling_report)
-from qcanon.canonical import (_closed_form, _solve_triangular,
-                              dual_canonical_basis, psi_c)
+from qcanon.cabling import (CablingOutcome, dual_cabling_matrix,
+                            is_monomial_unit, cabling_report)
+from qcanon.canonical import _closed_form, dual_canonical_basis
 from qcanon.common import cup_bundles
-from qcanon.diagrams import diagram_of_index
+from qcanon.diagrams import ZeroBlockError, block_map, diagram_of_index
 from qcanon.qring import ONE, QScalar, exact_div
+from qcanon.reference import (_solve_triangular, coproduct_matrix,
+                              coproduct_target_level, psi_c)
 from qcanon.rmatrix import BraidOperator
-from qcanon.tensor import (coproduct_matrix, coproduct_target_level,
-                           enumerate_P, weight_space)
+from qcanon.tensor import enumerate_P, weight_space
 from qcanon.verify import weight_slices
 from qcanon.weightmod import GEN_E, GEN_F, dual_factors, simple_factors
 from test_qring import quantum_factorial

@@ -7,19 +7,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qcanon import canonical, linalg
-from qcanon.canonical import (BasisVector, CountMismatchError,
-                              TriangularityViolationError, _pack,
-                              _solve_triangular, apply_antilinear,
-                              canonical_basis_pair, dual_canonical_basis,
-                              is_involution, psi_c, psi_tensor2,
-                              singular_subset)
-from qcanon.qring import (ONE, ZERO, BarAsymmetryError, OddExponentError,
-                          QScalar, in_qinv_ideal, solve_bar_equation)
-from qcanon.rmatrix import BraidOperator, tau_theta_n
-from qcanon.tensor import coproduct_matrix, enumerate_P, weight_space
+from qcanon import canonical, linalg, reference
+from qcanon.canonical import (BasisVector, TriangularityViolationError,
+                              _pack, apply_antilinear, canonical_basis_pair,
+                              dual_canonical_basis, psi_tensor2)
+from qcanon.common import OddExponentError
+from qcanon.qring import ONE, ZERO, QScalar, in_qinv_ideal
+from qcanon.reference import (BarAsymmetryError, CountMismatchError,
+                              _solve_triangular, coproduct_matrix,
+                              is_involution, psi_c, rank_at_q1,
+                              singular_subset, solve_bar_equation)
+from qcanon.rmatrix import BraidOperator, tau_theta_n, theta_n_pieces
+from qcanon.tensor import enumerate_P, weight_space
 from qcanon.verify import weight_slices
-from qcanon.weightmod import GEN_E, GEN_F, dual_factors
+from qcanon.weightmod import GEN_E, GEN_F, contragredient, dual_factors
 
 q = QScalar.q_power
 
@@ -203,7 +204,7 @@ class TestReferenceSolver:
                                                           monkeypatch):
         # an ideal term added to the first answer: the solve goes on, and
         # the fresh product must refuse the vector
-        real = canonical.solve_bar_equation
+        real = reference.solve_bar_equation
         calls = []
 
         def perturbed(rho):
@@ -211,7 +212,7 @@ class TestReferenceSolver:
             c = real(rho)
             return c + q(-2) if len(calls) == 1 else c
 
-        monkeypatch.setattr(canonical, "solve_bar_equation", perturbed)
+        monkeypatch.setattr(reference, "solve_bar_equation", perturbed)
         with pytest.raises(TriangularityViolationError,
                            match="fixed-point defect"):
             _solve_triangular(psi_c(lams, 1))
@@ -278,6 +279,18 @@ def test_product_loops_accept_the_same_bases(monkeypatch, lams, level):
     assert coords(dual_canonical_basis(lams, level)) == live
 
 
+def _pieces_width(lams, level):
+    """The packing width `_certify` would take from the pieces' column
+    norms alone, without the bound on b_m's own coefficients."""
+    space = weight_space(dual_factors(lams), level)
+    bound = 1
+    for blocks in theta_n_pieces(tuple(map(contragredient, space.factors)),
+                                 level):
+        bound *= max(canonical._transposed_layout(op.matrix, op.source)[1]
+                     for _, op in blocks)
+    return bound.bit_length() + 1
+
+
 @pytest.mark.usefixtures("product_loop")
 class TestCertificate:
     """Each defect the certificate of the closed form is there to catch
@@ -299,10 +312,10 @@ class TestCertificate:
         monkeypatch.setattr(canonical, "_closed_form", edited)
         canonical._certified_basis.cache_clear()
 
-    def _refused(self, capsys, error, match):
+    def _refused(self, capsys, error, match, lams=LAMS, level=LEVEL):
         with pytest.raises(error, match=match):
-            dual_canonical_basis(self.LAMS, self.LEVEL)
-        code, record, err = _cli_basis(capsys, self.LAMS, self.LEVEL)
+            dual_canonical_basis(lams, level)
+        code, record, err = _cli_basis(capsys, lams, level)
         assert code == 1 and err == ""
         assert record["failure"] and record["error_type"] == error.__name__
 
@@ -346,6 +359,33 @@ class TestCertificate:
 
         self._edit_closed_form(monkeypatch, edit)
         self._refused(capsys, error, match)
+
+    @pytest.mark.parametrize("width", [3, 4, 5, "pieces"])
+    def test_defect_invisible_at_a_width(self, monkeypatch, capsys, width):
+        # d = q^-3 (q - 2^w)(2^w q - 1) lies in q^-1 Z[q^-1] and vanishes
+        # at q = 2^w and at q = 2^-w, so b_m + d and its bar pack at width
+        # w to what b_m and bar(b_m) pack to: only a width above b_m's own
+        # coefficient bound sees d, whatever the pieces' norms allow.  It
+        # goes on the q^-3 coefficient of b_(0,0,0,1,1,1) on 1^6 l3, inside
+        # the element's exponent range
+        lams, level = (1,) * 6, 3
+        if width == "pieces":
+            width = _pieces_width(lams, level)
+            assert width == 14
+        two_w = 2 ** width
+        d = two_w * q(-1) - (two_w * two_w + 1) * q(-2) + two_w * q(-3)
+        assert _pack(d, width, 3) == 0 and _pack(d.bar(), width, 0) == 0
+        at = weight_space(dual_factors(lams), level).pos[(1, 1, 1, 0, 0, 0)]
+
+        def edit(coords):
+            assert coords[at] == -q(-3)
+            coords[at] = coords[at] + d
+            return coords
+
+        self._edit_closed_form(monkeypatch, edit)
+        self._refused(capsys, TriangularityViolationError,
+                      "fixed-point defect at \\(0, 0, 0, 1, 1, 1\\)",
+                      lams, level)
 
     @pytest.mark.parametrize("at, edit, match", [
         (0, lambda c: {**c, 0: 2 * ONE}, "lead coefficient of \\(0, 1, 1\\)"),
@@ -455,7 +495,7 @@ class TestCanonicalPair:
         def gone(op):
             raise AssertionError("the reference solver ran")
 
-        monkeypatch.setattr(canonical, "_solve_triangular", gone)
+        monkeypatch.setattr(reference, "_solve_triangular", gone)
         cases = [c for c in json.loads(
             (Path(__file__).parent / "cli_golden.json").read_text())
             if c["argv"][0] == "canonical2"]
@@ -550,7 +590,6 @@ class TestSingular:
 def test_rank_at_q1_bound_is_the_classical_count():
     # dim - rank(E at q = 1) equals the number of highest-weight vectors of
     # the classical tensor product on every slice of the bound-5 sweep
-    from qcanon.tensor import coproduct_matrix
     from qcanon.verify import independent_dimension, weight_slices
     from qcanon.weightmod import GEN_E, dual_factors
     for lams, l in weight_slices(5):
@@ -559,7 +598,7 @@ def test_rank_at_q1_bound_is_the_classical_count():
         if sum(lams) >= 2 * l:
             expected = (independent_dimension(lams, l)
                         - independent_dimension(lams, l - 1))
-        assert e.shape[1] - linalg.rank_at_q1(e) == expected, (lams, l)
+        assert e.shape[1] - rank_at_q1(e) == expected, (lams, l)
 
 
 def _expand(basis, x):
@@ -632,7 +671,6 @@ class TestLemmaDimensionIdentity:
         # dim ker E on (M_0^c x V)[mu] equals dim V[mu]: attaching a
         # contragredient copy of the trivial Verma enlarges the slice but
         # its singular part keeps the original dimension.
-        from qcanon.tensor import coproduct_matrix
         from qcanon.weightmod import GEN_E, contragredient, make_simple
         from test_weightmod import transpose_dual, verma
         for lams, l in [((1, 1), 1), ((2, 1), 2), ((1, 1, 1), 1)]:
@@ -641,4 +679,4 @@ class TestLemmaDimensionIdentity:
             factors = (transpose_dual(m0),) \
                 + tuple(contragredient(make_simple(x)) for x in lams)
             e = coproduct_matrix(factors, l, GEN_E)
-            assert e.shape[1] - linalg.rank_at_q1(e) == v_dim
+            assert e.shape[1] - rank_at_q1(e) == v_dim

@@ -174,6 +174,20 @@ class TestRmatrixCommand:
         assert_refused_by(err_text, "rmatrix")
         assert "0 <= pos < 2" in err_text
 
+    @pytest.mark.parametrize("op", ["rcheck", "theta_n"])
+    def test_position_on_one_factor_exit_2(self, capsys, op):
+        # one factor has no adjacent pair: no range "0 <= pos < 0"
+        with pytest.raises(SystemExit) as err:
+            run(capsys, "rmatrix", "--lambda", "2", "--level", "1",
+                "--op", op, "--pos", "0")
+        assert err.value.code == 2
+        err_text = capsys.readouterr().err
+        assert_refused_by(err_text, "rmatrix")
+        assert err_text.endswith("needs at least two factors\n"
+                                 if op == "theta_n" else
+                                 "need at least two factors\n")
+        assert "pos < 0" not in err_text
+
     @pytest.mark.parametrize("lam", ["1", "1,1,1"])
     def test_theta_needs_two_weights(self, capsys, lam):
         with pytest.raises(SystemExit) as err:
@@ -547,10 +561,12 @@ class TestGuards:
 
 
 def test_property_failures_are_the_classes_the_layers_raise():
-    from qcanon import cli, diagrams, qring, rmatrix
+    # only what a request can raise: the reference's own errors
+    # (`reference.NotReducedError`, `reference.BarAsymmetryError`) reach
+    # nothing but `verify`, which records every exception as a failed check
+    from qcanon import canonical, cli, diagrams, qring
     assert set(cli._PROPERTY_FAILURE) == {
-        qring.InexactDivisionError, qring.BarAsymmetryError,
-        qring.OddExponentError, rmatrix.NotReducedError,
+        qring.InexactDivisionError, canonical.OddExponentError,
         diagrams.InvalidDiagramError, AssertionError}
 
 
@@ -827,16 +843,36 @@ def test_import_package_loads_no_submodule():
     assert _loaded_modules("import qcanon") == {"qcanon"}
 
 
+FRONT = {"qcanon", "qcanon.cli", "qcanon.common"}
+#: what `rmatrix` runs: the ring layers up to the braiding, no basis code
+BRAIDING = FRONT | RING - {"qcanon.canonical"}
+
+
 @pytest.mark.parametrize("argv, max_dim, modules", [
     (["diagrams", "--lambda", "1,1,1,1", "--level", "2"], None,
-     {"qcanon", "qcanon.cli", "qcanon.common", "qcanon.diagrams"}),
+     FRONT | {"qcanon.diagrams"}),
     (["diagrams", "--lambda", "1,1,1,1", "--level", "2"], "6",
-     {"qcanon", "qcanon.cli", "qcanon.common", "qcanon.diagrams"}),
-    (["basis", "--lambda", "1,2", "--level", "1"], None,
-     {"qcanon", "qcanon.cli", "qcanon.common"} | RING),
-    (["canonical2", "--lambda", "1,2", "--level", "1"], None,
-     {"qcanon", "qcanon.cli", "qcanon.common"} | RING),
-], ids=["diagrams", "diagrams-max-dim", "basis", "canonical2"])
+     FRONT | {"qcanon.diagrams"}),
+    (["basis", "--lambda", "1,2", "--level", "1"], None, FRONT | RING),
+    (["canonical2", "--lambda", "1,2", "--level", "1"], None, FRONT | RING),
+    (["rmatrix", "--lambda", "1,2", "--level", "1", "--op", "theta"], None,
+     BRAIDING),
+    (["rmatrix", "--lambda", "1,2,1", "--level", "2", "--op", "theta_n"],
+     None, BRAIDING),
+    (["rmatrix", "--lambda", "1,2,1", "--level", "2", "--op",
+      "tau_theta_n"], None, BRAIDING),
+    (["rmatrix", "--lambda", "1,2,1", "--level", "2", "--op", "rcheck"],
+     None, BRAIDING),
+    (["rmatrix", "--lambda", "1,2,1", "--level", "2", "--op", "rcheck",
+      "--pos", "1"], None, BRAIDING),
+    (["cable", "--lambda", "2,1", "--level", "1"], None,
+     FRONT | RING | {"qcanon.cabling", "qcanon.diagrams"}),
+    (["verify", "--suite", "catalan", "--max-weight-sum", "1"], None,
+     FRONT | RING | {"qcanon.cabling", "qcanon.diagrams", "qcanon.reference",
+                     "qcanon.verify"}),
+], ids=["diagrams", "diagrams-max-dim", "basis", "canonical2",
+        "rmatrix-theta", "rmatrix-theta_n", "rmatrix-tau_theta_n",
+        "rmatrix-rcheck", "rmatrix-rcheck-pos", "cable", "verify"])
 def test_request_loads_only_what_it_runs(argv, max_dim, modules):
     # with QCANON_MAX_DIM set, the guard counts the slice, no ring code
     env = "" if max_dim is None else \
@@ -846,6 +882,8 @@ def test_request_loads_only_what_it_runs(argv, max_dim, modules):
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert qcanon.cli.main({argv!r}) == 0")
     assert loaded == modules
+    # the cross-check routes load with `verify` alone
+    assert ("qcanon.reference" in loaded) == (argv[0] == "verify")
 
 
 @pytest.mark.parametrize("argv", [

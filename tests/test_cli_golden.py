@@ -64,20 +64,36 @@ def test_cold_request_matches_recorded_digest(case):
     assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
 
 
-#: The functions of src/qcanon that no recorded request enters (dunders
-#: aside), each with the reason it stays.  Anything else unreached is dead:
-#: src keeps only what a subcommand or a `verify` check runs.
+#: The functions of the production modules (all of src/qcanon but
+#: `verify.py` and `reference.py`) that no recorded request other than
+#: `verify` enters (dunders aside), each with the reason it stays.  Anything
+#: else unreached by those requests is either dead or a reference, which
+#: belongs in `reference.py`.
 UNREACHED = {
     "qring.QScalar.from_int": "the int operand of + and -, which tests use",
+    "qring.QScalar._render_power": "a power of q in str(QScalar), which "
+                                   "only failure messages, `verify` details "
+                                   "and the demos print",
     "linalg.Vector.dim": "the length of a Vector, read by the tests",
+    "linalg.Vector.support": "the sorted rows of a vector, for "
+                             "BasisVector.support and its repr",
+    "canonical.BasisVector.coeff": "one coefficient of a basis element, "
+                                   "read by `verify` and the tests",
+    "canonical.BasisVector.support": "the indices of a basis element's "
+                                     "support, read by `verify` and the "
+                                     "tests",
+    "cli.cmd_verify": "the `verify` subcommand, which the replay leaves "
+                      "out",
     "cli.run": "the process entry; it ends the process with os._exit, so "
                "the replay calls main() instead",
 }
 
 
-def unreached_functions() -> list[str]:
-    """Replay every recorded request in this process under sys.setprofile,
-    then list the functions of src/qcanon, dunders aside, never entered."""
+def reach() -> dict[str, list[str]]:
+    """Replay every recorded request but `verify` in this process under
+    sys.setprofile.  Returns, dunders aside, the functions of reference.py
+    (`reference`), those of them entered (`reference_entered`), and those
+    of the production modules never entered (`unreached`)."""
     import qcanon
     from qcanon.cli import main
 
@@ -106,15 +122,23 @@ def unreached_functions() -> list[str]:
     sys.setprofile(profile)
     try:
         for case in CASES:
+            if case["argv"][0] == "verify":
+                continue
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
                 assert main(case["argv"]) == 0, case["argv"]
     finally:
         sys.setprofile(None)
-    for code in entered:
-        defined.pop((code.co_filename, code.co_firstlineno, code.co_name),
-                    None)
-    return sorted(defined.values())
+    reached = {defined[code.co_filename, code.co_firstlineno, code.co_name]
+               for code in entered
+               if (code.co_filename, code.co_firstlineno,
+                   code.co_name) in defined}
+    every = set(defined.values())
+    reference = {f for f in every if f.startswith("reference.")}
+    return {"reference": sorted(reference),
+            "reference_entered": sorted(reference & reached),
+            "unreached": sorted(f for f in every - reached - reference
+                                if not f.startswith("verify."))}
 
 
 def test_every_src_function_is_reached():
@@ -126,7 +150,12 @@ def test_every_src_function_is_reached():
                                           str(here)])}
     done = subprocess.run(
         [sys.executable, "-c", "import json, test_cli_golden as t; "
-         "print(json.dumps(t.unreached_functions()))"],
+         "print(json.dumps(t.reach()))"],
         env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == sorted(UNREACHED)
+    got = json.loads(done.stdout)
+    # both ways: no request but `verify` runs a reference, and each of them
+    # runs every production function it can
+    assert "reference._solve_triangular" in got["reference"]
+    assert got["reference_entered"] == []
+    assert got["unreached"] == sorted(UNREACHED)

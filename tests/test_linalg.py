@@ -14,7 +14,7 @@ from qcanon.canonical import dual_canonical_basis
 from qcanon.diagrams import ArcDiagram
 from qcanon.qring import (ONE, Q_MINUS_QINV, ZERO, InexactDivisionError,
                           QScalar, exact_div)
-from qcanon.rmatrix import tau_theta_braid
+from qcanon.reference import dot, rank_at_q1, tau_theta_braid
 from qcanon.verify import CheckResult
 from qcanon.weightmod import dual_factors
 
@@ -128,7 +128,7 @@ def test_mat_eq_and_mat_add(case, s):
 def test_dot(xs, ys):
     n = min(len(xs), len(ys))
     xs, ys = xs[:n], ys[:n]
-    assert linalg.dot(vector(xs), vector(ys)) == sum(
+    assert dot(vector(xs), vector(ys)) == sum(
         (x * y for x, y in zip(xs, ys)), start=ZERO)
 
 
@@ -138,14 +138,14 @@ def test_empty_slices():
         assert z.shape == shape and linalg.is_zero(z)
         assert linalg.transpose(z).shape == shape[::-1]
     assert linalg.mat_eq(linalg.matmul(zeros(2, 0), zeros(0, 2)), zeros(2, 2))
-    assert linalg.rank_at_q1(zeros(0, 3)) == 0
+    assert rank_at_q1(zeros(0, 3)) == 0
     assert linalg.Vector(0).dim == 0
 
 
 def test_rank_at_q1_is_one_sided():
     # q - q^-1 is nonzero but vanishes at q = 1: the rank can only drop
-    assert linalg.rank_at_q1(linalg.diagonal([Q_MINUS_QINV])) == 0
-    assert linalg.rank_at_q1(linalg.diagonal([Q_MINUS_QINV, ONE])) == 1
+    assert rank_at_q1(linalg.diagonal([Q_MINUS_QINV])) == 0
+    assert rank_at_q1(linalg.diagonal([Q_MINUS_QINV, ONE])) == 1
 
 
 def _rational_rank(rows):
@@ -168,7 +168,7 @@ def _rational_rank(rows):
     lambda c: dense_matrices(r + 2, c + 2))))
 def test_rank_at_q1_is_the_rational_rank_at_v_equals_1(rows):
     at_one = [[sum(x._terms.values()) for x in row] for row in rows]
-    assert linalg.rank_at_q1(from_dense(rows, len(rows[0]))) == \
+    assert rank_at_q1(from_dense(rows, len(rows[0]))) == \
         _rational_rank(at_one)
 
 

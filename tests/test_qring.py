@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcanon.qring import (ONE, ZERO, BarAsymmetryError, InexactDivisionError,
-                          OddExponentError, QScalar, addmul, exact_div,
-                          in_qinv_ideal, quantum_int, solve_bar_equation)
+from qcanon.common import OddExponentError
+from qcanon.qring import (ONE, ZERO, InexactDivisionError, QScalar, addmul,
+                          exact_div, in_qinv_ideal, quantum_int)
+from qcanon.reference import BarAsymmetryError, solve_bar_equation
 
 q = QScalar.q_power
 v = QScalar.v_power

@@ -14,14 +14,15 @@ import qcanon
 from qcanon import linalg
 from qcanon.qring import ONE, Q_MINUS_QINV, QScalar, exact_div
 from qcanon.qring import InexactDivisionError
-from qcanon.rmatrix import (NotReducedError, _lift, _rcheck_longest,
-                            cartan_factor, default_longest_word,
-                            r_n_matrix, rcheck_longest, rcheck_matrix,
-                            sigma0_matrix, tau_theta_braid, tau_theta_n,
-                            theta_matrix, theta_n_matrix, theta_n_pieces)
-from qcanon.canonical import dual_canonical_basis, psi_c
+from qcanon.rmatrix import (_lift, _rcheck_longest, rcheck_longest,
+                            rcheck_matrix, tau_theta_n, theta_matrix,
+                            theta_n_matrix, theta_n_pieces)
+from qcanon.reference import (NotReducedError, cartan_factor,
+                              coproduct_matrix, psi_c, r_n_matrix,
+                              rcheck_word, sigma0_matrix, tau_theta_braid)
+from qcanon.canonical import dual_canonical_basis
 from qcanon.verify import weight_slices
-from qcanon.tensor import coproduct_matrix, weight_space
+from qcanon.tensor import weight_space
 from qcanon.weightmod import GEN_E, GEN_F, contragredient, make_simple
 from test_qring import quantum_factorial
 from test_weightmod import GEN_QH, GEN_QH_INV, with_matrices
@@ -97,7 +98,7 @@ class TestThetaSum:
     def test_divides_only_from_k_two(self):
         # in a fresh process, so that psi_c builds every Theta sum anew
         code = ("from qcanon import linalg\n"
-                "from qcanon.canonical import psi_c\n"
+                "from qcanon.reference import psi_c\n"
                 "from qcanon.qring import ONE, quantum_int\n"
                 "divisors = []\n"
                 "real = linalg.exact_div\n"
@@ -353,6 +354,11 @@ class TestRcheck:
         with pytest.raises(ValueError, match="0 <= pos < 2"):
             rcheck_matrix(factors(1, 1, 1), 1, pos)
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_position_needs_two_factors(self, n):
+        with pytest.raises(ValueError, match="need at least two factors"):
+            rcheck_matrix(factors(1)[:n], 0, 0)
+
 
 class TestRcheckLongest:
     def test_n2_is_single_rcheck(self):
@@ -361,31 +367,41 @@ class TestRcheckLongest:
         assert linalg.mat_eq(a, b)
 
     def test_word_independence_n3(self):
+        # production's recursion along (0, 1, 0) against the other word
         fs = factors(1, 1, 2)
         for l in range(5):
-            a = rcheck_longest(fs, l, word=(0, 1, 0)).matrix
-            b = rcheck_longest(fs, l, word=(1, 0, 1)).matrix
+            a = rcheck_longest(fs, l).matrix
+            b = rcheck_word(fs, l, (1, 0, 1)).matrix
             assert linalg.mat_eq(a, b)
 
     def test_yang_baxter_v1_cubed(self):
         fs = factors(1, 1, 1)
         for l in range(4):
-            a = rcheck_longest(fs, l, word=(0, 1, 0)).matrix
-            b = rcheck_longest(fs, l, word=(1, 0, 1)).matrix
+            a = rcheck_word(fs, l, (0, 1, 0)).matrix
+            b = rcheck_word(fs, l, (1, 0, 1)).matrix
             assert linalg.mat_eq(a, b)
 
     def test_bad_words_rejected(self):
         with pytest.raises(NotReducedError):
-            rcheck_longest(factors(1, 1, 1), 1, word=(0, 1))
+            rcheck_word(factors(1, 1, 1), 1, (0, 1))
         with pytest.raises(NotReducedError):
-            rcheck_longest(factors(1, 1, 1), 1, word=(0, 1, 1))
+            rcheck_word(factors(1, 1, 1), 1, (0, 1, 1))
         with pytest.raises(NotReducedError):
-            rcheck_longest(factors(1, 1), 1, word=(1,))
+            rcheck_word(factors(1, 1), 1, (1,))
 
     def test_default_word(self):
         assert default_longest_word(2) == (0,)
         assert default_longest_word(3) == (0, 1, 0)
         assert default_longest_word(4) == (0, 1, 0, 2, 1, 0)
+
+
+def default_longest_word(n: int) -> tuple[int, ...]:
+    """The word `rcheck_longest` follows, a reduced expression of the
+    order-reversing permutation: bubble each factor to the front in turn."""
+    word = []
+    for a in range(1, n):
+        word.extend(range(a - 1, -1, -1))
+    return tuple(word)
 
 
 def left_to_right_chain(fs, l, word):
@@ -404,7 +420,7 @@ class TestRcheckLongestBracketing:
         fs = factors(1, 2, 1, 1, 1)[:n]
         word = default_longest_word(n)
         for l in range(sum(x.size - 1 for x in fs) + 1):
-            assert linalg.mat_eq(_rcheck_longest(fs, l, word),
+            assert linalg.mat_eq(rcheck_word(fs, l, word).matrix,
                                  left_to_right_chain(fs, l, word))
 
     @pytest.mark.parametrize("lams, word", [
@@ -413,18 +429,20 @@ class TestRcheckLongestBracketing:
     def test_other_words_match_chain(self, lams, word):
         fs = factors(*lams)
         for l in range(sum(x.size - 1 for x in fs) + 1):
-            assert linalg.mat_eq(rcheck_longest(fs, l, word=word).matrix,
+            assert linalg.mat_eq(rcheck_word(fs, l, word).matrix,
                                  left_to_right_chain(fs, l, word))
 
     def test_one_cache_entry_per_product(self):
-        # the recursion caches its prefixes too; every spelling of the
-        # default word then reads the one entry of the whole product
+        # the recursion caches its prefixes too; a second request reads the
+        # one entry of the whole product, and the word reference, which
+        # multiplies the pair operators out, adds no entry
         fs = factors(1, 1, 2)
         _rcheck_longest.cache_clear()
         rcheck_longest(fs, 2)
         first = _rcheck_longest.cache_info()
-        for word in ((0, 1, 0), [0, 1, 0], None):
-            rcheck_longest(fs, 2, word=word)
+        rcheck_longest(fs, 2)
+        for word in ((0, 1, 0), [0, 1, 0], (1, 0, 1)):
+            rcheck_word(fs, 2, word)
         later = _rcheck_longest.cache_info()
         assert later.misses == first.misses
         assert later.currsize == first.currsize
@@ -516,7 +534,8 @@ class TestTauThetaOnDuals:
         # Theta^(n) and never their product; psi_c then builds
         # tau(Theta^(n)) from the cached Theta^(n) downstairs, without Rcheck
         code = ("from qcanon import rmatrix\n"
-                "from qcanon.canonical import dual_canonical_basis, psi_c\n"
+                "from qcanon.canonical import dual_canonical_basis\n"
+                "from qcanon.reference import psi_c\n"
                 "from qcanon.weightmod import simple_factors\n"
                 "dual_canonical_basis((1, 1, 1, 1), 2)\n"
                 "print(rmatrix._theta_n.cache_info().currsize,\n"
@@ -636,7 +655,7 @@ def test_cache_inventory():
                    and f.__module__ == module.__name__}
     assert cached == {
         "rmatrix._theta_piece_first",
-        "rmatrix._theta_n", "rmatrix._r_n",
+        "rmatrix._theta_n",
         "rmatrix._pair_rcheck", "rmatrix._rcheck_longest",
         # the last factor moved to the front: the longest braiding's
         # recursion reads it once per prefix and level
@@ -647,7 +666,9 @@ def test_cache_inventory():
         # and canonical_basis_pair read it again
         "canonical._certified_basis",
         # the q-Pascal recursion of the closed form's bundle weights
-        "canonical._gaussian_binomial"}
+        "canonical._gaussian_binomial",
+        # R^(n) by its own recursion, for the references only
+        "reference._r_n"}
 
 
 @pytest.mark.parametrize("wrapper", [

@@ -5,7 +5,8 @@ import pytest
 from qcanon import linalg
 from qcanon.common import slice_dim
 from qcanon.qring import ONE, Q_MINUS_QINV, QScalar
-from qcanon.tensor import coproduct_matrix, enumerate_P, weight_space
+from qcanon.reference import coproduct_matrix
+from qcanon.tensor import enumerate_P, weight_space
 from qcanon.weightmod import (GEN_E, GEN_F, dual_factors, make_simple,
                               simple_factors)
 from test_weightmod import GEN_QH_INV, verma, with_matrices

@@ -6,15 +6,16 @@ from collections import Counter
 
 import pytest
 
-from qcanon import canonical, linalg, rmatrix, verify
+from qcanon import canonical, linalg, reference, rmatrix, verify
 from qcanon.canonical import BasisVector, dual_canonical_basis
 from qcanon.qring import QScalar
-from qcanon.rmatrix import r_n_matrix, rcheck_longest
+from qcanon.reference import r_n_matrix
+from qcanon.rmatrix import rcheck_longest
 from qcanon.tensor import weight_space
 from qcanon.verify import run_suite
 from qcanon.weightmod import dual_factors, simple_factors
 
-REFERENCE_CACHES = (rmatrix._r_n, rmatrix._rcheck_longest)
+REFERENCE_CACHES = (reference._r_n, rmatrix._rcheck_longest)
 BASIS_CACHE = canonical._certified_basis
 
 
@@ -123,8 +124,8 @@ def test_reference_caches_cleared_behind_wrappers(monkeypatch):
     def traced(fn):
         return functools.wraps(fn)(lambda *args: fn(*args))
 
-    for cached in REFERENCE_CACHES:
-        monkeypatch.setattr(rmatrix, cached.__name__, traced(cached))
+    for module, cached in zip((reference, rmatrix), REFERENCE_CACHES):
+        monkeypatch.setattr(module, cached.__name__, traced(cached))
     for module in (canonical, verify):
         monkeypatch.setattr(module, "_certified_basis", traced(BASIS_CACHE))
     assert all(r.passed for r in run_suite("basis", 3))
@@ -212,10 +213,10 @@ def test_library_exception_off_the_sweep_names_its_slice(monkeypatch, check,
 
 @pytest.fixture
 def fresh_rmatrix_caches():
-    """Empty every cache of `rmatrix` before and after the test, so that no
-    operator built with a patched helper outlives it."""
+    """Empty every cache of `rmatrix` and `reference` before and after the
+    test, so that no operator built with a patched helper outlives it."""
     def clear():
-        for fn in vars(rmatrix).values():
+        for fn in [*vars(rmatrix).values(), *vars(reference).values()]:
             if hasattr(fn, "cache_clear"):
                 fn.cache_clear()
     clear()
