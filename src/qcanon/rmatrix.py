@@ -44,7 +44,14 @@ operators, among them the product along any other word, live in
 
 `_lift` builds the block operators only: the lifted tails of `_theta_n`,
 `_rcheck_longest`, `_bubble` and `reference._r_n` and the lifted pair
-operators of `_rcheck`, each block level once per call.  A result is cached
+operators of `_rcheck`, each block level once per call.  Every block the
+recursions lift is a suffix (`_theta_n`, `_bubble`, `_r_n`) or a prefix
+(`_rcheck_longest`, the `_rcheck` in `_bubble`) of the factors, and those
+are lifted run by run (`_runs`): the slice's lex order keeps the indices
+that share a head, or a prefix block index, together, so every row is a
+run start plus an offset and no index tuple is built.  A middle block,
+which only `rmatrix --op rcheck --pos` with 0 < pos < n - 2 and
+`reference.rcheck_word` request, maps each index tuple.  A result is cached
 only if rebuilding it costs measurable ring work or other cache keys rest
 on its identity.  Eleven caches meet that rule: here `_theta_piece_first`,
 `_theta_n`, `_pair_rcheck`, `_rcheck_longest` and `_bubble`;
@@ -62,8 +69,9 @@ E^k x Delta^{n-2}(F)^k = T^k for the one square matrix T = E x
 Delta^{n-2}(F) on the slice, and each piece (1 x Delta^{n-2})(Theta) is a
 power series in T.  `_t_matrix` writes T in one pass over the slice from
 the ladder formulas, with no lifted generator matrix and no product.  The
-series is summed one term at a time: T^k / [k]! is T times the term before,
-divided by [k], so only the terms k >= 2 divide, since [1] = 1.  Every
+series is summed one term at a time: I + (q - q^-1) T is written column by
+column, since T has no diagonal entry, and T^k / [k]! is T times the term
+before, divided by [k], so only the terms k >= 2 divide, since [1] = 1.  Every
 division is exact on monomial bases, because each T^k / [k]! is integral
 (the entries carry the matching quantum-binomial numerators); `exact_div`
 raising would indicate a genuine bug, not a rounding concern.
@@ -93,29 +101,74 @@ class BraidOperator(linalg.Frozen):
 # the shared building blocks: lift and Cartan diagonal
 # ---------------------------------------------------------------------------
 
+def _runs(space, cut):
+    """(base, sub) for each run of the slice's indices that share a head
+    m[:cut].  The slice lists its indices in lex order, so such indices are
+    consecutive, and their tails m[cut:] run through sub, the slice of
+    factors[cut:] at the level the head leaves, in sub's own order: index
+    base + r of the slice is the head followed by sub.indices[r]."""
+    rest, indices, base = space.factors[cut:], space.indices, 0
+    while base < len(indices):
+        sub = weight_space(rest, space.level - sum(indices[base][:cut]))
+        yield base, sub
+        base += sub.dim
+
+
 def _lift(factors, level, lo, hi, sub_fn, out_block=None):
     """X on the block factors[lo:hi], identity on the other factors.
 
     sub_fn(b) is the matrix of X from the block's slice at level b to the
-    slice of out_block (default: the block) at level b; the lift lands on
-    the factors with the block replaced by out_block, at the same level.
+    slice of out_block (default: the block; else the block's factors in
+    another order) at level b; the lift lands on the factors with the block
+    replaced by out_block, at the same level.  sub_fn is called once per
+    block level.
+
+    A suffix or prefix block is lifted run by run (`_runs`), with no index
+    tuple built.  A suffix block acts inside each head's run, which is the
+    block's slice in the source and in the target alike: row = run base +
+    block row.  A prefix block p maps the run of p, whose tails run through
+    one slice of the other factors, onto the runs of the out-block indices
+    p' with the same tails: row = start of the run of p' + tail offset,
+    each start found by one lookup, at p' followed by the lex-least tail.
+    A middle block maps each index tuple through `pos`.
     """
     block = factors[lo:hi]
     out_block = block if out_block is None else out_block
     src = weight_space(factors, level)
     tgt = weight_space(factors[:lo] + out_block + factors[hi:], level)
-    per_level = {}  # b -> (sub_fn(b), block pos, out-block indices)
+    per_level = {}
     cols = []
-    for m in src.indices:
-        head, part, tail = m[:lo], m[lo:hi], m[hi:]
-        b = sum(part)
-        if b not in per_level:
-            per_level[b] = (sub_fn(b), weight_space(block, b).pos,
-                            weight_space(out_block, b).indices)
-        sub, pos, sub_indices = per_level[b]
-        cols.append({tgt.pos[head + sub_indices[i] + tail]: x
-                     for i, x in sub.col(pos[part]).items()})
-    return linalg.Matrix((tgt.dim, src.dim), cols)
+    if hi == len(factors):
+        for base, sub in _runs(src, lo):
+            if sub.level not in per_level:  # the columns of sub_fn(b)
+                per_level[sub.level] = sub_fn(sub.level)._cols
+            cols += ({base + i: x for i, x in col.items()}
+                     for col in per_level[sub.level])
+    elif lo == 0:
+        for base, tail in _runs(src, hi):
+            b = level - tail.level
+            if b not in per_level:  # sub_fn(b), block pos, run starts
+                least = tail.indices[0]
+                per_level[b] = (sub_fn(b)._cols, weight_space(block, b).pos,
+                                [tgt.pos[p + least] for p in
+                                 weight_space(out_block, b).indices])
+            sub, pos, starts = per_level[b]
+            first = {starts[i]: x for i, x in
+                     sub[pos[src.indices[base][:hi]]].items()}
+            cols.append(first)
+            cols += ({row + t: x for row, x in first.items()}
+                     for t in range(1, tail.dim))
+    else:
+        for m in src.indices:
+            head, part, tail = m[:lo], m[lo:hi], m[hi:]
+            b = sum(part)
+            if b not in per_level:  # sub_fn(b), block pos, out-block indices
+                per_level[b] = (sub_fn(b)._cols, weight_space(block, b).pos,
+                                weight_space(out_block, b).indices)
+            sub, pos, sub_indices = per_level[b]
+            cols.append({tgt.pos[head + sub_indices[i] + tail]: x
+                         for i, x in sub[pos[part]].items()})
+    return linalg.Matrix._wrap((tgt.dim, src.dim), tuple(cols))
 
 
 def _cartan_diagonal(factors, level, exponent):
@@ -134,37 +187,51 @@ def _t_matrix(factors, level):
 
     E lowers slot 0 and Delta^{n-2}(F) raises one later slot j, under the
     q^-h flank v^(-2 w_i) of each slot 1 <= i < j; E touches none of those,
-    so column m holds one entry per such j."""
+    so column m holds one entry per such j: the ladder product e c, computed
+    once per (lowered slot 0, j, m_j), shifted by the flank."""
     space = weight_space(factors, level)
     head, rest = factors[0], factors[1:]
+    products = {}  # (top, j, m_j) -> [(raised slot, terms of e c)]
     cols = []
     for m in space.indices:
         col = {}
         for top, e in head.ladder(GEN_E, m[0]).items():
             flank = 0
             for j, f in enumerate(rest, 1):
-                for raised, c in f.ladder(GEN_F, m[j]).items():
+                key = (top, j, m[j])
+                if key not in products:
+                    products[key] = [(raised, (e * c)._terms) for raised, c
+                                     in f.ladder(GEN_F, m[j]).items()]
+                for raised, terms in products[key]:
                     row = (top,) + m[1:j] + (raised,) + m[j + 1:]
-                    col[space.pos[row]] = e * c * QScalar.v_power(flank)
+                    col[space.pos[row]] = QScalar._raw(
+                        {k + flank: x for k, x in terms.items()})
                 flank -= 2 * f.weight(m[j])
         cols.append(col)
-    return linalg.Matrix((space.dim, space.dim), cols)
+    return linalg.Matrix._wrap((space.dim, space.dim), tuple(cols))
 
 
 @lru_cache(maxsize=None)
 def _theta_piece_first(factors, level):
     """(1 x Delta^{n-2})(Theta) = sum_k q^{k(k-1)/2} (q - q^-1)^k T^k / [k]!,
     T = E x Delta^{n-2}(F) (`_t_matrix`), each T^k / [k]! as T times the
-    term before, divided by [k]."""
-    out = linalg.identity(weight_space(factors, level).dim)  # k = 0
+    term before, divided by [k].  T has no diagonal entry (E lowers slot
+    0), so the terms k <= 1, I + (q - q^-1) T, are written column by
+    column, with no sum of matrices."""
     kmax = min(level, factors[0].size - 1)
-    if kmax == 0:
-        return out
+    if kmax == 0:  # the k = 0 term alone
+        return linalg.identity(weight_space(factors, level).dim)
     t = _t_matrix(factors, level)
+    cols = []
+    for j, col in enumerate(t._cols):
+        first = {j: ONE}
+        for i, x in col.items():
+            first[i] = Q_MINUS_QINV * x
+        cols.append(first)
+    out = linalg.Matrix._wrap(t.shape, tuple(cols))
     piece = t  # the k = 1 term: [1] = 1
-    for k in range(1, kmax + 1):
-        if k >= 2:
-            piece = linalg.mat_div(linalg.matmul(t, piece), quantum_int(k))
+    for k in range(2, kmax + 1):
+        piece = linalg.mat_div(linalg.matmul(t, piece), quantum_int(k))
         out = linalg.mat_add(out, piece, QScalar.q_power(k * (k - 1) // 2)
                              * Q_MINUS_QINV ** k)
     return out
@@ -305,22 +372,16 @@ def theta_n_matrix(factors, level) -> BraidOperator:
 def theta_n_pieces(factors, level) -> list[list[tuple[int, BraidOperator]]]:
     """The factors P_0, ..., P_{n-2} of Theta^(n) = P_{n-2} ... P_1 P_0,
     unrolled from its recursion: P_i is (1 x Delta^{n-i-2})(Theta) on
-    factors[i:], lifted.  The slice lists its indices in lex order, so the
-    indices that share a head m[:i] are consecutive and run through the
-    slice of factors[i:] at the level the head leaves, in its order: P_i is
-    block diagonal.  Each P_i is given as its blocks (base, piece): the
-    piece acts on the positions base, base + 1, ... of the head's run."""
+    factors[i:], lifted.  A suffix block acts inside the runs of the heads
+    m[:i] (`_runs`), so P_i is block diagonal.  Each P_i is given as its
+    blocks (base, piece), one per run: the piece acts on the positions
+    base, base + 1, ... of the head's run."""
     factors = tuple(factors)
     space = weight_space(factors, level)
     pieces = []
     for i in range(len(factors) - 1):
-        rest, blocks, base = factors[i:], [], 0
-        while base < space.dim:
-            sub = weight_space(rest, level - sum(space.indices[base][:i]))
-            blocks.append((base, BraidOperator(sub, sub, _theta_piece_first(
-                rest, sub.level))))
-            base += sub.dim
-        pieces.append(blocks)
+        pieces.append([(base, BraidOperator(sub, sub, _theta_piece_first(
+            sub.factors, sub.level))) for base, sub in _runs(space, i)])
     return pieces
 
 

@@ -71,8 +71,9 @@ class TestThetaSum:
                                  linalg.identity(dim))
 
     def test_first_power_needs_no_lift_and_no_product(self, monkeypatch):
-        # T is written from the ladder formulas, and the k = 1 term is T
-        # itself: a piece with kmax = 1 lifts nothing and multiplies nothing
+        # T is written from the ladder formulas, and I + (q - q^-1) T column
+        # by column: a piece with kmax = 1 lifts nothing, multiplies nothing
+        # and adds no matrices
         import qcanon.rmatrix as rmatrix
 
         def forbidden(*args, **kwargs):
@@ -80,6 +81,7 @@ class TestThetaSum:
 
         monkeypatch.setattr(rmatrix, "_lift", forbidden)
         monkeypatch.setattr(linalg, "matmul", forbidden)
+        monkeypatch.setattr(linalg, "mat_add", forbidden)
         rmatrix._theta_piece_first.cache_clear()
         for fs, l in [(factors(1, 1), 1), (factors(1, 2, 1), 2),
                       (dual_factors(1, 0, 3), 3), (factors(5, 2), 1)]:
@@ -151,6 +153,52 @@ class TestLift:
         assert calls == [1, 0]
         assert linalg.mat_eq(lifted, linalg.identity(3))
 
+    def test_builds_each_prefix_block_level_once(self):
+        # the same columns put the block [0:2] at levels 0, 1, 1
+        fs = factors(1, 1, 1)
+        calls = []
+
+        def sub(b):
+            calls.append(b)
+            return linalg.identity(weight_space(fs[:2], b).dim)
+
+        lifted = _lift(fs, 1, 0, 2, sub)
+        assert calls == [0, 1]
+        assert linalg.mat_eq(lifted, linalg.identity(3))
+
+    @pytest.mark.parametrize("make", [factors, dual_factors],
+                             ids=["simple", "contragredient"])
+    def test_runs_match_the_tuple_mapping(self, make):
+        # every block of every slice, onto the block itself, the block with
+        # its last factor rotated to the front (`_bubble`) and the block
+        # reversed (`_rcheck_longest`, `_rcheck`), by a dense operator whose
+        # entries all differ, so that a misplaced row shows
+        slices = list(weight_slices(5)) + [
+            (lams, l) for lams in ((2, 0, 0, 1), (0, 2, 1), (3, 0, 2))
+            for l in range(sum(lams) + 1)]
+        checked = 0
+        for lams, l in slices:
+            fs = make(*lams)
+            n = len(fs)
+            for lo, hi in itertools.combinations(range(n + 1), 2):
+                block = fs[lo:hi]
+                for out_block in (None, block[-1:] + block[:-1], block[::-1]):
+                    outs = block if out_block is None else out_block
+
+                    def sub(b):
+                        rows = weight_space(outs, b).dim
+                        cols = weight_space(block, b).dim
+                        return linalg.Matrix((rows, cols), [
+                            {r: ONE * (1 + r + rows * (c + cols * b))
+                             for r in range(rows)} for c in range(cols)])
+
+                    assert linalg.mat_eq(
+                        _lift(fs, l, lo, hi, sub, out_block),
+                        _generator_lift(fs, l, lo, hi, sub, 0, out_block)), \
+                        (fs, l, lo, hi, out_block)
+                    checked += 1
+        assert checked == 2940
+
 
 def _theta_series(t, kmax):
     """sum_{k <= kmax} q^{k(k-1)/2} (q - q^-1)^k t^k / [k]!, term by term."""
@@ -162,19 +210,24 @@ def _theta_series(t, kmax):
     return out
 
 
-def _generator_lift(fs, level, lo, hi, sub_fn, shift):
+def _generator_lift(fs, level, lo, hi, sub_fn, shift, out_block=None):
     """X on the block fs[lo:hi], identity on the other factors, where
-    sub_fn(b) maps the block's slice at level b to its slice at level b +
-    shift: a lifted generator, which production never builds."""
-    src, tgt = weight_space(fs, level), weight_space(fs, level + shift)
-    per_level = {}  # b -> (sub_fn(b), block pos, block indices at b + shift)
+    sub_fn(b) maps the block's slice at level b to the slice of out_block
+    (default: the block) at level b + shift, by mapping each index tuple.
+    With shift 1 or -1 this lifts a generator, which production never
+    builds; with shift 0 it is the reference for `_lift`."""
+    block = fs[lo:hi]
+    out_block = block if out_block is None else out_block
+    src = weight_space(fs, level)
+    tgt = weight_space(fs[:lo] + out_block + fs[hi:], level + shift)
+    per_level = {}  # b -> (sub_fn(b), block pos, out indices at b + shift)
     cols = []
     for m in src.indices:
         part = m[lo:hi]
         b = sum(part)
         if b not in per_level:
-            per_level[b] = (sub_fn(b), weight_space(fs[lo:hi], b).pos,
-                            weight_space(fs[lo:hi], b + shift).indices)
+            per_level[b] = (sub_fn(b), weight_space(block, b).pos,
+                            weight_space(out_block, b + shift).indices)
         sub, pos, rows = per_level[b]
         cols.append({tgt.pos[m[:lo] + rows[i] + m[hi:]]: x
                      for i, x in sub.col(pos[part]).items()})
