@@ -51,7 +51,8 @@ are lifted run by run (`_runs`): the slice's lex order keeps the indices
 that share a head, or a prefix block index, together, so every row is a
 run start plus an offset and no index tuple is built.  A middle block,
 which only `rmatrix --op rcheck --pos` with 0 < pos < n - 2 and
-`reference.rcheck_word` request, maps each index tuple.  A result is cached
+`reference.rcheck_word` request, is a prefix block of the factors from its
+start, lifted as a suffix block.  A result is cached
 only if rebuilding it costs measurable ring work or other cache keys rest
 on its identity.  Eleven caches meet that rule: here `_theta_piece_first`,
 `_theta_n`, `_pair_rcheck`, `_rcheck_longest` and `_bubble`;
@@ -120,31 +121,37 @@ def _lift(factors, level, lo, hi, sub_fn, out_block=None):
     sub_fn(b) is the matrix of X from the block's slice at level b to the
     slice of out_block (default: the block; else the block's factors in
     another order) at level b; the lift lands on the factors with the block
-    replaced by out_block, at the same level.  sub_fn is called once per
-    block level.
+    replaced by out_block, at the same level.
 
     A suffix or prefix block is lifted run by run (`_runs`), with no index
-    tuple built.  A suffix block acts inside each head's run, which is the
-    block's slice in the source and in the target alike: row = run base +
-    block row.  A prefix block p maps the run of p, whose tails run through
-    one slice of the other factors, onto the runs of the out-block indices
-    p' with the same tails: row = start of the run of p' + tail offset,
-    each start found by one lookup, at p' followed by the lex-least tail.
-    A middle block maps each index tuple through `pos`.
+    tuple built, and sub_fn is called once per block level.  A suffix block
+    acts inside each head's run, which is the block's slice in the source
+    and in the target alike: row = run base + block row.  A prefix block p
+    maps the run of p, whose tails run through one slice of the other
+    factors, onto the runs of the out-block indices p' with the same tails:
+    row = start of the run of p' + tail offset, each start found by one
+    lookup, at p' followed by the lex-least tail.  A middle block is a
+    prefix block of factors[lo:], lifted as a suffix block at lo.
     """
+    n = len(factors)
     block = factors[lo:hi]
     out_block = block if out_block is None else out_block
+    if 0 < lo and hi < n:
+        rest = factors[lo:]
+        return _lift(factors, level, lo, n,
+                     lambda b: _lift(rest, b, 0, hi - lo, sub_fn, out_block),
+                     out_block + factors[hi:])
     src = weight_space(factors, level)
     tgt = weight_space(factors[:lo] + out_block + factors[hi:], level)
     per_level = {}
     cols = []
-    if hi == len(factors):
+    if hi == n:
         for base, sub in _runs(src, lo):
             if sub.level not in per_level:  # the columns of sub_fn(b)
                 per_level[sub.level] = sub_fn(sub.level)._cols
             cols += ({base + i: x for i, x in col.items()}
                      for col in per_level[sub.level])
-    elif lo == 0:
+    else:
         for base, tail in _runs(src, hi):
             b = level - tail.level
             if b not in per_level:  # sub_fn(b), block pos, run starts
@@ -158,16 +165,6 @@ def _lift(factors, level, lo, hi, sub_fn, out_block=None):
             cols.append(first)
             cols += ({row + t: x for row, x in first.items()}
                      for t in range(1, tail.dim))
-    else:
-        for m in src.indices:
-            head, part, tail = m[:lo], m[lo:hi], m[hi:]
-            b = sum(part)
-            if b not in per_level:  # sub_fn(b), block pos, out-block indices
-                per_level[b] = (sub_fn(b)._cols, weight_space(block, b).pos,
-                                weight_space(out_block, b).indices)
-            sub, pos, sub_indices = per_level[b]
-            cols.append({tgt.pos[head + sub_indices[i] + tail]: x
-                         for i, x in sub[pos[part]].items()})
     return linalg.Matrix._wrap((tgt.dim, src.dim), tuple(cols))
 
 
