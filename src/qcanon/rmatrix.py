@@ -185,7 +185,8 @@ def _t_matrix(factors, level):
     E lowers slot 0 and Delta^{n-2}(F) raises one later slot j, under the
     q^-h flank v^(-2 w_i) of each slot 1 <= i < j; E touches none of those,
     so column m holds one entry per such j: the ladder product e c, computed
-    once per (lowered slot 0, j, m_j), shifted by the flank."""
+    once per (lowered slot 0, j, m_j), shifted by the flank.  E lowers slot
+    0 by one step, so the lowered slot fixes m_0 and with it e."""
     space = weight_space(factors, level)
     head, rest = factors[0], factors[1:]
     products = {}  # (top, j, m_j) -> [(raised slot, terms of e c)]
