@@ -90,11 +90,6 @@ class ArcDiagram(Frozen):
         return f"ArcDiagram(caps={self.capacities}, chords={list(self.chords)})"
 
 
-def _crossing(c1: tuple[int, int], c2: tuple[int, int]) -> bool:
-    (i, j), (k, l) = c1, c2
-    return i < k < j < l or k < i < l < j
-
-
 def validate_diagram(capacities: Sequence[int],
                      chords: Sequence[tuple[int, int]]) -> str | None:
     """The first violated condition, or None if the chords form a diagram."""
@@ -108,10 +103,12 @@ def validate_diagram(capacities: Sequence[int],
     for p, cap in enumerate(capacities, start=1):
         if degree[p] > cap:
             return f"point z{p} exceeds its capacity {cap}"
-    for a in range(len(chords)):
-        for b in range(a + 1, len(chords)):
-            if _crossing(chords[a], chords[b]):
-                return f"chords {chords[a]} and {chords[b]} cross"
+    for a, c in enumerate(chords):
+        i, j = c
+        for d in chords[a + 1:]:
+            k, l = d
+            if i < k < j < l or k < i < l < j:  # the two chords interleave
+                return f"chords {c} and {d} cross"
     for p, cap in enumerate(capacities, start=1):
         if degree[p] < cap:
             for i, j in chords:

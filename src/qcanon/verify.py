@@ -5,7 +5,8 @@ bounded by the sum of the highest weights; it raises on the first failure and
 otherwise returns a one-line detail.  `run_suite` runs the checks a suite
 names, times each call and records its outcome as a `CheckResult`; a
 failure on a weight slice, whatever raised it, carries that slice as
-`lambda` and `level`.  The run owns two kinds of cached state, each
+`lambda` and `level`, and a failed requirement on one element of it also
+that element's `index`.  The run owns two kinds of cached state, each
 emptied through references taken at import: the dual canonical bases that
 `canonical.dual_canonical_basis` caches per slice and the checks read
 directly, so a run certifies each slice once, which it empties when it
@@ -16,9 +17,10 @@ independent count on the other: dimension counts come from convolving
 weight multisets, singular counts from the integer rank of E at q = 1,
 braid products are compared against coproduct recursions (and the default
 word's recursion against another word's multiplied-out product), diagram
-listings against an exhaustive chord search, and the closed-form dual
-canonical basis, and the canonical basis inverted from it, against the
-forward substitution on psi_c.
+listings against an exhaustive chord search (one search per weight tuple
+gives all its levels), and the closed-form dual canonical basis, and the
+canonical basis inverted from it, against the forward substitution on
+psi_c.
 """
 
 from __future__ import annotations
@@ -32,9 +34,8 @@ from .canonical import (_certified_basis, apply_antilinear,
                         canonical_basis_pair, dual_canonical_basis,
                         psi_tensor2)
 from .cabling import cabling_report
-from .common import (MAX_WEIGHT_SUM, SUITE_ALIASES, InvalidDiagramError,
-                     enumerate_P)
-from .diagrams import (ArcDiagram, _crossing, diagram_of_index, enumerate_B,
+from .common import MAX_WEIGHT_SUM, SUITE_ALIASES, enumerate_P
+from .diagrams import (ArcDiagram, diagram_of_index, enumerate_B,
                        filter_invariant, filter_singular, index_of_diagram)
 from .qring import ONE, QScalar, in_qinv_ideal
 from .reference import (CACHES, _solve_triangular, cartan_factor, dot,
@@ -87,54 +88,59 @@ def independent_dimension(lams: Sequence[int], level: int) -> int:
     return counts.get(sum(lams) - 2 * level, 0)
 
 
-def search_diagrams(lam: Sequence[int], l: int) -> list[ArcDiagram]:
-    """All valid diagrams with l chords by exhaustive search, sorted by chords:
-    the reference `enumerate_B` is checked against.
+def _crossing(c1: tuple[int, int], c2: tuple[int, int]) -> bool:
+    """Whether two chords interleave: one endpoint of each strictly inside
+    the other (shared endpoints and nesting do not cross)."""
+    (i, j), (k, l) = c1, c2
+    return i < k < j < l or k < i < l < j
 
-    Recursive multiset choice over the chord alphabet with early capacity and
-    crossing pruning: each chord's crossings are a bitmask over the
-    alphabet, and the recursion carries the union of the chosen chords'
-    masks.  The pass-over condition depends on final degrees; the
-    `ArcDiagram` constructor checks it on complete candidates.
+
+def search_diagrams(lam: Sequence[int]) -> dict[int, list[ArcDiagram]]:
+    """Every valid diagram on the capacities `lam` by one exhaustive search,
+    as {number of chords: diagrams sorted by chords}, with a key for each
+    level 0..sum(lam): the reference `enumerate_B` is checked against.
+
+    Each node of the search is a chord multiset, its chords in alphabet
+    order; a node's children add copies of one later chord, skipping the
+    chords it crosses (each chord's crossings are a bitmask over the
+    alphabet, and a node carries the union of its chords' masks) and those
+    with no capacity left at an endpoint.  Copies are added most first, so
+    the nodes of each size come in chord order.  The pass-over condition
+    depends on final degrees: a node with a chord over an unsaturated point
+    is dropped, and every other node goes through the `ArcDiagram`
+    constructor's full validation.
     """
     lam = tuple(lam)
     n = len(lam)
     alphabet = [(i, j) for i in range(n + 1) for j in range(i + 1, n + 1)]
     crossed = [sum(1 << b for b, d in enumerate(alphabet) if _crossing(c, d))
                for c in alphabet]
-    out = []
-    degrees = [0] * (n + 1)
+    over = [sum(1 << b for b, (i, j) in enumerate(alphabet) if i < p < j)
+            for p in range(n + 1)]  # the chords passing over z_p
+    out: dict[int, list[ArcDiagram]] = {l: [] for l in range(sum(lam) + 1)}
+    free = [0, *lam]  # capacity left at each z_p (the origin's is unread)
+    chosen: list[tuple[int, int]] = []
 
-    def chord_cap(c):
-        i, j = c
-        cap = lam[j - 1] - degrees[j]
-        if i >= 1:
-            cap = min(cap, lam[i - 1] - degrees[i])
-        return cap
+    def rec(start: int, blocked: int, used: int):
+        # used: the chords chosen at least once, as a mask over the alphabet
+        if not any(used & over[p] for p in range(1, n + 1) if free[p]):
+            out[len(chosen)].append(ArcDiagram(lam, chosen))
+        for pos in range(start, len(alphabet)):
+            if blocked >> pos & 1:
+                continue
+            i, j = c = alphabet[pos]
+            top = free[j] if i == 0 else min(free[i], free[j])
+            for mult in range(top, 0, -1):
+                chosen.extend([c] * mult)
+                free[i] -= mult
+                free[j] -= mult
+                rec(pos + 1, blocked | crossed[pos], used | 1 << pos)
+                free[i] += mult
+                free[j] += mult
+                del chosen[len(chosen) - mult:]
 
-    def rec(pos: int, remaining: int, chosen: list, blocked: int):
-        if remaining == 0:
-            try:
-                out.append(ArcDiagram(lam, chosen))
-            except InvalidDiagramError:  # an arc over an unsaturated point
-                pass
-            return
-        if pos == len(alphabet):
-            return
-        c = alphabet[pos]
-        top = 0 if blocked >> pos & 1 else min(remaining, chord_cap(c))
-        rec(pos + 1, remaining, chosen, blocked)
-        for mult in range(1, top + 1):
-            chosen.extend([c] * mult)
-            degrees[c[0]] += mult
-            degrees[c[1]] += mult
-            rec(pos + 1, remaining - mult, chosen, blocked | crossed[pos])
-            degrees[c[0]] -= mult
-            degrees[c[1]] -= mult
-            del chosen[len(chosen) - mult:]
-
-    rec(0, l, [], 0)
-    return sorted(out, key=lambda d: d.chords)
+    rec(0, 0, 0)
+    return out
 
 
 #: The slice (lams, level) a check's sweep is on, for the failure record of
@@ -152,11 +158,15 @@ def _sweep(slices):
     _swept = None
 
 
-def _require(cond: bool, template: str = "", *args) -> None:
+def _require(cond: bool, template: str = "", *args,
+             index: Sequence[int] | None = None) -> None:
     """A check that `python -O` keeps: raise AssertionError with the message
-    `template.format(*args)`, built only on failure."""
+    `template.format(*args)`, built only on failure.  A requirement on one
+    element names its index, which the error carries as `index`."""
     if not cond:
-        raise AssertionError(template.format(*args))
+        error = AssertionError(template.format(*args))
+        error.index = index
+        raise error
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +264,7 @@ def check_solver_contract(max_sum: int) -> str:
         for b, ref in zip(basis, reference):
             _require(linalg.mat_eq(b.coords, ref.coords),
                      "closed form != solver at {} on {} level {}",
-                     b.index, lams, l)
+                     b.index, lams, l, index=b.index)
             _require(b.coeff(b.index) == ONE)
             for k in b.support():
                 _require(k >= b.index,
@@ -281,12 +291,15 @@ def check_solver_contract(max_sum: int) -> str:
 
 
 def check_bijection_counts(max_sum: int) -> str:
-    """The bijection listing equals the exhaustive search; diagram count =
-    index count = slice dimension; the index map is a round-trip bijection."""
+    """The bijection listing equals the exhaustive search, run once per
+    weight tuple for all its levels; diagram count = index count = slice
+    dimension; the index map is a round-trip bijection."""
     cases = 0
     for lams, l in _sweep(weight_slices(max_sum)):
+        if l == 0:  # the first slice of each tuple
+            searched = search_diagrams(lams)
         diagrams = enumerate_B(lams, l)
-        _require(diagrams == search_diagrams(lams, l),
+        _require(diagrams == searched[l],
                  "listing != exhaustive search on {} level {}", lams, l)
         indices = [index_of_diagram(d) for d in diagrams]
         _require(sorted(indices) == enumerate_P(lams, l),
@@ -295,7 +308,7 @@ def check_bijection_counts(max_sum: int) -> str:
                  "diagram count != dimension on {} level {}", lams, l)
         for d, a in zip(diagrams, indices):
             _require(diagram_of_index(lams, a) == d,
-                     "round trip fails at {} on {}", a, lams)
+                     "round trip fails at {} on {}", a, lams, index=a)
         cases += len(diagrams)
     return f"{cases} diagrams matched to indices and dimensions"
 
@@ -412,6 +425,8 @@ def run_suite(suite: str = "all", max_weight_sum: int = 6) -> list[CheckResult]:
                 if _swept is not None:
                     failure.update({"lambda": list(_swept[0]),
                                     "level": _swept[1]})
+                if getattr(exc, "index", None) is not None:
+                    failure["index"] = list(exc.index)
             out.append(CheckResult(name, detail, time.perf_counter() - start,
                                    bound, failure))
             _clear_reference_caches()

@@ -1,16 +1,18 @@
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qcanon.common import cup_bundles
 from qcanon.diagrams import (ArcDiagram, InvalidDiagramError, NotInPError,
-                             WeightMismatchError, ZeroBlockError, _crossing,
+                             WeightMismatchError, ZeroBlockError,
                              cable_diagram, diagram_of_index, enumerate_B,
                              filter_invariant, filter_singular,
                              index_of_diagram, render_ascii, render_svg_many,
                              validate_diagram)
 from qcanon.tensor import enumerate_P
-from qcanon.verify import search_diagrams, weight_slices
+from qcanon.verify import _crossing, search_diagrams, weight_slices
 
 
 def diag(lam, chords):
@@ -28,6 +30,13 @@ def capacities_with_zeros(max_n=4):
     """Every capacity tuple over {0, 1, 2} with at most max_n points."""
     for n in range(max_n + 1):
         yield from itertools.product(range(3), repeat=n)
+
+
+def searched_tuples():
+    """The tuples of `weight_slices(6)`, then every capacity tuple over
+    {0, 1, 2} with at most 4 points, the empty tuple among them."""
+    yield from dict.fromkeys(lam for lam, _ in weight_slices(6))
+    yield from capacities_with_zeros()
 
 
 class TestValidate:
@@ -83,6 +92,85 @@ class TestValidate:
         assert str(info.value) == message
 
 
+def pairwise_validator(capacities, chords):
+    """`validate_diagram` as it was when each chord pair went through a
+    separate crossing test: the reference for its verdicts and messages."""
+    def crossing(c1, c2):
+        (i, j), (k, l) = c1, c2
+        return i < k < j < l or k < i < l < j
+
+    n = len(capacities)
+    degree = [0] * (n + 1)
+    for i, j in chords:
+        if not (0 <= i < j <= n):
+            return f"bad chord endpoints ({i}, {j})"
+        degree[i] += 1
+        degree[j] += 1
+    for p, cap in enumerate(capacities, start=1):
+        if degree[p] > cap:
+            return f"point z{p} exceeds its capacity {cap}"
+    for a in range(len(chords)):
+        for b in range(a + 1, len(chords)):
+            if crossing(chords[a], chords[b]):
+                return f"chords {chords[a]} and {chords[b]} cross"
+    for p, cap in enumerate(capacities, start=1):
+        if degree[p] < cap:
+            for i, j in chords:
+                if i < p < j:
+                    return f"chord ({i}, {j}) passes over unsaturated z{p}"
+    return None
+
+
+@st.composite
+def chord_lists(draw):
+    """(capacities, chords, want): a valid diagram's chords in any order,
+    or chords broken in one way (a bad endpoint, one point over its
+    capacity, a crossing pair among chords with room to spare, or a point
+    under an arc left unsaturated).  `want` is the start of the message the
+    break must give, or None if the chords are still valid."""
+    kind = draw(st.sampled_from(["valid", "endpoints", "capacity",
+                                 "crossing", "pass_over"]))
+    if kind == "crossing":
+        n = draw(st.integers(4, 6))
+        a, b, c, d = sorted(draw(st.lists(st.integers(0, n), min_size=4,
+                                          max_size=4, unique=True)))
+        chords = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                         st.integers(1, n))
+                               .filter(lambda c: c[0] < c[1]), max_size=3))
+        chords += [(a, c), (b, d)]
+        return (6,) * n, draw(st.permutations(chords)), "chords "
+    caps = draw(st.lists(st.integers(0, 3), min_size=1, max_size=5))
+    n = len(caps)
+    index = draw(st.sampled_from(enumerate_P(
+        caps, draw(st.integers(0, sum(caps))))))
+    chords = list(diagram_of_index(caps, index).chords)
+    want = None
+    if kind == "endpoints":
+        i = draw(st.integers(-1, n + 1))
+        j = draw(st.integers(-1, n + 1).filter(
+            lambda j: not 0 <= i < j <= n))
+        chords.insert(draw(st.integers(0, len(chords))), (i, j))
+        want = f"bad chord endpoints ({i}, {j})"
+    elif kind == "capacity" and chords:
+        p = draw(st.sampled_from(sorted({q for c in chords for q in c} - {0})))
+        caps[p - 1] = sum(c.count(p) for c in chords) - 1
+        want = f"point z{p} exceeds its capacity {caps[p - 1]}"
+    elif kind == "pass_over":
+        p = draw(st.integers(1, n))
+        caps[p - 1] += 1
+        if any(i < p < j for i, j in chords):
+            want = "chord ("
+    return tuple(caps), draw(st.permutations(chords)), want
+
+
+@given(chord_lists())
+def test_validator_matches_the_pairwise_validator(case):
+    caps, chords, want = case
+    got = validate_diagram(caps, chords)
+    assert got == pairwise_validator(caps, chords)
+    assert got is None if want is None else got.startswith(want)
+
+
 class TestValueSemantics:
     def test_chord_order_does_not_matter(self):
         a = ArcDiagram((2, 2, 2), ((0, 1), (1, 2), (2, 3)))
@@ -119,10 +207,11 @@ class TestEnumerate:
         assert a == b and a == sorted(a, key=lambda d: d.chords)
 
     def test_counts_match_index_sets(self):
-        for lam in small_lams(6):
-            for l in range(sum(lam) + 1):
-                assert len(search_diagrams(lam, l)) == \
-                    len(enumerate_P(lam, l))
+        for lam in searched_tuples():
+            found = search_diagrams(lam)
+            assert list(found) == list(range(sum(lam) + 1))
+            for l, diagrams in found.items():
+                assert len(diagrams) == len(enumerate_P(lam, l))
 
 
 def search_by_pairwise_crossings(lam, l):
@@ -167,11 +256,12 @@ def search_by_pairwise_crossings(lam, l):
 
 
 def test_search_matches_pairwise_crossing_search():
-    for lam, l in itertools.chain(
-            weight_slices(6),
-            ((lam, l) for lam in capacities_with_zeros()
-             for l in range(sum(lam) + 1))):
-        assert search_diagrams(lam, l) == search_by_pairwise_crossings(lam, l)
+    # one search per tuple gives every level, the empty tuple too
+    for lam in searched_tuples():
+        found = search_diagrams(lam)
+        assert list(found) == list(range(sum(lam) + 1))
+        for l in range(sum(lam) + 1):
+            assert found[l] == search_by_pairwise_crossings(lam, l)
 
 
 class TestIndexBijection:
@@ -205,8 +295,7 @@ class TestIndexBijection:
 
     def test_round_trip_and_bijectivity(self):
         for lam in itertools.chain(small_lams(6), capacities_with_zeros()):
-            for l in range(sum(lam) + 1):
-                diagrams = search_diagrams(lam, l)
+            for l, diagrams in search_diagrams(lam).items():
                 indices = [index_of_diagram(d) for d in diagrams]
                 assert sorted(indices) == enumerate_P(lam, l)
                 for d, a in zip(diagrams, indices):

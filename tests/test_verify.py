@@ -235,3 +235,80 @@ def test_library_exception_names_its_slice(monkeypatch,
         "check": "involutions", "error_type": "InexactDivisionError",
         "error": "inexact division: q^-2 + 2 + q^2 / 3q^-1 + 3q",
         "lambda": [2, 2], "level": 2}
+
+
+def test_search_runs_once_per_weight_tuple(monkeypatch):
+    # one exhaustive search gives every level of a tuple
+    calls = Counter()
+    real = verify.search_diagrams
+
+    def counting(lam):
+        calls[tuple(lam)] += 1
+        return real(lam)
+
+    monkeypatch.setattr(verify, "search_diagrams", counting)
+    verify.check_bijection_counts(4)
+    assert calls == Counter(verify.positive_compositions(4))
+
+
+def test_exception_inside_the_search_names_its_tuple(monkeypatch):
+    # the search builds its candidates with verify's ArcDiagram; one that
+    # raises on (1, 2) leaves a record of that tuple at one of its levels
+    real = verify.ArcDiagram
+
+    def broken(capacities, chords):
+        if tuple(capacities) == (1, 2) and len(chords) == 2:
+            raise ZeroDivisionError("broken constructor")
+        return real(capacities, chords)
+
+    monkeypatch.setattr(verify, "ArcDiagram", broken)
+    [result] = run_suite("bijection_counts", 3)
+    level = result.failure.pop("level")
+    assert result.failure == {
+        "check": "bijection_counts", "error_type": "ZeroDivisionError",
+        "error": "broken constructor", "lambda": [1, 2]}
+    assert 0 <= level <= 3
+
+
+def test_failure_on_one_element_names_its_index(monkeypatch):
+    # the second element of the reference basis on (1, 1) level 1 is
+    # perturbed: the record names that element's index
+    real = verify._solve_triangular
+    broken = []
+
+    def solve(op):
+        basis = real(op)
+        if len(basis) == 2 and not broken:
+            b = basis[1]
+            coords = dict(b.coords.items())
+            lead = b.space.pos[b.index]
+            coords[lead] = coords[lead] + QScalar.q_power(-1)
+            basis[1] = BasisVector(b.index, b.space, linalg.Vector(
+                b.coords.dim, coords))
+            broken.append(b.index)
+        return basis
+
+    monkeypatch.setattr(verify, "_solve_triangular", solve)
+    [result] = run_suite("solver_contract", 2)
+    [index] = broken
+    assert result.failure == {
+        "check": "solver_contract", "error_type": "AssertionError",
+        "error": f"closed form != solver at {index} on (1, 1) level 1",
+        "lambda": [1, 1], "level": 1, "index": list(index)}
+
+
+def test_round_trip_failure_names_its_index(monkeypatch):
+    # the inverse map sends (0, 1) on (1, 2) to the diagram of (1, 0)
+    real = verify.diagram_of_index
+
+    def wrong(lam, a):
+        if (tuple(lam), tuple(a)) == ((1, 2), (0, 1)):
+            a = (1, 0)
+        return real(lam, a)
+
+    monkeypatch.setattr(verify, "diagram_of_index", wrong)
+    [result] = run_suite("bijection_counts", 3)
+    assert result.failure == {
+        "check": "bijection_counts", "error_type": "AssertionError",
+        "error": "round trip fails at (0, 1) on (1, 2)",
+        "lambda": [1, 2], "level": 1, "index": [0, 1]}
